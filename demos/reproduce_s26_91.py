@@ -22,40 +22,14 @@ from kmsteiner.km import build_km
 from kmsteiner.orbitgen import good_k_orbit_reps, subset_orbit_count, t_orbit_reps
 from kmsteiner.order84 import (
     EXPECTED_NORMALIZER_ORDER,
+    TABLE_BENCH,
+    TABLE_GROUPS,
     enumerate_order84_groups,
     normalizer_in_s91,
 )
 from kmsteiner.perm import cyclic_group, group_order, normalizer_of_cyclic
 from kmsteiner.symbreak import decode_solution, encode, normalizer_classes
 from kmsteiner.xcc import solve
-
-# published classification results for the order-84 groups:
-# label -> (good 6-orbit count, |N(G)|, |Ncal|, designs)
-TABLE_GROUPS = {
-    "G1": (703591, 7056, 8509, 8),
-    "G2": (637595, 7056, 7697, 8),
-    "G3": (757275, 42336, 8985, 0),
-    "G4": (883955, 14112, 5443, 0),
-    "G5": (1279623, 42336, 2697, 0),
-    "G6": (1011339, 14112, 35765, 0),
-    "G7": (30191, 7056, 406, 0),
-    "G8": (2443, 21168, 23, 0),
-    "G9": (378903, 21168, 1593, 2),
-    "G10": (409764, 84672, 2018, 0),
-    "G11": (577269, 42336, 1184, 6),
-    "G12": (61021, 14112, 444, 0),
-    "G13": (278489, 42336, 2184, 0),
-    "G14": (4265, 42336, 94, 0),
-    "G15": (666585, 42336, 7162, 0),
-}
-
-# benchmark solution counts: label -> {method: solutions}
-TABLE_BENCH = {
-    "G1": {"a": 672, "b": 56, "c": 8},
-    "G2": {"a": 672, "b": 56, "c": 8},
-    "G9": {"a": 504, "b": 43, "c": 2},
-    "G11": {"a": 3024, "b": 241, "c": 6},
-}
 
 
 def say(msg):
@@ -119,7 +93,8 @@ def run_tables(results, labels=None):
     table = {}
     for label in labels or TABLE_GROUPS:
         r = recs[label]
-        exp_orb, exp_n, exp_ncal, exp_des = TABLE_GROUPS[label]
+        exp_orb, exp_ncal, exp_des = TABLE_GROUPS[label]
+        exp_n = EXPECTED_NORMALIZER_ORDER[label]
         t0 = time.time()
         ko = good_k_orbit_reps(r.group, 91, 6, 2)
         N = normalizer_in_s91(r)

@@ -11,7 +11,6 @@ from .perm import (
     PermutationGroup,
     cyclic_group,
     group_order,
-    lex_min_rep,
     normalizer_of_cyclic,
     orbit_of_subset,
     parse_permutation,
@@ -23,7 +22,6 @@ from .orbitgen import (
     GoodOrbitSet,
     OrbitRep,
     good_k_orbit_reps,
-    is_good_orbit,
     t_orbit_reps,
 )
 from .km import KMInstance, build_km, count_b, t_orbit_lookup
@@ -62,7 +60,6 @@ __all__ = [
     "parse_permutation",
     "group_order",
     "orbit_of_subset",
-    "lex_min_rep",
     "cyclic_group",
     "normalizer_of_cyclic",
     "verify_normalizes",
@@ -71,7 +68,6 @@ __all__ = [
     "OrbitRep",
     "GoodOrbitSet",
     "t_orbit_reps",
-    "is_good_orbit",
     "good_k_orbit_reps",
     "KMInstance",
     "t_orbit_lookup",

@@ -1,17 +1,22 @@
 """Pipeline orchestration: stage commands, plain-text configs, persisted
-artifacts with parameter fingerprints, and report tables.
+artifacts, one run record per output directory, and report tables.
 
 Stages (orbits -> km -> encode -> solve -> classify) are resumable and
-idempotent; every stage validates the parameter fingerprint of its inputs
-so artifacts from different configurations cannot be mixed.  Timing is
-logged to stderr and kept out of the deterministic artifacts (a separate
-timings sidecar feeds the report).
+idempotent.  Each stage sets its entry in ``run.json`` in the output
+directory: the configuration fingerprint, the artifacts it wrote, its
+counts and its seconds.  A stage checks the entries of the stages whose
+artifacts it reads, so artifacts from different configurations cannot be
+mixed, and ``report`` reads its tables from the record.  Apart from the
+``seconds`` fields, the record and every artifact are byte-identical
+across reruns.  ``kmsteiner xcc solve FILE`` solves a problem file on its
+own.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import logging
 import os
 import sys
@@ -20,6 +25,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import comb
 
+import numpy as np
+
 from . import designs as designs_mod
 from . import km as km_mod
 from . import orbitgen, symbreak, xcc
@@ -27,7 +34,6 @@ from .perm import (
     PermutationGroup,
     group_order,
     read_group_file,
-    verify_normalizes,
 )
 
 log = logging.getLogger("kmsteiner")
@@ -197,53 +203,54 @@ class JobConfig:
         return os.path.join(self.output_dir, name)
 
 
-# -- manifest ----------------------------------------------------------------
+# -- run record ---------------------------------------------------------------
+
+RECORD = "run.json"
 
 
-def _write_manifest_entry(cfg: JobConfig, artifact: str) -> None:
-    path = cfg.out("manifest.txt")
-    entries: dict = {}
-    if os.path.exists(path):
-        entries = dict(
-            line.split()[0:2] for line in open(path, encoding="utf-8") if line.strip()
-        )
-    entries[artifact] = cfg.fingerprint()
-    with open(path, "w", encoding="utf-8") as fh:
-        for name in sorted(entries):
-            fh.write(f"{name} {entries[name]}\n")
-
-
-def _check_manifest(cfg: JobConfig, artifacts) -> None:
-    path = cfg.out("manifest.txt")
+def _read_record(cfg: JobConfig) -> dict:
+    path = cfg.out(RECORD)
     if not os.path.exists(path):
-        raise ValidationError(f"missing manifest in {cfg.output_dir}; run earlier stages")
-    entries = dict(
-        line.split()[0:2] for line in open(path, encoding="utf-8") if line.strip()
-    )
+        return {"stages": {}}
+    with open(path, "r", encoding="utf-8") as fh:
+        record = json.load(fh)
+    if not isinstance(record, dict) or not isinstance(record.get("stages"), dict):
+        raise ValidationError(f"{path}: malformed run record")
+    return record
+
+
+def _record_stage(cfg: JobConfig, stage: str, t0: float, artifacts, **counts) -> None:
+    """Set the entry of a stage that started at perf_counter ``t0`` in the
+    run record; the file is replaced whole."""
+    record = _read_record(cfg)
+    record["stages"][stage] = {
+        "fingerprint": cfg.fingerprint(),
+        "artifacts": artifacts,
+        "counts": counts,
+        "seconds": round(time.perf_counter() - t0, 3),
+    }
+    tmp = cfg.out(RECORD + ".tmp")
+    with open(tmp, "w", encoding="utf-8") as fh:
+        json.dump(record, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    os.replace(tmp, cfg.out(RECORD))
+
+
+def _check_record(cfg: JobConfig, stages) -> None:
+    """Each stage must be recorded under this config, with its artifacts present."""
+    entries = _read_record(cfg)["stages"]
     fp = cfg.fingerprint()
-    for art in artifacts:
-        if art not in entries:
-            raise ValidationError(f"artifact {art} not recorded; run its stage first")
-        if entries[art] != fp:
+    for stage in stages:
+        if stage not in entries:
+            raise ValidationError(f"stage {stage} not recorded in {cfg.output_dir}; run it first")
+        entry = entries[stage]
+        if entry["fingerprint"] != fp:
             raise ValidationError(
-                f"parameter hash mismatch for {art}: manifest {entries[art]}, config {fp}"
+                f"parameter hash mismatch for {stage}: record {entry['fingerprint']}, config {fp}"
             )
-        if not os.path.exists(cfg.out(art)):
-            raise ValidationError(f"artifact {art} missing from {cfg.output_dir}")
-
-
-def _log_timing(cfg: JobConfig, stage: str, seconds: float) -> None:
-    entries: dict = {}
-    path = cfg.out("timings.txt")
-    if os.path.exists(path):
-        for line in open(path, encoding="utf-8"):
-            toks = line.split()
-            if len(toks) == 2:
-                entries[toks[0]] = toks[1]
-    entries[stage] = f"{seconds:.3f}"
-    with open(path, "w", encoding="utf-8") as fh:
-        for name in sorted(entries):
-            fh.write(f"{name} {entries[name]}\n")
+        for art in entry["artifacts"]:
+            if not os.path.exists(cfg.out(art)):
+                raise ValidationError(f"artifact {art} missing from {cfg.output_dir}")
 
 
 # -- stages -------------------------------------------------------------------
@@ -278,13 +285,12 @@ def cmd_orbits(cfg: JobConfig, jobs: int = 1) -> None:
     glabel = os.path.basename(cfg.group_file)
     orbitgen.write_orbit_file(cfg.out("torbits.txt"), cfg.v, cfg.k, cfg.t, tro, glabel)
     orbitgen.write_orbit_file(cfg.out("korbits.txt"), cfg.v, cfg.k, cfg.t, reps, glabel)
-    _write_manifest_entry(cfg, "torbits.txt")
-    _write_manifest_entry(cfg, "korbits.txt")
-    _log_timing(cfg, "orbits", time.perf_counter() - t0)
+    _record_stage(cfg, "orbits", t0, ["torbits.txt", "korbits.txt"],
+                  t_orbits=len(tro), good_orbits=len(reps))
 
 
 def _load_orbits(cfg: JobConfig):
-    _check_manifest(cfg, ["torbits.txt", "korbits.txt"])
+    _check_record(cfg, ["orbits"])
     v, k, t, _, tro = orbitgen.read_orbit_file(cfg.out("torbits.txt"))
     v2, k2, t2, _, kreps = orbitgen.read_orbit_file(cfg.out("korbits.txt"))
     if (v, k, t) != (cfg.v, cfg.k, cfg.t) or (v2, k2, t2) != (cfg.v, cfg.k, cfg.t):
@@ -296,46 +302,62 @@ def _load_orbits(cfg: JobConfig):
     return G, tro, kset
 
 
+def _load_km(cfg: JobConfig, tro, kset) -> km_mod.KMInstance:
+    """The matrix from km.txt, checked against the loaded orbit files."""
+    _check_record(cfg, ["km"])
+    m, n, v, k, t, sizes, columns = km_mod.read_km_file(cfg.out("km.txt"))
+    if (m, n, v, k, t) != (len(tro), len(kset.reps), cfg.v, cfg.k, cfg.t):
+        raise ValidationError(
+            f"km.txt header {m} {n} {v} {k} {t} disagrees with the orbit files "
+            f"{len(tro)} {len(kset.reps)} {cfg.v} {cfg.k} {cfg.t}"
+        )
+    if sizes != [r.orbit_size for r in kset.reps]:
+        raise ValidationError("km.txt column sizes disagree with korbits.txt")
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum([len(col) for col in columns], out=indptr[1:])
+    rows = np.fromiter(
+        (i for col in columns for i in col), dtype=np.int32, count=int(indptr[-1])
+    )
+    return km_mod.KMInstance(
+        t_orbits=list(tro), k_orbits=kset, col_indptr=indptr, col_rows=rows
+    )
+
+
 def cmd_km(cfg: JobConfig) -> None:
     G, tro, kset = _load_orbits(cfg)
     t0 = time.perf_counter()
     km = km_mod.build_km(G, tro, kset)
     km_mod.write_km_file(cfg.out("km.txt"), km)
     log.info("KM matrix: %d x %d", *km.shape)
-    _write_manifest_entry(cfg, "km.txt")
-    _log_timing(cfg, "km", time.perf_counter() - t0)
+    m, n = km.shape
+    _record_stage(cfg, "km", t0, ["km.txt"], rows=m, columns=n, entries=len(km.col_rows))
 
 
 def cmd_encode(cfg: JobConfig) -> None:
     G, tro, kset = _load_orbits(cfg)
-    _check_manifest(cfg, ["km.txt"])
     t0 = time.perf_counter()
-    km = km_mod.build_km(G, tro, kset)
+    km = _load_km(cfg, tro, kset)
     classes = None
     if cfg.encoding in ("b", "c"):
-        N = cfg.normalizer()
-        if not verify_normalizes(N, G):
-            raise ValidationError("normalizer_file does not normalize the group")
-        classes = symbreak.normalizer_classes(N, kset, G)
+        classes = symbreak.normalizer_classes(cfg.normalizer(), kset, G)
         log.info("normalizer classes: %d", classes.n_classes)
     enc = symbreak.encode(km, classes, cfg.encoding)
     with open(cfg.out("xcc.txt"), "w", encoding="utf-8") as fh:
         fh.write(xcc.export_text(enc.problem))
     symbreak.write_copy_map(cfg.out("copymap.txt"), enc.copy_map)
-    log.info(
-        "encoding %s: %d+%d items, %d options",
-        cfg.encoding,
-        len(enc.problem.primary),
-        len(enc.problem.secondary),
-        enc.problem.n_options,
-    )
-    _write_manifest_entry(cfg, "xcc.txt")
-    _write_manifest_entry(cfg, "copymap.txt")
-    _log_timing(cfg, "encode", time.perf_counter() - t0)
+    counts = {
+        "primary": len(enc.problem.primary),
+        "secondary": len(enc.problem.secondary),
+        "options": enc.problem.n_options,
+    }
+    log.info("encoding %s: %d+%d items, %d options", cfg.encoding, *counts.values())
+    if classes is not None:
+        counts["classes"] = classes.n_classes
+    _record_stage(cfg, "encode", t0, ["xcc.txt", "copymap.txt"], **counts)
 
 
 def cmd_solve(cfg: JobConfig, limit: int | None = None) -> None:
-    _check_manifest(cfg, ["xcc.txt"])
+    _check_record(cfg, ["encode"])
     t0 = time.perf_counter()
     with open(cfg.out("xcc.txt"), "r", encoding="utf-8") as fh:
         problem = xcc.import_text(fh.read())
@@ -352,21 +374,18 @@ def cmd_solve(cfg: JobConfig, limit: int | None = None) -> None:
     with open(cfg.out("solutions.txt"), "w", encoding="utf-8") as fh:
         for s in sols:
             fh.write(" ".join(str(o) for o in s.option_ids) + "\n")
-    with open(cfg.out("stats.txt"), "w", encoding="utf-8") as fh:
-        fh.write(f"solutions={stats.solutions}\nnodes={stats.nodes}\n")
     log.info(
         "solutions=%d nodes=%d seconds=%.3f", stats.solutions, stats.nodes, stats.elapsed
     )
-    _write_manifest_entry(cfg, "solutions.txt")
-    _write_manifest_entry(cfg, "stats.txt")
-    _log_timing(cfg, "solve", time.perf_counter() - t0)
+    _record_stage(cfg, "solve", t0, ["solutions.txt"], solutions=stats.solutions,
+                  nodes=stats.nodes, limit_hit=stats.limit_hit)
     if stats.limit_hit:
         raise ResourceCapHit("solver stopped at a node, time or solution cap")
 
 
 def cmd_classify(cfg: JobConfig, jobs: int = 1) -> None:
     G, tro, kset = _load_orbits(cfg)
-    _check_manifest(cfg, ["solutions.txt", "copymap.txt"])
+    _check_record(cfg, ["encode", "solve"])
     t0 = time.perf_counter()
     copy_map = symbreak.read_copy_map(cfg.out("copymap.txt"))
     solutions = []
@@ -399,72 +418,39 @@ def cmd_classify(cfg: JobConfig, jobs: int = 1) -> None:
         cfg.out("designs.gap"), [cl.representative for cl in classes]
     )
     log.info("%d solutions -> %d isomorphism classes", len(solutions), len(classes))
-    _write_manifest_entry(cfg, "classes.txt")
-    _log_timing(cfg, "classify", time.perf_counter() - t0)
-
-
-def _read_kv(path) -> dict:
-    out: dict = {}
-    if os.path.exists(path):
-        for line in open(path, encoding="utf-8"):
-            line = line.strip()
-            if not line:
-                continue
-            if "=" in line:
-                key, _, val = line.partition("=")
-            else:
-                parts = line.split()
-                if len(parts) < 2:
-                    continue
-                key, val = parts[0], parts[1]
-            out[key.strip()] = val.strip()
-    return out
+    _record_stage(cfg, "classify", t0, ["classes.txt", "designs.gap", "designs"],
+                  solutions=len(solutions), classes=len(classes))
 
 
 def cmd_report(cfg_paths, out_stream=None) -> str:
-    """Summary and benchmark tables over one or more completed runs."""
+    """Summary and benchmark tables over one or more completed runs, read
+    from their run records; "-" marks a stage not yet run."""
     rows = []
     for path in cfg_paths:
         cfg = JobConfig.load(path)
         label = cfg.label or os.path.splitext(os.path.basename(cfg.group_file))[0]
-        korb = "-"
-        if os.path.exists(cfg.out("korbits.txt")):
-            with open(cfg.out("korbits.txt"), encoding="utf-8") as fh:
-                korb = fh.readline().split()[-1].split("=")[1]
+        stages = _read_record(cfg)["stages"]
+
+        def count(stage, key):
+            return str(stages[stage]["counts"][key]) if stage in stages else "-"
+
         n_order = "-"
-        ncal = "-"
         if cfg.normalizer_file and os.path.exists(cfg.normalizer_file):
             n_order = str(group_order(cfg.normalizer()))
-        if os.path.exists(cfg.out("copymap.txt")):
-            copies = symbreak.read_copy_map(cfg.out("copymap.txt"))
-            if copies:
-                ncal = str(len(copies))
-        items = options = "-"
-        if os.path.exists(cfg.out("xcc.txt")):
-            with open(cfg.out("xcc.txt"), encoding="utf-8") as fh:
-                head = fh.readline()
-                prim, _, sec = head.partition("|")
-                items = f"{len(prim.split())}+{len(sec.split())}"
-                options = str(sum(1 for line in fh if line.strip()))
-        stats = _read_kv(cfg.out("stats.txt"))
-        timings = _read_kv(cfg.out("timings.txt"))
-        n_designs = "-"
-        if os.path.exists(cfg.out("classes.txt")):
-            with open(cfg.out("classes.txt"), encoding="utf-8") as fh:
-                n_designs = str(sum(1 for line in fh if line.strip()))
+        enc = stages["encode"]["counts"] if "encode" in stages else {}
         rows.append(
             {
                 "group": label,
                 "method": cfg.encoding,
-                "orbits": korb,
+                "orbits": count("orbits", "good_orbits"),
                 "normalizer": n_order,
-                "nreps": ncal,
-                "designs": n_designs,
-                "items": items,
-                "options": options,
-                "solutions": stats.get("solutions", "-"),
-                "nodes": stats.get("nodes", "-"),
-                "seconds": timings.get("solve", "-"),
+                "nreps": str(enc["classes"]) if enc.get("classes") else "-",
+                "designs": count("classify", "classes"),
+                "items": f"{enc['primary']}+{enc['secondary']}" if enc else "-",
+                "options": count("encode", "options"),
+                "solutions": count("solve", "solutions"),
+                "nodes": count("solve", "nodes"),
+                "seconds": f"{stages['solve']['seconds']:.3f}" if "solve" in stages else "-",
             }
         )
     lines = ["group        orbits      |N|     |Ncal|  designs"]
@@ -502,12 +488,16 @@ def main(argv=None) -> int:
     for name in ("orbits", "km", "encode", "solve", "classify"):
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True)
-        sp.add_argument("--jobs", type=int, default=1)
-        sp.add_argument("--limit", type=int, default=None)
+        sp.add_argument("--jobs", type=int, default=1,
+                        help="worker processes; used by orbits and classify, "
+                        "accepted by every stage")
+        if name == "solve":
+            sp.add_argument("--limit", type=int, default=None,
+                            help="stop after this many solutions (exit 2)")
     rp = sub.add_parser("report")
     rp.add_argument("--config", action="append", required=True,
                     help="config of a completed run; repeat for more rows")
-    xp = sub.add_parser("xcc")
+    xp = sub.add_parser("xcc", help="solve an exact-cover problem file")
     xp.add_argument("action", choices=["solve"])
     xp.add_argument("file")
     args = parser.parse_args(argv)
@@ -519,7 +509,11 @@ def main(argv=None) -> int:
             cmd_report(args.config, sys.stdout)
             return EXIT_OK
         if args.command == "xcc":
-            return _xcc_solve_file(args.file)
+            with open(args.file, "r", encoding="utf-8") as fh:
+                problem = xcc.import_text(fh.read())
+            stats = xcc.solve(problem, mode="count")
+            print(f"solutions={stats.solutions} nodes={stats.nodes} seconds={stats.elapsed:.3f}")
+            return EXIT_OK
         cfg = JobConfig.load(args.config)
         if args.command == "orbits":
             cmd_orbits(cfg, jobs=args.jobs)
@@ -541,29 +535,6 @@ def main(argv=None) -> int:
     except (ValidationError, ValueError, OSError) as exc:
         log.error("%s", exc)
         return EXIT_VALIDATION
-
-
-def _xcc_solve_file(path) -> int:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            problem = xcc.import_text(fh.read())
-    except (OSError, ValueError) as exc:
-        log.error("%s", exc)
-        return EXIT_VALIDATION
-    stats = xcc.solve(problem, mode="count")
-    print(f"solutions={stats.solutions} nodes={stats.nodes} seconds={stats.elapsed:.3f}")
-    return EXIT_OK
-
-
-def xcc_main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="xcc", description="exact cover with colors: solve a problem file"
-    )
-    parser.add_argument("action", choices=["solve"])
-    parser.add_argument("file")
-    args = parser.parse_args(argv)
-    logging.basicConfig(stream=sys.stderr, level=logging.INFO)
-    return _xcc_solve_file(args.file)
 
 
 if __name__ == "__main__":

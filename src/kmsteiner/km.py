@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
 
 import numpy as np
 
@@ -169,18 +168,3 @@ def read_km_file(path):
     if len(columns) != n:
         raise ValueError(f"{path}: expected {n} columns, found {len(columns)}")
     return m, n, v, k, t, sizes, columns
-
-
-def km_block_count(v: int, k: int) -> int:
-    """Block count of a Steiner 2-design with these parameters."""
-    num, rem = divmod(v * (v - 1), k * (k - 1))
-    if rem:
-        raise ValueError(f"k(k-1) does not divide v(v-1) for v={v}, k={k}")
-    return num
-
-
-def column_weight_ok(km: KMInstance, j: int) -> bool:
-    """Check sum_i a_ij * |T_i| = |K_j| * C(k, t) for one column."""
-    ks = km.k_orbits
-    total = sum(km.t_orbits[i].orbit_size for i in km.column(j))
-    return total == ks.reps[j].orbit_size * comb(ks.k, ks.t)

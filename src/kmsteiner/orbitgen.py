@@ -30,7 +30,6 @@ __all__ = [
     "OrbitRep",
     "GoodOrbitSet",
     "t_orbit_reps",
-    "is_good_orbit",
     "good_k_orbit_reps",
     "subset_orbit_count",
     "read_orbit_file",
@@ -54,20 +53,6 @@ class GoodOrbitSet:
     t: int
     reps: list
     group_id: str
-
-
-def is_good_orbit(G: PermutationGroup, K, t: int) -> bool:
-    """True iff the orbit of K covers every t-subset at most once,
-    i.e. for every g either K^g = K or |K meet K^g| <= t-1."""
-    K = tuple(sorted(K))
-    if len(K) <= t:
-        raise ValueError("need |K| > t")
-    kset = frozenset(K)
-    for g in G.raw_elements(cap=ELEMENT_CAP):
-        img = frozenset(g[p - 1] + 1 for p in K)
-        if img != kset and len(kset & img) >= t:
-            return False
-    return True
 
 
 def subset_orbit_count(G: PermutationGroup, k: int) -> int:

@@ -34,6 +34,8 @@ __all__ = [
     "abstract_isomorphic",
     "order12_subgroup_classes",
     "EXPECTED_NORMALIZER_ORDER",
+    "TABLE_GROUPS",
+    "TABLE_BENCH",
     "STRUCTURES",
 ]
 
@@ -74,6 +76,34 @@ EXPECTED_NORMALIZER_ORDER = {
     "G13": 42336,
     "G14": 42336,
     "G15": 42336,
+}
+
+# published classification: label -> (good 6-orbits, |Ncal| normalizer
+# classes, designs); |N(G)| is EXPECTED_NORMALIZER_ORDER[label]
+TABLE_GROUPS = {
+    "G1": (703591, 8509, 8),
+    "G2": (637595, 7697, 8),
+    "G3": (757275, 8985, 0),
+    "G4": (883955, 5443, 0),
+    "G5": (1279623, 2697, 0),
+    "G6": (1011339, 35765, 0),
+    "G7": (30191, 406, 0),
+    "G8": (2443, 23, 0),
+    "G9": (378903, 1593, 2),
+    "G10": (409764, 2018, 0),
+    "G11": (577269, 1184, 6),
+    "G12": (61021, 444, 0),
+    "G13": (278489, 2184, 0),
+    "G14": (4265, 94, 0),
+    "G15": (666585, 7162, 0),
+}
+
+# published solution counts per encoding: label -> {encoding: solutions}
+TABLE_BENCH = {
+    "G1": {"a": 672, "b": 56, "c": 8},
+    "G2": {"a": 672, "b": 56, "c": 8},
+    "G9": {"a": 504, "b": 43, "c": 2},
+    "G11": {"a": 3024, "b": 241, "c": 6},
 }
 
 

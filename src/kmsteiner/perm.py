@@ -19,11 +19,9 @@ __all__ = [
     "parse_permutation",
     "group_order",
     "orbit_of_subset",
-    "lex_min_rep",
     "cyclic_group",
     "normalizer_of_cyclic",
     "verify_normalizes",
-    "closure_elements",
     "as_subset",
     "read_group_file",
     "write_group_file",
@@ -316,26 +314,18 @@ class _Chain:
     def elements(self) -> Iterator[tuple]:
         """All group elements, deterministic order, exactly once each."""
 
-        def rec(level: int, acc: tuple) -> Iterator[tuple]:
-            if level == len(self.base):
-                yield acc
-                return
-            t = self.trans[level]
-            for p in sorted(t):
-                yield from rec(level + 1, _mul(acc, t[p]))
-
         # factor g = h * u_p with h in the stabilizer: enumerate outer level last
-        def rec2(level: int) -> Iterator[tuple]:
+        def rec(level: int) -> Iterator[tuple]:
             if level == len(self.base):
                 yield self._ident
                 return
             t = self.trans[level]
             for p in sorted(t):
                 up = t[p]
-                for h in rec2(level + 1):
+                for h in rec(level + 1):
                     yield _mul(h, up)
 
-        return rec2(0)
+        return rec(0)
 
 
 class PermutationGroup:
@@ -435,34 +425,6 @@ def orbit_of_subset(G: PermutationGroup, S: Iterable[int]) -> set:
                 seen.add(img)
                 queue.append(img)
     return seen
-
-
-def lex_min_rep(G: PermutationGroup, S: Iterable[int]) -> PointSubset:
-    """Lexicographically smallest sorted subset in the orbit of S."""
-    return min(orbit_of_subset(G, S))
-
-
-def closure_elements(generators: Sequence[Permutation], cap: int = 10**6) -> set:
-    """Element set by closure BFS over generator products (independent of
-    the stabilizer chain; used as an order cross-check)."""
-    gens = [g.raw() for g in generators]
-    if not gens:
-        return set()
-    ident = tuple(range(len(gens[0])))
-    els = {ident}
-    frontier = [ident]
-    while frontier:
-        new = []
-        for a in frontier:
-            for g in gens:
-                c = _mul(a, g)
-                if c not in els:
-                    els.add(c)
-                    if len(els) > cap:
-                        raise ValueError(f"closure exceeds cap {cap}")
-                    new.append(c)
-        frontier = new
-    return {Permutation(t) for t in els}
 
 
 def cyclic_group(v: int) -> PermutationGroup:

@@ -7,6 +7,9 @@ isomorphism from point-map backtracking.
 """
 
 from itertools import combinations, permutations
+from math import comb
+
+from kmsteiner.perm import Permutation, orbit_of_subset
 
 
 def subset_orbits(generators, v, size):
@@ -220,3 +223,60 @@ def cyclic_triple_systems(v):
 
     rec(0, frozenset(), [])
     return sorted(solutions), good, orbits
+
+
+def closure_elements(generators, cap=10**6):
+    """Element set by closure BFS over generator products (independent of
+    the stabilizer chain; used as an order cross-check)."""
+    gens = [g.raw() for g in generators]
+    if not gens:
+        return set()
+    ident = tuple(range(len(gens[0])))
+    els = {ident}
+    frontier = [ident]
+    while frontier:
+        new = []
+        for a in frontier:
+            for g in gens:
+                c = tuple(g[x] for x in a)  # apply a, then g
+                if c not in els:
+                    els.add(c)
+                    if len(els) > cap:
+                        raise ValueError(f"closure exceeds cap {cap}")
+                    new.append(c)
+        frontier = new
+    return {Permutation(t) for t in els}
+
+
+def lex_min_rep(G, S):
+    """Lexicographically smallest sorted subset in the orbit of S."""
+    return min(orbit_of_subset(G, S))
+
+
+def is_good_orbit(G, K, t):
+    """True iff the orbit of K covers every t-subset at most once,
+    i.e. for every g either K^g = K or |K meet K^g| <= t-1."""
+    K = tuple(sorted(K))
+    if len(K) <= t:
+        raise ValueError("need |K| > t")
+    kset = frozenset(K)
+    for g in G.raw_elements(cap=10**6):
+        img = frozenset(g[p - 1] + 1 for p in K)
+        if img != kset and len(kset & img) >= t:
+            return False
+    return True
+
+
+def km_block_count(v, k):
+    """Block count of a Steiner 2-design with these parameters."""
+    num, rem = divmod(v * (v - 1), k * (k - 1))
+    if rem:
+        raise ValueError(f"k(k-1) does not divide v(v-1) for v={v}, k={k}")
+    return num
+
+
+def column_weight_ok(km, j):
+    """Check sum_i a_ij * |T_i| = |K_j| * C(k, t) for one column."""
+    ks = km.k_orbits
+    total = sum(km.t_orbits[i].orbit_size for i in km.column(j))
+    return total == ks.reps[j].orbit_size * comb(ks.k, ks.t)

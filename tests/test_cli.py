@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -42,6 +43,11 @@ def sts13_cfg(tmp_path, fixtures_dir):
     )
 
 
+def solve_counts(cfg):
+    with open(cfg.out("run.json")) as fh:
+        return json.load(fh)["stages"]["solve"]["counts"]
+
+
 def run_pipeline(cfg_path):
     cfg = JobConfig.load(cfg_path)
     cmd_orbits(cfg)
@@ -63,12 +69,7 @@ def test_admissibility_conditions():
 
 def test_full_pipeline_sts13(sts13_cfg):
     cfg = run_pipeline(sts13_cfg)
-    stats = dict(
-        line.strip().split("=")
-        for line in open(cfg.out("stats.txt"))
-        if line.strip()
-    )
-    assert stats["solutions"] == "2"
+    assert solve_counts(cfg)["solutions"] == 2
     classes = [line for line in open(cfg.out("classes.txt")) if line.strip()]
     assert len(classes) == 1
     assert "aut_order=39" in classes[0]
@@ -85,15 +86,24 @@ def test_rerun_is_byte_identical(sts13_cfg):
         "xcc.txt",
         "copymap.txt",
         "solutions.txt",
-        "stats.txt",
         "classes.txt",
         "designs.gap",
-        "manifest.txt",
+        os.path.join("designs", "design_01.txt"),
     ]
-    before = {a: open(cfg.out(a), "rb").read() for a in artifacts}
+
+    def snapshot():
+        files = {a: open(cfg.out(a), "rb").read() for a in artifacts}
+        with open(cfg.out("run.json"), "rb") as fh:
+            files["run.json"] = [ln for ln in fh if b'"seconds":' not in ln]
+        return files
+
+    before = snapshot()
     run_pipeline(sts13_cfg)
-    after = {a: open(cfg.out(a), "rb").read() for a in artifacts}
-    assert before == after
+    assert snapshot() == before
+    with open(cfg.out("run.json")) as fh:
+        stages = json.load(fh)["stages"]
+    assert sorted(stages) == ["classify", "encode", "km", "orbits", "solve"]
+    assert all(isinstance(e["seconds"], float) for e in stages.values())
 
 
 def test_stage_order_enforced(tmp_path, fixtures_dir):
@@ -190,6 +200,43 @@ def test_exit_codes(tmp_path, fixtures_dir):
     assert main(["solve", "--config", good]) == EXIT_RESOURCE  # node cap hit
 
 
+def test_non_normalizing_group_rejected(tmp_path, fixtures_dir):
+    bad_n = tmp_path / "N.grp"
+    bad_n.write_text("degree 13\n(1,2)\n")
+    cfgp = write_config(
+        tmp_path / "n.cfg",
+        v=13,
+        k=3,
+        t=2,
+        group_file=os.path.join(fixtures_dir, "groups", "C13.grp"),
+        normalizer_file=str(bad_n),
+        encoding="b",
+        output_dir=str(tmp_path / "run"),
+    )
+    assert main(["orbits", "--config", cfgp]) == EXIT_OK
+    assert main(["km", "--config", cfgp]) == EXIT_OK
+    assert main(["encode", "--config", cfgp]) == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda head: head.replace(" 13 3 2", " 14 3 2"),  # v
+        lambda head: f"{int(head.split()[0]) + 1} " + head.split(" ", 1)[1],  # m
+    ],
+)
+def test_km_file_disagreeing_with_orbits_rejected(sts13_cfg, edit):
+    cfg = JobConfig.load(sts13_cfg)
+    cmd_orbits(cfg)
+    cmd_km(cfg)
+    with open(cfg.out("km.txt")) as fh:
+        head, rest = fh.readline(), fh.read()
+    with open(cfg.out("km.txt"), "w") as fh:
+        fh.write(edit(head) + rest)
+    assert main(["encode", "--config", sts13_cfg]) == EXIT_VALIDATION
+    assert not os.path.exists(cfg.out("xcc.txt"))
+
+
 def test_solution_limit_flag(tmp_path, fixtures_dir):
     cfgp = write_config(
         tmp_path / "lim.cfg",
@@ -236,12 +283,7 @@ def test_encoding_c_through_cli(tmp_path, fixtures_dir):
         output_dir=str(tmp_path / "run"),
     )
     cfg = run_pipeline(cfgp)
-    stats = dict(
-        line.strip().split("=")
-        for line in open(cfg.out("stats.txt"))
-        if line.strip()
-    )
-    assert stats["solutions"] == "8"
+    assert solve_counts(cfg)["solutions"] == 8
     classes = [line for line in open(cfg.out("classes.txt")) if line.strip()]
     assert len(classes) == 4
 
@@ -262,6 +304,9 @@ def test_report_tables(sts13_cfg):
     assert lines[0].startswith("group")
     bench = [ln for ln in lines if ln.startswith("C13") and " b " in f" {ln} "]
     assert any("18" in ln for ln in lines)  # option count
+    bench_row = lines[lines.index("") + 2].split()
+    assert bench_row[:2] == ["C13", "b"]
+    float(bench_row[-1])  # solve seconds from the run record, not "-"
 
 
 def test_xcc_passthrough(tmp_path):

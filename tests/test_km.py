@@ -7,7 +7,6 @@ import pytest
 from kmsteiner.km import (
     KMError,
     build_km,
-    column_weight_ok,
     count_b,
     read_km_file,
     t_orbit_lookup,
@@ -15,6 +14,8 @@ from kmsteiner.km import (
 )
 from kmsteiner.orbitgen import GoodOrbitSet, OrbitRep, good_k_orbit_reps, t_orbit_reps
 from kmsteiner.perm import PermutationGroup, cyclic_group, orbit_of_subset
+
+from oracles import column_weight_ok
 
 
 def _lookup(G, v, t):
@@ -116,7 +117,7 @@ def test_group_mismatch_rejected():
 
 def test_block_count_identity_for_solutions():
     # any exact cover selects orbits whose sizes sum to v(v-1)/(k(k-1))
-    from kmsteiner.km import km_block_count
+    from oracles import km_block_count
     from kmsteiner.symbreak import encode
     from kmsteiner.xcc import solve_all
 

@@ -5,7 +5,6 @@ import pytest
 
 from kmsteiner.orbitgen import (
     good_k_orbit_reps,
-    is_good_orbit,
     read_orbit_file,
     subset_orbit_count,
     t_orbit_reps,
@@ -13,7 +12,7 @@ from kmsteiner.orbitgen import (
 )
 from kmsteiner.perm import PermutationGroup, cyclic_group, parse_permutation
 
-from oracles import good_orbits_bruteforce, subset_orbits
+from oracles import good_orbits_bruteforce, is_good_orbit, subset_orbits
 
 
 def test_t_orbit_reps_cyclic91():

@@ -48,7 +48,7 @@ def test_classes_match_bruteforce_partition():
     # element of N maps one onto the other
     G, N, ko, _ = pipeline_parts(13)
     cls = normalizer_classes(N, ko, G)
-    from kmsteiner.perm import lex_min_rep
+    from oracles import lex_min_rep
 
     rep_index = {r.rep: r.index for r in ko.reps}
     n = len(ko.reps)
