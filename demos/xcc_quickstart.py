@@ -8,13 +8,18 @@ color, or not at all; color 0 is an ordinary color.
 
 from kmsteiner.xcc import XCCProblem, export_text, import_text, solve_all
 
-# items: primary A, B, C; secondary X
-p = XCCProblem(["A", "B", "C"], ["X"])
-p.add_option([0, 1])                    # A B
-p.add_option([2], [(0, 1)])             # C X:1
-p.add_option([0], [(0, 1)])             # A X:1
-p.add_option([1, 2], [(0, 2)])          # B C X:2
-p.add_option([1], [(0, 2)])             # B X:2
+# items: primary A, B, C; secondary X; options as (primary ids, (secondary id, color) pairs)
+p = XCCProblem(
+    ["A", "B", "C"],
+    ["X"],
+    [
+        ([0, 1], []),                   # A B
+        ([2], [(0, 1)]),                # C X:1
+        ([0], [(0, 1)]),                # A X:1
+        ([1, 2], [(0, 2)]),             # B C X:2
+        ([1], [(0, 2)]),                # B X:2
+    ],
+)
 
 print("problem in text form:")
 print(export_text(p))

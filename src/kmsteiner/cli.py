@@ -25,8 +25,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import comb
 
-import numpy as np
-
 from . import designs as designs_mod
 from . import km as km_mod
 from . import orbitgen, symbreak, xcc
@@ -88,7 +86,6 @@ class JobConfig:
     output_dir: str
     normalizer_file: str | None = None
     encoding: str = "a"
-    solve_mode: str = "enumerate"
     node_cap: int | None = None
     time_cap: float | None = None
     solution_limit: int | None = None
@@ -102,7 +99,6 @@ class JobConfig:
         "group_file",
         "normalizer_file",
         "encoding",
-        "solve_mode",
         "node_cap",
         "time_cap",
         "solution_limit",
@@ -141,7 +137,6 @@ class JobConfig:
             output_dir=rel(raw["output_dir"]),
             normalizer_file=rel(raw["normalizer_file"]) if "normalizer_file" in raw else None,
             encoding=raw.get("encoding", "a"),
-            solve_mode=raw.get("solve_mode", "enumerate"),
             node_cap=int(raw["node_cap"]) if "node_cap" in raw else None,
             time_cap=float(raw["time_cap"]) if "time_cap" in raw else None,
             solution_limit=int(raw["solution_limit"]) if "solution_limit" in raw else None,
@@ -157,8 +152,6 @@ class JobConfig:
             raise ValidationError("inadmissible parameters: " + "; ".join(violations))
         if self.encoding not in ("a", "b", "c"):
             raise ValidationError(f"encoding must be a, b or c, not {self.encoding!r}")
-        if self.solve_mode not in ("enumerate", "count", "first"):
-            raise ValidationError(f"bad solve_mode {self.solve_mode!r}")
         if not os.path.exists(self.group_file):
             raise ValidationError(f"group file {self.group_file} does not exist")
         if self.encoding in ("b", "c") and not self.normalizer_file:
@@ -305,7 +298,7 @@ def _load_orbits(cfg: JobConfig):
 def _load_km(cfg: JobConfig, tro, kset) -> km_mod.KMInstance:
     """The matrix from km.txt, checked against the loaded orbit files."""
     _check_record(cfg, ["km"])
-    m, n, v, k, t, sizes, columns = km_mod.read_km_file(cfg.out("km.txt"))
+    m, n, v, k, t, sizes, indptr, rows = km_mod.read_km_file(cfg.out("km.txt"))
     if (m, n, v, k, t) != (len(tro), len(kset.reps), cfg.v, cfg.k, cfg.t):
         raise ValidationError(
             f"km.txt header {m} {n} {v} {k} {t} disagrees with the orbit files "
@@ -313,11 +306,6 @@ def _load_km(cfg: JobConfig, tro, kset) -> km_mod.KMInstance:
         )
     if sizes != [r.orbit_size for r in kset.reps]:
         raise ValidationError("km.txt column sizes disagree with korbits.txt")
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum([len(col) for col in columns], out=indptr[1:])
-    rows = np.fromiter(
-        (i for col in columns for i in col), dtype=np.int32, count=int(indptr[-1])
-    )
     return km_mod.KMInstance(
         t_orbits=list(tro), k_orbits=kset, col_indptr=indptr, col_rows=rows
     )
@@ -365,7 +353,6 @@ def cmd_solve(cfg: JobConfig, limit: int | None = None) -> None:
     sols: list = []
     stats = xcc.solve(
         problem,
-        mode=cfg.solve_mode,
         limit=limit if limit is not None else cfg.solution_limit,
         on_solution=sols.append,
         node_cap=cfg.node_cap,
@@ -387,6 +374,9 @@ def cmd_classify(cfg: JobConfig, jobs: int = 1) -> None:
     G, tro, kset = _load_orbits(cfg)
     _check_record(cfg, ["encode", "solve"])
     t0 = time.perf_counter()
+    if _read_record(cfg)["stages"]["solve"]["counts"]["limit_hit"]:
+        log.warning("the solve stopped at a cap: its solutions, and so the classes, "
+                    "may be incomplete")
     copy_map = symbreak.read_copy_map(cfg.out("copymap.txt"))
     solutions = []
     with open(cfg.out("solutions.txt"), "r", encoding="utf-8") as fh:
@@ -403,6 +393,9 @@ def cmd_classify(cfg: JobConfig, jobs: int = 1) -> None:
         all_designs.append(d)
     classes = designs_mod.classify(all_designs, known_autos=G.generators, jobs=jobs)
     os.makedirs(cfg.out("designs"), exist_ok=True)
+    for name in os.listdir(cfg.out("designs")):
+        if name.startswith("design_") and name.endswith(".txt"):
+            os.remove(cfg.out(os.path.join("designs", name)))
     with open(cfg.out("classes.txt"), "w", encoding="utf-8") as fh:
         for i, cl in enumerate(classes, start=1):
             designs_mod.write_design_file(
@@ -424,15 +417,18 @@ def cmd_classify(cfg: JobConfig, jobs: int = 1) -> None:
 
 def cmd_report(cfg_paths, out_stream=None) -> str:
     """Summary and benchmark tables over one or more completed runs, read
-    from their run records; "-" marks a stage not yet run."""
+    from their run records; "-" marks a stage not yet run, and "+" after
+    the solution and design counts a solve stopped at a cap."""
     rows = []
     for path in cfg_paths:
         cfg = JobConfig.load(path)
         label = cfg.label or os.path.splitext(os.path.basename(cfg.group_file))[0]
         stages = _read_record(cfg)["stages"]
 
-        def count(stage, key):
-            return str(stages[stage]["counts"][key]) if stage in stages else "-"
+        capped = "+" if "solve" in stages and stages["solve"]["counts"]["limit_hit"] else ""
+
+        def count(stage, key, mark=""):
+            return str(stages[stage]["counts"][key]) + mark if stage in stages else "-"
 
         n_order = "-"
         if cfg.normalizer_file and os.path.exists(cfg.normalizer_file):
@@ -445,10 +441,10 @@ def cmd_report(cfg_paths, out_stream=None) -> str:
                 "orbits": count("orbits", "good_orbits"),
                 "normalizer": n_order,
                 "nreps": str(enc["classes"]) if enc.get("classes") else "-",
-                "designs": count("classify", "classes"),
+                "designs": count("classify", "classes", capped),
                 "items": f"{enc['primary']}+{enc['secondary']}" if enc else "-",
                 "options": count("encode", "options"),
-                "solutions": count("solve", "solutions"),
+                "solutions": count("solve", "solutions", capped),
                 "nodes": count("solve", "nodes"),
                 "seconds": f"{stages['solve']['seconds']:.3f}" if "solve" in stages else "-",
             }
@@ -511,7 +507,7 @@ def main(argv=None) -> int:
         if args.command == "xcc":
             with open(args.file, "r", encoding="utf-8") as fh:
                 problem = xcc.import_text(fh.read())
-            stats = xcc.solve(problem, mode="count")
+            stats = xcc.solve(problem)
             print(f"solutions={stats.solutions} nodes={stats.nodes} seconds={stats.elapsed:.3f}")
             return EXIT_OK
         cfg = JobConfig.load(args.config)

@@ -47,18 +47,9 @@ class KMInstance:
     def shape(self) -> tuple:
         return (len(self.t_orbits), len(self.k_orbits.reps))
 
-    @property
-    def params(self) -> tuple:
-        ks = self.k_orbits
-        return (ks.v, ks.k, ks.t, 1)
-
     def column(self, j: int) -> tuple:
         lo, hi = self.col_indptr[j], self.col_indptr[j + 1]
         return tuple(int(i) for i in self.col_rows[lo:hi])
-
-    def columns(self):
-        for j in range(self.shape[1]):
-            yield self.column(j)
 
 
 def t_orbit_lookup(G: PermutationGroup, t_orbits) -> dict:
@@ -143,28 +134,30 @@ def write_km_file(path, km: KMInstance) -> None:
 
 
 def read_km_file(path):
-    """Returns (m, n, v, k, t, sizes, columns) from a KM file."""
+    """Returns (m, n, v, k, t, sizes, indptr, rows) from a KM file, with
+    indptr and rows in the form ``KMInstance.col_indptr``/``col_rows``."""
     with open(path, "r", encoding="utf-8") as fh:
         head = fh.readline().split()
         if len(head) != 5:
             raise ValueError(f"{path}: malformed KM header")
         m, n, v, k, t = (int(x) for x in head)
-        sizes = []
-        columns = []
+        sizes, lens, rows = [], [], []
         for line in fh:
             toks = line.split()
             if not toks:
                 continue
-            if toks[2] != ":":
+            if len(toks) < 3 or toks[2] != ":":
                 raise ValueError(f"{path}: malformed column line {line!r}")
             j = int(toks[0])
-            if j != len(columns):
+            if j != len(sizes):
                 raise ValueError(f"{path}: column {j} out of order")
             sizes.append(int(toks[1]))
-            col = tuple(int(x) for x in toks[3:])
-            if list(col) != sorted(col) or any(not 0 <= i < m for i in col):
+            col = [int(x) for x in toks[3:]]
+            if col != sorted(col) or any(not 0 <= i < m for i in col):
                 raise ValueError(f"{path}: bad row indices in column {j}")
-            columns.append(col)
-    if len(columns) != n:
-        raise ValueError(f"{path}: expected {n} columns, found {len(columns)}")
-    return m, n, v, k, t, sizes, columns
+            lens.append(len(col))
+            rows.extend(col)
+    if len(sizes) != n:
+        raise ValueError(f"{path}: expected {n} columns, found {len(sizes)}")
+    indptr = np.cumsum([0] + lens, dtype=np.int64)
+    return m, n, v, k, t, sizes, indptr, np.array(rows, dtype=np.int32)

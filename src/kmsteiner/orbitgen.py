@@ -136,12 +136,10 @@ def _orderly_reps(
     t: int,
     good: bool,
     overlap_prune: bool = True,
-    first_points=None,
     shard=None,
 ):
     """Run the orderly DFS; returns list of (rep_tuple_1based, orbit_size).
 
-    first_points restricts the choice of smallest point (0-based).
     shard=(i, n) keeps only second points p with p % n == i; the union
     over all i is the full tree, so shards may run on separate workers
     and be merged by re-sorting the representatives.
@@ -155,10 +153,7 @@ def _orderly_reps(
         # candidate extension points, 0-based, keeping room for size-depth more
         lo = last + 1
         hi = v - (size - depth) + 1
-        if depth == 0 and first_points is not None:
-            cand = np.array([p for p in first_points if lo <= p < hi], dtype=np.int64)
-        else:
-            cand = np.arange(lo, hi, dtype=np.int64)
+        cand = np.arange(lo, hi, dtype=np.int64)
         if depth == 1 and shard is not None:
             cand = cand[cand % shard[1] == shard[0]]
         if cand.size == 0:
@@ -211,15 +206,14 @@ def good_k_orbit_reps(
     k: int,
     t: int,
     overlap_prune: bool = True,
-    first_points=None,
     shard=None,
 ) -> GoodOrbitSet:
     """All good k-orbit representatives in lex order.
 
     overlap_prune=False disables prune P2 (used by soundness tests; the
-    output is unchanged).  first_points restricts the choice of smallest
-    point (0-based); shard=(i, n) splits the tree at the second point so
-    workers can generate disjoint parts to be merged and re-sorted.
+    output is unchanged).  shard=(i, n) splits the tree at the second
+    point so workers can generate disjoint parts to be merged and
+    re-sorted.
     """
     if not t < k < v:
         raise ValueError("need t < k < v")
@@ -230,7 +224,6 @@ def good_k_orbit_reps(
         t,
         good=True,
         overlap_prune=overlap_prune,
-        first_points=first_points,
         shard=shard,
     )
     reps = [OrbitRep(rep, sz, i) for i, (rep, sz) in enumerate(raw)]

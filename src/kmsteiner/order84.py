@@ -350,93 +350,50 @@ def enumerate_order84_groups() -> list:
 # automorphisms and normalizers
 
 
-def automorphism_perms(G: SmallGroup) -> list:
-    """All automorphisms of G as permutations of element indices.
+def _isomorphisms(A: SmallGroup, B: SmallGroup):
+    """Every isomorphism A -> B as a tuple of element indices.
 
-    Backtracking over generator images with incremental consistency
-    checks; complete search, feasible at order 84.
+    Brute force over the images of A's generators (elements of B of the
+    same orders).  Each choice is extended along a walk from the identity
+    by phi(x g) = phi(x) img(g); the walk checks that rule for every
+    element x and generator g, so a consistent walk that reaches all of A
+    and is injective is an isomorphism.
     """
-    gens = G.gens
-    orders = [G.order_of[g] for g in gens]
     candidates = [
-        [i for i in range(G.n) if G.order_of[i] == o] for o in orders
-    ]
-    autos = []
-    for imgs in iproduct(*candidates):
-        phi = [None] * G.n
-        phi[G.e] = G.e
-        frontier = [G.e]
-        ok = True
-        assigned = 1
-        while frontier and ok:
-            new = []
-            for x in frontier:
-                for gi, g in enumerate(gens):
-                    y = G.mul[x][g]
-                    val = G.mul[phi[x]][imgs[gi]]
-                    if phi[y] is None:
-                        phi[y] = val
-                        assigned += 1
-                        new.append(y)
-                    elif phi[y] != val:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            frontier = new
-        if not ok or assigned != G.n or len(set(phi)) != G.n:
-            continue
-        for x in range(G.n):
-            if not ok:
-                break
-            for gi, g in enumerate(gens):
-                if phi[G.mul[x][g]] != G.mul[phi[x]][imgs[gi]]:
-                    ok = False
-                    break
-        if ok:
-            autos.append(tuple(phi))
-    return autos
-
-
-def abstract_isomorphic(A: SmallGroup, B: SmallGroup) -> bool:
-    """Brute-force generator-image search for an isomorphism A -> B."""
-    if A.n != B.n or A.order_multiset() != B.order_multiset():
-        return False
-    gens = A.gens
-    candidates = [
-        [i for i in range(B.n) if B.order_of[i] == A.order_of[g]] for g in gens
+        [i for i in range(B.n) if B.order_of[i] == A.order_of[g]] for g in A.gens
     ]
     for imgs in iproduct(*candidates):
         phi = [None] * A.n
         phi[A.e] = B.e
         frontier = [A.e]
         ok = True
-        assigned = 1
         while frontier and ok:
             new = []
             for x in frontier:
-                for gi, g in enumerate(gens):
+                for g, img in zip(A.gens, imgs):
                     y = A.mul[x][g]
-                    val = B.mul[phi[x]][imgs[gi]]
+                    val = B.mul[phi[x]][img]
                     if phi[y] is None:
                         phi[y] = val
-                        assigned += 1
                         new.append(y)
                     elif phi[y] != val:
                         ok = False
-                        break
-                if not ok:
-                    break
             frontier = new
-        if not ok or assigned != A.n or len(set(phi)) != A.n:
-            continue
-        if all(
-            phi[A.mul[x][g]] == B.mul[phi[x]][imgs[gi]]
-            for x in range(A.n)
-            for gi, g in enumerate(gens)
-        ):
-            return True
-    return False
+        if ok and None not in phi and len(set(phi)) == A.n:
+            yield tuple(phi)
+
+
+def automorphism_perms(G: SmallGroup) -> list:
+    """All automorphisms of G as permutations of element indices;
+    complete search, feasible at order 84."""
+    return list(_isomorphisms(G, G))
+
+
+def abstract_isomorphic(A: SmallGroup, B: SmallGroup) -> bool:
+    """Brute-force generator-image search for an isomorphism A -> B."""
+    if A.n != B.n or A.order_multiset() != B.order_multiset():
+        return False
+    return next(_isomorphisms(A, B), None) is not None
 
 
 def order12_subgroup_classes(G: SmallGroup) -> int:
@@ -449,7 +406,7 @@ def order12_subgroup_classes(G: SmallGroup) -> int:
     subgroups = set()
     for a in small:
         for b in small:
-            els = frozenset(_closure_idx(G, (a, b)))
+            els = frozenset(_closure((a, b), lambda x, y: G.mul[x][y], G.e))
             if len(els) == 12:
                 subgroups.add(els)
     classes = []
@@ -462,21 +419,6 @@ def order12_subgroup_classes(G: SmallGroup) -> int:
             conj.add(frozenset(G.mul[G.mul[g][x]][gi] for x in S))
         classes.append(conj)
     return len(classes)
-
-
-def _closure_idx(G: SmallGroup, seed) -> list:
-    out = [G.e]
-    seen = {G.e}
-    qi = 0
-    while qi < len(out):
-        a = out[qi]
-        qi += 1
-        for g in seed:
-            b = G.mul[a][g]
-            if b not in seen:
-                seen.add(b)
-                out.append(b)
-    return out
 
 
 def _reduce_generators(perms: list, degree: int) -> list:

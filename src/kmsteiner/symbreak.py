@@ -141,45 +141,57 @@ class Encoding:
     copy_map: dict  # copy-option id -> original k-orbit index
 
 
+def _ranks(lens: np.ndarray) -> np.ndarray:
+    """0, 1, ..., len - 1 for each length in turn, concatenated."""
+    return np.arange(lens.sum()) - np.repeat(np.cumsum(lens) - lens, lens)
+
+
 def encode(
     km: KMInstance, classes: NormalizerClasses | None, kind: str
 ) -> Encoding:
-    """Emit the chosen encoding of a Kramer-Mesner instance as XCC."""
+    """Emit the chosen encoding of a Kramer-Mesner instance as XCC.
+
+    Option j < n is column j; for b and c, option n + q is the
+    copy-option of the q-th class representative.
+    """
     if kind not in ("a", "b", "c"):
         raise ValueError(f"unknown encoding kind {kind!r}")
     if kind in ("b", "c") and classes is None:
         raise ValueError(f"encoding {kind!r} requires normalizer classes")
     m, n = km.shape
+    indptr, rows = km.col_indptr, km.col_rows
     primary = [f"r{i}" for i in range(m)]
-    if kind in ("b", "c"):
-        primary.append("Nhit")
-    nhit = m
-    n_classes = classes.n_classes if classes is not None else 0
-    secondary = [f"s{c}" for c in range(n_classes - 1)] if kind == "c" else []
-    problem = XCCProblem(primary, secondary)
-    copy_map: dict = {}
-    class_of = classes.class_of if classes is not None else None
-    for j in range(n):
-        col = km.column(j)
-        sec = ()
-        if kind == "c":
-            c = int(class_of[j])
-            if c < n_classes - 1:
-                sec = ((c, 1),)
-        problem.add_option(col, sec)
-    if kind in ("b", "c"):
-        for r in classes.reps:
-            col = km.column(r) + (nhit,)
-            sec: tuple = ()
-            if kind == "c":
-                c = int(class_of[r])
-                pairs = [(i, 0) for i in range(c)]
-                if c < n_classes - 1:
-                    pairs.append((c, 1))
-                sec = tuple(pairs)
-            oid = problem.add_option(col, sec)
-            copy_map[oid] = r
-    return Encoding(kind=kind, problem=problem, copy_map=copy_map)
+    if kind == "a":
+        return Encoding(kind, XCCProblem.from_arrays(primary, [], indptr, rows), {})
+    # copy-option q: the rows of column reps[q], then Nhit (row m)
+    reps = np.asarray(classes.reps, dtype=np.int64)
+    lens = np.diff(indptr)[reps]
+    owner, rank = np.repeat(np.arange(len(reps)), lens), _ranks(lens)
+    copy_ptr = np.cumsum(np.r_[0, lens + 1])
+    copy_rows = np.full(copy_ptr[-1], m, dtype=np.int64)
+    copy_rows[copy_ptr[owner] + rank] = rows[indptr[reps][owner] + rank]
+    primary.append("Nhit")
+    prim_ptr = np.r_[indptr, indptr[-1] + copy_ptr[1:]]
+    prim_rows = np.r_[rows, copy_rows]
+    copy_map = {n + q: int(r) for q, r in enumerate(reps)}
+    if kind == "b":
+        return Encoding(kind, XCCProblem.from_arrays(primary, [], prim_ptr, prim_rows), copy_map)
+    # c: option j carries s_{class(j)}:1, and the copy-option of a class-c
+    # representative carries s_0..s_{c-1}:0 then s_c:1, i.e. items 0..len-1
+    # with color 1 on item c only; the last class has no item.
+    last = classes.n_classes - 1
+    class_of = np.asarray(classes.class_of, dtype=np.int64)
+    has_item = class_of < last
+    rep_class = class_of[reps]
+    copy_lens = rep_class + (rep_class < last)
+    copy_items = _ranks(copy_lens)
+    problem = XCCProblem.from_arrays(
+        primary, [f"s{c}" for c in range(last)], prim_ptr, prim_rows,
+        np.cumsum(np.r_[0, has_item, copy_lens]),
+        np.r_[class_of[has_item], copy_items],
+        np.r_[has_item[has_item], copy_items == np.repeat(rep_class, copy_lens)],
+    )
+    return Encoding(kind, problem, copy_map)
 
 
 def decode_solution(sol: Solution, enc: Encoding) -> set:

@@ -5,6 +5,13 @@ exactly once; a secondary item may be covered by several options only if
 they all assign it the same color (color 0 is an ordinary color, not a
 wildcard).
 
+A problem stores its options in compressed sparse row (CSR) form: for
+option o, ``prim_items[prim_indptr[o]:prim_indptr[o + 1]]`` are its
+primary item ids in ascending order, and the slice of ``sec_indptr``
+selects its secondary item ids (ascending) in ``sec_items`` and their
+colors in ``sec_colors``.  The arrays are validated when the problem is
+built and are read-only afterwards.
+
 The solver keeps the set of still-compatible options as a sorted index
 array and filters it with vectorized bitmask operations when an option is
 chosen.  Branching is deterministic: always the primary item with the
@@ -16,6 +23,7 @@ reproducible across runs.
 from __future__ import annotations
 
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,58 +46,130 @@ def _check_name(name: str) -> str:
     return name
 
 
-class XCCProblem:
-    """Primary/secondary item lists plus options.
+def _sort_within(indptr: np.ndarray, items: np.ndarray, *payload) -> tuple:
+    """Sort each option's slice by item id, moving payload arrays along;
+    an item repeated within an option is an error."""
+    owner = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+    same = owner[1:] == owner[:-1]
+    if np.any(same & (items[1:] <= items[:-1])):
+        order = np.lexsort((items, owner))
+        items, payload = items[order], tuple(a[order] for a in payload)
+        if np.any(same & (items[1:] == items[:-1])):
+            raise ValueError("item repeated within an option")
+    return (items, *payload)
 
-    Each option is (primary item ids, ((secondary item id, color), ...)).
-    Every option must cover at least one primary item, may not repeat an
-    item, and all colors are non-negative integers.
+
+class XCCProblem:
+    """Primary/secondary item names plus options in CSR form.
+
+    ``XCCProblem(primary, secondary, options)`` takes each option as
+    (primary item ids, ((secondary item id, color), ...)), and
+    ``XCCProblem.from_arrays`` takes the CSR arrays of the module
+    docstring.  Item ids may come in any order within an option; every
+    option must cover at least one primary item, may not repeat an item,
+    and all colors are non-negative integers.  The problem is immutable.
     """
 
     def __init__(self, primary, secondary=(), options=()):
+        options = [(tuple(prim), tuple(sec)) for prim, sec in options]
+        pairs = [pair for _, sec in options for pair in sec]
+        self._build(primary, secondary,
+                    np.cumsum([0] + [len(prim) for prim, _ in options]),
+                    [i for prim, _ in options for i in prim],
+                    np.cumsum([0] + [len(sec) for _, sec in options]),
+                    [s for s, _ in pairs], [c for _, c in pairs])
+
+    @classmethod
+    def from_arrays(cls, primary, secondary, prim_indptr, prim_items,
+                    sec_indptr=None, sec_items=(), sec_colors=()) -> "XCCProblem":
+        """A problem from CSR arrays; without ``sec_indptr`` no option has
+        a secondary item."""
+        if sec_indptr is None:
+            sec_indptr = np.zeros(len(prim_indptr), dtype=np.int64)
+        self = cls.__new__(cls)
+        self._build(primary, secondary, prim_indptr, prim_items,
+                    sec_indptr, sec_items, sec_colors)
+        return self
+
+    def _build(self, primary, secondary, *arrays) -> None:
         self.primary = [_check_name(n) for n in primary]
         self.secondary = [_check_name(n) for n in secondary]
         if len(set(self.primary) | set(self.secondary)) != len(self.primary) + len(
             self.secondary
         ):
             raise ValueError("duplicate item name")
-        self.options: list = []
-        for opt in options:
-            self.add_option(*opt)
-
-    def add_option(self, primary_ids, secondary_colored=()) -> int:
-        prim = tuple(sorted(int(i) for i in primary_ids))
-        sec = tuple(sorted((int(s), int(c)) for s, c in secondary_colored))
-        if not prim:
+        prim_ptr, prim, sec_ptr, sec, colors = (np.array(a, dtype=np.int64) for a in arrays)
+        n = len(prim_ptr) - 1
+        for ptr, *data in ((prim_ptr, prim), (sec_ptr, sec, colors)):
+            if (n < 0 or ptr.shape != (n + 1,) or ptr[0] != 0 or np.any(ptr[1:] < ptr[:-1])
+                    or any(d.shape != (ptr[-1],) for d in data)):
+                raise ValueError("malformed option arrays")
+        if np.any(prim_ptr[1:] == prim_ptr[:-1]):
             raise ValueError("option covers no primary item")
-        if any(not 0 <= i < len(self.primary) for i in prim):
+        if np.any((prim < 0) | (prim >= len(self.primary))):
             raise ValueError("primary item id out of range")
-        if any(not 0 <= s < len(self.secondary) for s, _ in sec):
+        if np.any((sec < 0) | (sec >= len(self.secondary))):
             raise ValueError("secondary item id out of range")
-        if any(c < 0 for _, c in sec):
+        if np.any(colors < 0):
             raise ValueError("colors must be non-negative")
-        if len(set(prim)) != len(prim) or len({s for s, _ in sec}) != len(sec):
-            raise ValueError("item repeated within an option")
-        self.options.append((prim, sec))
-        return len(self.options) - 1
+        (prim,) = _sort_within(prim_ptr, prim)
+        sec, colors = _sort_within(sec_ptr, sec, colors)
+        self.prim_indptr, self.prim_items = prim_ptr, prim.astype(np.int32)
+        self.sec_indptr, self.sec_items, self.sec_colors = sec_ptr, sec.astype(np.int32), colors
+        for a in self._arrays():
+            a.setflags(write=False)
+
+    def _arrays(self) -> tuple:
+        return (self.prim_indptr, self.prim_items, self.sec_indptr, self.sec_items, self.sec_colors)
+
+    @property
+    def options(self) -> "_OptionView":
+        """Read-only sequence of (primary ids, ((secondary id, color), ...))."""
+        return _OptionView(self)
 
     @property
     def n_options(self) -> int:
-        return len(self.options)
+        return len(self.prim_indptr) - 1
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, XCCProblem)
             and self.primary == other.primary
             and self.secondary == other.secondary
-            and self.options == other.options
+            and all(map(np.array_equal, self._arrays(), other._arrays()))
         )
 
     def __repr__(self) -> str:
         return (
             f"XCCProblem({len(self.primary)}+{len(self.secondary)} items, "
-            f"{len(self.options)} options)"
+            f"{self.n_options} options)"
         )
+
+
+class _OptionView(Sequence):
+    """The options of a problem as tuples, computed from its arrays."""
+
+    def __init__(self, problem: XCCProblem):
+        self._p = problem
+
+    def __len__(self) -> int:
+        return self._p.n_options
+
+    def __getitem__(self, o):
+        p = self._p
+        o = range(len(self))[o]  # bounds check; a negative index counts from the end
+        lo, hi = p.prim_indptr[o : o + 2].tolist()
+        slo, shi = p.sec_indptr[o : o + 2].tolist()
+        sec = zip(p.sec_items[slo:shi].tolist(), p.sec_colors[slo:shi].tolist())
+        return tuple(p.prim_items[lo:hi].tolist()), tuple(sec)
+
+    def __iter__(self):
+        p = self._p
+        pp, pi = p.prim_indptr.tolist(), p.prim_items.tolist()
+        sp, si, sc = p.sec_indptr.tolist(), p.sec_items.tolist(), p.sec_colors.tolist()
+        for o in range(len(pp) - 1):
+            sec = zip(si[sp[o] : sp[o + 1]], sc[sp[o] : sp[o + 1]])
+            yield tuple(pi[pp[o] : pp[o + 1]]), tuple(sec)
 
 
 @dataclass(frozen=True)
@@ -109,41 +189,21 @@ class _Stop(Exception):
     pass
 
 
-class _Compiled:
-    """Array form of a problem for the vectorized search."""
-
-    def __init__(self, p: XCCProblem):
-        n_opt = len(p.options)
-        n_prim = len(p.primary)
-        self.words = max(1, (n_prim + 63) // 64)
-        self.pmask = np.zeros((n_opt, self.words), dtype=np.uint64)
-        for o, (prim, _) in enumerate(p.options):
-            for i in prim:
-                self.pmask[o, i >> 6] |= np.uint64(1) << np.uint64(i & 63)
-        self.full = np.zeros(self.words, dtype=np.uint64)
-        for i in range(n_prim):
-            self.full[i >> 6] |= np.uint64(1) << np.uint64(i & 63)
-        self.item_word = [i >> 6 for i in range(n_prim)]
-        self.item_bit = [np.uint64(1) << np.uint64(i & 63) for i in range(n_prim)]
-        # option -> (secondary, color) pairs
-        self.opt_sec = [opt[1] for opt in p.options]
-        # secondary item -> (option ids, colors), ascending option id
-        by_sec: list = [[] for _ in p.secondary]
-        for o, (_, sec) in enumerate(p.options):
-            for s, c in sec:
-                by_sec[s].append((o, c))
-        self.sec_opts = [
-            np.array([o for o, _ in lst], dtype=np.int64) for lst in by_sec
-        ]
-        self.sec_colors = [
-            np.array([c for _, c in lst], dtype=np.int64) for lst in by_sec
-        ]
-        self.n_prim = n_prim
+def _bitmask(indptr: np.ndarray, items: np.ndarray, words: int) -> np.ndarray:
+    """Row o has the bits of option o's items set; items ascend within options."""
+    n = len(indptr) - 1
+    mask = np.zeros(n * words, dtype=np.uint64)
+    items = items.astype(np.int64)
+    key = np.repeat(np.arange(n) * words, np.diff(indptr)) + (items >> 6)
+    if key.size:
+        start = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+        bits = np.left_shift(np.uint64(1), (items & 63).astype(np.uint64))
+        mask[key[start]] = np.bitwise_or.reduceat(bits, start)
+    return mask.reshape(n, words)
 
 
 def solve(
     problem: XCCProblem,
-    mode: str = "enumerate",
     limit: int | None = None,
     on_solution=None,
     node_cap: int | None = None,
@@ -151,26 +211,33 @@ def solve(
 ) -> SolveStats:
     """Visit every solution exactly once in deterministic order.
 
-    mode "enumerate" invokes on_solution per solution, "count" only counts,
-    "first" stops after one solution.  A solution limit, node cap or time
-    cap stops the search early and is reported via stats.limit_hit.  The
+    Each solution is passed to on_solution if one is given; without it the
+    solutions are only counted.  A solution limit, node cap or time cap
+    stops the search early and is reported via stats.limit_hit.  The
     callback must not re-enter the solver instance.
     """
-    if mode not in ("enumerate", "count", "first"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "first":
-        limit = 1 if limit is None else min(1, limit)
-    comp = _Compiled(problem)
     stats = SolveStats()
     t0 = time.perf_counter()
     chosen: list = []
-    pmask = comp.pmask
-    words = comp.words
-    n_prim = comp.n_prim
+    n_prim = len(problem.primary)
+    words = max(1, (n_prim + 63) // 64)
+    pmask = _bitmask(problem.prim_indptr, problem.prim_items, words)
+    full = _bitmask(np.array([0, n_prim]), np.arange(n_prim), words)[0]
+    item_word = [i >> 6 for i in range(n_prim)]
+    item_bit = [np.uint64(1) << np.uint64(i & 63) for i in range(n_prim)]
+    # option o -> its secondary items and colors: slice sec_ptr[o]:sec_ptr[o + 1]
+    sec_ptr = problem.sec_indptr.tolist()
+    opt_sec = list(zip(problem.sec_items.tolist(), problem.sec_colors.tolist()))
+    # secondary item -> (option ids, colors), ascending option id
+    owner = np.repeat(np.arange(problem.n_options), np.diff(problem.sec_indptr))
+    by_item = np.argsort(problem.sec_items, kind="stable")
+    cuts = np.cumsum(np.bincount(problem.sec_items, minlength=len(problem.secondary)))[:-1]
+    sec_opts = np.split(owner[by_item], cuts)
+    sec_colors = np.split(problem.sec_colors[by_item], cuts)
 
     def emit() -> None:
         stats.solutions += 1
-        if mode != "count" and on_solution is not None:
+        if on_solution is not None:
             on_solution(Solution(tuple(sorted(chosen))))
         if limit is not None and stats.solutions >= limit:
             stats.limit_hit = True
@@ -188,14 +255,14 @@ def solve(
         ):
             stats.limit_hit = True
             raise _Stop
-        if (covered == comp.full).all():
+        if (covered == full).all():
             emit()
             return
         sub = pmask[active]
         best_item = -1
         best_count = None
         for i in range(n_prim):
-            w, b = comp.item_word[i], comp.item_bit[i]
+            w, b = item_word[i], item_bit[i]
             if covered[w] & b:
                 continue
             cnt = int(np.count_nonzero(sub[:, w] & b))
@@ -205,7 +272,7 @@ def solve(
                     break
         if best_count == 0:
             return
-        w, b = comp.item_word[best_item], comp.item_bit[best_item]
+        w, b = item_word[best_item], item_bit[best_item]
         cand = active[(sub[:, w] & b) != 0]
         for o in cand:
             o = int(o)
@@ -215,26 +282,18 @@ def solve(
             else:
                 conflict = np.any(sub & omask, axis=1)
             new_active = active[~conflict]
-            sec = comp.opt_sec[o]
+            sec = opt_sec[sec_ptr[o] : sec_ptr[o + 1]]
             if sec:
-                bad_parts = []
-                for s, c in sec:
-                    opts_s = comp.sec_opts[s]
-                    if opts_s.size:
-                        bad_parts.append(opts_s[comp.sec_colors[s] != c])
-                if bad_parts:
-                    bad = np.unique(np.concatenate(bad_parts))
-                    if bad.size:
-                        new_active = new_active[
-                            ~np.isin(new_active, bad, assume_unique=False)
-                        ]
+                bad = np.concatenate([sec_opts[s][sec_colors[s] != c] for s, c in sec])
+                if bad.size:
+                    new_active = new_active[~np.isin(new_active, bad)]
             chosen.append(o)
             search(new_active, covered | omask)
             chosen.pop()
 
     try:
         search(
-            np.arange(len(problem.options), dtype=np.int64),
+            np.arange(problem.n_options, dtype=np.int64),
             np.zeros(words, dtype=np.uint64),
         )
     except _Stop:
@@ -246,7 +305,7 @@ def solve(
 def solve_all(problem: XCCProblem, limit: int | None = None):
     """Convenience wrapper collecting the solutions; returns (list, stats)."""
     sols: list = []
-    stats = solve(problem, mode="enumerate", limit=limit, on_solution=sols.append)
+    stats = solve(problem, limit=limit, on_solution=sols.append)
     return sols, stats
 
 
@@ -290,34 +349,35 @@ def import_text(text: str) -> XCCProblem:
     left, _, right = head.partition("|")
     primary = left.split()
     secondary = right.split()
-    p = XCCProblem(primary, secondary)
     prim_id = {n: i for i, n in enumerate(primary)}
     sec_id = {n: i for i, n in enumerate(secondary)}
+    prim_ptr, prim = [0], []
+    sec_ptr, sec, colors = [0], [], []
     for ln, line in enumerate(lines[1:], start=2):
-        if not line.strip():
+        toks = line.split()
+        if not toks:
             continue
-        prim: list = []
-        sec: list = []
-        for tok in line.split():
-            if ":" in tok:
-                name, _, color = tok.partition(":")
-                if name not in sec_id:
-                    raise ValueError(f"line {ln}: unknown secondary item {name!r}")
-                try:
-                    c = int(color)
-                except ValueError:
-                    raise ValueError(f"line {ln}: malformed color {color!r}") from None
-                if c < 0:
-                    raise ValueError(f"line {ln}: malformed color {color!r}")
-                sec.append((sec_id[name], c))
-            else:
-                if tok in prim_id:
-                    prim.append(prim_id[tok])
-                elif tok in sec_id:
+        for tok in toks:
+            if tok in prim_id:
+                prim.append(prim_id[tok])
+                continue
+            name, colon, color = tok.partition(":")
+            if not colon:
+                if tok in sec_id:
                     raise ValueError(f"line {ln}: secondary item {tok!r} needs a color")
-                else:
-                    raise ValueError(f"line {ln}: unknown item {tok!r}")
-        if not prim:
+                raise ValueError(f"line {ln}: unknown item {tok!r}")
+            if name not in sec_id:
+                raise ValueError(f"line {ln}: unknown secondary item {name!r}")
+            try:
+                c = int(color)
+            except ValueError:
+                raise ValueError(f"line {ln}: malformed color {color!r}") from None
+            if not 0 <= c < 1 << 63:
+                raise ValueError(f"line {ln}: malformed color {color!r}")
+            sec.append(sec_id[name])
+            colors.append(c)
+        if len(prim) == prim_ptr[-1]:
             raise ValueError(f"line {ln}: option covers no primary item")
-        p.add_option(prim, sec)
-    return p
+        prim_ptr.append(len(prim))
+        sec_ptr.append(len(sec))
+    return XCCProblem.from_arrays(primary, secondary, prim_ptr, prim, sec_ptr, sec, colors)

@@ -174,6 +174,20 @@ def test_unknown_key_rejected(tmp_path, fixtures_dir):
         JobConfig.load(path)
 
 
+def test_solve_mode_key_rejected(tmp_path, fixtures_dir, caplog):
+    path = write_config(
+        tmp_path / "mode.cfg",
+        v=13,
+        k=3,
+        t=2,
+        group_file=os.path.join(fixtures_dir, "groups", "C13.grp"),
+        output_dir=str(tmp_path / "out"),
+        solve_mode="count",
+    )
+    assert main(["orbits", "--config", path]) == EXIT_VALIDATION
+    assert "unknown key 'solve_mode'" in caplog.text
+
+
 def test_exit_codes(tmp_path, fixtures_dir):
     bad = write_config(
         tmp_path / "bad.cfg",
@@ -253,6 +267,32 @@ def test_solution_limit_flag(tmp_path, fixtures_dir):
     cfg = JobConfig.load(cfgp)
     sols = [line for line in open(cfg.out("solutions.txt")) if line.strip()]
     assert len(sols) == 1
+
+
+def test_capped_solve_then_classify(tmp_path, fixtures_dir, caplog):
+    cfgp = write_config(
+        tmp_path / "c19.cfg",
+        v=19,
+        k=3,
+        t=2,
+        group_file=os.path.join(fixtures_dir, "groups", "C19.grp"),
+        normalizer_file=os.path.join(fixtures_dir, "normalizers", "C19.grp"),
+        encoding="c",
+        output_dir=str(tmp_path / "run"),
+    )
+    cfg = run_pipeline(cfgp)
+    assert len(os.listdir(cfg.out("designs"))) == 4
+    lines = cmd_report([cfgp]).splitlines()
+    assert lines[1].split()[-1] == "4" and lines[-1].split()[4] == "8"
+    assert main(["solve", "--config", cfgp, "--limit", "1"]) == EXIT_RESOURCE
+    caplog.clear()
+    assert main(["classify", "--config", cfgp]) == EXIT_OK
+    assert "stopped at a cap" in caplog.text
+    # the design files of the earlier, complete classification are gone
+    assert os.listdir(cfg.out("designs")) == ["design_01.txt"]
+    lines = cmd_report([cfgp]).splitlines()
+    assert lines[1].split()[-1] == "1+"  # designs
+    assert lines[-1].split()[4] == "1+"  # sols
 
 
 def test_jobs_flag_is_deterministic(tmp_path, fixtures_dir):

@@ -2,6 +2,7 @@ import os
 from itertools import combinations
 from math import comb
 
+import numpy as np
 import pytest
 
 from kmsteiner.km import (
@@ -137,7 +138,12 @@ def test_km_file_round_trip(tmp_path):
     km = build_km(G, t_orbit_reps(G, 13, 2), good_k_orbit_reps(G, 13, 3, 2))
     path = os.path.join(tmp_path, "km.txt")
     write_km_file(path, km)
-    m, n, v, k, t, sizes, columns = read_km_file(path)
+    m, n, v, k, t, sizes, indptr, rows = read_km_file(path)
     assert (m, n, v, k, t) == (6, 16, 13, 3, 2)
     assert sizes == [r.orbit_size for r in km.k_orbits.reps]
-    assert columns == [km.column(j) for j in range(n)]
+    assert indptr.dtype == km.col_indptr.dtype and np.array_equal(indptr, km.col_indptr)
+    assert rows.dtype == km.col_rows.dtype and np.array_equal(rows, km.col_rows)
+    with open(path, "a") as fh:
+        fh.write("16 1\n")  # column line without its ":" separator
+    with pytest.raises(ValueError, match="malformed column line"):
+        read_km_file(path)

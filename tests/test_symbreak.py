@@ -13,7 +13,7 @@ from kmsteiner.symbreak import (
     read_copy_map,
     write_copy_map,
 )
-from kmsteiner.xcc import solve_all
+from kmsteiner.xcc import solve, solve_all
 
 
 def pipeline_parts(v, k=3, t=2):
@@ -137,6 +137,26 @@ def test_kind_c_color_layout():
         if cid < last:
             expected.append((cid, 1))
         assert sec == tuple(sorted(expected))
+
+
+@pytest.mark.parametrize(
+    "v, k, kind, solutions, nodes",
+    [
+        (19, 3, "a", 32, 91),
+        (19, 3, "b", 8, 22),
+        (19, 3, "c", 8, 18),
+        (37, 4, "a", 48, 4181),
+        (37, 4, "b", 4, 358),
+        (37, 4, "c", 4, 162),
+    ],
+)
+def test_search_counts_pinned(v, k, kind, solutions, nodes):
+    # the solver's branching rule fixes the node count, so a change to the
+    # instance arrays or to the search that alters the tree shows here
+    G, N, ko, km = pipeline_parts(v, k)
+    classes = normalizer_classes(N, ko, G) if kind != "a" else None
+    stats = solve(encode(km, classes, kind).problem)
+    assert (stats.solutions, stats.nodes) == (solutions, nodes)
 
 
 def test_every_bc_solution_contains_a_copy():

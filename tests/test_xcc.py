@@ -68,20 +68,25 @@ def test_problem_validation():
         XCCProblem(["A"], ["X"], [((0,), ((0, -1),))])  # negative color
     with pytest.raises(ValueError):
         XCCProblem(["A", "A"], [])  # duplicate name
-    p = XCCProblem(["A"], ["X"])
     with pytest.raises(ValueError):
-        p.add_option([0, 0])  # repeated item
+        XCCProblem(["A"], ["X"], [((0, 0), ())])  # repeated item
+    with pytest.raises(ValueError):
+        XCCProblem(["A"], ["X"], [((0,), ((0, 1), (0, 1)))])  # repeated secondary
+    with pytest.raises(ValueError):
+        XCCProblem.from_arrays(["A"], [], [0, 2], [0])  # indptr beyond the items
+    with pytest.raises(ValueError):
+        XCCProblem.from_arrays(["A"], [], [0, 1], [1])  # item id out of range
 
 
 def random_problem(rng):
     n_p = rng.randint(1, 6)
     n_s = rng.randint(0, 4)
-    p = XCCProblem([f"p{i}" for i in range(n_p)], [f"s{i}" for i in range(n_s)])
+    options = []
     for _ in range(rng.randint(0, 14)):
         prim = rng.sample(range(n_p), rng.randint(1, n_p))
         sec = rng.sample(range(n_s), rng.randint(0, n_s)) if n_s else []
-        p.add_option(prim, [(s, rng.randint(0, 3)) for s in sec])
-    return p
+        options.append((prim, [(s, rng.randint(0, 3)) for s in sec]))
+    return XCCProblem([f"p{i}" for i in range(n_p)], [f"s{i}" for i in range(n_s)], options)
 
 
 def test_oracle_equivalence_randomized():
@@ -106,15 +111,13 @@ def test_determinism():
 
 def test_modes_and_limits():
     p = XCCProblem(["A"], [], [((0,), ()), ((0,), ()), ((0,), ())])
-    assert solve(p, mode="count").solutions == 3
-    st = solve(p, mode="first")
+    assert solve(p).solutions == 3
+    st = solve(p, limit=1)
     assert st.solutions == 1 and st.limit_hit
     sols, st = solve_all(p, limit=2)
     assert len(sols) == 2 and st.limit_hit
-    st = solve(p, mode="count", node_cap=1)
+    st = solve(p, node_cap=1)
     assert st.limit_hit
-    with pytest.raises(ValueError):
-        solve(p, mode="everything")
 
 
 def test_export_import_round_trip():
@@ -147,6 +150,10 @@ def test_import_errors():
         import_text("A | X\nA X\n")  # secondary without color
     with pytest.raises(ValueError):
         import_text("A B\nA\n")  # missing separator
+    with pytest.raises(ValueError):
+        import_text("A | X\nA X:1 A\n")  # repeated item
+    with pytest.raises(ValueError):
+        import_text("A | X\nA X:99999999999999999999\n")  # color beyond 64 bits
 
 
 def test_replay_verifier_rejects_bad_sets():
