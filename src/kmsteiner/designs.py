@@ -14,7 +14,7 @@ choices; the discovered group is returned via its order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 
 import numpy as np
@@ -86,21 +86,43 @@ class SteinerReport:
     violations: list  # up to 10 (t_subset, count) entries; count 0 = uncovered
 
 
+def _t_subsets(blocks, t: int) -> np.ndarray:
+    """Rows of the t-subsets of every block, each row ascending."""
+    sizes = set(map(len, blocks))
+    parts = [np.empty((0, t), dtype=np.int64)]
+    for k in sizes:
+        blks = blocks if len(sizes) == 1 else [b for b in blocks if len(b) == k]
+        pick = list(combinations(range(k), t))
+        pick = np.array(pick, dtype=np.intp).reshape(len(pick), t)
+        flat = np.fromiter(chain.from_iterable(blks), dtype=np.int64, count=len(blks) * k)
+        rows = np.sort(flat.reshape(len(blks), k), axis=1)
+        parts.append(rows[:, pick].reshape(len(blks) * len(pick), t))
+    return np.concatenate(parts)
+
+
 def verify_steiner(d: Design, t: int, lam: int = 1) -> SteinerReport:
-    """Check that every t-subset of {1..v} is covered exactly lam times."""
-    counts: dict = {}
-    for blk in d.blocks:
-        for T in combinations(blk, t):
-            counts[T] = counts.get(T, 0) + 1
-    violations = []
-    for T, c in sorted(counts.items()):
-        if c != lam:
-            violations.append((T, c))
-            if len(violations) >= 10:
-                break
+    """Check that every t-subset of {1..v} is covered exactly lam times.
+
+    The report lists the subsets covered a wrong number of times in sorted
+    order, then the uncovered ones in lexicographic order, at most 10 in all.
+    """
+    rows = _t_subsets(d.blocks, t)
+    # points outside 1..v (a design built without Design.make) widen the digits
+    lo = min(int(rows.min(initial=1)), 1)
+    base = max(int(rows.max(initial=d.v)), d.v) - lo + 1
+    if base**t < 1 << 63:
+        # base-`base` digits keep the lexicographic order of the rows
+        keys = (rows - lo) @ (base ** np.arange(t - 1, -1, -1, dtype=np.int64))
+        _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+        subsets = rows[first]
+    else:
+        subsets, counts = np.unique(rows, axis=0, return_counts=True)
+    wrong = np.flatnonzero(counts != lam)[:10]
+    violations = list(zip(map(tuple, subsets[wrong].tolist()), counts[wrong].tolist()))
     if len(violations) < 10 and len(counts) != comb(d.v, t):
+        present = set(map(tuple, subsets.tolist()))
         for T in combinations(range(1, d.v + 1), t):
-            if T not in counts:
+            if T not in present:
                 violations.append((T, 0))
                 if len(violations) >= 10:
                     break

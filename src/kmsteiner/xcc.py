@@ -13,11 +13,17 @@ colors in ``sec_colors``.  The arrays are validated when the problem is
 built and are read-only afterwards.
 
 The solver keeps the set of still-compatible options as a sorted index
-array and filters it with vectorized bitmask operations when an option is
-chosen.  Branching is deterministic: always the primary item with the
-fewest active options, ties broken by lowest item id, candidate options
-in ascending index order.  Node counts and solution order are therefore
-reproducible across runs.
+array.  At each node it counts the live options of every primary item at
+once from their bitmask rows: it unpacks the bits and sums the columns
+when few options are active, and takes one byte histogram per mask byte
+when many are; covered items carry a large penalty so that they are
+never chosen.  Choosing an option drops the active options that
+share a primary item with it (a bitmask test) and those that give one of
+its secondary items another color (marked in a scratch boolean mask over
+all options, then cleared).  Branching is deterministic: always the
+primary item with the fewest active options, ties broken by lowest item
+id, candidate options in ascending index order.  Node counts and solution
+order are therefore reproducible across runs.
 """
 
 from __future__ import annotations
@@ -202,6 +208,23 @@ def _bitmask(indptr: np.ndarray, items: np.ndarray, words: int) -> np.ndarray:
     return mask.reshape(n, words)
 
 
+# bit b of byte value x, for turning byte histograms into item counts
+_BYTE_BITS = (np.arange(256)[:, None] >> np.arange(8)) & 1
+# from this many active options on, byte histograms count faster than unpacking
+_HISTOGRAM_ROWS = 1024
+
+
+def _item_counts(sub: np.ndarray, n_prim: int) -> np.ndarray:
+    """Number of rows of ``sub`` (little-endian bitmask rows) that have
+    each of the first n_prim bits set."""
+    by = sub.view(np.uint8)
+    if len(sub) < _HISTOGRAM_ROWS:
+        bits = np.unpackbits(by, axis=1, count=n_prim, bitorder="little")
+        return bits.sum(axis=0, dtype=np.int64)
+    hist = [np.bincount(by[:, j], minlength=256) for j in range((n_prim + 7) // 8)]
+    return (np.stack(hist) @ _BYTE_BITS).ravel()[:n_prim]
+
+
 def solve(
     problem: XCCProblem,
     limit: int | None = None,
@@ -221,10 +244,11 @@ def solve(
     chosen: list = []
     n_prim = len(problem.primary)
     words = max(1, (n_prim + 63) // 64)
-    pmask = _bitmask(problem.prim_indptr, problem.prim_items, words)
-    full = _bitmask(np.array([0, n_prim]), np.arange(n_prim), words)[0]
-    item_word = [i >> 6 for i in range(n_prim)]
-    item_bit = [np.uint64(1) << np.uint64(i & 63) for i in range(n_prim)]
+    # little-endian words, so byte j of row o holds items 8j..8j+7 in bit order
+    pmask = _bitmask(problem.prim_indptr, problem.prim_items, words).astype("<u8", copy=False)
+    prim_ptr = problem.prim_indptr.tolist()
+    prim_items = problem.prim_items
+    covered_mark = np.iinfo(np.int64).max
     # option o -> its secondary items and colors: slice sec_ptr[o]:sec_ptr[o + 1]
     sec_ptr = problem.sec_indptr.tolist()
     opt_sec = list(zip(problem.sec_items.tolist(), problem.sec_colors.tolist()))
@@ -234,6 +258,8 @@ def solve(
     cuts = np.cumsum(np.bincount(problem.sec_items, minlength=len(problem.secondary)))[:-1]
     sec_opts = np.split(owner[by_item], cuts)
     sec_colors = np.split(problem.sec_colors[by_item], cuts)
+    # scratch mask of the options a color clash rules out; cleared after each use
+    killed = np.zeros(problem.n_options, dtype=bool)
 
     def emit() -> None:
         stats.solutions += 1
@@ -243,7 +269,9 @@ def solve(
             stats.limit_hit = True
             raise _Stop
 
-    def search(active: np.ndarray, covered: np.ndarray) -> None:
+    def search(active: np.ndarray, penalty: np.ndarray, uncovered: int) -> None:
+        """``penalty`` holds covered_mark on covered items and 0 elsewhere;
+        ``uncovered`` counts the items it leaves at 0."""
         stats.nodes += 1
         if node_cap is not None and stats.nodes > node_cap:
             stats.limit_hit = True
@@ -255,46 +283,42 @@ def solve(
         ):
             stats.limit_hit = True
             raise _Stop
-        if (covered == full).all():
+        if uncovered == 0:
             emit()
             return
         sub = pmask[active]
-        best_item = -1
-        best_count = None
-        for i in range(n_prim):
-            w, b = item_word[i], item_bit[i]
-            if covered[w] & b:
-                continue
-            cnt = int(np.count_nonzero(sub[:, w] & b))
-            if best_count is None or cnt < best_count:
-                best_item, best_count = i, cnt
-                if cnt == 0:
-                    break
-        if best_count == 0:
+        counts = _item_counts(sub, n_prim)
+        counts |= penalty
+        # fewest live options, lowest item id on ties; covered items never win
+        best = int(counts.argmin())
+        if counts[best] == 0:
             return
-        w, b = item_word[best_item], item_bit[best_item]
-        cand = active[(sub[:, w] & b) != 0]
-        for o in cand:
-            o = int(o)
+        cand = (sub[:, best >> 6] & np.uint64(1 << (best & 63))) != 0
+        for o in active[cand].tolist():
             omask = pmask[o]
             if words == 1:
-                conflict = (sub[:, 0] & omask[0]) != 0
+                keep = (sub[:, 0] & omask[0]) == 0
             else:
-                conflict = np.any(sub & omask, axis=1)
-            new_active = active[~conflict]
+                keep = ~np.any(sub & omask, axis=1)
             sec = opt_sec[sec_ptr[o] : sec_ptr[o + 1]]
             if sec:
                 bad = np.concatenate([sec_opts[s][sec_colors[s] != c] for s, c in sec])
                 if bad.size:
-                    new_active = new_active[~np.isin(new_active, bad)]
+                    killed[bad] = True
+                    keep &= ~killed[active]
+                    killed[bad] = False
+            lo, hi = prim_ptr[o], prim_ptr[o + 1]
+            new_penalty = penalty.copy()
+            new_penalty[prim_items[lo:hi]] = covered_mark
             chosen.append(o)
-            search(new_active, covered | omask)
+            search(active[keep], new_penalty, uncovered - (hi - lo))
             chosen.pop()
 
     try:
         search(
             np.arange(problem.n_options, dtype=np.int64),
-            np.zeros(words, dtype=np.uint64),
+            np.zeros(n_prim, dtype=np.int64),
+            n_prim,
         )
     except _Stop:
         pass
@@ -331,11 +355,19 @@ def verify_solution(problem: XCCProblem, option_ids) -> bool:
 
 
 def export_text(problem: XCCProblem) -> str:
-    lines = [" ".join(problem.primary) + " | " + " ".join(problem.secondary)]
-    for prim, sec in problem.options:
-        toks = [problem.primary[i] for i in prim]
-        toks += [f"{problem.secondary[s]}:{c}" for s, c in sec]
-        lines.append(" ".join(toks))
+    primary, secondary = problem.primary, problem.secondary
+    # one token per CSR entry; option o's tokens are two slices of these lists
+    prim = [primary[i] for i in problem.prim_items.tolist()]
+    sec = [
+        f"{secondary[s]}:{c}"
+        for s, c in zip(problem.sec_items.tolist(), problem.sec_colors.tolist())
+    ]
+    pp, sp = problem.prim_indptr.tolist(), problem.sec_indptr.tolist()
+    lines = [" ".join(primary) + " | " + " ".join(secondary)]
+    lines += [
+        " ".join(prim[pp[o] : pp[o + 1]] + sec[sp[o] : sp[o + 1]])
+        for o in range(problem.n_options)
+    ]
     return "\n".join(lines).rstrip() + "\n"
 
 

@@ -280,3 +280,36 @@ def column_weight_ok(km, j):
     ks = km.k_orbits
     total = sum(km.t_orbits[i].orbit_size for i in km.column(j))
     return total == ks.reps[j].orbit_size * comb(ks.k, ks.t)
+
+
+def verify_steiner_dict(d, t, lam=1):
+    """Steiner check by counting t-subsets in a dict: the same report as
+    `designs.verify_steiner` (wrong counts in sorted order, then uncovered
+    subsets in lexicographic order, at most 10 in all)."""
+    counts = {}
+    for blk in d.blocks:
+        for T in combinations(sorted(blk), t):
+            counts[T] = counts.get(T, 0) + 1
+    violations = []
+    for T, c in sorted(counts.items()):
+        if c != lam:
+            violations.append((T, c))
+            if len(violations) >= 10:
+                break
+    if len(violations) < 10 and len(counts) != comb(d.v, t):
+        for T in combinations(range(1, d.v + 1), t):
+            if T not in counts:
+                violations.append((T, 0))
+                if len(violations) >= 10:
+                    break
+    return not violations, violations
+
+
+def export_text_from_options(problem):
+    """The xcc text format written option by option from the tuple view."""
+    lines = [" ".join(problem.primary) + " | " + " ".join(problem.secondary)]
+    for prim, sec in problem.options:
+        toks = [problem.primary[i] for i in prim]
+        toks += [f"{problem.secondary[s]}:{c}" for s, c in sec]
+        lines.append(" ".join(toks))
+    return "\n".join(lines).rstrip() + "\n"

@@ -18,7 +18,7 @@ from kmsteiner.designs import (
 from kmsteiner.orbitgen import good_k_orbit_reps
 from kmsteiner.perm import PermutationGroup, cyclic_group, orbit_of_subset
 
-from oracles import aut_order_bruteforce
+from oracles import aut_order_bruteforce, verify_steiner_dict
 
 RNG = random.Random(2024)
 
@@ -76,6 +76,73 @@ def test_verify_steiner_pass_and_fail():
     assert not rep.ok
     assert any(count == 2 for _, count in rep.violations)
     assert len(rep.violations) <= 10
+
+
+def test_verify_steiner_sorts_within_blocks():
+    # built without Design.make, so the blocks are not sorted: (2, 1) and
+    # (1, 2) are the same pair
+    d = Design(
+        v=7,
+        blocks=((2, 4, 1), (1, 4, 5), (1, 6, 7), (1, 2, 3), (2, 5, 7), (3, 4, 7), (3, 5, 6)),
+    )
+    rep = verify_steiner(d, 2)
+    assert not rep.ok
+    assert rep.violations == [((1, 2), 2), ((1, 4), 2), ((2, 6), 0), ((4, 6), 0)]
+
+
+def cyclic_designs(v, k):
+    from kmsteiner.km import build_km
+    from kmsteiner.orbitgen import t_orbit_reps
+    from kmsteiner.symbreak import encode
+    from kmsteiner.xcc import solve_all
+
+    G = cyclic_group(v)
+    ko = good_k_orbit_reps(G, v, k, 2)
+    sols, _ = solve_all(encode(build_km(G, t_orbit_reps(G, v, 2), ko), None, "a").problem)
+    return [expand(set(s.option_ids), ko, G) for s in sols]
+
+
+def corrupt(d, rng):
+    """One to three blocks replaced, dropped or duplicated; sometimes with
+    the points of a block out of order."""
+    blocks = list(d.blocks)
+    how = rng.choice(["replace", "drop", "duplicate"])
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(blocks))
+        if how == "replace":
+            blocks[i] = tuple(rng.sample(range(1, d.v + 1), d.k))
+        elif how == "drop":
+            del blocks[i]
+        else:
+            blocks.append(blocks[i])
+    return Design(v=d.v, blocks=tuple(blocks))
+
+
+def test_verify_steiner_matches_dict_oracle():
+    rng = random.Random(91)
+    found = cyclic_designs(19, 3) + cyclic_designs(37, 4)
+    assert len(found) == 32 + 48
+    cases = found + [corrupt(rng.choice(found), rng) for _ in range(200)]
+    failing = 0
+    for d in cases:
+        rep = verify_steiner(d, 2)
+        assert (rep.ok, rep.violations) == verify_steiner_dict(d, 2)
+        failing += not rep.ok
+    assert failing == 200
+
+
+def test_verify_steiner_edge_cases_match_dict_oracle():
+    cases = [
+        (Design(v=7, blocks=()), 2),
+        (Design(v=7, blocks=((0, 1, 2), (2, 9, 3), (4, 5))), 2),  # out of range, ragged
+        (fano(), 3),
+        (fano(), 0),
+        # 100^10 keys do not fit in 63 bits, so the rows are counted unpacked
+        (Design(v=100, blocks=(tuple(range(1, 12)), tuple(range(13, 2, -1)))), 10),
+    ]
+    for d, t in cases:
+        rep = verify_steiner(d, t)
+        assert (rep.ok, rep.violations) == verify_steiner_dict(d, t)
 
 
 def test_replication_number_corollary():

@@ -1,7 +1,13 @@
+import hashlib
 import random
 
+import numpy as np
 import pytest
 
+from kmsteiner.km import build_km
+from kmsteiner.orbitgen import good_k_orbit_reps, t_orbit_reps
+from kmsteiner.perm import PermutationGroup, cyclic_group, normalizer_of_cyclic
+from kmsteiner.symbreak import encode, normalizer_classes
 from kmsteiner.xcc import (
     XCCProblem,
     export_text,
@@ -11,7 +17,7 @@ from kmsteiner.xcc import (
     verify_solution,
 )
 
-from oracles import xcc_solutions_bruteforce
+from oracles import export_text_from_options, xcc_solutions_bruteforce
 
 
 def toy_problem():
@@ -137,6 +143,43 @@ def test_round_trip_randomized():
         p2 = import_text(text)
         assert p2 == p
         assert export_text(p2) == text
+
+
+def test_export_text_matches_option_view():
+    G, N = cyclic_group(37), normalizer_of_cyclic(37)
+    ko = good_k_orbit_reps(G, 37, 4, 2)
+    km = build_km(G, t_orbit_reps(G, 37, 2), ko)
+    p = encode(km, normalizer_classes(N, ko, G), "c").problem
+    text = export_text(p)
+    assert text.encode() == export_text_from_options(p).encode()
+    assert import_text(text) == p
+
+
+@pytest.mark.parametrize("n_prim", [1, 45, 64, 120])
+def test_item_counts_both_paths(n_prim):
+    # rows below _HISTOGRAM_ROWS are unpacked, longer ones histogrammed by byte
+    from kmsteiner.xcc import _HISTOGRAM_ROWS, _bitmask, _item_counts
+
+    rng = np.random.default_rng(n_prim)
+    words = (n_prim + 63) // 64
+    for rows in (0, 7, _HISTOGRAM_ROWS - 1, _HISTOGRAM_ROWS, 3000):
+        dense = rng.random((rows, n_prim)) < 0.3
+        indptr = np.r_[0, np.cumsum(dense.sum(axis=1))]
+        sub = _bitmask(indptr, np.nonzero(dense)[1], words)
+        assert np.array_equal(_item_counts(sub, n_prim), dense.sum(axis=0))
+
+
+def test_multiword_search_pinned():
+    # S(3,4,10) with the trivial group: 120 primary items, so every
+    # bitmask row spans two words
+    G = PermutationGroup.trivial(10)
+    km = build_km(G, t_orbit_reps(G, 10, 3), good_k_orbit_reps(G, 10, 4, 3))
+    p = encode(km, None, "a").problem
+    assert (len(p.primary), p.n_options) == (120, 210)
+    sols, stats = solve_all(p)
+    assert (stats.solutions, stats.nodes) == (2520, 51913)  # 10!/1440 labeled designs
+    digest = hashlib.sha256(repr([s.option_ids for s in sols]).encode()).hexdigest()
+    assert digest == "85892a5d304fd92490a94e42238252dd619c38b6d37b9ae642507e9710a05256"
 
 
 def test_import_errors():
