@@ -21,7 +21,6 @@ import logging
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import comb
 
@@ -263,6 +262,8 @@ def cmd_orbits(cfg: JobConfig, jobs: int = 1) -> None:
     tro = orbitgen.t_orbit_reps(G, cfg.v, cfg.t)
     log.info("t-orbits: %d", len(tro))
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             parts = pool.map(
                 _orbit_shard,

@@ -1,8 +1,8 @@
 """Orderly generation of subset-orbit representatives.
 
 Representatives are the lexicographically minimal sorted subsets of their
-orbits, generated by a depth-first search over increasing point sequences.
-Two prunes keep the tree small:
+orbits, generated by a depth-first search over increasing point sequences
+(orderly generation in Read's sense).  Two prunes keep the tree small:
 
   P1 (prefix minimality): abandon a partial subset S if some group element
      maps S to a lexicographically smaller sorted set.  If a full subset K
@@ -13,8 +13,31 @@ Two prunes keep the tree small:
      share a t-subset with K^g without K^g = K being possible, so no good
      completion exists.
 
-Subsets are evaluated against all group elements at once using bitmask
-arrays, one row per element.
+Every node keeps a small state per group element g, with point sets held
+as bitmasks: SG = S^g; SF = g^-1(S) together with the fixed points of g;
+m = min(S xor S^g), or v when g fixes S; and inter = |S meet S^g|.  On a
+node that passed P1, m lies in S.  A child S + p, p above max(S), is then
+tested without forming its images:
+
+  P1: (S + p)^g is smaller iff g(p) < m where g moves S, and iff
+     g(p) < p where g fixes S.  One table row per element, {x : g(x) < m}
+     or {x : g(x) < x}, ORed over the elements, marks every such p at
+     once.  Only p = g^-1(m) is left open; for that one p per element the
+     whole masks are compared.
+
+  P2 and leaves: |(S + p) meet (S + p)^g| = inter + [p in SG] + [p in SF],
+     because for p outside S, g(p) in S and g(p) = p exclude each other.
+     Bit-sliced counts over SG and SF give the prune for every p and
+     element; at a leaf K, the elements with count k are the stabilizer,
+     so the orbit size is |G| / #{g : |K meet K^g| = k}.
+
+A child's state follows from its parent's in O(elements x words); m is
+recomputed from the masks only where g(p) = m.
+
+The search evaluates batches of same-depth nodes, each holding at most
+_BATCH_BYTES of SG and SF state, so numpy's per-call cost is paid per
+batch.  The children of a batch are built in chunks of the same bound and
+visited depth first, so the representatives come out in lex order.
 """
 
 from __future__ import annotations
@@ -91,42 +114,47 @@ def subset_orbit_count(G: PermutationGroup, k: int) -> int:
     return orbits
 
 
-class _Tables:
-    """Per-element bitmask tables for the orderly search."""
-
-    def __init__(self, G: PermutationGroup, v: int):
-        if G.degree != v:
-            raise ValueError("group degree does not match v")
-        elements = G.raw_elements(cap=ELEMENT_CAP)
-        self.n_el = len(elements)
-        self.words = (v + 63) // 64
-        imgs = np.array(elements, dtype=np.int64)  # (n_el, v), 0-based images
-        self.point_bit = np.zeros((v, self.words), dtype=np.uint64)
-        for p in range(v):
-            self.point_bit[p, p >> 6] = np.uint64(1) << np.uint64(p & 63)
-        # bits[p, e, w]: bit of the image of point p under element e
-        self.bits = self.point_bit[imgs.T]  # (v, n_el, words)
+# bytes of SG and SF state per batch of same-depth nodes
+_BATCH_BYTES = 1 << 16
 
 
-def _lex_smaller_any(diff: np.ndarray, imgmask: np.ndarray) -> np.ndarray:
-    """Given diff = imgmask XOR selfmask (…, words), return a bool array over
-    the leading axes: does the lowest differing point belong to the image
-    (i.e. is the image lexicographically smaller as a sorted set)?"""
+def _pack(flags: np.ndarray, words: int) -> np.ndarray:
+    """Boolean (..., n) -> bitmasks (words, ...) with bit x set where flags[..., x]."""
+    by = np.packbits(flags, axis=-1, bitorder="little")
+    pad = [(0, 0)] * (by.ndim - 1) + [(0, 8 * words - by.shape[-1])]
+    masks = np.pad(by, pad).view("<u8").astype(np.uint64)
+    return np.ascontiguousarray(np.moveaxis(masks, -1, 0))
+
+
+def _unpack(masks: np.ndarray, v: int) -> np.ndarray:
+    """Bitmasks (words, ...) -> 0/1 uint8 (..., v); the inverse of _pack."""
+    by = np.ascontiguousarray(np.moveaxis(masks, 0, -1), dtype="<u8").view(np.uint8)
+    return np.unpackbits(by, axis=-1, count=v, bitorder="little")
+
+
+def _select(counts, which: np.ndarray) -> np.ndarray:
+    """OR over c of counts[c] (words, n_el, B) where which[c] (n_el, B)."""
+    on = which.astype(np.uint64) * ~np.uint64(0)
+    return (counts[0] & on[0]) | (counts[1] & on[1]) | (counts[2] & on[2])
+
+
+def _lowest(diff: np.ndarray, v: int) -> np.ndarray:
+    """Lowest set point of ``diff`` (words, ...) along its first axis, or v."""
     one = np.uint64(1)
-    shape = diff.shape[:-1]
-    smaller = np.zeros(shape, dtype=bool)
-    decided = np.zeros(shape, dtype=bool)
-    for w in range(diff.shape[-1]):
-        dw = diff[..., w]
-        nz = (dw != 0) & ~decided
-        low = dw & (~dw + one)
-        smaller |= nz & ((low & imgmask[..., w]) != 0)
-        decided |= dw != 0
-    return smaller
+    point = np.full(diff.shape[1:], v)
+    for w in range(len(diff) - 1, -1, -1):
+        dw = diff[w]
+        point = np.where(dw != 0, 64 * w + np.bitwise_count((dw & (~dw + one)) - one), point)
+    return point
 
 
-def _popcount(masks: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(masks).sum(axis=-1).astype(np.int64)
+def _lowest_in(diff: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Whether ``mask`` has the lowest set point of ``diff`` (both (words, ...))."""
+    inside = np.zeros(diff.shape[1:], dtype=bool)
+    for w in range(len(diff) - 1, -1, -1):
+        dw = diff[w]
+        inside = np.where(dw != 0, (dw & (~dw + np.uint64(1)) & mask[w]) != 0, inside)
+    return inside
 
 
 def _orderly_reps(
@@ -138,53 +166,132 @@ def _orderly_reps(
     overlap_prune: bool = True,
     shard=None,
 ):
-    """Run the orderly DFS; returns list of (rep_tuple_1based, orbit_size).
+    """Run the orderly search; returns list of (rep_tuple_1based, orbit_size).
 
     shard=(i, n) keeps only second points p with p % n == i; the union
     over all i is the full tree, so shards may run on separate workers
     and be merged by re-sorting the representatives.
     """
-    tab = _Tables(G, v)
-    words, n_el = tab.words, tab.n_el
+    if G.degree != v:
+        raise ValueError("group degree does not match v")
+    img = np.array(G.raw_elements(cap=ELEMENT_CAP), dtype=np.int64)  # img[g, x] = g(x)
+    n_el = len(img)
+    words = (v + 63) // 64
+    inv = np.argsort(img, axis=1)  # inv[g, y] = g^-1(y)
+    points = np.arange(v)
+    # masks are (words, ...) arrays; bit[:, x] is point x, bit[:, v] is empty
+    bit = _pack(np.eye(v + 1, v, dtype=bool), words)
+    img_bit = bit[:, img]  # (words, n_el, v): bit of g(p)
+    inv_bit = bit[:, inv]  # (words, n_el, v): bit of g^-1(p)
+    # p is pruned by g when g(p) < m_g: column m_g is PRE[g, m_g] = {x : g(x) < m_g};
+    # column v, for g fixing S, is LT[g] = {x : g(x) < x}
+    below = np.zeros((words, n_el, v + 1), dtype=np.uint64)
+    below[:, :, 1:v] = np.bitwise_or.accumulate(inv_bit, axis=2)[:, :, : v - 1]
+    below[:, :, v] = _pack(img < points, words)
+    below = below.reshape(words, -1)
+    pre_image = np.column_stack([inv, np.full(n_el, v)]).ravel()
+    base = np.arange(n_el)[:, None] * (v + 1)  # row offsets of the elements in below
+    from_point = _pack(points >= np.arange(v + 1)[:, None], words)
+    if shard is not None:
+        shard_mask = _pack(points % shard[1] == shard[0], words)[:, None]
+    span = np.arange(3)[:, None, None]
+    batch = max(1, _BATCH_BYTES // (2 * n_el * words * 8))
     out = []
-    emit = lambda rep, sz: out.append((rep, sz))
 
-    def descend(depth, last, masks, smask, prefix):
-        # candidate extension points, 0-based, keeping room for size-depth more
-        lo = last + 1
-        hi = v - (size - depth) + 1
-        cand = np.arange(lo, hi, dtype=np.int64)
-        if depth == 1 and shard is not None:
-            cand = cand[cand % shard[1] == shard[0]]
-        if cand.size == 0:
-            return
-        new_masks = masks[None, :, :] | tab.bits[cand]  # (nc, n_el, words)
-        new_smask = smask[None, :] | tab.point_bit[cand]  # (nc, words)
-        diff = new_masks ^ new_smask[:, None, :]
-        pruned = _lex_smaller_any(diff, new_masks).any(axis=1)
-        if depth + 1 == size:
-            stab = (diff == 0).all(axis=2)  # (nc, n_el)
-            if good:
-                inter = _popcount(new_masks & new_smask[:, None, :])
-                ok = (stab | (inter <= t - 1)).all(axis=1)
-                keep = ~pruned & ok
-            else:
-                keep = ~pruned
-            sizes = n_el // stab.sum(axis=1)
-            for ci in np.flatnonzero(keep):
-                emit(prefix + (int(cand[ci]) + 1,), int(sizes[ci]))
-            return
-        if good and overlap_prune:
-            inter = _popcount(new_masks & new_smask[:, None, :])
-            union = 2 * (depth + 1) - inter
-            pruned |= ((inter >= t) & (union > size)).any(axis=1)
-        for ci in np.flatnonzero(~pruned):
-            p = int(cand[ci])
-            descend(depth + 1, p, new_masks[ci], new_smask[ci], prefix + (p + 1,))
+    def survivors(prefix, S, SG, SF, m, inter):
+        """The children S + p of a batch of B depth-d nodes that pass P1 and
+        P2, as node indices b and points p in lex order; at leaves also the
+        orbit size of each S + p.
 
-    empty_masks = np.zeros((n_el, words), dtype=np.uint64)
-    empty_smask = np.zeros(words, dtype=np.uint64)
-    descend(0, -1, empty_masks, empty_smask, ())
+        prefix (B, d) holds the 0-based points of each node's S, and S
+        (words, B) its bitmask.  Per element g and node: SG = S^g and SF =
+        g^-1(S) + Fix(g), both (words, n_el, B); m = min(S xor S^g), or v
+        if g fixes S, and inter = |S meet S^g|, both (n_el, B).
+        """
+        B, d = prefix.shape
+        last = prefix[:, -1] if d else np.full(B, -1)
+        # candidates last < p <= v - (size - d), room left for the rest of S
+        keep = from_point[:, last + 1] & ~from_point[:, v - size + d + 1, None]
+        if d == 1 and shard is not None:
+            keep &= shard_mask
+        # P1: g makes S + p smaller iff g(p) < m_g, except at g(p) = m_g
+        bad = np.bitwise_or.reduce(np.take(below, base + m, axis=1), axis=1)
+        # there, with m_g in S and not in S^g, (S + p)^g xor (S + p) is
+        # SG xor S xor {m_g, p}, and the image is smaller iff its lowest
+        # point is in SG
+        pe = np.take(pre_image, base + m)  # the p with g(p) = m_g, v if m_g = v
+        pe_bit = np.take(bit, pe, axis=1)
+        diff = SG ^ S[:, None] ^ np.take(bit, m, axis=1) ^ pe_bit
+        bad |= np.bitwise_or.reduce(pe_bit * _lowest_in(diff, SG), axis=1)
+        keep &= ~bad
+        # |S' meet S'^g| = inter + c, c = [p in S^g] + [p in SF]: for p
+        # outside S, g(p) in S and g(p) = p exclude each other
+        leaf = d + 1 == size
+        top = 2 * (d + 1) - size - 1  # P2 prunes t <= |S' meet S'^g| <= top
+        overlap = good and top >= t and (leaf or overlap_prune)
+        if overlap or leaf:
+            counts = (~(SG | SF), SG ^ SF, SG & SF)  # bits p with c = 0, 1, 2
+            total = inter + span  # (3, n_el, B): inter + c
+        if overlap:
+            hit = _select(counts, (t <= total) & (total <= top))
+            keep &= ~np.bitwise_or.reduce(hit, axis=1)
+        bi, p = np.nonzero(_unpack(keep, v))
+        if not leaf:
+            return bi, p, None
+        fixed = _select(counts, total == size)[p >> 6, :, bi]  # (leaves, n_el)
+        n_stab = ((fixed >> (p & 63).astype(np.uint64)[:, None]) & np.uint64(1)).sum(axis=1)
+        return bi, p, n_el // n_stab
+
+    def child(prefix, S, SG, SF, m, inter, b, q):
+        """The state of the nodes S + q, for each node index in b and point in q."""
+        gq = img[:, q]  # (n_el, C): g(q)
+        mb = np.take(m, b, axis=1)
+        child_S = np.take(S, b, axis=1) | bit[:, q]
+        child_SG = np.take(SG, b, axis=2) | np.take(img_bit, q, axis=2)
+        # m_g stays unless g fixed S (then S + q and its image differ first
+        # at q, as P1 kept only g(q) > q) or g(q) = m_g (then look it up)
+        child_m = np.where((mb == v) & (gq != q), q, mb)
+        redo = np.flatnonzero(mb == gq)  # g * C + c
+        diff = np.take(child_SG.reshape(words, -1), redo, axis=1) ^ np.take(
+            child_S, redo % len(q), axis=1
+        )
+        np.put(child_m, redo, _lowest(diff, v))
+        return (
+            np.column_stack([prefix[b], q]),
+            child_S,
+            child_SG,
+            np.take(SF, b, axis=2) | np.take(inv_bit, q, axis=2),
+            child_m,
+            np.bitwise_count(child_SG & child_S[:, None]).sum(axis=0, dtype=np.int64),
+        )
+
+    def children(node, bi, p):
+        """The states of the survivors (bi, p) of node, in chunks of at most
+        ``batch`` nodes."""
+        for lo in range(0, len(bi), batch):
+            yield child(*node, bi[lo : lo + batch], p[lo : lo + batch])
+
+    root = (
+        np.zeros((1, 0), dtype=np.int64),
+        np.zeros((words, 1), dtype=np.uint64),
+        np.zeros((words, n_el, 1), dtype=np.uint64),
+        _pack(img == points, words)[:, :, None],
+        np.full((n_el, 1), v),
+        np.zeros((n_el, 1), dtype=np.int64),
+    )
+    # depth first over chunks of same-depth nodes, so the output is in lex order
+    pending = [iter([root])]
+    while pending:
+        node = next(pending[-1], None)
+        if node is None:
+            pending.pop()
+            continue
+        bi, p, sizes = survivors(*node)
+        if sizes is None:
+            pending.append(children(node, bi, p))
+        else:
+            reps = np.column_stack([node[0][bi], p]) + 1
+            out.extend(zip(map(tuple, reps.tolist()), sizes.tolist()))
     return out
 
 

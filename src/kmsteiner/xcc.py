@@ -195,17 +195,28 @@ class _Stop(Exception):
     pass
 
 
+# options per chunk of _bitmask: its temporaries stay in cache, whatever the
+# size of the entry array
+_MASK_CHUNK = 1 << 12
+
+
 def _bitmask(indptr: np.ndarray, items: np.ndarray, words: int) -> np.ndarray:
     """Row o has the bits of option o's items set; items ascend within options."""
     n = len(indptr) - 1
-    mask = np.zeros(n * words, dtype=np.uint64)
-    items = items.astype(np.int64)
-    key = np.repeat(np.arange(n) * words, np.diff(indptr)) + (items >> 6)
-    if key.size:
+    mask = np.zeros((n, words), dtype=np.uint64)
+    flat = mask.reshape(-1)
+    for a in range(0, n, _MASK_CHUNK):
+        b = min(n, a + _MASK_CHUNK)
+        lo, hi = indptr[a], indptr[b]
+        if lo == hi:
+            continue
+        chunk = items[lo:hi]
+        rows = np.arange(a * words, b * words, words)
+        key = np.repeat(rows, np.diff(indptr[a : b + 1])) + (chunk >> 6)
         start = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-        bits = np.left_shift(np.uint64(1), (items & 63).astype(np.uint64))
-        mask[key[start]] = np.bitwise_or.reduceat(bits, start)
-    return mask.reshape(n, words)
+        bits = np.left_shift(np.uint64(1), (chunk & 63).astype(np.uint64))
+        flat[key[start]] = np.bitwise_or.reduceat(bits, start)
+    return mask
 
 
 # bit b of byte value x, for turning byte histograms into item counts

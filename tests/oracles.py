@@ -3,11 +3,15 @@
 Everything here deliberately avoids the library's own search machinery:
 orbits come from plain closure over generator products, exact covers from
 subset enumeration, automorphism groups from full permutation sweeps, and
-isomorphism from point-map backtracking.
+isomorphism from point-map backtracking.  The one exception is
+`orderly_reps_bitmask`, a former implementation of the orderly search kept
+as the reference for the search tree and its prunes.
 """
 
 from itertools import combinations, permutations
 from math import comb
+
+import numpy as np
 
 from kmsteiner.perm import Permutation, orbit_of_subset
 
@@ -313,3 +317,67 @@ def export_text_from_options(problem):
         toks += [f"{problem.secondary[s]}:{c}" for s, c in sec]
         lines.append(" ".join(toks))
     return "\n".join(lines).rstrip() + "\n"
+
+
+def orderly_reps_bitmask(G, v, size, t, good, overlap_prune=True, shard=None):
+    """(rep, orbit size) pairs from the orderly search that compares every
+    candidate's whole image masks at every node: one (candidates x elements
+    x words) uint64 block per node, with the prunes P1 and P2 and the shard
+    split of `orbitgen`."""
+    elements = G.raw_elements(cap=10**6)
+    n_el = len(elements)
+    words = (v + 63) // 64
+    imgs = np.array(elements, dtype=np.int64)
+    point_bit = np.zeros((v, words), dtype=np.uint64)
+    for p in range(v):
+        point_bit[p, p >> 6] = np.uint64(1) << np.uint64(p & 63)
+    bits = point_bit[imgs.T]  # (v, n_el, words): bit of the image of p under e
+    one = np.uint64(1)
+    out = []
+
+    def lex_smaller_any(diff, imgmask):
+        # is the lowest differing point in the image, per leading index?
+        shape = diff.shape[:-1]
+        smaller = np.zeros(shape, dtype=bool)
+        decided = np.zeros(shape, dtype=bool)
+        for w in range(diff.shape[-1]):
+            dw = diff[..., w]
+            nz = (dw != 0) & ~decided
+            low = dw & (~dw + one)
+            smaller |= nz & ((low & imgmask[..., w]) != 0)
+            decided |= dw != 0
+        return smaller
+
+    def popcount(masks):
+        return np.bitwise_count(masks).sum(axis=-1).astype(np.int64)
+
+    def descend(depth, last, masks, smask, prefix):
+        cand = np.arange(last + 1, v - (size - depth) + 1, dtype=np.int64)
+        if depth == 1 and shard is not None:
+            cand = cand[cand % shard[1] == shard[0]]
+        if cand.size == 0:
+            return
+        new_masks = masks[None, :, :] | bits[cand]
+        new_smask = smask[None, :] | point_bit[cand]
+        diff = new_masks ^ new_smask[:, None, :]
+        pruned = lex_smaller_any(diff, new_masks).any(axis=1)
+        if depth + 1 == size:
+            stab = (diff == 0).all(axis=2)
+            keep = ~pruned
+            if good:
+                inter = popcount(new_masks & new_smask[:, None, :])
+                keep &= (stab | (inter <= t - 1)).all(axis=1)
+            sizes = n_el // stab.sum(axis=1)
+            for ci in np.flatnonzero(keep):
+                out.append((prefix + (int(cand[ci]) + 1,), int(sizes[ci])))
+            return
+        if good and overlap_prune:
+            inter = popcount(new_masks & new_smask[:, None, :])
+            union = 2 * (depth + 1) - inter
+            pruned |= ((inter >= t) & (union > size)).any(axis=1)
+        for ci in np.flatnonzero(~pruned):
+            p = int(cand[ci])
+            descend(depth + 1, p, new_masks[ci], new_smask[ci], prefix + (p + 1,))
+
+    descend(0, -1, np.zeros((n_el, words), dtype=np.uint64), np.zeros(words, dtype=np.uint64), ())
+    return out

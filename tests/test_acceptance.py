@@ -5,6 +5,8 @@ the full-scale reproduction runs carry the `paper` marker and are
 deselected by default (run them with `pytest -m paper`).
 """
 
+import hashlib
+import os
 import random
 import time
 from contextlib import contextmanager
@@ -262,6 +264,34 @@ def test_criterion_7_order84_construction():
             assert len(orbit_of_subset(r.group, (1,))) == 7
             assert len(orbit_of_subset(r.group, (8,))) == 84
             assert order12_subgroup_classes(r.table) == 1
+
+
+# sha256 of repr([(rep, orbit size), ...]) for the good orbits of the
+# fixture groups, as generated when these pins were added
+ORDER84_ORBIT_SHA256 = {
+    "G8": "a79ebe85e5dba7c79dd87edbd26e8393525db040a06220a3f61a6a7f0d98b339",
+    "G14": "47a4f6fb6ab4663a53a03d8b1b99985c40a353b5439f3f778702fb463f6e6cf9",
+}
+
+
+@pytest.mark.parametrize("label", ["G8", "G14"])
+def test_criterion_9_order84_published_g8_g14(label, fixtures_dir):
+    exp_orb, exp_ncal, exp_designs = TABLE_GROUPS[label]
+    with criterion(9, f"{label}: {exp_orb} good orbits, Ncal {exp_ncal}, {exp_designs} designs"):
+        name = f"G{int(label[1:]):02d}.grp"
+        G = read_group_file(os.path.join(fixtures_dir, "groups", name))
+        N = read_group_file(os.path.join(fixtures_dir, "normalizers", name))
+        assert group_order(N) == EXPECTED_NORMALIZER_ORDER[label]
+        ko = good_k_orbit_reps(G, 91, 6, 2)
+        pairs = [(r.rep, r.orbit_size) for r in ko.reps]
+        assert len(pairs) == exp_orb
+        assert hashlib.sha256(repr(pairs).encode()).hexdigest() == ORDER84_ORBIT_SHA256[label]
+        classes = normalizer_classes(N, ko, G)
+        assert classes.n_classes == exp_ncal
+        # the published design count is 0, so encoding c has no solution
+        assert exp_designs == 0
+        km = build_km(G, t_orbit_reps(G, 91, 2), ko)
+        assert solve_all(encode(km, classes, "c").problem)[1].solutions == 0
 
 
 # ---------------------------------------------------------------------------

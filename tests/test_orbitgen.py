@@ -1,18 +1,25 @@
 import os
+import random
 from math import comb
 
 import pytest
 
 from kmsteiner.orbitgen import (
+    _orderly_reps,
     good_k_orbit_reps,
     read_orbit_file,
     subset_orbit_count,
     t_orbit_reps,
     write_orbit_file,
 )
-from kmsteiner.perm import PermutationGroup, cyclic_group, parse_permutation
+from kmsteiner.perm import Permutation, PermutationGroup, cyclic_group, parse_permutation
 
-from oracles import good_orbits_bruteforce, is_good_orbit, subset_orbits
+from oracles import (
+    good_orbits_bruteforce,
+    is_good_orbit,
+    orderly_reps_bitmask,
+    subset_orbits,
+)
 
 
 def test_t_orbit_reps_cyclic91():
@@ -48,6 +55,15 @@ def test_is_good_orbit_examples():
         is_good_orbit(C7, (1, 2), 2)
 
 
+def _cycle(v):
+    return "(" + ",".join(map(str, range(1, v + 1))) + ")"
+
+
+def _reflection(v):
+    """The reflection i -> v + 2 - i of the cyclic v-gon on 1..v, fixing 1."""
+    return "".join(f"({i},{v + 2 - i})" for i in range(2, v + 1) if i < v + 2 - i)
+
+
 @pytest.mark.parametrize(
     "gens,v,k,t",
     [
@@ -67,6 +83,65 @@ def test_good_orbits_match_bruteforce(gens, v, k, t):
     got = good_k_orbit_reps(G, v, k, t)
     expected = good_orbits_bruteforce(G.generators, v, k, t)
     assert [(r.rep, r.orbit_size) for r in got.reps] == expected
+
+
+@pytest.mark.parametrize(
+    "gens,count",
+    [
+        ([_cycle(67)], 682),
+        ([_cycle(67), _reflection(67)], 0),  # dihedral, order 134
+        ([_reflection(67)], 22913),
+    ],
+)
+def test_good_orbits_two_words_match_bruteforce(gens, count):
+    # v = 67 needs two 64-bit words per mask
+    G = PermutationGroup([parse_permutation(s, 67) for s in gens], 67)
+    got = [(r.rep, r.orbit_size) for r in good_k_orbit_reps(G, 67, 3, 2).reps]
+    assert len(got) == count
+    assert got == good_orbits_bruteforce(G.generators, 67, 3, 2)
+
+
+def _seeded_group(kind, v, seed):
+    """A cyclic, dihedral, single-reflection or trivial group on v points,
+    relabeled by a seeded random permutation."""
+    gens = {
+        "cyclic": [_cycle(v)],
+        "dihedral": [_cycle(v), _reflection(v)],
+        "reflection": [_reflection(v)],
+        "trivial": ["()"],
+    }[kind]
+    perms = [parse_permutation(s, v).raw() for s in gens]
+    relabel = list(range(v))
+    random.Random(seed).shuffle(relabel)
+    back = [0] * v
+    for x, y in enumerate(relabel):
+        back[y] = x
+    conj = [Permutation(tuple(relabel[g[back[y]]] for y in range(v))) for g in perms]
+    return PermutationGroup(conj, v)
+
+
+@pytest.mark.parametrize("kind", ["cyclic", "dihedral", "reflection", "trivial"])
+@pytest.mark.parametrize(
+    "v,size,t,good,overlap_prune",
+    [
+        (13, 4, 2, True, True),
+        (19, 4, 2, True, True),
+        (19, 4, 2, True, False),
+        (16, 4, 3, True, True),  # t = 3
+        (70, 3, 2, True, True),  # two words
+        (17, 3, 3, False, True),  # t-orbits
+        (70, 2, 2, False, True),
+    ],
+)
+def test_matches_bitmask_oracle(kind, v, size, t, good, overlap_prune):
+    seed = v * 100 + size * 10 + t
+    G = _seeded_group(kind, v, seed)
+    whole = orderly_reps_bitmask(G, v, size, t, good, overlap_prune)
+    assert _orderly_reps(G, v, size, t, good, overlap_prune) == whole
+    parts = []
+    for i in range(3):
+        parts += _orderly_reps(G, v, size, t, good, overlap_prune, shard=(i, 3))
+    assert sorted(parts) == whole
 
 
 def test_overlap_prune_is_sound():

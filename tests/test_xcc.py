@@ -169,6 +169,26 @@ def test_item_counts_both_paths(n_prim):
         assert np.array_equal(_item_counts(sub, n_prim), dense.sum(axis=0))
 
 
+@pytest.mark.parametrize("words", [1, 2, 3])
+@pytest.mark.parametrize("chunk", [1, 3, 1 << 16])
+def test_bitmask_matches_dense(words, chunk, monkeypatch):
+    # random CSR rows, a fifth of them empty, built in chunks of `chunk` options
+    from kmsteiner import xcc
+
+    monkeypatch.setattr(xcc, "_MASK_CHUNK", chunk)
+    rng = np.random.default_rng(10 * words + chunk)
+    for n in (0, 1, 50):
+        dense = rng.random((n, 64 * words)) < 0.1
+        dense[rng.random(n) < 0.2] = False
+        indptr = np.r_[0, np.cumsum(dense.sum(axis=1))]
+        items = np.nonzero(dense)[1].astype(np.int32)
+        got = xcc._bitmask(indptr, items, words)
+        packed = np.packbits(dense, axis=1, bitorder="little")
+        expected = packed.view("<u8").astype(np.uint64).reshape(n, words)
+        assert got.shape == (n, words)
+        assert np.array_equal(got, expected)
+
+
 def test_multiword_search_pinned():
     # S(3,4,10) with the trivial group: 120 primary items, so every
     # bitmask row spans two words
