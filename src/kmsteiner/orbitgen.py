@@ -126,10 +126,14 @@ def _pack(flags: np.ndarray, words: int) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(masks, -1, 0))
 
 
+def _bytes(masks: np.ndarray) -> np.ndarray:
+    """Bitmasks (words, ...) -> their bytes (..., 8 * words), point x in byte x >> 3."""
+    return np.ascontiguousarray(np.moveaxis(masks, 0, -1), dtype="<u8").view(np.uint8)
+
+
 def _unpack(masks: np.ndarray, v: int) -> np.ndarray:
     """Bitmasks (words, ...) -> 0/1 uint8 (..., v); the inverse of _pack."""
-    by = np.ascontiguousarray(np.moveaxis(masks, 0, -1), dtype="<u8").view(np.uint8)
-    return np.unpackbits(by, axis=-1, count=v, bitorder="little")
+    return np.unpackbits(_bytes(masks), axis=-1, count=v, bitorder="little")
 
 
 def _select(counts, which: np.ndarray) -> np.ndarray:
@@ -144,7 +148,8 @@ def _lowest(diff: np.ndarray, v: int) -> np.ndarray:
     point = np.full(diff.shape[1:], v)
     for w in range(len(diff) - 1, -1, -1):
         dw = diff[w]
-        point = np.where(dw != 0, 64 * w + np.bitwise_count((dw & (~dw + one)) - one), point)
+        low = np.bitwise_count((dw & (~dw + one)) - one).astype(np.int64)
+        point = np.where(dw != 0, 64 * w + low, point)
     return point
 
 
@@ -181,12 +186,11 @@ def _orderly_reps(
     points = np.arange(v)
     # masks are (words, ...) arrays; bit[:, x] is point x, bit[:, v] is empty
     bit = _pack(np.eye(v + 1, v, dtype=bool), words)
-    img_bit = bit[:, img]  # (words, n_el, v): bit of g(p)
-    inv_bit = bit[:, inv]  # (words, n_el, v): bit of g^-1(p)
     # p is pruned by g when g(p) < m_g: column m_g is PRE[g, m_g] = {x : g(x) < m_g};
     # column v, for g fixing S, is LT[g] = {x : g(x) < x}
     below = np.zeros((words, n_el, v + 1), dtype=np.uint64)
-    below[:, :, 1:v] = np.bitwise_or.accumulate(inv_bit, axis=2)[:, :, : v - 1]
+    below[:, :, 1:] = bit[:, inv]  # bit of g^-1(j - 1) in column j
+    np.bitwise_or.accumulate(below[:, :, 1:v], axis=2, out=below[:, :, 1:v])
     below[:, :, v] = _pack(img < points, words)
     below = below.reshape(words, -1)
     pre_image = np.column_stack([inv, np.full(n_el, v)]).ravel()
@@ -238,16 +242,17 @@ def _orderly_reps(
         bi, p = np.nonzero(_unpack(keep, v))
         if not leaf:
             return bi, p, None
-        fixed = _select(counts, total == size)[p >> 6, :, bi]  # (leaves, n_el)
-        n_stab = ((fixed >> (p & 63).astype(np.uint64)[:, None]) & np.uint64(1)).sum(axis=1)
+        # the byte holding bit p of each element's mask, (n_el, leaves)
+        fixed = _bytes(_select(counts, total == size))[:, bi, p >> 3]
+        n_stab = ((fixed >> (p & 7).astype(np.uint8)) & 1).sum(axis=0)
         return bi, p, n_el // n_stab
 
     def child(prefix, S, SG, SF, m, inter, b, q):
         """The state of the nodes S + q, for each node index in b and point in q."""
-        gq = img[:, q]  # (n_el, C): g(q)
+        gq = np.take(img, q, axis=1)  # (n_el, C): g(q)
         mb = np.take(m, b, axis=1)
         child_S = np.take(S, b, axis=1) | bit[:, q]
-        child_SG = np.take(SG, b, axis=2) | np.take(img_bit, q, axis=2)
+        child_SG = np.take(SG, b, axis=2) | np.take(bit, gq, axis=1)
         # m_g stays unless g fixed S (then S + q and its image differ first
         # at q, as P1 kept only g(q) > q) or g(q) = m_g (then look it up)
         child_m = np.where((mb == v) & (gq != q), q, mb)
@@ -260,7 +265,7 @@ def _orderly_reps(
             np.column_stack([prefix[b], q]),
             child_S,
             child_SG,
-            np.take(SF, b, axis=2) | np.take(inv_bit, q, axis=2),
+            np.take(SF, b, axis=2) | np.take(bit, np.take(inv, q, axis=1), axis=1),
             child_m,
             np.bitwise_count(child_SG & child_S[:, None]).sum(axis=0, dtype=np.int64),
         )

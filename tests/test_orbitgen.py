@@ -134,6 +134,26 @@ def _seeded_group(kind, v, seed):
     ],
 )
 def test_matches_bitmask_oracle(kind, v, size, t, good, overlap_prune):
+    _check_against_oracle(kind, v, size, t, good, overlap_prune)
+
+
+@pytest.mark.parametrize(
+    "kind,v,size,t,good",
+    [
+        ("cyclic", 300, 3, 2, True),
+        ("dihedral", 260, 3, 3, False),
+        ("reflection", 260, 2, 2, False),
+        ("trivial", 257, 2, 2, False),
+    ],
+)
+def test_matches_bitmask_oracle_past_256_points(kind, v, size, t, good):
+    # points from 256 on sit in the fifth mask word and beyond; not crossed
+    # with every kind, since the trivial group at v = 300 has 4.5 million
+    # good 3-subset orbits
+    _check_against_oracle(kind, v, size, t, good, True)
+
+
+def _check_against_oracle(kind, v, size, t, good, overlap_prune):
     seed = v * 100 + size * 10 + t
     G = _seeded_group(kind, v, seed)
     whole = orderly_reps_bitmask(G, v, size, t, good, overlap_prune)
