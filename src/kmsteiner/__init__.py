@@ -12,19 +12,13 @@ from .perm import (
     cyclic_group,
     group_order,
     normalizer_of_cyclic,
-    orbit_of_subset,
     parse_permutation,
     read_group_file,
     verify_normalizes,
     write_group_file,
 )
-from .orbitgen import (
-    GoodOrbitSet,
-    OrbitRep,
-    good_k_orbit_reps,
-    t_orbit_reps,
-)
-from .km import KMInstance, build_km, count_b, t_orbit_lookup
+from .orbitgen import OrbitSet, good_k_orbit_reps, t_orbit_reps
+from .km import KMInstance, build_km
 from .xcc import (
     Solution,
     SolveStats,
@@ -59,19 +53,15 @@ __all__ = [
     "PermutationGroup",
     "parse_permutation",
     "group_order",
-    "orbit_of_subset",
     "cyclic_group",
     "normalizer_of_cyclic",
     "verify_normalizes",
     "read_group_file",
     "write_group_file",
-    "OrbitRep",
-    "GoodOrbitSet",
+    "OrbitSet",
     "t_orbit_reps",
     "good_k_orbit_reps",
     "KMInstance",
-    "t_orbit_lookup",
-    "count_b",
     "build_km",
     "XCCProblem",
     "Solution",

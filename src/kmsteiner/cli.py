@@ -24,6 +24,8 @@ import time
 from dataclasses import dataclass
 from math import comb
 
+import numpy as np
+
 from . import designs as designs_mod
 from . import km as km_mod
 from . import orbitgen, symbreak, xcc
@@ -252,7 +254,7 @@ def _orbit_shard(args):
     group_file, v, k, t, idx, njobs = args
     G = read_group_file(group_file)
     s = orbitgen.good_k_orbit_reps(G, v, k, t, shard=(idx, njobs))
-    return [(r.rep, r.orbit_size) for r in s.reps]
+    return s.reps, s.sizes
 
 
 def cmd_orbits(cfg: JobConfig, jobs: int = 1) -> None:
@@ -265,51 +267,49 @@ def cmd_orbits(cfg: JobConfig, jobs: int = 1) -> None:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = pool.map(
+            parts = list(pool.map(
                 _orbit_shard,
                 [(cfg.group_file, cfg.v, cfg.k, cfg.t, i, jobs) for i in range(jobs)],
-            )
-        merged = sorted(rep_size for part in parts for rep_size in part)
-        reps = [
-            orbitgen.OrbitRep(rep, size, i) for i, (rep, size) in enumerate(merged)
-        ]
+            ))
+        reps = np.concatenate([r for r, _ in parts])
+        sizes = np.concatenate([s for _, s in parts])
+        order = np.lexsort(reps.T[::-1])  # rows in lex order
+        ko = orbitgen.OrbitSet(cfg.v, cfg.t, reps[order], sizes[order], G.fingerprint())
     else:
-        reps = orbitgen.good_k_orbit_reps(G, cfg.v, cfg.k, cfg.t).reps
-    log.info("good k-orbits: %d", len(reps))
+        ko = orbitgen.good_k_orbit_reps(G, cfg.v, cfg.k, cfg.t)
+    log.info("good k-orbits: %d", len(ko))
     glabel = os.path.basename(cfg.group_file)
     orbitgen.write_orbit_file(cfg.out("torbits.txt"), cfg.v, cfg.k, cfg.t, tro, glabel)
-    orbitgen.write_orbit_file(cfg.out("korbits.txt"), cfg.v, cfg.k, cfg.t, reps, glabel)
+    orbitgen.write_orbit_file(cfg.out("korbits.txt"), cfg.v, cfg.k, cfg.t, ko, glabel)
     _record_stage(cfg, "orbits", t0, ["torbits.txt", "korbits.txt"],
-                  t_orbits=len(tro), good_orbits=len(reps))
+                  t_orbits=len(tro), good_orbits=len(ko))
 
 
 def _load_orbits(cfg: JobConfig):
+    """G and the t- and good k-orbit sets read back from the orbit files."""
     _check_record(cfg, ["orbits"])
-    v, k, t, _, tro = orbitgen.read_orbit_file(cfg.out("torbits.txt"))
-    v2, k2, t2, _, kreps = orbitgen.read_orbit_file(cfg.out("korbits.txt"))
-    if (v, k, t) != (cfg.v, cfg.k, cfg.t) or (v2, k2, t2) != (cfg.v, cfg.k, cfg.t):
-        raise ValidationError("orbit file parameters disagree with config")
     G = cfg.group()
-    kset = orbitgen.GoodOrbitSet(
-        v=cfg.v, k=cfg.k, t=cfg.t, reps=kreps, group_id=G.fingerprint()
-    )
-    return G, tro, kset
+    sets = []
+    for name, size in (("torbits.txt", cfg.t), ("korbits.txt", cfg.k)):
+        v, k, t, _, reps, sizes = orbitgen.read_orbit_file(cfg.out(name), size)
+        if (v, k, t) != (cfg.v, cfg.k, cfg.t):
+            raise ValidationError("orbit file parameters disagree with config")
+        sets.append(orbitgen.OrbitSet(v, t, reps, sizes, G.fingerprint()))
+    return G, *sets
 
 
 def _load_km(cfg: JobConfig, tro, kset) -> km_mod.KMInstance:
     """The matrix from km.txt, checked against the loaded orbit files."""
     _check_record(cfg, ["km"])
     m, n, v, k, t, sizes, indptr, rows = km_mod.read_km_file(cfg.out("km.txt"))
-    if (m, n, v, k, t) != (len(tro), len(kset.reps), cfg.v, cfg.k, cfg.t):
+    if (m, n, v, k, t) != (len(tro), len(kset), cfg.v, cfg.k, cfg.t):
         raise ValidationError(
             f"km.txt header {m} {n} {v} {k} {t} disagrees with the orbit files "
-            f"{len(tro)} {len(kset.reps)} {cfg.v} {cfg.k} {cfg.t}"
+            f"{len(tro)} {len(kset)} {cfg.v} {cfg.k} {cfg.t}"
         )
-    if sizes != [r.orbit_size for r in kset.reps]:
+    if sizes != kset.sizes.tolist():
         raise ValidationError("km.txt column sizes disagree with korbits.txt")
-    return km_mod.KMInstance(
-        t_orbits=list(tro), k_orbits=kset, col_indptr=indptr, col_rows=rows
-    )
+    return km_mod.KMInstance(t_orbits=tro, k_orbits=kset, col_indptr=indptr, col_rows=rows)
 
 
 def cmd_km(cfg: JobConfig) -> None:
@@ -529,7 +529,7 @@ def main(argv=None) -> int:
     except designs_mod.BudgetExceeded as exc:
         log.error("%s", exc)
         return EXIT_RESOURCE
-    except (ValidationError, ValueError, OSError) as exc:
+    except (ValidationError, ValueError, OverflowError, OSError) as exc:
         log.error("%s", exc)
         return EXIT_VALIDATION
 

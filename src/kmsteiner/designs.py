@@ -19,8 +19,8 @@ from math import comb
 
 import numpy as np
 
-from .orbitgen import GoodOrbitSet
-from .perm import PermutationGroup, Permutation, orbit_of_subset
+from .orbitgen import OrbitSet, _pack_keys
+from .perm import PermutationGroup, Permutation
 
 __all__ = [
     "Design",
@@ -66,18 +66,26 @@ class Design:
         return len(self.blocks)
 
 
-def expand(orbit_indices, k_orbits: GoodOrbitSet, G: PermutationGroup) -> Design:
-    """Union of the full orbits of the chosen representatives."""
-    blocks: list = []
-    for j in sorted(orbit_indices):
-        rep = k_orbits.reps[j]
-        orb = sorted(orbit_of_subset(G, rep.rep))
-        if len(orb) != rep.orbit_size:
-            raise AssertionError("orbit size mismatch during expansion")
-        blocks.extend(orb)
-    if len(set(blocks)) != len(blocks):
+def expand(orbit_indices, k_orbits: OrbitSet, G: PermutationGroup) -> Design:
+    """Union of the full orbits of the chosen representatives.
+
+    The orbit of a representative K is its images under every element of
+    G, each image Stab(K)-fold, so |G| / #{g : K^g = K} must equal the
+    recorded orbit size.
+    """
+    idx = np.array(sorted(orbit_indices), dtype=np.intp)
+    reps0 = k_orbits.reps[idx].astype(np.int64) - 1
+    els = G.element_table()
+    images = np.sort(els[:, reps0], axis=2)  # (|G|, chosen, k)
+    n_stab = (images == reps0).all(axis=2).sum(axis=0)
+    if (len(els) // n_stab != k_orbits.sizes[idx]).any():
+        raise AssertionError("orbit size mismatch during expansion")
+    # keys are lex ranks, so the distinct blocks come out in lex order
+    _, first = np.unique(_pack_keys(images, k_orbits.v), return_index=True)
+    if len(first) != k_orbits.sizes[idx].sum():
         raise ValueError("duplicate blocks across chosen orbits")
-    return Design.make(k_orbits.v, blocks)
+    blocks = images.reshape(-1, k_orbits.k)[first] + 1
+    return Design(v=k_orbits.v, blocks=tuple(map(tuple, blocks.tolist())))
 
 
 @dataclass

@@ -15,21 +15,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 import numpy as np
 
-from .orbitgen import GoodOrbitSet, OrbitRep
+from .orbitgen import OrbitSet, _pack_keys
 from .perm import PermutationGroup
 
 __all__ = [
     "KMError",
     "KMInstance",
-    "t_orbit_lookup",
-    "count_b",
     "build_km",
     "write_km_file",
     "read_km_file",
 ]
+
+# columns whose t-subsets are gathered at once
+_CHUNK = 65536
 
 
 class KMError(RuntimeError):
@@ -38,82 +40,73 @@ class KMError(RuntimeError):
 
 @dataclass
 class KMInstance:
-    t_orbits: list
-    k_orbits: GoodOrbitSet
+    t_orbits: OrbitSet
+    k_orbits: OrbitSet
     col_indptr: np.ndarray  # int64, len n+1
     col_rows: np.ndarray  # int32, sorted row indices per column slice
 
     @property
     def shape(self) -> tuple:
-        return (len(self.t_orbits), len(self.k_orbits.reps))
+        return (len(self.t_orbits), len(self.k_orbits))
 
     def column(self, j: int) -> tuple:
         lo, hi = self.col_indptr[j], self.col_indptr[j + 1]
         return tuple(int(i) for i in self.col_rows[lo:hi])
 
 
-def t_orbit_lookup(G: PermutationGroup, t_orbits) -> dict:
-    """Map from any t-subset (sorted tuple) to its orbit index.
+def build_km(G: PermutationGroup, t_orbits: OrbitSet, k_orbits: OrbitSet) -> KMInstance:
+    """Assemble the matrix; raises KMError if any entry falls outside {0,1}.
 
-    Materializes the full orbits; total size is C(v, t).
+    Every t-subset is looked up by its key, its lex rank, in a table of
+    the t-orbits of all C(v, t) t-subsets, filled from the images of the
+    t-orbit representatives under the elements of G.
     """
-    gens = [g.raw() for g in G.generators]
-    lookup: dict = {}
-    for r in t_orbits:
-        queue = [r.rep]
-        lookup[r.rep] = r.index
-        qi = 0
-        while qi < len(queue):
-            cur = queue[qi]
-            qi += 1
-            for g in gens:
-                img = tuple(sorted(g[p - 1] + 1 for p in cur))
-                if img not in lookup:
-                    lookup[img] = r.index
-                    queue.append(img)
-    return lookup
-
-
-def count_b(K, lookup: dict, t: int) -> dict:
-    """b_ji: how many t-subsets of K lie in each t-orbit; sums to C(|K|, t)."""
-    out: dict = {}
-    for T in combinations(sorted(K), t):
-        i = lookup[T]
-        out[i] = out.get(i, 0) + 1
-    return out
-
-
-def build_km(G: PermutationGroup, t_orbits, k_orbits: GoodOrbitSet) -> KMInstance:
-    """Assemble the matrix; raises KMError if any entry falls outside {0,1}."""
-    if k_orbits.group_id != G.fingerprint():
-        raise ValueError("k_orbits were generated under a different group")
-    t = k_orbits.t
-    lookup = t_orbit_lookup(G, t_orbits)
-    t_sizes = [r.orbit_size for r in t_orbits]
-    indptr = np.zeros(len(k_orbits.reps) + 1, dtype=np.int64)
-    rows: list = []
-    for j, kr in enumerate(k_orbits.reps):
-        b = count_b(kr.rep, lookup, t)
-        col = []
-        for i, bji in sorted(b.items()):
-            num = bji * kr.orbit_size
-            a, rem = divmod(num, t_sizes[i])
-            if rem != 0:
+    if {t_orbits.group_id, k_orbits.group_id} != {G.fingerprint()}:
+        raise ValueError("the orbits were generated under a different group")
+    v, k, t = k_orbits.v, k_orbits.k, k_orbits.t
+    els = G.element_table()
+    t_images = np.sort(els[:, t_orbits.reps.astype(np.intp) - 1], axis=2)
+    orbit_of = np.full(comb(v, t), -1)  # by lex rank of the t-subset
+    orbit_of[_pack_keys(t_images, v)] = np.arange(len(t_orbits))
+    if (orbit_of < 0).any() or not np.array_equal(
+        np.bincount(orbit_of, minlength=len(t_orbits)), t_orbits.sizes
+    ):
+        raise ValueError(f"the t-orbits and their sizes do not partition the C({v},{t}) t-subsets")
+    pick = np.array(list(combinations(range(k), t)), dtype=np.intp)
+    rows = np.empty(len(k_orbits) * len(pick), dtype=np.int32)  # filled up to `end`
+    lens, end = [], 0
+    for lo in range(0, len(k_orbits), _CHUNK):
+        # gathered in the reps' own small dtype, which is much faster
+        tsub = (k_orbits.reps[lo : lo + _CHUNK] - 1)[:, pick]  # (columns, C(k,t), t)
+        row = orbit_of[_pack_keys(tsub, v)]
+        row.sort(axis=1)
+        # one entry per run of equal rows in a column, b_ji its length; as
+        # b_ji >= 1, a_ij = b_ji * |K_j| / |T_i| must be exactly 1
+        start = np.ones(row.shape, dtype=bool)
+        start[:, 1:] = row[:, 1:] != row[:, :-1]
+        at = np.flatnonzero(start)
+        row = row.ravel()[at]
+        b = np.diff(np.append(at, start.size))
+        col = lo + at // len(pick)
+        bad = np.flatnonzero(b * k_orbits.sizes[col] != t_orbits.sizes[row])
+        if len(bad):
+            e = bad[0]
+            i, j, bji = int(row[e]), int(col[e]), int(b[e])
+            a, rem = divmod(bji * int(k_orbits.sizes[j]), int(t_orbits.sizes[i]))
+            if rem:
                 raise KMError(
                     f"non-integer entry at row {i}, column {j}: "
-                    f"{bji}*{kr.orbit_size}/{t_sizes[i]}"
+                    f"{bji}*{k_orbits.sizes[j]}/{t_orbits.sizes[i]}"
                 )
-            if a > 1:
-                raise KMError(f"entry {a} > 1 at row {i}, column {j}: orbit not good")
-            if a == 1:
-                col.append(i)
-        rows.extend(col)
-        indptr[j + 1] = len(rows)
+            raise KMError(f"entry {a} > 1 at row {i}, column {j}: orbit not good")
+        rows[end : end + len(row)] = row
+        end += len(row)
+        lens.append(start.sum(axis=1))
     return KMInstance(
-        t_orbits=list(t_orbits),
+        t_orbits=t_orbits,
         k_orbits=k_orbits,
-        col_indptr=indptr,
-        col_rows=np.array(rows, dtype=np.int32),
+        col_indptr=np.cumsum(np.concatenate([[0], *lens]), dtype=np.int64),
+        col_rows=rows[:end],
     )
 
 
@@ -125,11 +118,11 @@ def build_km(G: PermutationGroup, t_orbits, k_orbits: GoodOrbitSet) -> KMInstanc
 def write_km_file(path, km: KMInstance) -> None:
     m, n = km.shape
     ks = km.k_orbits
+    indptr, rows = km.col_indptr.tolist(), km.col_rows.tolist()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{m} {n} {ks.v} {ks.k} {ks.t}\n")
-        for j in range(n):
-            size_j = ks.reps[j].orbit_size
-            cols = " ".join(str(i) for i in km.column(j))
+        for j, size_j in enumerate(ks.sizes.tolist()):
+            cols = " ".join(map(str, rows[indptr[j] : indptr[j + 1]]))
             fh.write(f"{j} {size_j} : {cols}\n")
 
 

@@ -43,6 +43,7 @@ visited depth first, so the representatives come out in lex order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -50,8 +51,7 @@ import numpy as np
 from .perm import PermutationGroup
 
 __all__ = [
-    "OrbitRep",
-    "GoodOrbitSet",
+    "OrbitSet",
     "t_orbit_reps",
     "good_k_orbit_reps",
     "subset_orbit_count",
@@ -59,23 +59,61 @@ __all__ = [
     "write_orbit_file",
 ]
 
-ELEMENT_CAP = 10**6
 
+@dataclass(frozen=True, eq=False)
+class OrbitSet:
+    """G-orbits on the k-subsets of {1..v}, one row per orbit in lex order.
 
-@dataclass(frozen=True)
-class OrbitRep:
-    rep: tuple  # lex-minimal sorted 1-based points
-    orbit_size: int
-    index: int
+    ``reps[i]`` is the lex-minimal sorted representative of orbit i as
+    1-based points, in dtype ``np.min_scalar_type(v)``; ``sizes[i]`` is the
+    orbit size, int64.  Both arrays are read-only.  ``t`` is the design's
+    t, so a set of t-orbits has k == t.
+    """
 
-
-@dataclass
-class GoodOrbitSet:
     v: int
-    k: int
     t: int
-    reps: list
+    reps: np.ndarray  # (n, k)
+    sizes: np.ndarray  # (n,)
     group_id: str
+
+    def __post_init__(self):
+        for name, dtype in (("reps", np.min_scalar_type(self.v)), ("sizes", np.int64)):
+            arr = np.asarray(getattr(self, name), dtype=dtype)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
+    @property
+    def k(self) -> int:
+        return self.reps.shape[1]
+
+    def __len__(self) -> int:
+        return len(self.sizes)
+
+
+@lru_cache(maxsize=16)
+def _binomials(v: int, k: int) -> np.ndarray:
+    """C(v - 1 - x, k - c) at [c, x] for 0 <= c < k and 0 <= x < v, read-only."""
+    table = np.array([[comb(v - 1 - x, k - c) for x in range(v)] for c in range(k)], dtype=np.int64)
+    table.flags.writeable = False
+    return table
+
+
+def _pack_keys(subsets0: np.ndarray, v: int) -> np.ndarray:
+    """Keys (...) of sorted 0-based k-subsets (..., k) of range(v): their
+    ranks in the lex order of all C(v, k) k-subsets, as int64.
+
+    The subset s_0 < ... < s_{k-1} has colex rank sum_c C(v-1-s_c, k-c)
+    after the reflection x -> v-1-x, which reverses lex order.
+    """
+    k = subsets0.shape[-1]
+    top = comb(v, k) - 1
+    if top >= 1 << 63:
+        raise ValueError("subset too wide to pack")
+    binom = _binomials(v, k)
+    keys = np.full(subsets0.shape[:-1], top, dtype=np.int64)
+    for c in range(k):
+        keys -= binom[c][subsets0[..., c]]
+    return keys
 
 
 def subset_orbit_count(G: PermutationGroup, k: int) -> int:
@@ -85,10 +123,9 @@ def subset_orbit_count(G: PermutationGroup, k: int) -> int:
     count per element is a subset-sum over its cycle lengths.
     """
     v = G.degree
+    table = G.element_table()
     total = 0
-    n_el = 0
-    for g in G.raw_elements(cap=ELEMENT_CAP):
-        n_el += 1
+    for g in table.tolist():
         seen = [False] * v
         lengths = []
         for i in range(v):
@@ -108,7 +145,7 @@ def subset_orbit_count(G: PermutationGroup, k: int) -> int:
             for j in range(k, L - 1, -1):
                 dp[j] += dp[j - L]
         total += dp[k]
-    orbits, rem = divmod(total, n_el)
+    orbits, rem = divmod(total, len(table))
     if rem:
         raise AssertionError("Burnside count is not integral")
     return orbits
@@ -171,7 +208,8 @@ def _orderly_reps(
     overlap_prune: bool = True,
     shard=None,
 ):
-    """Run the orderly search; returns list of (rep_tuple_1based, orbit_size).
+    """Run the orderly search; returns the representatives as an (n, size)
+    array of 1-based points in lex order and their orbit sizes.
 
     shard=(i, n) keeps only second points p with p % n == i; the union
     over all i is the full tree, so shards may run on separate workers
@@ -179,7 +217,7 @@ def _orderly_reps(
     """
     if G.degree != v:
         raise ValueError("group degree does not match v")
-    img = np.array(G.raw_elements(cap=ELEMENT_CAP), dtype=np.int64)  # img[g, x] = g(x)
+    img = G.element_table()  # img[g, x] = g(x)
     n_el = len(img)
     words = (v + 63) // 64
     inv = np.argsort(img, axis=1)  # inv[g, y] = g^-1(y)
@@ -200,7 +238,8 @@ def _orderly_reps(
         shard_mask = _pack(points % shard[1] == shard[0], words)[:, None]
     span = np.arange(3)[:, None, None]
     batch = max(1, _BATCH_BYTES // (2 * n_el * words * 8))
-    out = []
+    out_reps = [np.zeros((0, size), dtype=np.min_scalar_type(v))]
+    out_sizes = [np.zeros(0, dtype=np.int64)]
 
     def survivors(prefix, S, SG, SF, m, inter):
         """The children S + p of a batch of B depth-d nodes that pass P1 and
@@ -296,20 +335,20 @@ def _orderly_reps(
             pending.append(children(node, bi, p))
         else:
             reps = np.column_stack([node[0][bi], p]) + 1
-            out.extend(zip(map(tuple, reps.tolist()), sizes.tolist()))
-    return out
+            out_reps.append(reps.astype(out_reps[0].dtype))
+            out_sizes.append(sizes.astype(np.int64))
+    return np.concatenate(out_reps), np.concatenate(out_sizes)
 
 
-def t_orbit_reps(G: PermutationGroup, v: int, t: int):
-    """One OrbitRep per G-orbit on t-subsets, in lex order of representative."""
+def t_orbit_reps(G: PermutationGroup, v: int, t: int) -> OrbitSet:
+    """All G-orbits on t-subsets, in lex order of representative."""
     if not 1 <= t < v:
         raise ValueError("need 1 <= t < v")
-    pairs = _orderly_reps(G, v, t, t, good=False)
-    reps = [OrbitRep(rep, sz, i) for i, (rep, sz) in enumerate(pairs)]
-    total = sum(r.orbit_size for r in reps)
+    reps, sizes = _orderly_reps(G, v, t, t, good=False)
+    total = int(sizes.sum())
     if total != comb(v, t):
         raise AssertionError(f"orbit sizes sum to {total}, expected C({v},{t})")
-    return reps
+    return OrbitSet(v=v, t=t, reps=reps, sizes=sizes, group_id=G.fingerprint())
 
 
 def good_k_orbit_reps(
@@ -319,7 +358,7 @@ def good_k_orbit_reps(
     t: int,
     overlap_prune: bool = True,
     shard=None,
-) -> GoodOrbitSet:
+) -> OrbitSet:
     """All good k-orbit representatives in lex order.
 
     overlap_prune=False disables prune P2 (used by soundness tests; the
@@ -329,7 +368,7 @@ def good_k_orbit_reps(
     """
     if not t < k < v:
         raise ValueError("need t < k < v")
-    raw = _orderly_reps(
+    reps, sizes = _orderly_reps(
         G,
         v,
         k,
@@ -338,8 +377,7 @@ def good_k_orbit_reps(
         overlap_prune=overlap_prune,
         shard=shard,
     )
-    reps = [OrbitRep(rep, sz, i) for i, (rep, sz) in enumerate(raw)]
-    return GoodOrbitSet(v=v, k=k, t=t, reps=reps, group_id=G.fingerprint())
+    return OrbitSet(v=v, t=t, reps=reps, sizes=sizes, group_id=G.fingerprint())
 
 
 # ---------------------------------------------------------------------------
@@ -347,16 +385,21 @@ def good_k_orbit_reps(
 # line as space-separated points followed by "size=<orbit_size>"
 
 
-def write_orbit_file(path, v, k, t, reps, group_label) -> None:
+def write_orbit_file(path, v, k, t, orbits: OrbitSet, group_label) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{v} {k} {t} group={group_label} count={len(reps)}\n")
-        for r in reps:
-            pts = " ".join(str(p) for p in r.rep)
-            fh.write(f"{pts} size={r.orbit_size}\n")
+        fh.write(f"{v} {k} {t} group={group_label} count={len(orbits)}\n")
+        for rep, size in zip(orbits.reps.tolist(), orbits.sizes.tolist()):
+            fh.write(f"{' '.join(map(str, rep))} size={size}\n")
 
 
-def read_orbit_file(path):
-    """Returns (v, k, t, group_label, reps)."""
+def read_orbit_file(path, size: int):
+    """Returns (v, k, t, group_label, reps, sizes), the arrays as an
+    ``OrbitSet`` holds them, from a file of representatives with ``size``
+    points each: t for t-orbits, k for good k-orbits.
+
+    Every representative must be ``size`` ascending points of 1..v, and
+    every orbit size at least 1.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().split()
         if len(header) != 5:
@@ -366,18 +409,24 @@ def read_orbit_file(path):
             raise ValueError(f"{path}: malformed orbit file header")
         group_label = header[3][len("group=") :]
         count = int(header[4][len("count=") :])
-        reps = []
-        for i, line in enumerate(fh):
+        points, sizes = [], []
+        for i, line in enumerate(fh, start=2):
             toks = line.split()
             if not toks:
                 continue
-            if not toks[-1].startswith("size="):
-                raise ValueError(f"{path}: line {i + 2} missing size field")
-            size = int(toks[-1][len("size=") :])
-            rep = tuple(int(x) for x in toks[:-1])
-            if list(rep) != sorted(set(rep)):
-                raise ValueError(f"{path}: line {i + 2} is not a sorted subset")
-            reps.append(OrbitRep(rep, size, len(reps)))
-    if len(reps) != count:
-        raise ValueError(f"{path}: header count {count} != {len(reps)} reps")
-    return v, k, t, group_label, reps
+            if len(toks) != size + 1 or not toks[-1].startswith("size="):
+                raise ValueError(f"{path}: line {i} is not {size} points and a size field")
+            points.append([int(x) for x in toks[:-1]])
+            sizes.append(int(toks[-1][len("size=") :]))
+    if len(sizes) != count:
+        raise ValueError(f"{path}: header count {count} != {len(sizes)} reps")
+    reps = np.array(points, dtype=np.int64).reshape(count, size)
+    sizes = np.array(sizes, dtype=np.int64)
+    bad = (reps[:, 0] < 1) | (reps[:, -1] > v) | (np.diff(reps, axis=1) <= 0).any(axis=1)
+    bad = np.flatnonzero(bad | (sizes < 1))
+    if len(bad):
+        raise ValueError(
+            f"{path}: representative {bad[0] + 1} is not {size} ascending points "
+            f"of 1..{v} with an orbit size of at least 1"
+        )
+    return v, k, t, group_label, reps.astype(np.min_scalar_type(v)), sizes

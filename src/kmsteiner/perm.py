@@ -3,7 +3,7 @@
 Permutations are stored as immutable image tuples (0-based internally);
 all public interfaces speak 1-based points.  Groups carry a deterministic
 Schreier-Sims stabilizer chain used for order, membership and element
-enumeration.
+enumeration, and a table of all their elements as one array.
 """
 
 from __future__ import annotations
@@ -13,16 +13,16 @@ import threading
 from math import gcd
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 __all__ = [
     "Permutation",
     "PermutationGroup",
     "parse_permutation",
     "group_order",
-    "orbit_of_subset",
     "cyclic_group",
     "normalizer_of_cyclic",
     "verify_normalizes",
-    "as_subset",
     "read_group_file",
     "write_group_file",
 ]
@@ -194,16 +194,6 @@ def parse_permutation(text: str, v: int) -> Permutation:
     return Permutation.from_images(images)
 
 
-def as_subset(points: Iterable[int], v: int) -> PointSubset:
-    """Validate and normalize a point subset: sorted, distinct, within 1..v."""
-    pts = tuple(sorted(points))
-    if len(set(pts)) != len(pts):
-        raise ValueError(f"duplicate points in subset {pts}")
-    if pts and (pts[0] < 1 or pts[-1] > v):
-        raise ValueError(f"subset {pts} not within 1..{v}")
-    return pts
-
-
 # ---------------------------------------------------------------------------
 # stabilizer chain (deterministic Schreier-Sims)
 
@@ -331,8 +321,8 @@ class _Chain:
 class PermutationGroup:
     """Permutation group given by generators; immutable after construction.
 
-    The stabilizer chain is built lazily under a lock and cached, so
-    instances are safe to share across threads.
+    The stabilizer chain and the element table are built lazily under a
+    lock and cached, so instances are safe to share across threads.
     """
 
     def __init__(self, generators: Sequence[Permutation], degree: int | None = None):
@@ -347,6 +337,7 @@ class PermutationGroup:
         self.degree = degree
         self.generators = gens
         self._chain: _Chain | None = None
+        self._table: np.ndarray | None = None
         self._lock = threading.Lock()
 
     @classmethod
@@ -371,16 +362,23 @@ class PermutationGroup:
 
     def elements(self, cap: int = 10**6) -> list[Permutation]:
         """All elements (deterministic order).  Raises if the order exceeds cap."""
-        n = self.order()
-        if n > cap:
-            raise ValueError(f"group order {n} exceeds enumeration cap {cap}")
-        return [Permutation(t) for t in self._get_chain().elements()]
+        return [Permutation(g) for g in self.element_table(cap).tolist()]
 
-    def raw_elements(self, cap: int = 10**6) -> list[tuple]:
-        n = self.order()
+    def element_table(self, cap: int = 10**6) -> np.ndarray:
+        """All elements as one read-only int64 array: row e holds the 0-based
+        images of element e, in the chain's deterministic order.  Raises if
+        the order exceeds cap."""
+        chain = self._get_chain()
+        n = chain.order()
         if n > cap:
             raise ValueError(f"group order {n} exceeds enumeration cap {cap}")
-        return list(self._get_chain().elements())
+        if self._table is None:
+            with self._lock:
+                if self._table is None:
+                    table = np.array(list(chain.elements()), dtype=np.int64)
+                    table.flags.writeable = False
+                    self._table = table
+        return self._table
 
     def fingerprint(self) -> str:
         """Deterministic hex digest of (degree, generator images)."""
@@ -407,24 +405,6 @@ class PermutationGroup:
 def group_order(G: PermutationGroup) -> int:
     """Exact group order via the stabilizer chain."""
     return G.order()
-
-
-def orbit_of_subset(G: PermutationGroup, S: Iterable[int]) -> set:
-    """Orbit of a point subset under G: closure under generator application."""
-    start = as_subset(S, G.degree)
-    gens = [g.raw() for g in G.generators]
-    seen = {start}
-    queue = [start]
-    qi = 0
-    while qi < len(queue):
-        cur = queue[qi]
-        qi += 1
-        for g in gens:
-            img = tuple(sorted(g[p - 1] + 1 for p in cur))
-            if img not in seen:
-                seen.add(img)
-                queue.append(img)
-    return seen
 
 
 def cyclic_group(v: int) -> PermutationGroup:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .km import KMInstance
-from .orbitgen import GoodOrbitSet
+from .orbitgen import OrbitSet, _pack_keys
 from .perm import PermutationGroup, verify_normalizes
 from .xcc import Solution, XCCProblem
 
@@ -47,18 +47,6 @@ class NormalizerClasses:
         return len(self.reps)
 
 
-def _pack_keys(subsets0: np.ndarray, v: int) -> np.ndarray:
-    """Pack sorted 0-based subsets (m, k) into int64 keys preserving lex order."""
-    bits = max(1, (v - 1).bit_length())
-    k = subsets0.shape[1]
-    if bits * k > 62:
-        raise ValueError("subset too wide to pack")
-    keys = np.zeros(len(subsets0), dtype=np.int64)
-    for col in range(k):
-        keys = (keys << bits) | subsets0[:, col].astype(np.int64)
-    return keys
-
-
 def _canonical_keys(subsets0: np.ndarray, g_images: np.ndarray, v: int) -> np.ndarray:
     """Lex-minimal representative keys for each subset under all group elements."""
     best = None
@@ -69,50 +57,31 @@ def _canonical_keys(subsets0: np.ndarray, g_images: np.ndarray, v: int) -> np.nd
     return best
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        root = x
-        while p[root] != root:
-            root = p[root]
-        while p[x] != root:
-            p[x], x = root, p[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            if rb < ra:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
-
-
 def normalizer_classes(
-    N: PermutationGroup, k_orbits: GoodOrbitSet, G: PermutationGroup
+    N: PermutationGroup, k_orbits: OrbitSet, G: PermutationGroup
 ) -> NormalizerClasses:
     """Partition good k-orbits into N-classes.
 
     Applies each generator of N to each representative, re-canonicalizes
-    under G and merges via union-find.  An image orbit missing from the
-    good set means N does not normalize G (or the orbit set is stale) and
-    is a hard failure.
+    under G and joins each orbit with its image; a class is led by its
+    smallest orbit index.  An image orbit missing from the good set means
+    N does not normalize G (or the orbit set is stale) and is a hard
+    failure.
     """
     if not verify_normalizes(N, G):
         raise ValueError("N does not normalize G")
     if k_orbits.group_id != G.fingerprint():
         raise ValueError("k_orbits were generated under a different group")
     v = k_orbits.v
-    n = len(k_orbits.reps)
-    reps0 = np.array([r.rep for r in k_orbits.reps], dtype=np.int64) - 1
+    n = len(k_orbits)
+    reps0 = k_orbits.reps.astype(np.int64) - 1
     rep_keys = _pack_keys(reps0, v)  # ascending since reps are in lex order
-    g_images = np.array(G.raw_elements(), dtype=np.int64)
-    uf = _UnionFind(n)
+    g_images = G.element_table()
+    images = []  # per generator of N, the index of each orbit's image
     chunk = 65536
     for pi in N.generators:
         table = np.array(pi.raw(), dtype=np.int64)
+        images.append(np.empty(n, dtype=np.int64))
         for lo in range(0, n, chunk):
             part = reps0[lo : lo + chunk]
             imgs = np.sort(table[part], axis=1)
@@ -125,13 +94,20 @@ def normalizer_classes(
                     f"image of good orbit {bad} under a normalizer generator "
                     "is not a good orbit: N-closure violated"
                 )
-            for j, target in enumerate(idx):
-                uf.union(lo + j, int(target))
-    roots = np.array([uf.find(j) for j in range(n)], dtype=np.int64)
-    rep_list = sorted(set(int(r) for r in roots))
-    class_id = {r: c for c, r in enumerate(rep_list)}
-    class_of = np.array([class_id[int(r)] for r in roots], dtype=np.int64)
-    return NormalizerClasses(class_of=class_of, reps=rep_list)
+            images[-1][lo : lo + chunk] = idx
+    # spread the smallest index over every pair (j, image[j]) until no
+    # label changes; lead[j] <= j throughout, so lead[lead] jumps ahead
+    lead = np.arange(n)
+    while True:
+        prev = lead
+        for image in images:
+            lead = np.minimum(lead, lead[image])
+            np.minimum.at(lead, image, lead.copy())
+        lead = lead[lead]
+        if np.array_equal(lead, prev):
+            break
+    reps, class_of = np.unique(lead, return_inverse=True)
+    return NormalizerClasses(class_of=class_of, reps=reps.tolist())
 
 
 @dataclass

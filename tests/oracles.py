@@ -3,9 +3,10 @@
 Everything here deliberately avoids the library's own search machinery:
 orbits come from plain closure over generator products, exact covers from
 subset enumeration, automorphism groups from full permutation sweeps, and
-isomorphism from point-map backtracking.  The one exception is
-`orderly_reps_bitmask`, a former implementation of the orderly search kept
-as the reference for the search tree and its prunes.
+isomorphism from point-map backtracking.  Former implementations are kept
+as references for the array code that replaced them: `orderly_reps_bitmask`
+for the search tree of the orderly search and its prunes, `km_columns_dict`
+for the Kramer-Mesner matrix and `expand_by_closure` for design expansion.
 """
 
 from itertools import combinations, permutations
@@ -13,7 +14,27 @@ from math import comb
 
 import numpy as np
 
-from kmsteiner.perm import Permutation, orbit_of_subset
+from kmsteiner.designs import Design
+from kmsteiner.km import KMError
+from kmsteiner.perm import Permutation
+
+
+def orbit_of_subset(G, S):
+    """Orbit of a point subset under G: closure under generator application."""
+    start = tuple(sorted(S))
+    gens = [g.raw() for g in G.generators]
+    seen = {start}
+    queue = [start]
+    qi = 0
+    while qi < len(queue):
+        cur = queue[qi]
+        qi += 1
+        for g in gens:
+            img = tuple(sorted(g[p - 1] + 1 for p in cur))
+            if img not in seen:
+                seen.add(img)
+                queue.append(img)
+    return seen
 
 
 def subset_orbits(generators, v, size):
@@ -264,8 +285,8 @@ def is_good_orbit(G, K, t):
     if len(K) <= t:
         raise ValueError("need |K| > t")
     kset = frozenset(K)
-    for g in G.raw_elements(cap=10**6):
-        img = frozenset(g[p - 1] + 1 for p in K)
+    for g in G.elements():
+        img = frozenset(g.apply(p) for p in K)
         if img != kset and len(kset & img) >= t:
             return False
     return True
@@ -282,8 +303,59 @@ def km_block_count(v, k):
 def column_weight_ok(km, j):
     """Check sum_i a_ij * |T_i| = |K_j| * C(k, t) for one column."""
     ks = km.k_orbits
-    total = sum(km.t_orbits[i].orbit_size for i in km.column(j))
-    return total == ks.reps[j].orbit_size * comb(ks.k, ks.t)
+    total = sum(int(km.t_orbits.sizes[i]) for i in km.column(j))
+    return total == ks.sizes[j] * comb(ks.k, ks.t)
+
+
+def t_orbit_lookup(G, t_orbits):
+    """Map from every t-subset (sorted tuple) to the index of its t-orbit,
+    by closure of each representative; C(v, t) entries in all."""
+    lookup = {}
+    for i, rep in enumerate(t_orbits.reps.tolist()):
+        for T in orbit_of_subset(G, rep):
+            lookup[T] = i
+    return lookup
+
+
+def count_b(K, lookup, t):
+    """b_ji: how many t-subsets of K lie in each t-orbit; sums to C(|K|, t)."""
+    out = {}
+    for T in combinations(sorted(K), t):
+        i = lookup[T]
+        out[i] = out.get(i, 0) + 1
+    return out
+
+
+def km_columns_dict(G, t_orbits, k_orbits):
+    """The Kramer-Mesner columns (indptr, rows) column by column from the
+    dict counts b_ji and a_ij = b_ji |K_j| / |T_i|, raising KMError as
+    `km.build_km` does."""
+    lookup = t_orbit_lookup(G, t_orbits)
+    t_sizes = t_orbits.sizes.tolist()
+    indptr, rows = [0], []
+    for j, (rep, size) in enumerate(zip(k_orbits.reps.tolist(), k_orbits.sizes.tolist())):
+        for i, bji in sorted(count_b(rep, lookup, t_orbits.t).items()):
+            a, rem = divmod(bji * size, t_sizes[i])
+            if rem != 0:
+                raise KMError(
+                    f"non-integer entry at row {i}, column {j}: {bji}*{size}/{t_sizes[i]}"
+                )
+            if a > 1:
+                raise KMError(f"entry {a} > 1 at row {i}, column {j}: orbit not good")
+            if a == 1:
+                rows.append(i)
+        indptr.append(len(rows))
+    return indptr, rows
+
+
+def expand_by_closure(orbit_indices, k_orbits, G):
+    """`designs.expand` by the closure orbit of each chosen representative."""
+    blocks = []
+    for j in sorted(orbit_indices):
+        orbit = orbit_of_subset(G, k_orbits.reps[j].tolist())
+        assert len(orbit) == k_orbits.sizes[j]
+        blocks.extend(orbit)
+    return Design.make(k_orbits.v, blocks)
 
 
 def verify_steiner_dict(d, t, lam=1):
@@ -324,10 +396,9 @@ def orderly_reps_bitmask(G, v, size, t, good, overlap_prune=True, shard=None):
     candidate's whole image masks at every node: one (candidates x elements
     x words) uint64 block per node, with the prunes P1 and P2 and the shard
     split of `orbitgen`."""
-    elements = G.raw_elements(cap=10**6)
-    n_el = len(elements)
+    imgs = np.array([g.raw() for g in G.elements()], dtype=np.int64)
+    n_el = len(imgs)
     words = (v + 63) // 64
-    imgs = np.array(elements, dtype=np.int64)
     point_bit = np.zeros((v, words), dtype=np.uint64)
     for p in range(v):
         point_bit[p, p >> 6] = np.uint64(1) << np.uint64(p & 63)

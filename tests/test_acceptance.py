@@ -16,8 +16,7 @@ import numpy as np
 import pytest
 
 from kmsteiner.designs import canonical_form, classify, expand, verify_steiner
-from kmsteiner.km import build_km, count_b, t_orbit_lookup
-from kmsteiner.km import read_km_file, write_km_file
+from kmsteiner.km import build_km, read_km_file, write_km_file
 from kmsteiner.orbitgen import (
     good_k_orbit_reps,
     read_orbit_file,
@@ -38,7 +37,6 @@ from kmsteiner.perm import (
     cyclic_group,
     group_order,
     normalizer_of_cyclic,
-    orbit_of_subset,
     read_group_file,
     write_group_file,
 )
@@ -54,9 +52,12 @@ from kmsteiner.xcc import XCCProblem, export_text, import_text, solve_all
 from oracles import (
     aut_order_bruteforce,
     column_weight_ok,
+    count_b,
     cyclic_triple_systems,
     designs_isomorphic_bruteforce,
     exact_covers_bruteforce,
+    orbit_of_subset,
+    t_orbit_lookup,
     xcc_solutions_bruteforce,
 )
 
@@ -89,7 +90,7 @@ def test_criterion_1_fano_pipeline():
         assert len(cls) == 1
         assert cls[0].aut_order == 168
         # independent oracle: enumerate 7-triple subsets of the 35 triples
-        triples = [r.rep for r in ko.reps]
+        triples = ko.reps.tolist()
         covers = exact_covers_bruteforce(
             combinations(range(1, 8), 2),
             [list(combinations(tr, 2)) for tr in triples],
@@ -105,12 +106,13 @@ def test_criterion_2_cyclic_sts13():
         oracle_solutions, oracle_good, oracle_orbits = cyclic_triple_systems(13)
         G = cyclic_group(13)
         ko = good_k_orbit_reps(G, 13, 3, 2)
-        assert [r.rep for r in ko.reps] == oracle_good
+        reps = list(map(tuple, ko.reps.tolist()))
+        assert reps == oracle_good
         km = build_km(G, t_orbit_reps(G, 13, 2), ko)
         enc = encode(km, None, "a")
         sols, stats = solve_all(enc.problem)
         got = sorted(
-            tuple(sorted(ko.reps[j].rep for j in decode_solution(s, enc)))
+            tuple(sorted(reps[j] for j in decode_solution(s, enc)))
             for s in sols
         )
         assert got == [tuple(sorted(sol)) for sol in oracle_solutions]
@@ -118,8 +120,7 @@ def test_criterion_2_cyclic_sts13():
         cls = classify(designs)
         # oracle isomorphism classification by point-map backtracking
         oracle_designs = [
-            expand({next(i for i, r in enumerate(ko.reps) if r.rep == rep)
-                    for rep in sol}, ko, G)
+            expand({reps.index(rep) for rep in sol}, ko, G)
             for sol in oracle_solutions
         ]
         oracle_classes = []
@@ -206,19 +207,18 @@ def test_criterion_6_identity_suite(tmp_path):
             ko = good_k_orbit_reps(G, v, k, t)
             km = build_km(G, tro, ko)
             lookup = t_orbit_lookup(G, tro)
-            full = [sorted(orbit_of_subset(G, r.rep)) for r in ko.reps]
+            full = [sorted(orbit_of_subset(G, rep)) for rep in ko.reps.tolist()]
             order = group_order(G)
-            for r in tro + ko.reps:
-                assert order % r.orbit_size == 0
-            for j in range(len(ko.reps)):
+            assert (order % tro.sizes == 0).all() and (order % ko.sizes == 0).all()
+            for j in range(len(ko)):
                 assert column_weight_ok(km, j)
             while samples < 250 * (fixtures.index((G, v, k, t)) + 1):
                 i = rng.randrange(len(tro))
-                j = rng.randrange(len(ko.reps))
-                b = count_b(ko.reps[j].rep, lookup, t).get(i, 0)
-                T = set(tro[i].rep)
+                j = rng.randrange(len(ko))
+                b = count_b(ko.reps[j].tolist(), lookup, t).get(i, 0)
+                T = set(tro.reps[i].tolist())
                 a = sum(1 for K in full[j] if T <= set(K))
-                assert a * tro[i].orbit_size == b * ko.reps[j].orbit_size
+                assert a * tro.sizes[i] == b * ko.sizes[j]
                 samples += 1
         assert samples == 1000
 
@@ -231,8 +231,8 @@ def test_criterion_6_identity_suite(tmp_path):
         ]
         ko = good_k_orbit_reps(G, 13, 3, 2)
         opath = tmp_path / "o.txt"
-        write_orbit_file(opath, 13, 3, 2, ko.reps, "g.grp")
-        assert read_orbit_file(opath)[4][0].rep == ko.reps[0].rep
+        write_orbit_file(opath, 13, 3, 2, ko, "g.grp")
+        assert np.array_equal(read_orbit_file(opath, 3)[4], ko.reps)
         km = build_km(G, t_orbit_reps(G, 13, 2), ko)
         kpath = tmp_path / "km.txt"
         write_km_file(kpath, km)
@@ -283,7 +283,7 @@ def test_criterion_9_order84_published_g8_g14(label, fixtures_dir):
         N = read_group_file(os.path.join(fixtures_dir, "normalizers", name))
         assert group_order(N) == EXPECTED_NORMALIZER_ORDER[label]
         ko = good_k_orbit_reps(G, 91, 6, 2)
-        pairs = [(r.rep, r.orbit_size) for r in ko.reps]
+        pairs = list(zip(map(tuple, ko.reps.tolist()), ko.sizes.tolist()))
         assert len(pairs) == exp_orb
         assert hashlib.sha256(repr(pairs).encode()).hexdigest() == ORDER84_ORBIT_SHA256[label]
         classes = normalizer_classes(N, ko, G)
@@ -308,7 +308,7 @@ def test_criterion_8_cyclic_s26_91():
         tro = t_orbit_reps(G, 91, 2)
         assert len(tro) == 45
         ko = good_k_orbit_reps(G, 91, 6, 2)
-        assert len(ko.reps) == 1774964
+        assert len(ko) == 1774964
         km = build_km(G, tro, ko)
         assert km.shape == (45, 1774964)
         classes = normalizer_classes(N, ko, G)
@@ -347,7 +347,7 @@ def test_criterion_9_order84_classification():
         for label, (exp_orb, exp_ncal, _) in TABLE_GROUPS.items():
             r = records[label]
             ko = good_k_orbit_reps(r.group, 91, 6, 2)
-            assert len(ko.reps) == exp_orb, (label, len(ko.reps))
+            assert len(ko) == exp_orb, (label, len(ko))
             N = normalizer_in_s91(r)
             assert group_order(N) == EXPECTED_NORMALIZER_ORDER[label]
             classes = normalizer_classes(N, ko, r.group)

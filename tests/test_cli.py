@@ -251,6 +251,29 @@ def test_km_file_disagreeing_with_orbits_rejected(sts13_cfg, edit):
     assert not os.path.exists(cfg.out("xcc.txt"))
 
 
+@pytest.mark.parametrize(
+    "name,line",
+    [
+        ("korbits.txt", "1 2 size=13"),  # a 2-point rep among 3-point reps
+        ("korbits.txt", "0 1 2 size=13"),
+        ("korbits.txt", "1 2 14 size=13"),
+        ("korbits.txt", "1 2 4 size=0"),
+        ("korbits.txt", "1 2 99999999999999999999 size=13"),
+        ("torbits.txt", "1 2 3 size=13"),
+    ],
+)
+def test_tampered_orbit_file_rejected(sts13_cfg, name, line):
+    cfg = JobConfig.load(sts13_cfg)
+    cmd_orbits(cfg)
+    with open(cfg.out(name)) as fh:
+        lines = fh.read().splitlines()
+    lines[1] = line
+    with open(cfg.out(name), "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    assert main(["km", "--config", sts13_cfg]) == EXIT_VALIDATION
+    assert not os.path.exists(cfg.out("km.txt"))
+
+
 def test_solution_limit_flag(tmp_path, fixtures_dir):
     cfgp = write_config(
         tmp_path / "lim.cfg",

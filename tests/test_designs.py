@@ -2,6 +2,7 @@ import itertools
 import os
 import random
 
+import numpy as np
 import pytest
 
 from kmsteiner.designs import (
@@ -15,10 +16,13 @@ from kmsteiner.designs import (
     write_design_file,
     write_gap_designs,
 )
-from kmsteiner.orbitgen import good_k_orbit_reps
-from kmsteiner.perm import PermutationGroup, cyclic_group, orbit_of_subset
+from kmsteiner.km import build_km
+from kmsteiner.orbitgen import OrbitSet, good_k_orbit_reps, t_orbit_reps
+from kmsteiner.perm import PermutationGroup, cyclic_group, normalizer_of_cyclic
+from kmsteiner.symbreak import decode_solution, encode, normalizer_classes
+from kmsteiner.xcc import solve
 
-from oracles import aut_order_bruteforce, verify_steiner_dict
+from oracles import aut_order_bruteforce, expand_by_closure, orbit_of_subset, verify_steiner_dict
 
 RNG = random.Random(2024)
 
@@ -40,7 +44,7 @@ def random_relabel(d, rng):
 def test_expand_fano_orbit():
     G = cyclic_group(7)
     ko = good_k_orbit_reps(G, 7, 3, 2)
-    j = next(i for i, r in enumerate(ko.reps) if r.rep == (1, 2, 4))
+    j = ko.reps.tolist().index([1, 2, 4])
     d = expand({j}, ko, G)
     assert d.b == 7 and verify_steiner(d, 2).ok
 
@@ -48,24 +52,45 @@ def test_expand_fano_orbit():
 def test_expand_trivial_group():
     G = PermutationGroup.trivial(7)
     ko = good_k_orbit_reps(G, 7, 3, 2)
-    chosen = {i for i, r in enumerate(ko.reps) if r.rep in fano().blocks}
+    chosen = {i for i, rep in enumerate(ko.reps.tolist()) if tuple(rep) in fano().blocks}
     d = expand(chosen, ko, G)
     assert d.blocks == fano().blocks
 
 
 def test_expand_duplicate_blocks_rejected():
     G = PermutationGroup.trivial(4)
-    from kmsteiner.orbitgen import GoodOrbitSet, OrbitRep
-
-    ko = GoodOrbitSet(
-        v=4,
-        k=3,
-        t=2,
-        reps=[OrbitRep((1, 2, 3), 1, 0), OrbitRep((1, 2, 3), 1, 1)],
-        group_id=G.fingerprint(),
-    )
-    with pytest.raises(ValueError):
+    ko = OrbitSet(v=4, t=2, reps=[(1, 2, 3), (1, 2, 3)], sizes=[1, 1], group_id=G.fingerprint())
+    with pytest.raises(ValueError, match="duplicate blocks across chosen orbits"):
         expand({0, 1}, ko, G)
+    # an orbit of 7 blocks recorded with size 3
+    G = cyclic_group(7)
+    ko = OrbitSet(v=7, t=2, reps=[(1, 2, 4)], sizes=[3], group_id=G.fingerprint())
+    with pytest.raises(AssertionError, match="orbit size mismatch"):
+        expand({0}, ko, G)
+
+
+@pytest.mark.parametrize("v,k,kind,node_cap", [(19, 3, "a", None), (73, 4, "c", 20_000)])
+def test_expand_matches_closure_oracle(v, k, kind, node_cap):
+    G = cyclic_group(v)
+    ko = good_k_orbit_reps(G, v, k, 2)
+    km = build_km(G, t_orbit_reps(G, v, 2), ko)
+    classes = normalizer_classes(normalizer_of_cyclic(v), ko, G) if kind != "a" else None
+    enc = encode(km, classes, kind)
+    sols = []
+    solve(enc.problem, on_solution=sols.append, node_cap=node_cap)
+    assert sols
+    for s in sols:
+        chosen = decode_solution(s, enc)
+        d = expand(chosen, ko, G)
+        assert d == expand_by_closure(chosen, ko, G) and verify_steiner(d, 2).ok
+
+
+def test_expand_past_256_points_matches_closure_oracle():
+    G = cyclic_group(257)
+    ko = good_k_orbit_reps(G, 257, 3, 2)
+    assert ko.reps.dtype == np.uint16
+    chosen = set(RNG.sample(range(len(ko)), 40)) | {len(ko) - 1}
+    assert expand(chosen, ko, G) == expand_by_closure(chosen, ko, G)
 
 
 def test_verify_steiner_pass_and_fail():

@@ -2,9 +2,11 @@ import os
 import random
 from math import comb
 
+import numpy as np
 import pytest
 
 from kmsteiner.orbitgen import (
+    OrbitSet,
     _orderly_reps,
     good_k_orbit_reps,
     read_orbit_file,
@@ -22,28 +24,35 @@ from oracles import (
 )
 
 
+def _pairs(reps, sizes):
+    """(rep tuple, orbit size) per row of the orbit arrays."""
+    return list(zip(map(tuple, reps.tolist()), sizes.tolist()))
+
+
 def test_t_orbit_reps_cyclic91():
     reps = t_orbit_reps(cyclic_group(91), 91, 2)
     assert len(reps) == 45
-    assert sum(r.orbit_size for r in reps) == comb(91, 2)
+    assert reps.sizes.sum() == comb(91, 2)
 
 
 def test_t_orbit_reps_trivial():
     reps = t_orbit_reps(PermutationGroup.trivial(7), 7, 2)
     assert len(reps) == 21
-    assert all(r.orbit_size == 1 for r in reps)
+    assert (reps.sizes == 1).all()
 
 
 def test_t_orbit_reps_cyclic7():
     reps = t_orbit_reps(cyclic_group(7), 7, 2)
     assert len(reps) == 3
-    assert all(r.orbit_size == 7 for r in reps)
+    assert (reps.sizes == 7).all()
 
 
 def test_indices_contiguous_lex():
     reps = t_orbit_reps(cyclic_group(13), 13, 3)
-    assert [r.index for r in reps] == list(range(len(reps)))
-    assert [r.rep for r in reps] == sorted(r.rep for r in reps)
+    assert reps.reps.shape == (len(reps), 3) and reps.reps.dtype == np.uint8
+    assert not reps.reps.flags.writeable and not reps.sizes.flags.writeable
+    rows = reps.reps.tolist()
+    assert rows == sorted(rows) and len(set(map(tuple, rows))) == len(rows)
 
 
 def test_is_good_orbit_examples():
@@ -82,7 +91,7 @@ def test_good_orbits_match_bruteforce(gens, v, k, t):
     G = PermutationGroup(perms, v)
     got = good_k_orbit_reps(G, v, k, t)
     expected = good_orbits_bruteforce(G.generators, v, k, t)
-    assert [(r.rep, r.orbit_size) for r in got.reps] == expected
+    assert _pairs(got.reps, got.sizes) == expected
 
 
 @pytest.mark.parametrize(
@@ -96,7 +105,8 @@ def test_good_orbits_match_bruteforce(gens, v, k, t):
 def test_good_orbits_two_words_match_bruteforce(gens, count):
     # v = 67 needs two 64-bit words per mask
     G = PermutationGroup([parse_permutation(s, 67) for s in gens], 67)
-    got = [(r.rep, r.orbit_size) for r in good_k_orbit_reps(G, 67, 3, 2).reps]
+    s = good_k_orbit_reps(G, 67, 3, 2)
+    got = _pairs(s.reps, s.sizes)
     assert len(got) == count
     assert got == good_orbits_bruteforce(G.generators, 67, 3, 2)
 
@@ -157,10 +167,12 @@ def _check_against_oracle(kind, v, size, t, good, overlap_prune):
     seed = v * 100 + size * 10 + t
     G = _seeded_group(kind, v, seed)
     whole = orderly_reps_bitmask(G, v, size, t, good, overlap_prune)
-    assert _orderly_reps(G, v, size, t, good, overlap_prune) == whole
+    reps, sizes = _orderly_reps(G, v, size, t, good, overlap_prune)
+    assert reps.dtype == np.min_scalar_type(v) and sizes.dtype == np.int64
+    assert _pairs(reps, sizes) == whole
     parts = []
     for i in range(3):
-        parts += _orderly_reps(G, v, size, t, good, overlap_prune, shard=(i, 3))
+        parts += _pairs(*_orderly_reps(G, v, size, t, good, overlap_prune, shard=(i, 3)))
     assert sorted(parts) == whole
 
 
@@ -169,36 +181,32 @@ def test_overlap_prune_is_sound():
         G = cyclic_group(v)
         with_prune = good_k_orbit_reps(G, v, k, 2)
         without = good_k_orbit_reps(G, v, k, 2, overlap_prune=False)
-        assert [(r.rep, r.orbit_size) for r in with_prune.reps] == [
-            (r.rep, r.orbit_size) for r in without.reps
-        ]
+        assert _pairs(with_prune.reps, with_prune.sizes) == _pairs(without.reps, without.sizes)
 
 
 def test_rerun_identical():
     G = cyclic_group(19)
     a = good_k_orbit_reps(G, 19, 3, 2)
     b = good_k_orbit_reps(G, 19, 3, 2)
-    assert [(r.rep, r.orbit_size) for r in a.reps] == [
-        (r.rep, r.orbit_size) for r in b.reps
-    ]
+    assert _pairs(a.reps, a.sizes) == _pairs(b.reps, b.sizes)
     assert a.group_id == b.group_id
 
 
 def test_sharding_partitions_the_tree():
     G = cyclic_group(19)
-    whole = [(r.rep, r.orbit_size) for r in good_k_orbit_reps(G, 19, 3, 2).reps]
+    s = good_k_orbit_reps(G, 19, 3, 2)
+    whole = _pairs(s.reps, s.sizes)
     parts = []
     for i in range(4):
         s = good_k_orbit_reps(G, 19, 3, 2, shard=(i, 4))
-        parts.extend((r.rep, r.orbit_size) for r in s.reps)
+        parts.extend(_pairs(s.reps, s.sizes))
     assert sorted(parts) == whole
 
 
 def test_orbit_sizes_divide_group_order():
     G = cyclic_group(15)
     s = good_k_orbit_reps(G, 15, 3, 2)
-    for r in s.reps:
-        assert 15 % r.orbit_size == 0
+    assert (15 % s.sizes == 0).all()
 
 
 def test_subset_orbit_count_burnside():
@@ -213,15 +221,14 @@ def test_orbit_file_round_trip(tmp_path):
     G = cyclic_group(13)
     s = good_k_orbit_reps(G, 13, 3, 2)
     path = os.path.join(tmp_path, "orbits.txt")
-    write_orbit_file(path, 13, 3, 2, s.reps, "C13.grp")
-    v, k, t, label, reps = read_orbit_file(path)
+    write_orbit_file(path, 13, 3, 2, s, "C13.grp")
+    v, k, t, label, reps, sizes = read_orbit_file(path, 3)
     assert (v, k, t, label) == (13, 3, 2, "C13.grp")
-    assert [(r.rep, r.orbit_size) for r in reps] == [
-        (r.rep, r.orbit_size) for r in s.reps
-    ]
+    assert reps.dtype == s.reps.dtype and np.array_equal(reps, s.reps)
+    assert sizes.dtype == s.sizes.dtype and np.array_equal(sizes, s.sizes)
     # byte-identical on re-write
     path2 = os.path.join(tmp_path, "orbits2.txt")
-    write_orbit_file(path2, v, k, t, reps, label)
+    write_orbit_file(path2, v, k, t, OrbitSet(v, t, reps, sizes, s.group_id), label)
     assert open(path).read() == open(path2).read()
 
 
@@ -230,7 +237,20 @@ def test_orbit_file_count_mismatch(tmp_path):
     with open(path, "w") as fh:
         fh.write("7 3 2 group=x count=2\n1 2 4 size=7\n")
     with pytest.raises(ValueError):
-        read_orbit_file(path)
+        read_orbit_file(path, 3)
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["1 2 size=7", "1 2 4 5 size=7", "0 2 4 size=7", "1 2 8 size=7", "1 4 2 size=7",
+     "1 2 2 size=7", "1 2 4 size=0", "1 2 4 7", "1 2 x size=7", "1 2 99999999999999999999 size=7"],
+)
+def test_orbit_file_bad_rep_rejected(tmp_path, line):
+    path = os.path.join(tmp_path, "bad.txt")
+    with open(path, "w") as fh:
+        fh.write(f"7 3 2 group=x count=2\n1 2 4 size=7\n{line}\n")
+    with pytest.raises((ValueError, OverflowError)):
+        read_orbit_file(path, 3)
 
 
 def test_parameter_validation():

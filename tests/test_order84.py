@@ -19,10 +19,11 @@ from kmsteiner.order84 import (
 )
 from kmsteiner.perm import (
     group_order,
-    orbit_of_subset,
     read_group_file,
     verify_normalizes,
 )
+
+from oracles import orbit_of_subset
 
 
 def test_order12_models():

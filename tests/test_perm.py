@@ -1,6 +1,7 @@
 import os
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,14 +12,13 @@ from kmsteiner.perm import (
     cyclic_group,
     group_order,
     normalizer_of_cyclic,
-    orbit_of_subset,
     parse_permutation,
     read_group_file,
     verify_normalizes,
     write_group_file,
 )
 
-from oracles import closure_elements, lex_min_rep
+from oracles import closure_elements, lex_min_rep, orbit_of_subset
 
 
 def test_parse_cycles():
@@ -131,7 +131,7 @@ def test_lex_min_rep_constant_on_orbit():
 
 def test_orbit_stabilizer_identity():
     for G in (cyclic_group(10), normalizer_of_cyclic(11), cyclic_group(7)):
-        els = G.raw_elements()
+        els = G.element_table().tolist()
         for S in [(1, 2), (1, 3, 4), (2,)]:
             orbit = orbit_of_subset(G, S)
             S0 = tuple(sorted(S))
@@ -139,6 +139,17 @@ def test_orbit_stabilizer_identity():
                 1 for g in els if tuple(sorted(g[p - 1] + 1 for p in S0)) == S0
             )
             assert len(orbit) * stab == group_order(G)
+
+
+def test_element_table():
+    G = normalizer_of_cyclic(13)
+    table = G.element_table()
+    assert table.dtype == np.int64 and table.shape == (156, 13)
+    assert not table.flags.writeable
+    assert G.element_table() is table
+    assert [tuple(row) for row in table.tolist()] == [g.raw() for g in G.elements()]
+    with pytest.raises(ValueError, match="exceeds enumeration cap"):
+        G.element_table(cap=100)
 
 
 def test_orbit_sizes_divide_group_order():

@@ -50,12 +50,13 @@ def test_classes_match_bruteforce_partition():
     cls = normalizer_classes(N, ko, G)
     from oracles import lex_min_rep
 
-    rep_index = {r.rep: r.index for r in ko.reps}
-    n = len(ko.reps)
+    reps = list(map(tuple, ko.reps.tolist()))
+    rep_index = {rep: j for j, rep in enumerate(reps)}
+    n = len(reps)
     adj = [set() for _ in range(n)]
     for pi in N.elements():
-        for j, r in enumerate(ko.reps):
-            img = lex_min_rep(G, pi.apply_subset(r.rep))
+        for j, rep in enumerate(reps):
+            img = lex_min_rep(G, pi.apply_subset(rep))
             adj[j].add(rep_index[img])
     # transitive closure by BFS gives the brute-force classes
     seen = [False] * n
