@@ -39,8 +39,8 @@ def main():
           f"|Aut| = {classes[0].aut_order}; "
           f"multiplicity = {classes[0].multiplicity}")
     print("canonical block list:")
-    for blk in classes[0].representative.blocks:
-        print("  ", blk)
+    for blk in classes[0].representative.blocks.tolist():
+        print("  ", tuple(blk))
 
 
 if __name__ == "__main__":

@@ -9,7 +9,9 @@ and the isomorphism classification with automorphism group orders.
 
 This is the multi-hour run; see the other demos for desk-scale tours of
 the same machinery.  Progress goes to stdout; pass --stage to run only a
-part (cyclic | tables | bench | classify84).
+part: cyclic (C91 with encodings b and a, classified), tables (orbits,
+normalizers and classes of the order-84 groups) or bench (the order-84
+benchmark groups under encodings c, b and a, with the designs classified).
 """
 
 import argparse

@@ -529,7 +529,7 @@ def main(argv=None) -> int:
     except designs_mod.BudgetExceeded as exc:
         log.error("%s", exc)
         return EXIT_RESOURCE
-    except (ValidationError, ValueError, OverflowError, OSError) as exc:
+    except (ValidationError, ValueError, OverflowError, OSError, km_mod.KMError) as exc:
         log.error("%s", exc)
         return EXIT_VALIDATION
 

@@ -1,6 +1,10 @@
 """Block designs: expansion, Steiner verification, canonical forms and
 isomorphism classification.
 
+A ``Design`` holds its blocks as one read-only (b, k) array in lex order,
+and every function here reads that array; subsets of points are keyed by
+their lex ranks (``orbitgen._pack_keys``).
+
 Isomorphism means relabeling of points; block order is irrelevant.  The
 canonical form is computed by individualization-refinement on the
 bipartite point/block incidence graph, with the two sides as initial
@@ -8,19 +12,21 @@ colors.  The certificate is the canonically relabeled block list (each
 block sorted, blocks sorted, fixed-width integers), taken minimal over
 the leaves of the search tree.  Automorphisms are detected as leaves with
 a certificate equal to the first leaf's and are used to prune candidate
-choices; the discovered group is returned via its order.
+choices; the discovered group is returned via its order.  Canonization
+refuses v >= 2^16 (certificate labels are 16-bit) and k with
+C(v, k) >= 2^63, which has no 63-bit lex rank.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import combinations
 from math import comb
 
 import numpy as np
 
 from .orbitgen import OrbitSet, _pack_keys
-from .perm import PermutationGroup, Permutation
+from .perm import Permutation, PermutationGroup, StabilizerChain
 
 __all__ = [
     "Design",
@@ -42,24 +48,48 @@ class BudgetExceeded(RuntimeError):
     """Refinement search exceeded its node budget; no answer produced."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Design:
-    v: int
-    blocks: tuple
+    """A set of blocks on the points {1..v}.
 
-    @staticmethod
-    def make(v: int, blocks) -> "Design":
-        blks = tuple(sorted(tuple(sorted(b)) for b in blocks))
-        if len(set(blks)) != len(blks):
-            raise ValueError("duplicate blocks")
-        for b in blks:
-            if len(set(b)) != len(b) or (b and (b[0] < 1 or b[-1] > v)):
-                raise ValueError(f"bad block {b}")
-        return Design(v=v, blocks=blks)
+    ``blocks`` is a read-only (b, k) array in dtype ``np.min_scalar_type(v)``,
+    each row ascending and the rows in lex order.  The constructor takes
+    any sequence of blocks or a (b, k) array and raises ValueError when a
+    point lies outside 1..v, a point repeats within a block, blocks differ
+    in size or a block repeats.  Designs compare by identity; compare
+    ``v`` and ``blocks`` to test equality.
+    """
+
+    v: int
+    blocks: np.ndarray  # (b, k)
+
+    def __post_init__(self):
+        message = "blocks must be equal-size sequences of integer points"
+        try:
+            rows = np.array(self.blocks, dtype=np.int64)
+        except ValueError:
+            raise ValueError(message) from None
+        if rows.ndim != 2:
+            if rows.size:
+                raise ValueError(message)
+            rows = rows.reshape(0, 0)
+        rows.sort(axis=1)
+        if rows.shape[1]:
+            rows = rows[np.lexsort(rows.T[::-1])]
+        for bad, what in (
+            (((rows < 1) | (rows > self.v)).any(axis=1), f"has a point outside 1..{self.v}"),
+            ((rows[:, 1:] == rows[:, :-1]).any(axis=1), "repeats a point"),
+            (np.r_[False, (rows[1:] == rows[:-1]).all(axis=1)], "repeats"),
+        ):
+            if bad.any():
+                raise ValueError(f"block {tuple(rows[bad.argmax()].tolist())} {what}")
+        rows = rows.astype(np.min_scalar_type(self.v))
+        rows.flags.writeable = False
+        object.__setattr__(self, "blocks", rows)
 
     @property
     def k(self) -> int:
-        return len(self.blocks[0]) if self.blocks else 0
+        return self.blocks.shape[1]
 
     @property
     def b(self) -> int:
@@ -71,9 +101,12 @@ def expand(orbit_indices, k_orbits: OrbitSet, G: PermutationGroup) -> Design:
 
     The orbit of a representative K is its images under every element of
     G, each image Stab(K)-fold, so |G| / #{g : K^g = K} must equal the
-    recorded orbit size.
+    recorded orbit size.  An orbit index outside 0..len(k_orbits)-1 is a
+    ValueError.
     """
     idx = np.array(sorted(orbit_indices), dtype=np.intp)
+    if len(idx) and not 0 <= idx[0] <= idx[-1] < len(k_orbits):
+        raise ValueError(f"orbit index outside 0..{len(k_orbits) - 1} in {idx.tolist()}")
     reps0 = k_orbits.reps[idx].astype(np.int64) - 1
     els = G.element_table()
     images = np.sort(els[:, reps0], axis=2)  # (|G|, chosen, k)
@@ -84,8 +117,7 @@ def expand(orbit_indices, k_orbits: OrbitSet, G: PermutationGroup) -> Design:
     _, first = np.unique(_pack_keys(images, k_orbits.v), return_index=True)
     if len(first) != k_orbits.sizes[idx].sum():
         raise ValueError("duplicate blocks across chosen orbits")
-    blocks = images.reshape(-1, k_orbits.k)[first] + 1
-    return Design(v=k_orbits.v, blocks=tuple(map(tuple, blocks.tolist())))
+    return Design(k_orbits.v, images.reshape(-1, k_orbits.k)[first] + 1)
 
 
 @dataclass
@@ -94,43 +126,25 @@ class SteinerReport:
     violations: list  # up to 10 (t_subset, count) entries; count 0 = uncovered
 
 
-def _t_subsets(blocks, t: int) -> np.ndarray:
-    """Rows of the t-subsets of every block, each row ascending."""
-    sizes = set(map(len, blocks))
-    parts = [np.empty((0, t), dtype=np.int64)]
-    for k in sizes:
-        blks = blocks if len(sizes) == 1 else [b for b in blocks if len(b) == k]
-        pick = list(combinations(range(k), t))
-        pick = np.array(pick, dtype=np.intp).reshape(len(pick), t)
-        flat = np.fromiter(chain.from_iterable(blks), dtype=np.int64, count=len(blks) * k)
-        rows = np.sort(flat.reshape(len(blks), k), axis=1)
-        parts.append(rows[:, pick].reshape(len(blks) * len(pick), t))
-    return np.concatenate(parts)
-
-
 def verify_steiner(d: Design, t: int, lam: int = 1) -> SteinerReport:
     """Check that every t-subset of {1..v} is covered exactly lam times.
 
-    The report lists the subsets covered a wrong number of times in sorted
-    order, then the uncovered ones in lexicographic order, at most 10 in all.
+    The t-subsets of the blocks are keyed by their lex ranks
+    (``orbitgen._pack_keys``), which refuses t with C(v, t) >= 2^63
+    (ValueError).  The report lists the subsets covered a wrong number of
+    times in lex order, then the uncovered ones in lex order, at most 10
+    in all.
     """
-    rows = _t_subsets(d.blocks, t)
-    # points outside 1..v (a design built without Design.make) widen the digits
-    lo = min(int(rows.min(initial=1)), 1)
-    base = max(int(rows.max(initial=d.v)), d.v) - lo + 1
-    if base**t < 1 << 63:
-        # base-`base` digits keep the lexicographic order of the rows
-        keys = (rows - lo) @ (base ** np.arange(t - 1, -1, -1, dtype=np.int64))
-        _, first, counts = np.unique(keys, return_index=True, return_counts=True)
-        subsets = rows[first]
-    else:
-        subsets, counts = np.unique(rows, axis=0, return_counts=True)
+    pick = np.array(list(combinations(range(d.k), t)), dtype=np.intp).reshape(comb(d.k, t), t)
+    rows = (d.blocks[:, pick] - 1).reshape(d.b * len(pick), t)
+    uniq, first, counts = np.unique(_pack_keys(rows, d.v), return_index=True, return_counts=True)
     wrong = np.flatnonzero(counts != lam)[:10]
-    violations = list(zip(map(tuple, subsets[wrong].tolist()), counts[wrong].tolist()))
-    if len(violations) < 10 and len(counts) != comb(d.v, t):
-        present = set(map(tuple, subsets.tolist()))
-        for T in combinations(range(1, d.v + 1), t):
-            if T not in present:
+    violations = list(zip(map(tuple, (rows[first[wrong]] + 1).tolist()), counts[wrong].tolist()))
+    if len(violations) < 10 and len(uniq) != comb(d.v, t):
+        present = set(uniq.tolist())
+        # combinations() yields the t-subsets in lex order, so its index is the key
+        for key, T in enumerate(combinations(range(1, d.v + 1), t)):
+            if key not in present:
                 violations.append((T, 0))
                 if len(violations) >= 10:
                     break
@@ -228,15 +242,15 @@ class _Partition:
 
 class _Canonizer:
     def __init__(self, design: Design, node_budget: int, known_autos):
+        if design.v >= 1 << 16:
+            raise ValueError("certificates hold points as 16-bit labels: v too large")
         self.v = design.v
-        self.b = len(design.blocks)
+        self.b = design.b
         self.n = self.v + self.b
-        self.k = design.k
-        blocks0 = [tuple(p - 1 for p in blk) for blk in design.blocks]
-        self.block_index = {blk: i for i, blk in enumerate(blocks0)}
-        self.blocks0 = blocks0
+        self.blocks0 = design.blocks.astype(np.intp) - 1
+        self.keys = _pack_keys(self.blocks0, self.v)  # ascending: the rows are in lex order
         adj: list = [[] for _ in range(self.n)]
-        for bi, blk in enumerate(blocks0):
+        for bi, blk in enumerate(self.blocks0.tolist()):
             bv = self.v + bi
             for p in blk:
                 adj[p].append(bv)
@@ -246,11 +260,13 @@ class _Canonizer:
         self.nodes = 0
         self.aut_gens: list = []  # full vertex permutations (tuples)
         self._aut_epoch = 0
-        from .perm import _Chain
-
-        self._chain = _Chain([], self.v)
+        self._chain = StabilizerChain([], self.v)
         for g in known_autos:
-            vp = self._extend_point_perm(g)
+            if g.degree != self.v:
+                raise ValueError("seed automorphism has wrong degree")
+            vp = self._extend_point_perm(np.array(g.raw()))
+            if vp is None:
+                raise ValueError("permutation is not an automorphism of the design")
             self._add_aut(vp)
         self.first_cert = None
         self.first_pt_label = None
@@ -258,28 +274,19 @@ class _Canonizer:
 
     # -- automorphism bookkeeping ---------------------------------------
 
-    def _extend_point_perm(self, g: Permutation) -> tuple:
-        if g.degree != self.v:
-            raise ValueError("seed automorphism has wrong degree")
-        raw = g.raw()
-        out = list(raw) + [0] * self.b
-        for bi, blk in enumerate(self.blocks0):
-            img = tuple(sorted(raw[p] for p in blk))
-            tgt = self.block_index.get(img)
-            if tgt is None:
-                raise ValueError("permutation is not an automorphism of the design")
-            out[self.v + bi] = self.v + tgt
-        return tuple(out)
+    def _extend_point_perm(self, pt_perm: np.ndarray):
+        """The vertex permutation of a 0-based point permutation, or None
+        if it does not map the block set onto itself."""
+        img = _pack_keys(np.sort(pt_perm[self.blocks0], axis=1), self.v)
+        tgt = np.minimum(np.searchsorted(self.keys, img), self.b - 1)
+        if (self.keys[tgt] != img).any():
+            return None
+        return tuple(pt_perm.tolist() + (self.v + tgt).tolist())
 
-    def _add_aut(self, vertex_perm: tuple) -> bool:
-        pt = vertex_perm[: self.v]
-        before = self._chain.order()
-        self._chain._add(tuple(pt))
-        if self._chain.order() != before:
+    def _add_aut(self, vertex_perm: tuple) -> None:
+        if self._chain.add(vertex_perm[: self.v]):
             self.aut_gens.append(vertex_perm)
             self._aut_epoch += 1
-            return True
-        return False
 
     def aut_order(self) -> int:
         return self._chain.order()
@@ -348,17 +355,11 @@ class _Canonizer:
 
     def _leaf_cert(self, part: _Partition):
         """Certificate bytes and the point labeling of a discrete partition."""
-        pt_label = [0] * self.v  # point -> canonical label (0-based)
-        rank = 0
-        for u in part.lab:
-            if u < self.v:
-                pt_label[u] = rank
-                rank += 1
-        rows = []
-        for blk in self.blocks0:
-            rows.append(tuple(sorted(pt_label[p] for p in blk)))
-        rows.sort()
-        cert = np.array(rows, dtype=">u2").tobytes()
+        lab = np.array(part.lab)
+        pt_label = np.empty(self.v, dtype=np.intp)  # point -> canonical label (0-based)
+        pt_label[lab[lab < self.v]] = np.arange(self.v)
+        rows = np.sort(pt_label[self.blocks0], axis=1)
+        cert = rows[np.argsort(_pack_keys(rows, self.v))].astype(">u2").tobytes()
         return cert, pt_label
 
     def _leaf(self, part: _Partition) -> None:
@@ -371,18 +372,12 @@ class _Canonizer:
             return
         if cert == self.first_cert:
             # label-preserving map: p -> q with first_label[q] == leaf_label[p]
-            inv_first = [0] * self.v
-            for q, lbl in enumerate(self.first_pt_label):
-                inv_first[lbl] = q
-            pt_perm = tuple(inv_first[pt_label[p]] for p in range(self.v))
-            # replay check: must fix the block set
-            ok = all(
-                tuple(sorted(pt_perm[p] for p in blk)) in self.block_index
-                for blk in self.blocks0
-            )
-            if not ok:
+            inv_first = np.empty(self.v, dtype=np.intp)
+            inv_first[self.first_pt_label] = np.arange(self.v)
+            vp = self._extend_point_perm(inv_first[pt_label])
+            if vp is None:  # replay check: must fix the block set
                 raise AssertionError("leaf map does not preserve the block set")
-            self._add_aut(self._extend_point_perm(Permutation(pt_perm)))
+            self._add_aut(vp)
 
     # -- search ----------------------------------------------------------
 
@@ -456,7 +451,7 @@ def canonical_form(
     not change the certificate.  Raises BudgetExceeded when the node cap
     is hit; never returns a wrong answer.
     """
-    if not d.blocks:
+    if not d.b:
         return CanonicalForm(b"", 1)
     cz = _Canonizer(d, node_budget, known_autos)
     part = cz.initial_partition()
@@ -473,14 +468,12 @@ class IsoClass:
 
 
 def _design_from_cert(cert: bytes, v: int, k: int) -> Design:
-    arr = np.frombuffer(cert, dtype=">u2")
-    rows = arr.reshape(-1, k) + 1
-    return Design.make(v, [tuple(int(x) for x in row) for row in rows])
+    return Design(v, np.frombuffer(cert, dtype=">u2").reshape(-1, k) + 1)
 
 
 def _canonical_form_job(args):
     v, blocks, budget, auto_images = args
-    d = Design(v=v, blocks=blocks)
+    d = Design(v, blocks)
     autos = [Permutation(img) for img in auto_images]
     cf = canonical_form(d, node_budget=budget, known_autos=autos)
     return cf.certificate, cf.aut_order
@@ -544,8 +537,8 @@ def classify(designs, node_budget: int = 10**7, known_autos=(), jobs: int = 1) -
 def write_design_file(path, d: Design) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"v={d.v} b={d.b} k={d.k}\n")
-        for blk in d.blocks:
-            fh.write(" ".join(str(p) for p in blk) + "\n")
+        for blk in d.blocks.tolist():
+            fh.write(" ".join(map(str, blk)) + "\n")
 
 
 def read_design_file(path) -> Design:
@@ -567,7 +560,7 @@ def read_design_file(path) -> Design:
             blocks.append(blk)
     if len(blocks) != b:
         raise ValueError(f"{path}: expected {b} blocks, found {len(blocks)}")
-    return Design.make(v, blocks)
+    return Design(v, np.reshape(blocks, (b, k)))
 
 
 def write_gap_designs(path, designs) -> None:
@@ -575,7 +568,7 @@ def write_gap_designs(path, designs) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("[\n")
         for i, d in enumerate(designs):
-            rows = ",".join("[" + ",".join(str(p) for p in blk) + "]" for blk in d.blocks)
+            rows = ",".join("[" + ",".join(map(str, blk)) + "]" for blk in d.blocks.tolist())
             sep = "," if i + 1 < len(designs) else ""
             fh.write(f"[{rows}]{sep}\n")
         fh.write("]\n")

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as iproduct
 
-from .perm import Permutation, PermutationGroup
+from .perm import Permutation, PermutationGroup, StabilizerChain
 
 __all__ = [
     "SmallGroup",
@@ -423,16 +423,8 @@ def order12_subgroup_classes(G: SmallGroup) -> int:
 
 def _reduce_generators(perms: list, degree: int) -> list:
     """Greedy generating subset: keep permutations that grow the group."""
-    from .perm import _Chain
-
-    chain = _Chain([], degree)
-    kept = []
-    for p in perms:
-        before = chain.order()
-        chain._add(p.raw())
-        if chain.order() != before:
-            kept.append(p)
-    return kept
+    chain = StabilizerChain([], degree)
+    return [p for p in perms if chain.add(p.raw())]
 
 
 def normalizer_in_s91(record: Order84Record) -> PermutationGroup:

@@ -18,6 +18,7 @@ import numpy as np
 __all__ = [
     "Permutation",
     "PermutationGroup",
+    "StabilizerChain",
     "parse_permutation",
     "group_order",
     "cyclic_group",
@@ -198,13 +199,14 @@ def parse_permutation(text: str, v: int) -> Permutation:
 # stabilizer chain (deterministic Schreier-Sims)
 
 
-class _Chain:
+class StabilizerChain:
     """Schreier-Sims stabilizer chain with deterministic base selection.
 
-    Base points are chosen as the smallest point moved by the first
-    residue that requires a new level, transversals are built by BFS with
-    generators in insertion order, so two builds from the same generator
-    list are identical.
+    Permutations are 0-based image tuples.  Base points are chosen as the
+    smallest point moved by the first residue that requires a new level,
+    transversals are built by BFS with generators in insertion order, so
+    two builds from the same generator list are identical.  ``add`` grows
+    the group by one permutation and says whether it grew.
     """
 
     def __init__(self, generators: Sequence[tuple], degree: int):
@@ -215,7 +217,7 @@ class _Chain:
         ident = tuple(range(degree))
         self._ident = ident
         for g in generators:
-            self._add(g)
+            self.add(g)
 
     def _orbit_trans(self, level: int) -> dict[int, tuple]:
         b = self.base[level]
@@ -244,16 +246,18 @@ class _Chain:
             g = _mul(g, _inv(t[p]))
         return g, len(self.base)
 
-    def _add(self, g: tuple) -> None:
+    def add(self, g: tuple) -> bool:
+        """Add g to the group; False if g was already in it."""
         h, j = self.strip(g, 0)
         if _is_identity(h):
-            return
+            return False
         if j == len(self.base):
             self._new_level(h)
         for m in range(0, j + 1):
             self.gens[m].append(h)
         for m in range(min(j, len(self.base) - 1), -1, -1):
             self._close(m)
+        return True
 
     def _new_level(self, h: tuple) -> None:
         b = next(i for i, x in enumerate(h) if x != i)
@@ -336,7 +340,7 @@ class PermutationGroup:
                 raise ValueError("generators have mixed degrees")
         self.degree = degree
         self.generators = gens
-        self._chain: _Chain | None = None
+        self._chain: StabilizerChain | None = None
         self._table: np.ndarray | None = None
         self._lock = threading.Lock()
 
@@ -344,12 +348,12 @@ class PermutationGroup:
     def trivial(cls, v: int) -> "PermutationGroup":
         return cls([Permutation.identity(v)], v)
 
-    def _get_chain(self) -> _Chain:
+    def _get_chain(self) -> StabilizerChain:
         if self._chain is None:
             with self._lock:
                 if self._chain is None:
                     raw = [g.raw() for g in self.generators]
-                    self._chain = _Chain(raw, self.degree)
+                    self._chain = StabilizerChain(raw, self.degree)
         return self._chain
 
     def order(self) -> int:

@@ -55,12 +55,16 @@ def _check_name(name: str) -> str:
 def _sort_within(indptr: np.ndarray, items: np.ndarray, *payload) -> tuple:
     """Sort each option's slice by item id, moving payload arrays along;
     an item repeated within an option is an error."""
-    owner = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
-    same = owner[1:] == owner[:-1]
-    if np.any(same & (items[1:] <= items[:-1])):
-        order = np.lexsort((items, owner))
+    starts = indptr[1:-1]
+    cut = starts[(starts > 0) & (starts < len(items))] - 1  # pairs i, i + 1 across options
+    descent = items[1:] <= items[:-1]
+    descent[cut] = False
+    if descent.any():
+        order = np.lexsort((items, np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))))
         items, payload = items[order], tuple(a[order] for a in payload)
-        if np.any(same & (items[1:] == items[:-1])):
+        repeat = items[1:] == items[:-1]
+        repeat[cut] = False
+        if repeat.any():
             raise ValueError("item repeated within an option")
     return (items, *payload)
 
@@ -104,7 +108,7 @@ class XCCProblem:
             self.secondary
         ):
             raise ValueError("duplicate item name")
-        prim_ptr, prim, sec_ptr, sec, colors = (np.array(a, dtype=np.int64) for a in arrays)
+        prim_ptr, prim, sec_ptr, sec, colors = map(np.asarray, arrays)  # no copies yet
         n = len(prim_ptr) - 1
         for ptr, *data in ((prim_ptr, prim), (sec_ptr, sec, colors)):
             if (n < 0 or ptr.shape != (n + 1,) or ptr[0] != 0 or np.any(ptr[1:] < ptr[:-1])
@@ -112,16 +116,19 @@ class XCCProblem:
                 raise ValueError("malformed option arrays")
         if np.any(prim_ptr[1:] == prim_ptr[:-1]):
             raise ValueError("option covers no primary item")
-        if np.any((prim < 0) | (prim >= len(self.primary))):
+        if prim.size and (prim.min() < 0 or prim.max() >= len(self.primary)):
             raise ValueError("primary item id out of range")
-        if np.any((sec < 0) | (sec >= len(self.secondary))):
+        if sec.size and (sec.min() < 0 or sec.max() >= len(self.secondary)):
             raise ValueError("secondary item id out of range")
         if np.any(colors < 0):
             raise ValueError("colors must be non-negative")
-        (prim,) = _sort_within(prim_ptr, prim)
-        sec, colors = _sort_within(sec_ptr, sec, colors)
-        self.prim_indptr, self.prim_items = prim_ptr, prim.astype(np.int32)
-        self.sec_indptr, self.sec_items, self.sec_colors = sec_ptr, sec.astype(np.int32), colors
+        # one copy of each array, straight into its stored dtype; the item
+        # ids are in range, so the cast to int32 cannot wrap
+        self.prim_indptr, self.sec_indptr, colors = (
+            np.array(a, dtype=np.int64) for a in (prim_ptr, sec_ptr, colors))
+        (self.prim_items,) = _sort_within(self.prim_indptr, np.array(prim, dtype=np.int32))
+        self.sec_items, self.sec_colors = _sort_within(
+            self.sec_indptr, np.array(sec, dtype=np.int32), colors)
         for a in self._arrays():
             a.setflags(write=False)
 

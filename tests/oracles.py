@@ -146,9 +146,19 @@ def xcc_solutions_bruteforce(problem):
     return sorted(out)
 
 
+def _block_tuples(d):
+    return [tuple(blk) for blk in d.blocks.tolist()]
+
+
+def designs_equal(d1, d2):
+    """Same v and the same block array, dtype included (`Design` compares
+    by identity)."""
+    return d1.v == d2.v and d1.blocks.dtype == d2.blocks.dtype and np.array_equal(d1.blocks, d2.blocks)
+
+
 def aut_order_bruteforce(design):
     """|Aut| by sweeping all v! point permutations (v <= 9 or so)."""
-    blocks = set(design.blocks)
+    blocks = set(_block_tuples(design))
     n = 0
     for perm in permutations(range(1, design.v + 1)):
         img = {tuple(sorted(perm[p - 1] for p in blk)) for blk in blocks}
@@ -159,16 +169,16 @@ def aut_order_bruteforce(design):
 
 def designs_isomorphic_bruteforce(d1, d2):
     """Point-map backtracking isomorphism test (no canonical forms)."""
-    if d1.v != d2.v or len(d1.blocks) != len(d2.blocks):
+    if d1.v != d2.v or d1.b != d2.b:
         return False
     v = d1.v
-    blocks2 = set(d2.blocks)
+    blocks1, blocks2 = _block_tuples(d1), set(_block_tuples(d2))
     # blocks through each point, for pruning
-    through1 = {p: [b for b in d1.blocks if p in b] for p in range(1, v + 1)}
-    through2 = {p: len([b for b in d2.blocks if p in b]) for p in range(1, v + 1)}
+    through1 = {p: [b for b in blocks1 if p in b] for p in range(1, v + 1)}
+    through2 = {p: len([b for b in blocks2 if p in b]) for p in range(1, v + 1)}
 
     def consistent(mapping):
-        for blk in d1.blocks:
+        for blk in blocks1:
             img = [mapping.get(p) for p in blk]
             if None in img:
                 continue
@@ -355,7 +365,7 @@ def expand_by_closure(orbit_indices, k_orbits, G):
         orbit = orbit_of_subset(G, k_orbits.reps[j].tolist())
         assert len(orbit) == k_orbits.sizes[j]
         blocks.extend(orbit)
-    return Design.make(k_orbits.v, blocks)
+    return Design(k_orbits.v, blocks)
 
 
 def verify_steiner_dict(d, t, lam=1):
@@ -363,7 +373,7 @@ def verify_steiner_dict(d, t, lam=1):
     `designs.verify_steiner` (wrong counts in sorted order, then uncovered
     subsets in lexicographic order, at most 10 in all)."""
     counts = {}
-    for blk in d.blocks:
+    for blk in _block_tuples(d):
         for T in combinations(sorted(blk), t):
             counts[T] = counts.get(T, 0) + 1
     violations = []

@@ -54,6 +54,7 @@ from oracles import (
     column_weight_ok,
     count_b,
     cyclic_triple_systems,
+    designs_equal,
     designs_isomorphic_bruteforce,
     exact_covers_bruteforce,
     orbit_of_subset,
@@ -252,7 +253,7 @@ def test_criterion_6_identity_suite(tmp_path):
         )[0].representative
         dpath = tmp_path / "d.txt"
         write_design_file(dpath, rep)
-        assert read_design_file(dpath) == rep
+        assert designs_equal(read_design_file(dpath), rep)
 
 
 def test_criterion_7_order84_construction():

@@ -260,6 +260,7 @@ def test_km_file_disagreeing_with_orbits_rejected(sts13_cfg, edit):
         ("korbits.txt", "1 2 4 size=0"),
         ("korbits.txt", "1 2 99999999999999999999 size=13"),
         ("torbits.txt", "1 2 3 size=13"),
+        ("korbits.txt", "1 2 5 size=26"),  # a KM entry that is not an integer
     ],
 )
 def test_tampered_orbit_file_rejected(sts13_cfg, name, line):
@@ -272,6 +273,28 @@ def test_tampered_orbit_file_rejected(sts13_cfg, name, line):
         fh.write("\n".join(lines) + "\n")
     assert main(["km", "--config", sts13_cfg]) == EXIT_VALIDATION
     assert not os.path.exists(cfg.out("km.txt"))
+
+
+@pytest.mark.parametrize(
+    "name,i,line",
+    [
+        ("solutions.txt", 0, "-6 1"),  # a negative orbit index
+        ("solutions.txt", 0, "1 99"),  # an option the problem does not have
+        ("copymap.txt", 1, "copy 17 = orbit 500"),
+        ("copymap.txt", 1, "copy 16 = orbit 500"),  # copy option 17 unmapped
+    ],
+)
+def test_tampered_solution_artifacts_rejected(sts13_cfg, name, i, line):
+    cfg = JobConfig.load(sts13_cfg)
+    for stage in ("orbits", "km", "encode", "solve"):
+        assert main([stage, "--config", sts13_cfg]) == EXIT_OK
+    with open(cfg.out(name)) as fh:
+        lines = fh.read().splitlines()
+    lines[i] = line
+    with open(cfg.out(name), "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    assert main(["classify", "--config", sts13_cfg]) == EXIT_VALIDATION
+    assert not os.path.exists(cfg.out("classes.txt"))
 
 
 def test_solution_limit_flag(tmp_path, fixtures_dir):

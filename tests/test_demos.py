@@ -1,6 +1,7 @@
 """The short demos and the README's library quickstart run as shipped.
 
-``demos/reproduce_s26_91.py`` is left out: it takes hours.
+``demos/reproduce_s26_91.py`` takes hours, so only its ``--help`` runs:
+argparse exits after the imports.
 """
 
 import os
@@ -18,6 +19,15 @@ ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 def test_demo_runs(name, capsys):
     runpy.run_path(os.path.join(ROOT, "demos", f"{name}.py"), run_name="__main__")
     assert capsys.readouterr().out
+
+
+def test_paper_demo_help(monkeypatch, capsys):
+    path = os.path.join(ROOT, "demos", "reproduce_s26_91.py")
+    monkeypatch.setattr("sys.argv", [path, "--help"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(path, run_name="__main__")
+    assert exc.value.code == 0
+    assert "--stage {cyclic,tables,bench}" in capsys.readouterr().out
 
 
 def test_readme_library_quickstart(capsys):

@@ -22,17 +22,23 @@ from kmsteiner.perm import PermutationGroup, cyclic_group, normalizer_of_cyclic
 from kmsteiner.symbreak import decode_solution, encode, normalizer_classes
 from kmsteiner.xcc import solve
 
-from oracles import aut_order_bruteforce, expand_by_closure, orbit_of_subset, verify_steiner_dict
+from oracles import (
+    aut_order_bruteforce,
+    designs_equal,
+    expand_by_closure,
+    orbit_of_subset,
+    verify_steiner_dict,
+)
 
 RNG = random.Random(2024)
 
 
 def fano():
-    return Design.make(7, orbit_of_subset(cyclic_group(7), (1, 2, 4)))
+    return Design(7, sorted(orbit_of_subset(cyclic_group(7), (1, 2, 4))))
 
 
 def relabel(d, perm):
-    return Design.make(d.v, [tuple(perm[p - 1] for p in blk) for blk in d.blocks])
+    return Design(d.v, np.asarray(perm)[d.blocks - 1])
 
 
 def random_relabel(d, rng):
@@ -52,9 +58,9 @@ def test_expand_fano_orbit():
 def test_expand_trivial_group():
     G = PermutationGroup.trivial(7)
     ko = good_k_orbit_reps(G, 7, 3, 2)
-    chosen = {i for i, rep in enumerate(ko.reps.tolist()) if tuple(rep) in fano().blocks}
+    chosen = {i for i, rep in enumerate(ko.reps.tolist()) if rep in fano().blocks.tolist()}
     d = expand(chosen, ko, G)
-    assert d.blocks == fano().blocks
+    assert designs_equal(d, fano())
 
 
 def test_expand_duplicate_blocks_rejected():
@@ -82,7 +88,7 @@ def test_expand_matches_closure_oracle(v, k, kind, node_cap):
     for s in sols:
         chosen = decode_solution(s, enc)
         d = expand(chosen, ko, G)
-        assert d == expand_by_closure(chosen, ko, G) and verify_steiner(d, 2).ok
+        assert designs_equal(d, expand_by_closure(chosen, ko, G)) and verify_steiner(d, 2).ok
 
 
 def test_expand_past_256_points_matches_closure_oracle():
@@ -90,13 +96,14 @@ def test_expand_past_256_points_matches_closure_oracle():
     ko = good_k_orbit_reps(G, 257, 3, 2)
     assert ko.reps.dtype == np.uint16
     chosen = set(RNG.sample(range(len(ko)), 40)) | {len(ko) - 1}
-    assert expand(chosen, ko, G) == expand_by_closure(chosen, ko, G)
+    d = expand(chosen, ko, G)
+    assert d.blocks.dtype == np.uint16 and designs_equal(d, expand_by_closure(chosen, ko, G))
 
 
 def test_verify_steiner_pass_and_fail():
     d = fano()
     assert verify_steiner(d, 2).ok
-    broken = Design.make(7, list(d.blocks[:-1]) + [(1, 2, 3)])
+    broken = Design(7, np.r_[d.blocks[:-1], [(1, 2, 3)]])
     rep = verify_steiner(broken, 2)
     assert not rep.ok
     assert any(count == 2 for _, count in rep.violations)
@@ -104,8 +111,8 @@ def test_verify_steiner_pass_and_fail():
 
 
 def test_verify_steiner_sorts_within_blocks():
-    # built without Design.make, so the blocks are not sorted: (2, 1) and
-    # (1, 2) are the same pair
+    # given unsorted, sorted by the constructor: (2, 1) and (1, 2) are the
+    # same pair
     d = Design(
         v=7,
         blocks=((2, 4, 1), (1, 4, 5), (1, 6, 7), (1, 2, 3), (2, 5, 7), (3, 4, 7), (3, 5, 6)),
@@ -128,9 +135,9 @@ def cyclic_designs(v, k):
 
 
 def corrupt(d, rng):
-    """One to three blocks replaced, dropped or duplicated; sometimes with
-    the points of a block out of order."""
-    blocks = list(d.blocks)
+    """(v, blocks): one to three blocks replaced, dropped or duplicated, as
+    a list of tuples; sometimes with the points of a block out of order."""
+    blocks = list(map(tuple, d.blocks.tolist()))
     how = rng.choice(["replace", "drop", "duplicate"])
     for _ in range(rng.randint(1, 3)):
         i = rng.randrange(len(blocks))
@@ -140,34 +147,76 @@ def corrupt(d, rng):
             del blocks[i]
         else:
             blocks.append(blocks[i])
-    return Design(v=d.v, blocks=tuple(blocks))
+    return d.v, blocks
 
 
 def test_verify_steiner_matches_dict_oracle():
     rng = random.Random(91)
     found = cyclic_designs(19, 3) + cyclic_designs(37, 4)
     assert len(found) == 32 + 48
-    cases = found + [corrupt(rng.choice(found), rng) for _ in range(200)]
-    failing = 0
-    for d in cases:
+    corrupted = [corrupt(rng.choice(found), rng) for _ in range(200)]
+    failing = refused = 0
+    for d in found:
+        rep = verify_steiner(d, 2)
+        assert (rep.ok, rep.violations) == verify_steiner_dict(d, 2) == (True, [])
+    for v, blocks in corrupted:
+        if len(set(map(frozenset, blocks))) < len(blocks):  # a block repeats
+            with pytest.raises(ValueError, match="repeats$"):
+                Design(v, blocks)
+            refused += 1
+            continue
+        d = Design(v, blocks)
         rep = verify_steiner(d, 2)
         assert (rep.ok, rep.violations) == verify_steiner_dict(d, 2)
         failing += not rep.ok
-    assert failing == 200
+    assert (failing, refused) == (128, 72)  # every corruption is caught
 
 
 def test_verify_steiner_edge_cases_match_dict_oracle():
     cases = [
-        (Design(v=7, blocks=()), 2),
-        (Design(v=7, blocks=((0, 1, 2), (2, 9, 3), (4, 5))), 2),  # out of range, ragged
+        (Design(7, ()), 2),
         (fano(), 3),
         (fano(), 0),
-        # 100^10 keys do not fit in 63 bits, so the rows are counted unpacked
-        (Design(v=100, blocks=(tuple(range(1, 12)), tuple(range(13, 2, -1)))), 10),
+        (fano(), 4),
+        # C(100, 10) ~ 1.7e13 lex ranks
+        (Design(100, (tuple(range(1, 12)), tuple(range(13, 2, -1)))), 10),
     ]
     for d, t in cases:
         rep = verify_steiner(d, t)
         assert (rep.ok, rep.violations) == verify_steiner_dict(d, t)
+    # C(200, 40) >= 2^63 has no 63-bit lex rank
+    with pytest.raises(ValueError, match="too wide"):
+        verify_steiner(Design(200, [range(1, 41)]), 40)
+
+
+@pytest.mark.parametrize(
+    "blocks,message",
+    [
+        (((0, 1, 2), (2, 9, 3), (4, 5)), "equal-size sequences"),  # out of range, ragged
+        (((1, 2, 3), (2, 3)), "equal-size sequences"),
+        ((1, 2, 3), "equal-size sequences"),
+        (((1, 2, 3), (2, 9, 3)), r"^block \(2, 3, 9\) has a point outside 1..7$"),
+        (((0, 1, 2),), r"^block \(0, 1, 2\) has a point outside 1..7$"),
+        (((1, 2, 2), (3, 4, 5)), r"^block \(1, 2, 2\) repeats a point$"),
+        (((1, 2, 3), (3, 2, 1)), r"^block \(1, 2, 3\) repeats$"),
+        # {123, 123, 456} and {123, 456, 456} were once one isomorphism class
+        (((1, 2, 3), (1, 2, 3), (4, 5, 6)), r"^block \(1, 2, 3\) repeats$"),
+        (((1, 2, 3), (4, 5, 6), (4, 5, 6)), r"^block \(4, 5, 6\) repeats$"),
+    ],
+)
+def test_design_constructor_rejects(blocks, message):
+    with pytest.raises(ValueError, match=message):
+        Design(7, blocks)
+
+
+def test_design_array_form():
+    d = Design(7, [(4, 2, 1), (7, 6, 1), (3, 2, 1)])
+    assert d.blocks.dtype == np.uint8 and not d.blocks.flags.writeable
+    assert d.blocks.tolist() == [[1, 2, 3], [1, 2, 4], [1, 6, 7]]
+    assert (d.v, d.b, d.k) == (7, 3, 3)
+    assert designs_equal(Design(7, d.blocks[::-1]), d) and Design(7, d.blocks) != d
+    assert Design(300, [(1, 299, 300)]).blocks.dtype == np.uint16
+    assert Design(7, ()).blocks.shape == (0, 0)
 
 
 def test_replication_number_corollary():
@@ -210,7 +259,7 @@ def test_seeded_autos_do_not_change_answer():
 def test_random_small_systems_match_bruteforce():
     all_triples = list(itertools.combinations(range(1, 8), 3))
     for _ in range(30):
-        d = Design.make(7, RNG.sample(all_triples, RNG.randint(2, 9)))
+        d = Design(7, RNG.sample(all_triples, RNG.randint(2, 9)))
         cf = canonical_form(d)
         assert cf.aut_order == aut_order_bruteforce(d)
         d2 = random_relabel(d, RNG)
@@ -220,14 +269,19 @@ def test_random_small_systems_match_bruteforce():
 
 
 def test_nonisomorphic_systems_have_distinct_certificates():
-    d1 = Design.make(7, [(1, 2, 3), (4, 5, 6)])
-    d2 = Design.make(7, [(1, 2, 3), (3, 4, 5)])
+    d1 = Design(7, [(1, 2, 3), (4, 5, 6)])
+    d2 = Design(7, [(1, 2, 3), (3, 4, 5)])
     assert canonical_form(d1).certificate != canonical_form(d2).certificate
 
 
 def test_budget_is_hard_failure():
     with pytest.raises(BudgetExceeded):
         canonical_form(fano(), node_budget=2)
+
+
+def test_canonical_form_refuses_v_past_16_bits():
+    with pytest.raises(ValueError, match="16-bit"):
+        canonical_form(Design(1 << 16, [(1, 2, 3)]))
 
 
 def test_classify_multiplicity():
@@ -240,14 +294,14 @@ def test_classify_multiplicity():
 
 
 def test_classify_mixed():
-    d1 = Design.make(7, [(1, 2, 3), (4, 5, 6)])
-    d2 = Design.make(7, [(1, 2, 3), (3, 4, 5)])
+    d1 = Design(7, [(1, 2, 3), (4, 5, 6)])
+    d2 = Design(7, [(1, 2, 3), (3, 4, 5)])
     cls = classify([d1, d2, random_relabel(d1, RNG)])
     assert len(cls) == 2
     assert sorted(c.multiplicity for c in cls) == [1, 2]
     assert [c.certificate for c in cls] == sorted(c.certificate for c in cls)
     with pytest.raises(ValueError):
-        classify([d1, Design.make(8, [(1, 2, 3)])])
+        classify([d1, Design(8, [(1, 2, 3)])])
 
 
 def test_aut_divisible_by_prescribed_group():
@@ -270,8 +324,7 @@ def test_design_file_round_trip(tmp_path):
     d = fano()
     path = os.path.join(tmp_path, "fano.txt")
     write_design_file(path, d)
-    d2 = read_design_file(path)
-    assert d2 == d
+    assert designs_equal(read_design_file(path), d)
     with open(path) as fh:
         assert fh.readline() == "v=7 b=7 k=3\n"
 

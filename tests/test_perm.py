@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from kmsteiner.perm import (
     Permutation,
     PermutationGroup,
+    StabilizerChain,
     cyclic_group,
     group_order,
     normalizer_of_cyclic,
@@ -101,6 +102,15 @@ def test_membership():
     )
     assert parse_permutation("(1,2)", 4) not in A4
     assert Permutation.identity(4) in A4
+
+
+def test_stabilizer_chain_add_reports_growth():
+    chain = StabilizerChain([], 5)
+    assert not chain.add(tuple(range(5)))
+    assert chain.add((1, 2, 3, 4, 0)) and chain.order() == 5
+    assert not chain.add((2, 3, 4, 0, 1))  # the square of the 5-cycle
+    assert chain.add((1, 0, 2, 3, 4)) and chain.order() == 120
+    assert not chain.add((0, 2, 1, 4, 3)) and chain.order() == 120
 
 
 def test_orbit_of_subset_examples():
