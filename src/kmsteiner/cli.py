@@ -371,6 +371,24 @@ def cmd_solve(cfg: JobConfig, limit: int | None = None) -> None:
         raise ResourceCapHit("solver stopped at a node, time or solution cap")
 
 
+PROGRESS_SECONDS = 10.0
+
+
+class _ProgressLog:
+    """Progress callback that logs its arguments through the message
+    format, at most once per ``PROGRESS_SECONDS``."""
+
+    def __init__(self, message: str):
+        self.message = message
+        self.last = time.monotonic()
+
+    def __call__(self, *args) -> None:
+        now = time.monotonic()
+        if now - self.last >= PROGRESS_SECONDS:
+            self.last = now
+            log.info(self.message, *args)
+
+
 def cmd_classify(cfg: JobConfig, jobs: int = 1) -> None:
     G, tro, kset = _load_orbits(cfg)
     _check_record(cfg, ["encode", "solve"])
@@ -392,7 +410,8 @@ def cmd_classify(cfg: JobConfig, jobs: int = 1) -> None:
         if not rep.ok:
             raise ValidationError(f"solution {opt_ids} is not a Steiner design: {rep.violations[:3]}")
         all_designs.append(d)
-    classes = designs_mod.classify(all_designs, known_autos=G.generators, jobs=jobs)
+    classes = designs_mod.classify(all_designs, known_autos=G.generators, jobs=jobs,
+                                   progress=_ProgressLog("canonized design %d of %d, %d nodes"))
     os.makedirs(cfg.out("designs"), exist_ok=True)
     for name in os.listdir(cfg.out("designs")):
         if name.startswith("design_") and name.endswith(".txt"):
@@ -411,9 +430,11 @@ def cmd_classify(cfg: JobConfig, jobs: int = 1) -> None:
     designs_mod.write_gap_designs(
         cfg.out("designs.gap"), [cl.representative for cl in classes]
     )
-    log.info("%d solutions -> %d isomorphism classes", len(solutions), len(classes))
+    canon_nodes = sum(cl.nodes for cl in classes)
+    log.info("%d solutions -> %d isomorphism classes, %d canonization nodes",
+             len(solutions), len(classes), canon_nodes)
     _record_stage(cfg, "classify", t0, ["classes.txt", "designs.gap", "designs"],
-                  solutions=len(solutions), classes=len(classes))
+                  solutions=len(solutions), classes=len(classes), canon_nodes=canon_nodes)
 
 
 def cmd_report(cfg_paths, out_stream=None) -> str:

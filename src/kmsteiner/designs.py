@@ -8,20 +8,28 @@ their lex ranks (``orbitgen._pack_keys``).
 Isomorphism means relabeling of points; block order is irrelevant.  The
 canonical form is computed by individualization-refinement on the
 bipartite point/block incidence graph, with the two sides as initial
-colors.  The certificate is the canonically relabeled block list (each
-block sorted, blocks sorted, fixed-width integers), taken minimal over
-the leaves of the search tree.  Automorphisms are detected as leaves with
-a certificate equal to the first leaf's and are used to prune candidate
-choices; the discovered group is returned via its order.  Canonization
-refuses v >= 2^16 (certificate labels are 16-bit) and k with
+colors.  Partition refinement, the inner loop, runs in a small C kernel
+(``_refine.c``, built with gcc on the first canonization and loaded with
+ctypes by ``_native``): partitions are int32 arrays and the graph is in
+CSR form.  The search over the tree, automorphism pruning and the leaf
+certificates stay here, in Python and numpy.  The certificate is the
+canonically relabeled block list (each block sorted, blocks sorted,
+fixed-width integers), taken minimal over the leaves of the search tree.
+Automorphisms are detected as leaves with a certificate equal to the
+first leaf's and are used to prune candidate choices; the discovered
+group is returned via its order, with the number of search nodes.  A
+design without blocks has the empty certificate and aut order v!.
+Canonization refuses v >= 2^16 (certificate labels are 16-bit) and k with
 C(v, k) >= 2^63, which has no 63-bit lex rank.
 """
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
+from math import comb, factorial
+from pathlib import Path
 
 import numpy as np
 
@@ -73,16 +81,20 @@ class Design:
             if rows.size:
                 raise ValueError(message)
             rows = rows.reshape(0, 0)
-        rows.sort(axis=1)
-        if rows.shape[1]:
-            rows = rows[np.lexsort(rows.T[::-1])]
-        for bad, what in (
-            (((rows < 1) | (rows > self.v)).any(axis=1), f"has a point outside 1..{self.v}"),
-            ((rows[:, 1:] == rows[:, :-1]).any(axis=1), "repeats a point"),
-            (np.r_[False, (rows[1:] == rows[:-1]).all(axis=1)], "repeats"),
-        ):
-            if bad.any():
-                raise ValueError(f"block {tuple(rows[bad.argmax()].tolist())} {what}")
+        # rows strictly increasing, within each row and in lex order across
+        # rows, repeat no point and no block: only the range is left to check
+        if not (_strictly_lex_ordered(rows) and 1 <= rows[:, 0].min()
+                and rows[:, -1].max() <= self.v):
+            rows.sort(axis=1)
+            if rows.shape[1]:
+                rows = rows[np.lexsort(rows.T[::-1])]
+            for bad, what in (
+                (((rows < 1) | (rows > self.v)).any(axis=1), f"has a point outside 1..{self.v}"),
+                ((rows[:, 1:] == rows[:, :-1]).any(axis=1), "repeats a point"),
+                (np.r_[False, (rows[1:] == rows[:-1]).all(axis=1)], "repeats"),
+            ):
+                if bad.any():
+                    raise ValueError(f"block {tuple(rows[bad.argmax()].tolist())} {what}")
         rows = rows.astype(np.min_scalar_type(self.v))
         rows.flags.writeable = False
         object.__setattr__(self, "blocks", rows)
@@ -94,6 +106,15 @@ class Design:
     @property
     def b(self) -> int:
         return len(self.blocks)
+
+
+def _strictly_lex_ordered(rows: np.ndarray) -> bool:
+    """Whether a non-empty (b, k) array is strictly increasing within each
+    row and its rows strictly increasing in lex order."""
+    if not rows.size or not (rows[:, 1:] > rows[:, :-1]).all():
+        return False
+    step = rows[1:] - rows[:-1]  # the first nonzero entry must be positive
+    return bool((step[np.arange(len(step)), (step != 0).argmax(axis=1)] > 0).all())
 
 
 def expand(orbit_indices, k_orbits: OrbitSet, G: PermutationGroup) -> Design:
@@ -159,88 +180,37 @@ def verify_steiner(d: Design, t: int, lam: int = 1) -> SteinerReport:
 class CanonicalForm:
     certificate: bytes
     aut_order: int
+    nodes: int  # search tree nodes visited
 
     def __iter__(self):
         return iter((self.certificate, self.aut_order))
 
 
-class _Partition:
-    """Ordered partition of the vertex set, split in place.
+_kernel = None
 
-    Cells occupy contiguous ranges of the vertex order, identified by
-    their start position; splitting never moves other cells.
-    """
 
-    __slots__ = ("lab", "pos", "start", "end", "n_cells")
+def _refine_kernel() -> ctypes.CDLL:
+    """The refinement kernel ``_refine.c``, built and loaded on first use."""
+    global _kernel
+    if _kernel is None:
+        from . import _native
 
-    def __init__(self, cells):
-        lab = []
-        self.start = []
-        self.end = []
-        for cell in cells:
-            s = len(lab)
-            lab.extend(cell)
-            e = len(lab)
-            self.start.extend([s] * (e - s))
-            self.end.extend([e] * (e - s))
-        self.lab = lab
-        self.pos = [0] * len(lab)
-        for i, u in enumerate(lab):
-            self.pos[u] = i
-        self.n_cells = len(cells)
-
-    def copy(self) -> "_Partition":
-        p = _Partition.__new__(_Partition)
-        p.lab = list(self.lab)
-        p.pos = list(self.pos)
-        p.start = list(self.start)
-        p.end = list(self.end)
-        p.n_cells = self.n_cells
-        return p
-
-    def is_discrete(self) -> bool:
-        return self.n_cells == len(self.lab)
-
-    def cell_at(self, s: int) -> list:
-        return self.lab[s : self.end[s]]
-
-    def split(self, s: int, groups) -> list:
-        """Replace the cell starting at s by consecutive groups; returns the
-        start positions of all groups."""
-        e = self.end[s]
-        flat = [u for grp in groups for u in grp]
-        assert len(flat) == e - s
-        starts = []
-        i = s
-        for grp in groups:
-            gs = i
-            starts.append(gs)
-            for u in grp:
-                self.lab[i] = u
-                self.pos[u] = i
-                i += 1
-            for j in range(gs, i):
-                self.start[j] = gs
-                self.end[j] = i
-        self.n_cells += len(groups) - 1
-        return starts
-
-    def target_cell(self) -> int:
-        """Start of the first smallest non-singleton cell, or -1 if discrete."""
-        best = -1
-        best_size = None
-        s = 0
-        n = len(self.lab)
-        while s < n:
-            e = self.end[s]
-            size = e - s
-            if size > 1 and (best_size is None or size < best_size):
-                best, best_size = s, size
-            s = e
-        return best
+        lib = _native.load(Path(__file__).with_name("_refine.c"))
+        i, p = ctypes.c_int, ctypes.c_void_p
+        lib.kms_refine.argtypes = (i, p, p, p, p, i, p)
+        lib.kms_target_cell.argtypes = (i, p)
+        lib.kms_individualize.argtypes = (i, p, p, p, p, i, i, p)
+        for f in (lib.kms_refine, lib.kms_target_cell, lib.kms_individualize):
+            f.restype = i
+        _kernel = lib
+    return _kernel
 
 
 class _Canonizer:
+    """Individualization-refinement search over partitions held by the C
+    kernel: the partition of search depth i is the i-th array of
+    ``_levels``, laid out as ``_refine.c`` describes."""
+
     def __init__(self, design: Design, node_budget: int, known_autos):
         if design.v >= 1 << 16:
             raise ValueError("certificates hold points as 16-bit labels: v too large")
@@ -249,13 +219,18 @@ class _Canonizer:
         self.n = self.v + self.b
         self.blocks0 = design.blocks.astype(np.intp) - 1
         self.keys = _pack_keys(self.blocks0, self.v)  # ascending: the rows are in lex order
-        adj: list = [[] for _ in range(self.n)]
-        for bi, blk in enumerate(self.blocks0.tolist()):
-            bv = self.v + bi
-            for p in blk:
-                adj[p].append(bv)
-                adj[bv].append(p)
-        self.adj = adj
+        # incidence graph in CSR form: point p is vertex p, block i vertex v + i
+        flat = self.blocks0.ravel()
+        degree = np.r_[np.bincount(flat, minlength=self.v), np.full(self.b, design.k)]
+        self.indptr = np.r_[0, np.cumsum(degree)].astype(np.int32)
+        self.adj = np.r_[self.v + np.argsort(flat, kind="stable") // design.k, flat].astype(np.int32)
+        self._kernel = _refine_kernel()
+        self._work = np.zeros(2 * (self.n // 64 + 1) + 7 * self.n, dtype=np.int32)
+        # the kernel's arguments before the partitions
+        self._args = (self.n, self.indptr.ctypes.data, self.adj.ctypes.data)
+        self._work_addr = self._work.ctypes.data
+        self._levels: list = []
+        self._addrs: list = []  # data addresses of _levels
         self.node_budget = node_budget
         self.nodes = 0
         self.aut_gens: list = []  # full vertex permutations (tuples)
@@ -291,79 +266,54 @@ class _Canonizer:
     def aut_order(self) -> int:
         return self._chain.order()
 
-    # -- refinement ------------------------------------------------------
+    # -- partitions --------------------------------------------------------
 
-    def refine(self, part: _Partition, queue: list) -> None:
-        """Refine to a fixpoint against the queued cells.
+    def _level(self, depth: int) -> np.ndarray:
+        while len(self._levels) <= depth:
+            self._levels.append(np.empty(4 * self.n, dtype=np.int32))
+            self._addrs.append(self._levels[-1].ctypes.data)
+        return self._levels[depth]
 
-        Standard worklist refinement: when a cell splits, fragments other
-        than the largest are enqueued (all of them if the cell itself was
-        still queued).  Fragment order follows the neighbor counts, so the
-        result is deterministic and isomorphism-invariant.
-        """
-        adj = self.adj
-        n = self.n
-        cnt = [0] * n
-        queued = set(queue)
-        qi = 0
-        while qi < len(queue):
-            ws = queue[qi]
-            qi += 1
-            if ws not in queued:
-                continue
-            queued.discard(ws)
-            touched: list = []
-            for w in part.lab[ws : part.end[ws]]:
-                for x in adj[w]:
-                    if cnt[x] == 0:
-                        touched.append(x)
-                    cnt[x] += 1
-            # cells containing a touched vertex, in position order
-            cells = sorted({part.start[part.pos[x]] for x in touched})
-            for cs in cells:
-                ce = part.end[cs]
-                if ce - cs == 1:
-                    continue
-                members = part.lab[cs:ce]
-                groups: dict = {}
-                for u in members:
-                    groups.setdefault(cnt[u], []).append(u)
-                if len(groups) == 1:
-                    continue
-                ordered = [groups[val] for val in sorted(groups)]
-                starts = part.split(cs, ordered)
-                if cs in queued:
-                    fresh = starts[1:]  # cs itself stays queued
-                else:
-                    largest = max(
-                        range(len(ordered)), key=lambda i: (len(ordered[i]), -i)
-                    )
-                    fresh = [s for i, s in enumerate(starts) if i != largest]
-                for s in fresh:
-                    if s not in queued:
-                        queued.add(s)
-                        queue.append(s)
-            for x in touched:
-                cnt[x] = 0
+    def _root(self):
+        """Partition of depth 0, points then blocks, refined; and its
+        target cell."""
+        n, v = self.n, self.v
+        part = self._level(0)
+        part[: 2 * n] = np.tile(np.arange(n), 2)  # lab, pos
+        part[2 * n :] = np.repeat([0, v, v, n], [v, n - v, v, n - v])  # start, end
+        queue = np.array([0, v], dtype=np.int32)
+        k = self._kernel
+        k.kms_refine(*self._args, self._addrs[0], queue.ctypes.data, 2, self._work_addr)
+        return 0, k.kms_target_cell(n, self._addrs[0])
 
-    def initial_partition(self) -> _Partition:
-        part = _Partition([list(range(self.v)), list(range(self.v, self.n))])
-        self.refine(part, [0, self.v])
-        return part
+    def _individualize(self, depth: int, ts: int, y: int):
+        """Depth + 1 holds the depth partition with y split off the front
+        of cell ts, refined; returns it and its target cell."""
+        self._level(depth + 1)
+        cts = self._kernel.kms_individualize(
+            *self._args, self._addrs[depth], self._addrs[depth + 1], ts, y, self._work_addr
+        )
+        return depth + 1, cts
+
+    def _cell(self, depth: int, ts: int) -> list:
+        part = self._levels[depth]
+        return part[ts : part[3 * self.n + ts]].tolist()
+
+    def _lab(self, depth: int) -> np.ndarray:
+        return self._levels[depth][: self.n]
 
     # -- leaves ----------------------------------------------------------
 
-    def _leaf_cert(self, part: _Partition):
+    def _leaf_cert(self, lab: np.ndarray):
         """Certificate bytes and the point labeling of a discrete partition."""
-        lab = np.array(part.lab)
         pt_label = np.empty(self.v, dtype=np.intp)  # point -> canonical label (0-based)
         pt_label[lab[lab < self.v]] = np.arange(self.v)
         rows = np.sort(pt_label[self.blocks0], axis=1)
         cert = rows[np.argsort(_pack_keys(rows, self.v))].astype(">u2").tobytes()
         return cert, pt_label
 
-    def _leaf(self, part: _Partition) -> None:
-        cert, pt_label = self._leaf_cert(part)
+    def _leaf(self, lab: np.ndarray) -> None:
+        cert, pt_label = self._leaf_cert(lab)
         if self.best_cert is None or cert < self.best_cert:
             self.best_cert = cert
         if self.first_cert is None:
@@ -381,17 +331,18 @@ class _Canonizer:
 
     # -- search ----------------------------------------------------------
 
-    def search(self, part: _Partition, prefix: list) -> None:
+    def search(self, part, ts: int, prefix: list) -> None:
+        """Visit the node with partition part and target cell ts; prefix
+        lists the vertices individualized on the way to it."""
         self.nodes += 1
         if self.nodes > self.node_budget:
             raise BudgetExceeded(
                 f"canonical labeling exceeded {self.node_budget} nodes"
             )
-        ts = part.target_cell()
         if ts < 0:
-            self._leaf(part)
+            self._leaf(self._lab(part))
             return
-        candidates = part.cell_at(ts)
+        candidates = self._cell(part, ts)
         explored: list = []
         explored_orbit: set = set()
         orbit_epoch = -1
@@ -404,17 +355,14 @@ class _Canonizer:
                     explored.append(y)
                     explored_orbit = self._grow_closure(explored_orbit, [y], prefix)
                     continue
-            child = part.copy()
-            # remaining members keep their relative order
-            rest = [u for u in child.cell_at(ts) if u != y]
-            starts = child.split(ts, [[y], rest])
-            self.refine(child, list(starts))
+            child, cts = self._individualize(part, ts, y)
             prefix.append(y)
-            self.search(child, prefix)
+            self.search(child, cts, prefix)
             prefix.pop()
             explored.append(y)
             if orbit_epoch == self._aut_epoch:
                 explored_orbit = self._grow_closure(explored_orbit, [y], prefix)
+
     # -- aut orbit pruning ------------------------------------------------
 
     def _prefix_gens(self, prefix: list) -> list:
@@ -452,11 +400,10 @@ def canonical_form(
     is hit; never returns a wrong answer.
     """
     if not d.b:
-        return CanonicalForm(b"", 1)
+        return CanonicalForm(b"", factorial(d.v), 0)
     cz = _Canonizer(d, node_budget, known_autos)
-    part = cz.initial_partition()
-    cz.search(part, [])
-    return CanonicalForm(cz.best_cert, cz.aut_order())
+    cz.search(*cz._root(), [])
+    return CanonicalForm(cz.best_cert, cz.aut_order(), cz.nodes)
 
 
 @dataclass
@@ -465,25 +412,28 @@ class IsoClass:
     certificate: bytes
     aut_order: int
     multiplicity: int
+    nodes: int  # canonization nodes over the class's designs
 
 
 def _design_from_cert(cert: bytes, v: int, k: int) -> Design:
-    return Design(v, np.frombuffer(cert, dtype=">u2").reshape(-1, k) + 1)
+    return Design(v, np.frombuffer(cert, dtype=">u2").reshape(-1, k) + 1 if cert else ())
 
 
-def _canonical_form_job(args):
+def _canonical_form_job(args) -> CanonicalForm:
     v, blocks, budget, auto_images = args
-    d = Design(v, blocks)
     autos = [Permutation(img) for img in auto_images]
-    cf = canonical_form(d, node_budget=budget, known_autos=autos)
-    return cf.certificate, cf.aut_order
+    return canonical_form(Design(v, blocks), node_budget=budget, known_autos=autos)
 
 
-def classify(designs, node_budget: int = 10**7, known_autos=(), jobs: int = 1) -> list:
+def classify(
+    designs, node_budget: int = 10**7, known_autos=(), jobs: int = 1, progress=None
+) -> list:
     """Group designs by certificate; returns IsoClasses sorted by certificate.
 
     Canonization is pure, so jobs > 1 spreads it over worker processes;
-    the grouped result is independent of the worker count.
+    the grouped result is independent of the worker count.  progress, if
+    given, is called as progress(i, n, nodes) after the i-th of n designs
+    is canonized, with the canonization nodes of designs 1..i.
     """
     if not designs:
         return []
@@ -499,34 +449,33 @@ def classify(designs, node_budget: int = 10**7, known_autos=(), jobs: int = 1) -
             (d.v, d.blocks, node_budget, [g.raw() for g in known_autos])
             for d in designs
         ]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            forms = list(pool.map(_canonical_form_job, work, chunksize=1))
+        pool = ProcessPoolExecutor(max_workers=jobs)
+        forms = pool.map(_canonical_form_job, work, chunksize=1)
     else:
-        forms = [
-            tuple(canonical_form(d, node_budget=node_budget, known_autos=known_autos))
+        pool = None
+        forms = (
+            canonical_form(d, node_budget=node_budget, known_autos=known_autos)
             for d in designs
-        ]
+        )
     buckets: dict = {}
-    for cert, aut in forms:
-        entry = buckets.get(cert)
-        if entry is None:
-            buckets[cert] = [aut, 1]
-        else:
-            if entry[0] != aut:
+    nodes = 0
+    try:
+        for i, cf in enumerate(forms, start=1):
+            nodes += cf.nodes
+            entry = buckets.setdefault(cf.certificate, [cf.aut_order, 0, 0])
+            if entry[0] != cf.aut_order:
                 raise AssertionError("equal certificates with different aut orders")
             entry[1] += 1
-    out = []
-    for cert in sorted(buckets):
-        aut, mult = buckets[cert]
-        out.append(
-            IsoClass(
-                representative=_design_from_cert(cert, v, k),
-                certificate=cert,
-                aut_order=aut,
-                multiplicity=mult,
-            )
-        )
-    return out
+            entry[2] += cf.nodes
+            if progress is not None:
+                progress(i, len(designs), nodes)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+    return [
+        IsoClass(_design_from_cert(cert, v, k), cert, aut, mult, class_nodes)
+        for cert, (aut, mult, class_nodes) in sorted(buckets.items())
+    ]
 
 
 # ---------------------------------------------------------------------------

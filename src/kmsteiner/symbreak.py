@@ -144,7 +144,7 @@ def encode(
     lens = np.diff(indptr)[reps]
     owner, rank = np.repeat(np.arange(len(reps)), lens), _ranks(lens)
     copy_ptr = np.cumsum(np.r_[0, lens + 1])
-    copy_rows = np.full(copy_ptr[-1], m, dtype=np.int64)
+    copy_rows = np.full(copy_ptr[-1], m, dtype=np.int32)  # like rows: prim_rows stays int32
     copy_rows[copy_ptr[owner] + rank] = rows[indptr[reps][owner] + rank]
     primary.append("Nhit")
     prim_ptr = np.r_[indptr, indptr[-1] + copy_ptr[1:]]

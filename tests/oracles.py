@@ -6,7 +6,9 @@ subset enumeration, automorphism groups from full permutation sweeps, and
 isomorphism from point-map backtracking.  Former implementations are kept
 as references for the array code that replaced them: `orderly_reps_bitmask`
 for the search tree of the orderly search and its prunes, `km_columns_dict`
-for the Kramer-Mesner matrix and `expand_by_closure` for design expansion.
+for the Kramer-Mesner matrix, `expand_by_closure` for design expansion,
+and `Partition`, `refine` and `PythonCanonizer` for the canonizer's C
+refinement kernel.
 """
 
 from itertools import combinations, permutations
@@ -14,7 +16,7 @@ from math import comb
 
 import numpy as np
 
-from kmsteiner.designs import Design
+from kmsteiner.designs import CanonicalForm, Design, _Canonizer
 from kmsteiner.km import KMError
 from kmsteiner.perm import Permutation
 
@@ -462,3 +464,148 @@ def orderly_reps_bitmask(G, v, size, t, good, overlap_prune=True, shard=None):
 
     descend(0, -1, np.zeros((n_el, words), dtype=np.uint64), np.zeros(words, dtype=np.uint64), ())
     return out
+
+
+class Partition:
+    """Ordered partition of the vertex set, split in place: the Python
+    form of the C kernel's partition array.
+
+    Cells occupy contiguous ranges of the vertex order, identified by
+    their start position; splitting never moves other cells.
+    """
+
+    __slots__ = ("lab", "pos", "start", "end")
+
+    def __init__(self, cells):
+        lab = []
+        self.start = []
+        self.end = []
+        for cell in cells:
+            s = len(lab)
+            lab.extend(cell)
+            e = len(lab)
+            self.start.extend([s] * (e - s))
+            self.end.extend([e] * (e - s))
+        self.lab = lab
+        self.pos = [0] * len(lab)
+        for i, u in enumerate(lab):
+            self.pos[u] = i
+
+    def copy(self):
+        p = Partition.__new__(Partition)
+        p.lab, p.pos, p.start, p.end = (list(a) for a in (self.lab, self.pos, self.start, self.end))
+        return p
+
+    def array(self):
+        """The kernel's layout: lab, pos, start, end in one array."""
+        return np.array(self.lab + self.pos + self.start + self.end, dtype=np.int32)
+
+    def cell_at(self, s):
+        return self.lab[s : self.end[s]]
+
+    def split(self, s, groups):
+        """Replace the cell starting at s by consecutive groups; returns the
+        start positions of all groups."""
+        assert sum(map(len, groups)) == self.end[s] - s
+        starts = []
+        i = s
+        for grp in groups:
+            gs = i
+            starts.append(gs)
+            for u in grp:
+                self.lab[i] = u
+                self.pos[u] = i
+                i += 1
+            for j in range(gs, i):
+                self.start[j] = gs
+                self.end[j] = i
+        return starts
+
+    def target_cell(self):
+        """Start of the first smallest non-singleton cell, or -1 if discrete."""
+        best, best_size = -1, None
+        s = 0
+        while s < len(self.lab):
+            e = self.end[s]
+            if e - s > 1 and (best_size is None or e - s < best_size):
+                best, best_size = s, e - s
+            s = e
+        return best
+
+
+def refine(adj, part, queue):
+    """Refine to a fixpoint against the queued cells (the reference for
+    ``_refine.c``).
+
+    Worklist refinement: when a cell splits, fragments other than the
+    first largest are enqueued (all but the first if the cell itself was
+    still queued).  Fragment order follows the neighbor counts, so the
+    result is deterministic and isomorphism-invariant.
+    """
+    cnt = [0] * len(adj)
+    queued = set(queue)
+    qi = 0
+    while qi < len(queue):
+        ws = queue[qi]
+        qi += 1
+        if ws not in queued:
+            continue
+        queued.discard(ws)
+        touched = []
+        for w in part.cell_at(ws):
+            for x in adj[w]:
+                if cnt[x] == 0:
+                    touched.append(x)
+                cnt[x] += 1
+        # cells containing a touched vertex, in position order
+        for cs in sorted({part.start[part.pos[x]] for x in touched}):
+            groups = {}
+            for u in part.cell_at(cs):
+                groups.setdefault(cnt[u], []).append(u)
+            if len(groups) == 1:
+                continue
+            ordered = [groups[val] for val in sorted(groups)]
+            starts = part.split(cs, ordered)
+            if cs in queued:
+                fresh = starts[1:]  # cs itself stays queued
+            else:
+                largest = max(range(len(ordered)), key=lambda i: (len(ordered[i]), -i))
+                fresh = [s for i, s in enumerate(starts) if i != largest]
+            for s in fresh:
+                if s not in queued:
+                    queued.add(s)
+                    queue.append(s)
+        for x in touched:
+            cnt[x] = 0
+
+
+class PythonCanonizer(_Canonizer):
+    """The library's canonizer with its partitions held as `Partition`s
+    and refined by `refine`: the same search, with no C kernel."""
+
+    def __init__(self, design, node_budget=10**7, known_autos=()):
+        super().__init__(design, node_budget, known_autos)
+        indptr, adj = self.indptr.tolist(), self.adj.tolist()
+        self.adj_lists = [adj[indptr[u] : indptr[u + 1]] for u in range(self.n)]
+
+    def _root(self):
+        part = Partition([list(range(self.v)), list(range(self.v, self.n))])
+        refine(self.adj_lists, part, [0, self.v])
+        return part, part.target_cell()
+
+    def _individualize(self, part, ts, y):
+        child = part.copy()
+        # remaining members keep their relative order
+        starts = child.split(ts, [[y], [u for u in child.cell_at(ts) if u != y]])
+        refine(self.adj_lists, child, starts)
+        return child, child.target_cell()
+
+    def _cell(self, part, ts):
+        return part.cell_at(ts)
+
+    def _lab(self, part):
+        return np.array(part.lab)
+
+    def canonical_form(self):
+        self.search(*self._root(), [])
+        return CanonicalForm(self.best_cert, self.aut_order(), self.nodes)

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from kmsteiner import cli
 from kmsteiner.cli import (
     EXIT_OK,
     EXIT_RESOURCE,
@@ -379,6 +380,34 @@ def test_classify_jobs_deterministic(sts13_cfg):
     before = open(cfg.out("classes.txt")).read()
     cmd_classify(cfg, jobs=2)
     assert open(cfg.out("classes.txt")).read() == before
+
+
+def test_classify_records_canon_nodes_and_logs_progress(tmp_path, fixtures_dir, caplog, monkeypatch):
+    cfgp = write_config(
+        tmp_path / "c19.cfg",
+        v=19,
+        k=3,
+        t=2,
+        group_file=os.path.join(fixtures_dir, "groups", "C19.grp"),
+        normalizer_file=os.path.join(fixtures_dir, "normalizers", "C19.grp"),
+        encoding="c",
+        output_dir=str(tmp_path / "run"),
+    )
+    monkeypatch.setattr(cli, "PROGRESS_SECONDS", 0.0)
+    with caplog.at_level("INFO", logger="kmsteiner"):
+        cfg = run_pipeline(cfgp)
+    progress = [r.getMessage() for r in caplog.records if r.getMessage().startswith("canonized")]
+    assert progress[0].startswith("canonized design 1 of 8, ")
+    assert progress[-1].startswith("canonized design 8 of 8, ")
+
+    def canon_nodes():
+        with open(cfg.out("run.json")) as fh:
+            return json.load(fh)["stages"]["classify"]["counts"]["canon_nodes"]
+
+    assert progress[-1] == f"canonized design 8 of 8, {canon_nodes()} nodes"
+    assert canon_nodes() == 1004
+    cmd_classify(cfg, jobs=2)
+    assert canon_nodes() == 1004
 
 
 def test_report_tables(sts13_cfg):

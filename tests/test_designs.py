@@ -202,6 +202,14 @@ def test_verify_steiner_edge_cases_match_dict_oracle():
         # {123, 123, 456} and {123, 456, 456} were once one isomorphism class
         (((1, 2, 3), (1, 2, 3), (4, 5, 6)), r"^block \(1, 2, 3\) repeats$"),
         (((1, 2, 3), (4, 5, 6), (4, 5, 6)), r"^block \(4, 5, 6\) repeats$"),
+        # strictly increasing within and across rows, but out of range
+        (((1, 2, 3), (4, 5, 8)), r"^block \(4, 5, 8\) has a point outside 1..7$"),
+        (((0, 1, 2), (1, 2, 3)), r"^block \(0, 1, 2\) has a point outside 1..7$"),
+        # in order but for one adjacent pair: the rows are sorted first
+        (((1, 2, 3), (1, 2, 4), (1, 2, 4)), r"^block \(1, 2, 4\) repeats$"),
+        (((1, 3, 3), (2, 4, 5)), r"^block \(1, 3, 3\) repeats a point$"),
+        (((4, 5, 6), (1, 2, 3), (6, 5, 4)), r"^block \(4, 5, 6\) repeats$"),
+        (((3, 2, 1), (1, 2, 9)), r"^block \(1, 2, 9\) has a point outside 1..7$"),
     ],
 )
 def test_design_constructor_rejects(blocks, message):
@@ -217,6 +225,15 @@ def test_design_array_form():
     assert designs_equal(Design(7, d.blocks[::-1]), d) and Design(7, d.blocks) != d
     assert Design(300, [(1, 299, 300)]).blocks.dtype == np.uint16
     assert Design(7, ()).blocks.shape == (0, 0)
+
+
+def test_design_ordered_input_matches_sorted_input():
+    # rows already strictly ordered skip the sort; shuffled rows take it
+    rng = np.random.default_rng(5)
+    for d in cyclic_designs(19, 3)[:4] + [Design(7, [(1, 2, 3)]), Design(300, [(1, 2, 300), (2, 3, 4)])]:
+        rows = rng.permuted(d.blocks[rng.permutation(d.b)].astype(np.int64), axis=1)
+        for blocks in (d.blocks, d.blocks.tolist(), rows):
+            assert designs_equal(Design(d.v, blocks), d)
 
 
 def test_replication_number_corollary():

@@ -1,5 +1,6 @@
 import os
 
+import numpy as np
 import pytest
 
 from kmsteiner.designs import classify, expand, verify_steiner
@@ -117,6 +118,19 @@ def test_encoding_shapes():
         encode(km, None, "b")
     with pytest.raises(ValueError):
         encode(km, cls, "d")
+
+
+@pytest.mark.parametrize("kind", ["b", "c"])
+def test_copy_option_arrays(kind):
+    # option j is column j; option n + q is column reps[q] and then Nhit
+    G, N, ko, km = pipeline_parts(37, 4)
+    cls = normalizer_classes(N, ko, G)
+    m, n = km.shape
+    columns = [km.column(j) for j in range(n)] + [km.column(r) + (m,) for r in cls.reps]
+    p = encode(km, cls, kind).problem
+    assert p.prim_indptr.dtype == np.int64 and p.prim_items.dtype == np.int32
+    assert p.prim_indptr.tobytes() == np.cumsum([0] + [len(c) for c in columns]).tobytes()
+    assert p.prim_items.tobytes() == np.array([i for c in columns for i in c], np.int32).tobytes()
 
 
 def test_kind_c_color_layout():
