@@ -159,6 +159,12 @@ class JobConfig:
             raise ValidationError(f"encoding {self.encoding} requires normalizer_file")
         if self.normalizer_file and not os.path.exists(self.normalizer_file):
             raise ValidationError(f"normalizer file {self.normalizer_file} does not exist")
+        if self.node_cap is not None and self.node_cap < 0:
+            raise ValidationError(f"node_cap must be non-negative, not {self.node_cap}")
+        if self.time_cap is not None and not self.time_cap >= 0:  # NaN fails too
+            raise ValidationError(f"time_cap must be non-negative, not {self.time_cap}")
+        if self.solution_limit is not None and self.solution_limit < 1:
+            raise ValidationError(f"solution_limit must be at least 1, not {self.solution_limit}")
         try:
             read_group_file(self.group_file)
             if self.normalizer_file:
@@ -346,18 +352,24 @@ def cmd_encode(cfg: JobConfig) -> None:
 
 
 def cmd_solve(cfg: JobConfig, limit: int | None = None) -> None:
+    if limit is not None and limit < 1:
+        raise ValidationError(f"--limit must be at least 1, not {limit}")
     _check_record(cfg, ["encode"])
     t0 = time.perf_counter()
     with open(cfg.out("xcc.txt"), "r", encoding="utf-8") as fh:
         problem = xcc.import_text(fh.read())
     log.info("solving %s", problem)
     sols: list = []
+    report = _ProgressLog("%d nodes, %.0f nodes/s, depth %d, root branch %d of %d")
+    start = time.perf_counter()
     stats = xcc.solve(
         problem,
         limit=limit if limit is not None else cfg.solution_limit,
         on_solution=sols.append,
         node_cap=cfg.node_cap,
         time_cap=cfg.time_cap,
+        progress=lambda nodes, *where: report(
+            nodes, nodes / (time.perf_counter() - start), *where),
     )
     with open(cfg.out("solutions.txt"), "w", encoding="utf-8") as fh:
         for s in sols:

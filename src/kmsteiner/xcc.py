@@ -12,25 +12,29 @@ selects its secondary item ids (ascending) in ``sec_items`` and their
 colors in ``sec_colors``.  The arrays are validated when the problem is
 built and are read-only afterwards.
 
-The solver keeps the set of still-compatible options as a sorted index
-array.  At each node it counts the live options of every primary item at
-once from their bitmask rows: it unpacks the bits and sums the columns
-when few options are active, and takes one byte histogram per mask byte
-when many are; covered items carry a large penalty so that they are
-never chosen.  Choosing an option drops the active options that
-share a primary item with it (a bitmask test) and those that give one of
-its secondary items another color (marked in a scratch boolean mask over
-all options, then cleared).  Branching is deterministic: always the
-primary item with the fewest active options, ties broken by lowest item
-id, candidate options in ascending index order.  Node counts and solution
-order are therefore reproducible across runs.
+The search runs in a small C kernel, ``_xcc.c``, which ``_native``
+builds with gcc on the first ``solve`` and loads with ctypes; without
+gcc ``solve`` raises ImportError.  Building, importing and exporting a
+problem need no kernel.  The kernel keeps the still-compatible options
+of every depth in one contiguous stack, each with its primary items as
+an inline bitmask, and counts the live options of every primary item
+while it filters a child.  Choosing an option drops the live options
+that share a primary item with it (a bitmask test) and those that give
+one of its secondary items another color.  Branching is deterministic:
+always the uncovered primary item with the fewest live options, ties
+broken by lowest item id, candidate options in ascending index order.
+Node counts and solution order are therefore reproducible across runs.
+The kernel returns to Python after each solution and every 256 nodes,
+where the solution limit, the time cap and progress are handled.
 """
 
 from __future__ import annotations
 
+import ctypes
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -198,49 +202,28 @@ class SolveStats:
     limit_hit: bool = False
 
 
-class _Stop(Exception):
-    pass
+_kernel = None
+
+# kms_xcc_run's return values
+_DONE, _SOLUTION, _TICK, _CAP, _NOMEM = 0, 1, 2, 3, -1
 
 
-# options per chunk of _bitmask: its temporaries stay in cache, whatever the
-# size of the entry array
-_MASK_CHUNK = 1 << 12
+def _xcc_kernel() -> ctypes.CDLL:
+    """The search kernel ``_xcc.c``, built and loaded on first use."""
+    global _kernel
+    if _kernel is None:
+        from . import _native
 
-
-def _bitmask(indptr: np.ndarray, items: np.ndarray, words: int) -> np.ndarray:
-    """Row o has the bits of option o's items set; items ascend within options."""
-    n = len(indptr) - 1
-    mask = np.zeros((n, words), dtype=np.uint64)
-    flat = mask.reshape(-1)
-    for a in range(0, n, _MASK_CHUNK):
-        b = min(n, a + _MASK_CHUNK)
-        lo, hi = indptr[a], indptr[b]
-        if lo == hi:
-            continue
-        chunk = items[lo:hi]
-        rows = np.arange(a * words, b * words, words)
-        key = np.repeat(rows, np.diff(indptr[a : b + 1])) + (chunk >> 6)
-        start = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-        bits = np.left_shift(np.uint64(1), (chunk & 63).astype(np.uint64))
-        flat[key[start]] = np.bitwise_or.reduceat(bits, start)
-    return mask
-
-
-# bit b of byte value x, for turning byte histograms into item counts
-_BYTE_BITS = (np.arange(256)[:, None] >> np.arange(8)) & 1
-# from this many active options on, byte histograms count faster than unpacking
-_HISTOGRAM_ROWS = 1024
-
-
-def _item_counts(sub: np.ndarray, n_prim: int) -> np.ndarray:
-    """Number of rows of ``sub`` (little-endian bitmask rows) that have
-    each of the first n_prim bits set."""
-    by = sub.view(np.uint8)
-    if len(sub) < _HISTOGRAM_ROWS:
-        bits = np.unpackbits(by, axis=1, count=n_prim, bitorder="little")
-        return bits.sum(axis=0, dtype=np.int64)
-    hist = [np.bincount(by[:, j], minlength=256) for j in range((n_prim + 7) // 8)]
-    return (np.stack(hist) @ _BYTE_BITS).ravel()[:n_prim]
+        lib = _native.load(Path(__file__).with_name("_xcc.c"))
+        i, i64, p = ctypes.c_int, ctypes.c_int64, ctypes.c_void_p
+        lib.kms_xcc_new.argtypes = (i, i, i64, p, p, p, p, p, i64, p, p)
+        lib.kms_xcc_new.restype = p
+        lib.kms_xcc_run.argtypes = (p,)
+        lib.kms_xcc_run.restype = i
+        lib.kms_xcc_free.argtypes = (p,)
+        lib.kms_xcc_free.restype = None
+        _kernel = lib
+    return _kernel
 
 
 def solve(
@@ -249,97 +232,63 @@ def solve(
     on_solution=None,
     node_cap: int | None = None,
     time_cap: float | None = None,
+    progress=None,
 ) -> SolveStats:
     """Visit every solution exactly once in deterministic order.
 
     Each solution is passed to on_solution if one is given; without it the
-    solutions are only counted.  A solution limit, node cap or time cap
-    stops the search early and is reported via stats.limit_hit.  The
-    callback must not re-enter the solver instance.
+    solutions are only counted.  A solution limit (at least 1), node cap or
+    time cap (both non-negative) stops the search early and is reported
+    via stats.limit_hit; the node cap counts the node that passes it, and
+    the time cap is checked every 256 nodes.  Every 256 nodes
+    ``progress(nodes, depth, root_branch, n_root_branches)`` is called if
+    given; root branches count from 1.  The callbacks must not re-enter
+    the solver instance.
     """
+    if limit is not None and limit < 1:
+        raise ValueError(f"solution limit must be at least 1, not {limit}")
+    if node_cap is not None and node_cap < 0:
+        raise ValueError(f"node cap must be non-negative, not {node_cap}")
+    if time_cap is not None and not time_cap >= 0:  # NaN fails too
+        raise ValueError(f"time cap must be non-negative, not {time_cap}")
     stats = SolveStats()
     t0 = time.perf_counter()
-    chosen: list = []
-    n_prim = len(problem.primary)
-    words = max(1, (n_prim + 63) // 64)
-    # little-endian words, so byte j of row o holds items 8j..8j+7 in bit order
-    pmask = _bitmask(problem.prim_indptr, problem.prim_items, words).astype("<u8", copy=False)
-    prim_ptr = problem.prim_indptr.tolist()
-    prim_items = problem.prim_items
-    covered_mark = np.iinfo(np.int64).max
-    # option o -> its secondary items and colors: slice sec_ptr[o]:sec_ptr[o + 1]
-    sec_ptr = problem.sec_indptr.tolist()
-    opt_sec = list(zip(problem.sec_items.tolist(), problem.sec_colors.tolist()))
-    # secondary item -> (option ids, colors), ascending option id
-    owner = np.repeat(np.arange(problem.n_options), np.diff(problem.sec_indptr))
-    by_item = np.argsort(problem.sec_items, kind="stable")
-    cuts = np.cumsum(np.bincount(problem.sec_items, minlength=len(problem.secondary)))[:-1]
-    sec_opts = np.split(owner[by_item], cuts)
-    sec_colors = np.split(problem.sec_colors[by_item], cuts)
-    # scratch mask of the options a color clash rules out; cleared after each use
-    killed = np.zeros(problem.n_options, dtype=bool)
-
-    def emit() -> None:
-        stats.solutions += 1
-        if on_solution is not None:
-            on_solution(Solution(tuple(sorted(chosen))))
-        if limit is not None and stats.solutions >= limit:
-            stats.limit_hit = True
-            raise _Stop
-
-    def search(active: np.ndarray, penalty: np.ndarray, uncovered: int) -> None:
-        """``penalty`` holds covered_mark on covered items and 0 elsewhere;
-        ``uncovered`` counts the items it leaves at 0."""
-        stats.nodes += 1
-        if node_cap is not None and stats.nodes > node_cap:
-            stats.limit_hit = True
-            raise _Stop
-        if (
-            time_cap is not None
-            and stats.nodes % 256 == 0
-            and time.perf_counter() - t0 > time_cap
-        ):
-            stats.limit_hit = True
-            raise _Stop
-        if uncovered == 0:
-            emit()
-            return
-        sub = pmask[active]
-        counts = _item_counts(sub, n_prim)
-        counts |= penalty
-        # fewest live options, lowest item id on ties; covered items never win
-        best = int(counts.argmin())
-        if counts[best] == 0:
-            return
-        cand = (sub[:, best >> 6] & np.uint64(1 << (best & 63))) != 0
-        for o in active[cand].tolist():
-            omask = pmask[o]
-            if words == 1:
-                keep = (sub[:, 0] & omask[0]) == 0
-            else:
-                keep = ~np.any(sub & omask, axis=1)
-            sec = opt_sec[sec_ptr[o] : sec_ptr[o + 1]]
-            if sec:
-                bad = np.concatenate([sec_opts[s][sec_colors[s] != c] for s, c in sec])
-                if bad.size:
-                    killed[bad] = True
-                    keep &= ~killed[active]
-                    killed[bad] = False
-            lo, hi = prim_ptr[o], prim_ptr[o + 1]
-            new_penalty = penalty.copy()
-            new_penalty[prim_items[lo:hi]] = covered_mark
-            chosen.append(o)
-            search(active[keep], new_penalty, uncovered - (hi - lo))
-            chosen.pop()
-
+    lib = _xcc_kernel()
+    info = np.zeros(4, dtype=np.int64)  # nodes, depth, root branch, root branches
+    chosen = np.zeros(len(problem.primary) + 1, dtype=np.int32)
+    arrays = problem._arrays()
+    if [a.dtype for a in arrays] != [np.int64, np.int32, np.int64, np.int32, np.int64] or not all(
+            a.flags.c_contiguous for a in arrays):
+        raise ValueError("problem arrays are not in the layout XCCProblem builds")
+    addrs = [a.ctypes.data for a in arrays]
+    state = lib.kms_xcc_new(len(problem.primary), len(problem.secondary), problem.n_options,
+                            *addrs, -1 if node_cap is None else min(node_cap, 1 << 62),
+                            info.ctypes.data, chosen.ctypes.data)
+    if not state:
+        raise MemoryError("exact-cover kernel: out of memory")
     try:
-        search(
-            np.arange(problem.n_options, dtype=np.int64),
-            np.zeros(n_prim, dtype=np.int64),
-            n_prim,
-        )
-    except _Stop:
-        pass
+        while (status := lib.kms_xcc_run(state)) != _DONE:
+            if status == _NOMEM:
+                raise MemoryError("exact-cover kernel: out of memory")
+            if status == _CAP:
+                stats.limit_hit = True
+                break
+            if status == _TICK:
+                if progress is not None:
+                    progress(*info.tolist())
+                if time_cap is not None and time.perf_counter() - t0 > time_cap:
+                    stats.limit_hit = True
+                    break
+                continue
+            stats.solutions += 1
+            if on_solution is not None:
+                on_solution(Solution(tuple(sorted(chosen[: info[1]].tolist()))))
+            if limit is not None and stats.solutions >= limit:
+                stats.limit_hit = True
+                break
+    finally:
+        lib.kms_xcc_free(state)
+    stats.nodes = int(info[0])
     stats.elapsed = time.perf_counter() - t0
     return stats
 

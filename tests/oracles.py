@@ -7,10 +7,12 @@ isomorphism from point-map backtracking.  Former implementations are kept
 as references for the array code that replaced them: `orderly_reps_bitmask`
 for the search tree of the orderly search and its prunes, `km_columns_dict`
 for the Kramer-Mesner matrix, `expand_by_closure` for design expansion,
-and `Partition`, `refine` and `PythonCanonizer` for the canonizer's C
-refinement kernel.
+`Partition`, `refine` and `PythonCanonizer` for the canonizer's C
+refinement kernel, and `numpy_solve` for the search tree of the C
+exact-cover kernel.
 """
 
+import time
 from itertools import combinations, permutations
 from math import comb
 
@@ -19,6 +21,7 @@ import numpy as np
 from kmsteiner.designs import CanonicalForm, Design, _Canonizer
 from kmsteiner.km import KMError
 from kmsteiner.perm import Permutation
+from kmsteiner.xcc import Solution, SolveStats
 
 
 def orbit_of_subset(G, S):
@@ -609,3 +612,153 @@ class PythonCanonizer(_Canonizer):
     def canonical_form(self):
         self.search(*self._root(), [])
         return CanonicalForm(self.best_cert, self.aut_order(), self.nodes)
+
+
+# ---------------------------------------------------------------------------
+# the numpy exact-cover search
+
+
+class _Stop(Exception):
+    pass
+
+
+# options per chunk of _bitmask: its temporaries stay in cache, whatever the
+# size of the entry array
+_MASK_CHUNK = 1 << 12
+
+
+def _bitmask(indptr: np.ndarray, items: np.ndarray, words: int) -> np.ndarray:
+    """Row o has the bits of option o's items set; items ascend within options."""
+    n = len(indptr) - 1
+    mask = np.zeros((n, words), dtype=np.uint64)
+    flat = mask.reshape(-1)
+    for a in range(0, n, _MASK_CHUNK):
+        b = min(n, a + _MASK_CHUNK)
+        lo, hi = indptr[a], indptr[b]
+        if lo == hi:
+            continue
+        chunk = items[lo:hi]
+        rows = np.arange(a * words, b * words, words)
+        key = np.repeat(rows, np.diff(indptr[a : b + 1])) + (chunk >> 6)
+        start = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+        bits = np.left_shift(np.uint64(1), (chunk & 63).astype(np.uint64))
+        flat[key[start]] = np.bitwise_or.reduceat(bits, start)
+    return mask
+
+
+# bit b of byte value x, for turning byte histograms into item counts
+_BYTE_BITS = (np.arange(256)[:, None] >> np.arange(8)) & 1
+# from this many active options on, byte histograms count faster than unpacking
+_HISTOGRAM_ROWS = 1024
+
+
+def _item_counts(sub: np.ndarray, n_prim: int) -> np.ndarray:
+    """Number of rows of ``sub`` (little-endian bitmask rows) that have
+    each of the first n_prim bits set."""
+    by = sub.view(np.uint8)
+    if len(sub) < _HISTOGRAM_ROWS:
+        bits = np.unpackbits(by, axis=1, count=n_prim, bitorder="little")
+        return bits.sum(axis=0, dtype=np.int64)
+    hist = [np.bincount(by[:, j], minlength=256) for j in range((n_prim + 7) // 8)]
+    return (np.stack(hist) @ _BYTE_BITS).ravel()[:n_prim]
+
+
+def numpy_solve(
+    problem,
+    limit: int | None = None,
+    on_solution=None,
+    node_cap: int | None = None,
+    time_cap: float | None = None,
+) -> "SolveStats":
+    """The former numpy search of `xcc.solve`, the node-count oracle of
+    the C kernel: the same branching rule, the same caps (without their
+    argument checks), the same stats.  The set of still-compatible options
+    is a sorted index array; at each node `_item_counts` counts the live
+    options of every primary item from their bitmask rows, covered items
+    carry a large penalty, and a child keeps the active options that pass
+    a bitmask test and a color-clash mask over all options."""
+    stats = SolveStats()
+    t0 = time.perf_counter()
+    chosen: list = []
+    n_prim = len(problem.primary)
+    words = max(1, (n_prim + 63) // 64)
+    # little-endian words, so byte j of row o holds items 8j..8j+7 in bit order
+    pmask = _bitmask(problem.prim_indptr, problem.prim_items, words).astype("<u8", copy=False)
+    prim_ptr = problem.prim_indptr.tolist()
+    prim_items = problem.prim_items
+    covered_mark = np.iinfo(np.int64).max
+    # option o -> its secondary items and colors: slice sec_ptr[o]:sec_ptr[o + 1]
+    sec_ptr = problem.sec_indptr.tolist()
+    opt_sec = list(zip(problem.sec_items.tolist(), problem.sec_colors.tolist()))
+    # secondary item -> (option ids, colors), ascending option id
+    owner = np.repeat(np.arange(problem.n_options), np.diff(problem.sec_indptr))
+    by_item = np.argsort(problem.sec_items, kind="stable")
+    cuts = np.cumsum(np.bincount(problem.sec_items, minlength=len(problem.secondary)))[:-1]
+    sec_opts = np.split(owner[by_item], cuts)
+    sec_colors = np.split(problem.sec_colors[by_item], cuts)
+    # scratch mask of the options a color clash rules out; cleared after each use
+    killed = np.zeros(problem.n_options, dtype=bool)
+
+    def emit() -> None:
+        stats.solutions += 1
+        if on_solution is not None:
+            on_solution(Solution(tuple(sorted(chosen))))
+        if limit is not None and stats.solutions >= limit:
+            stats.limit_hit = True
+            raise _Stop
+
+    def search(active: np.ndarray, penalty: np.ndarray, uncovered: int) -> None:
+        """``penalty`` holds covered_mark on covered items and 0 elsewhere;
+        ``uncovered`` counts the items it leaves at 0."""
+        stats.nodes += 1
+        if node_cap is not None and stats.nodes > node_cap:
+            stats.limit_hit = True
+            raise _Stop
+        if (
+            time_cap is not None
+            and stats.nodes % 256 == 0
+            and time.perf_counter() - t0 > time_cap
+        ):
+            stats.limit_hit = True
+            raise _Stop
+        if uncovered == 0:
+            emit()
+            return
+        sub = pmask[active]
+        counts = _item_counts(sub, n_prim)
+        counts |= penalty
+        # fewest live options, lowest item id on ties; covered items never win
+        best = int(counts.argmin())
+        if counts[best] == 0:
+            return
+        cand = (sub[:, best >> 6] & np.uint64(1 << (best & 63))) != 0
+        for o in active[cand].tolist():
+            omask = pmask[o]
+            if words == 1:
+                keep = (sub[:, 0] & omask[0]) == 0
+            else:
+                keep = ~np.any(sub & omask, axis=1)
+            sec = opt_sec[sec_ptr[o] : sec_ptr[o + 1]]
+            if sec:
+                bad = np.concatenate([sec_opts[s][sec_colors[s] != c] for s, c in sec])
+                if bad.size:
+                    killed[bad] = True
+                    keep &= ~killed[active]
+                    killed[bad] = False
+            lo, hi = prim_ptr[o], prim_ptr[o + 1]
+            new_penalty = penalty.copy()
+            new_penalty[prim_items[lo:hi]] = covered_mark
+            chosen.append(o)
+            search(active[keep], new_penalty, uncovered - (hi - lo))
+            chosen.pop()
+
+    try:
+        search(
+            np.arange(problem.n_options, dtype=np.int64),
+            np.zeros(n_prim, dtype=np.int64),
+            n_prim,
+        )
+    except _Stop:
+        pass
+    stats.elapsed = time.perf_counter() - t0
+    return stats

@@ -47,7 +47,7 @@ from kmsteiner.symbreak import (
     read_copy_map,
     write_copy_map,
 )
-from kmsteiner.xcc import XCCProblem, export_text, import_text, solve_all
+from kmsteiner.xcc import XCCProblem, export_text, import_text, solve, solve_all
 
 from oracles import (
     aut_order_bruteforce,
@@ -57,6 +57,7 @@ from oracles import (
     designs_equal,
     designs_isomorphic_bruteforce,
     exact_covers_bruteforce,
+    numpy_solve,
     orbit_of_subset,
     t_orbit_lookup,
     xcc_solutions_bruteforce,
@@ -166,7 +167,11 @@ def test_criterion_4_xcc_fuzz():
             p = XCCProblem(
                 [f"p{i}" for i in range(n_p)], [f"s{i}" for i in range(n_s)], options
             )
-            sols, _ = solve_all(p)
+            sols, want = [], []
+            stats = solve(p, on_solution=sols.append)
+            # the kernel's search tree is the numpy oracle's
+            assert stats.nodes == numpy_solve(p, on_solution=want.append).nodes, trial
+            assert sols == want, trial
             assert sorted(s.option_ids for s in sols) == xcc_solutions_bruteforce(p), trial
         assert time.time() - t0 < 60.0
 

@@ -458,3 +458,64 @@ def test_cli_subprocess_smoke(tmp_path, fixtures_dir):
         )
         assert proc.returncode == 0, (stage, proc.stderr)
     assert os.path.exists(tmp_path / "run" / "classes.txt")
+
+
+@pytest.mark.parametrize("key, value", [("node_cap", "-1"), ("time_cap", "-0.5"),
+                                        ("time_cap", "nan"), ("solution_limit", "0"),
+                                        ("solution_limit", "-3")])
+def test_bad_cap_in_config_rejected(tmp_path, fixtures_dir, key, value):
+    path = write_config(
+        tmp_path / "cap.cfg",
+        v=13,
+        k=3,
+        t=2,
+        group_file=os.path.join(fixtures_dir, "groups", "C13.grp"),
+        output_dir=str(tmp_path / "out"),
+        **{key: value},
+    )
+    with pytest.raises(ValidationError, match=key):
+        JobConfig.load(path)
+    assert main(["orbits", "--config", path]) == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("limit", ["0", "-3"])
+def test_bad_limit_flag_rejected(tmp_path, fixtures_dir, limit):
+    cfgp = write_config(
+        tmp_path / "lim.cfg",
+        v=13,
+        k=3,
+        t=2,
+        group_file=os.path.join(fixtures_dir, "groups", "C13.grp"),
+        output_dir=str(tmp_path / "run"),
+    )
+    for stage in ("orbits", "km", "encode"):
+        assert main([stage, "--config", cfgp]) == EXIT_OK
+    assert main(["solve", "--config", cfgp, "--limit", limit]) == EXIT_VALIDATION
+    assert not os.path.exists(tmp_path / "run" / "solutions.txt")
+
+
+def test_solve_logs_progress(tmp_path, caplog, monkeypatch):
+    # S(3,4,10) with the trivial group: the solve passes 256 nodes early
+    (tmp_path / "trivial.grp").write_text("degree 10\n")
+    cfgp = write_config(
+        tmp_path / "s3410.cfg",
+        v=10,
+        k=4,
+        t=3,
+        group_file=str(tmp_path / "trivial.grp"),
+        node_cap=600,
+        output_dir=str(tmp_path / "run"),
+    )
+    for stage in ("orbits", "km", "encode"):
+        assert main([stage, "--config", cfgp]) == EXIT_OK
+    monkeypatch.setattr(cli, "PROGRESS_SECONDS", 0.0)
+    with caplog.at_level("INFO", logger="kmsteiner"):
+        assert main(["solve", "--config", cfgp]) == EXIT_RESOURCE
+    lines = [r.getMessage() for r in caplog.records if "root branch" in r.getMessage()]
+    assert [ln.split(",")[0] for ln in lines] == ["256 nodes", "512 nodes"]
+    for ln in lines:
+        _, rate, depth, branch = ln.split(", ")
+        assert rate.endswith(" nodes/s") and float(rate.split()[0]) > 0
+        assert depth.startswith("depth ") and 0 < int(depth.split()[1]) <= 30
+        # every one of the 120 triples lies in 7 of the 210 4-subsets
+        assert branch == "root branch 1 of 7"
