@@ -18,7 +18,7 @@ x -> a*x + b) is what makes the pruning sound.
 from kmsteiner.designs import classify, expand, verify_steiner
 from kmsteiner.km import build_km
 from kmsteiner.orbitgen import good_k_orbit_reps, t_orbit_reps
-from kmsteiner.perm import cyclic_group, group_order, normalizer_of_cyclic
+from kmsteiner.perm import cyclic_group, normalizer_of_cyclic
 from kmsteiner.symbreak import decode_solution, encode, normalizer_classes
 from kmsteiner.xcc import solve_all
 
@@ -27,7 +27,7 @@ def run(v):
     G = cyclic_group(v)
     N = normalizer_of_cyclic(v)
     print(f"\n== STS({v}) under the cyclic group ==")
-    print(f"|G| = {group_order(G)}, |N(G)| = {group_order(N)}")
+    print(f"|G| = {G.order()}, |N(G)| = {N.order()}")
 
     tro = t_orbit_reps(G, v, 2)
     ko = good_k_orbit_reps(G, v, 3, 2)

@@ -12,13 +12,30 @@ Also builds each normalizer in S_91 and prints its order.
 
 from kmsteiner.order84 import (
     EXPECTED_NORMALIZER_ORDER,
-    STRUCTURES,
     enumerate_order84_groups,
     normalizer_in_s91,
-    order12_subgroup_classes,
     valid_phis,
 )
-from kmsteiner.perm import group_order, verify_normalizes
+from kmsteiner.perm import verify_normalizes
+
+# the isomorphism type of each group
+STRUCTURES = {
+    "G1": "C7 : C12",
+    "G2": "C4 x (C7 : C3)",
+    "G3": "C7 x (C3 : C4)",
+    "G4": "C3 x (C7 : C4)",
+    "G5": "C21 : C4",
+    "G6": "C84",
+    "G7": "C2 x (C7 : C6)",
+    "G8": "S3 x D14",
+    "G9": "C2 x C2 x (C7 : C3)",
+    "G10": "C7 x A4",
+    "G11": "(C14 x C2) : C3",
+    "G12": "C6 x D14",
+    "G13": "C14 x S3",
+    "G14": "D84",
+    "G15": "C42 x C2",
+}
 
 
 def main():
@@ -33,9 +50,8 @@ def main():
     print(f"{'label':6s} {'structure':28s} {'complement':10s} {'twist':10s} "
           f"{'|N(G)|':>8s}")
     for rec in enumerate_order84_groups():
-        assert order12_subgroup_classes(rec.table) == 1
         N = normalizer_in_s91(rec)
-        n_order = group_order(N)
+        n_order = N.order()
         assert n_order == EXPECTED_NORMALIZER_ORDER[rec.label]
         assert verify_normalizes(N, rec.group)
         print(f"{rec.label:6s} {STRUCTURES[rec.label]:28s} {rec.h_name:10s} "

@@ -10,7 +10,6 @@ from .perm import (
     Permutation,
     PermutationGroup,
     cyclic_group,
-    group_order,
     normalizer_of_cyclic,
     parse_permutation,
     read_group_file,
@@ -52,7 +51,6 @@ __all__ = [
     "Permutation",
     "PermutationGroup",
     "parse_permutation",
-    "group_order",
     "cyclic_group",
     "normalizer_of_cyclic",
     "verify_normalizes",

@@ -1,4 +1,10 @@
-"""Build and load the package's C kernels.
+"""Build, cache and load the package's C kernels.
+
+``kernel(source)`` returns the ctypes library of one of the kernel sources
+beside this module (``_refine.c``, ``_xcc.c``) with the prototypes of its
+functions declared.  The first call in a process builds or reuses the
+library and later calls return the same object, so a kernel is loaded on
+first use and never at import.
 
 ``load(source)`` compiles a C file with ``gcc -O2 -shared -fPIC`` into the
 ``__pycache__`` directory beside it, named after the SHA-256 of the
@@ -17,6 +23,36 @@ import shutil
 import subprocess
 import tempfile
 from pathlib import Path
+
+_I, _I64, _P = ctypes.c_int, ctypes.c_int64, ctypes.c_void_p
+
+# per kernel source: function -> (argument types, return type)
+_PROTOTYPES = {
+    "_refine.c": {
+        "kms_refine": ((_I, _P, _P, _P, _P, _I, _P), _I),
+        "kms_target_cell": ((_I, _P), _I),
+        "kms_individualize": ((_I, _P, _P, _P, _P, _I, _I, _P), _I),
+    },
+    "_xcc.c": {
+        "kms_xcc_new": ((_I, _I, _I64, _P, _P, _P, _P, _P, _I64, _P, _P), _P),
+        "kms_xcc_run": ((_P,), _I),
+        "kms_xcc_free": ((_P,), None),
+    },
+}
+
+_loaded: dict = {}  # source name -> library, filled on first use
+
+
+def kernel(source: str) -> ctypes.CDLL:
+    """The library built from the kernel source named ``source``."""
+    lib = _loaded.get(source)
+    if lib is None:
+        lib = load(Path(__file__).with_name(source))
+        for name, (argtypes, restype) in _PROTOTYPES[source].items():
+            f = getattr(lib, name)
+            f.argtypes, f.restype = argtypes, restype
+        _loaded[source] = lib
+    return lib
 
 
 def load(source: Path) -> ctypes.CDLL:

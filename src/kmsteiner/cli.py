@@ -21,7 +21,7 @@ import logging
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from math import comb
 
 import numpy as np
@@ -31,7 +31,6 @@ from . import km as km_mod
 from . import orbitgen, symbreak, xcc
 from .perm import (
     PermutationGroup,
-    group_order,
     read_group_file,
 )
 
@@ -91,24 +90,11 @@ class JobConfig:
     time_cap: float | None = None
     solution_limit: int | None = None
     label: str | None = None
-    path: str = ""
-
-    _KEYS = {
-        "v",
-        "k",
-        "t",
-        "group_file",
-        "normalizer_file",
-        "encoding",
-        "node_cap",
-        "time_cap",
-        "solution_limit",
-        "output_dir",
-        "label",
-    }
+    path: str = ""  # the config file itself, not a key
 
     @classmethod
     def load(cls, path) -> "JobConfig":
+        keys = {f.name: f for f in fields(cls) if f.name != "path"}
         raw: dict = {}
         with open(path, "r", encoding="utf-8") as fh:
             for ln, line in enumerate(fh, start=1):
@@ -119,10 +105,10 @@ class JobConfig:
                     raise ValidationError(f"{path}:{ln}: expected key = value")
                 key, _, val = line.partition("=")
                 key, val = key.strip(), val.strip()
-                if key not in cls._KEYS:
+                if key not in keys:
                     raise ValidationError(f"{path}:{ln}: unknown key {key!r}")
                 raw[key] = val
-        for req in ("v", "k", "t", "group_file", "output_dir"):
+        for req in (name for name, f in keys.items() if f.default is MISSING):
             if req not in raw:
                 raise ValidationError(f"{path}: missing required key {req!r}")
         base = os.path.dirname(os.path.abspath(path))
@@ -466,7 +452,7 @@ def cmd_report(cfg_paths, out_stream=None) -> str:
 
         n_order = "-"
         if cfg.normalizer_file and os.path.exists(cfg.normalizer_file):
-            n_order = str(group_order(cfg.normalizer()))
+            n_order = str(cfg.normalizer().order())
         enc = stages["encode"]["counts"] if "encode" in stages else {}
         rows.append(
             {
@@ -562,7 +548,8 @@ def main(argv=None) -> int:
     except designs_mod.BudgetExceeded as exc:
         log.error("%s", exc)
         return EXIT_RESOURCE
-    except (ValidationError, ValueError, OverflowError, OSError, km_mod.KMError) as exc:
+    except (ValidationError, ValueError, OverflowError, OSError, ImportError,
+            km_mod.KMError) as exc:
         log.error("%s", exc)
         return EXIT_VALIDATION
 

@@ -25,14 +25,13 @@ C(v, k) >= 2^63, which has no 63-bit lex rank.
 
 from __future__ import annotations
 
-import ctypes
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb, factorial
-from pathlib import Path
 
 import numpy as np
 
+from . import _native
 from .orbitgen import OrbitSet, _pack_keys
 from .perm import Permutation, PermutationGroup, StabilizerChain
 
@@ -147,8 +146,8 @@ class SteinerReport:
     violations: list  # up to 10 (t_subset, count) entries; count 0 = uncovered
 
 
-def verify_steiner(d: Design, t: int, lam: int = 1) -> SteinerReport:
-    """Check that every t-subset of {1..v} is covered exactly lam times.
+def verify_steiner(d: Design, t: int) -> SteinerReport:
+    """Check that every t-subset of {1..v} is covered exactly once.
 
     The t-subsets of the blocks are keyed by their lex ranks
     (``orbitgen._pack_keys``), which refuses t with C(v, t) >= 2^63
@@ -159,7 +158,7 @@ def verify_steiner(d: Design, t: int, lam: int = 1) -> SteinerReport:
     pick = np.array(list(combinations(range(d.k), t)), dtype=np.intp).reshape(comb(d.k, t), t)
     rows = (d.blocks[:, pick] - 1).reshape(d.b * len(pick), t)
     uniq, first, counts = np.unique(_pack_keys(rows, d.v), return_index=True, return_counts=True)
-    wrong = np.flatnonzero(counts != lam)[:10]
+    wrong = np.flatnonzero(counts != 1)[:10]
     violations = list(zip(map(tuple, (rows[first[wrong]] + 1).tolist()), counts[wrong].tolist()))
     if len(violations) < 10 and len(uniq) != comb(d.v, t):
         present = set(uniq.tolist())
@@ -182,29 +181,6 @@ class CanonicalForm:
     aut_order: int
     nodes: int  # search tree nodes visited
 
-    def __iter__(self):
-        return iter((self.certificate, self.aut_order))
-
-
-_kernel = None
-
-
-def _refine_kernel() -> ctypes.CDLL:
-    """The refinement kernel ``_refine.c``, built and loaded on first use."""
-    global _kernel
-    if _kernel is None:
-        from . import _native
-
-        lib = _native.load(Path(__file__).with_name("_refine.c"))
-        i, p = ctypes.c_int, ctypes.c_void_p
-        lib.kms_refine.argtypes = (i, p, p, p, p, i, p)
-        lib.kms_target_cell.argtypes = (i, p)
-        lib.kms_individualize.argtypes = (i, p, p, p, p, i, i, p)
-        for f in (lib.kms_refine, lib.kms_target_cell, lib.kms_individualize):
-            f.restype = i
-        _kernel = lib
-    return _kernel
-
 
 class _Canonizer:
     """Individualization-refinement search over partitions held by the C
@@ -224,7 +200,7 @@ class _Canonizer:
         degree = np.r_[np.bincount(flat, minlength=self.v), np.full(self.b, design.k)]
         self.indptr = np.r_[0, np.cumsum(degree)].astype(np.int32)
         self.adj = np.r_[self.v + np.argsort(flat, kind="stable") // design.k, flat].astype(np.int32)
-        self._kernel = _refine_kernel()
+        self._kernel = _native.kernel("_refine.c")
         self._work = np.zeros(2 * (self.n // 64 + 1) + 7 * self.n, dtype=np.int32)
         # the kernel's arguments before the partitions
         self._args = (self.n, self.indptr.ctypes.data, self.adj.ctypes.data)

@@ -54,7 +54,6 @@ __all__ = [
     "OrbitSet",
     "t_orbit_reps",
     "good_k_orbit_reps",
-    "subset_orbit_count",
     "read_orbit_file",
     "write_orbit_file",
 ]
@@ -116,41 +115,6 @@ def _pack_keys(subsets0: np.ndarray, v: int) -> np.ndarray:
     return keys
 
 
-def subset_orbit_count(G: PermutationGroup, k: int) -> int:
-    """Number of G-orbits on k-subsets, by Burnside's lemma.
-
-    A subset is fixed by g iff it is a union of cycles of g, so the fixed
-    count per element is a subset-sum over its cycle lengths.
-    """
-    v = G.degree
-    table = G.element_table()
-    total = 0
-    for g in table.tolist():
-        seen = [False] * v
-        lengths = []
-        for i in range(v):
-            if seen[i]:
-                continue
-            L = 1
-            seen[i] = True
-            j = g[i]
-            while j != i:
-                seen[j] = True
-                L += 1
-                j = g[j]
-            lengths.append(L)
-        dp = [0] * (k + 1)
-        dp[0] = 1
-        for L in lengths:
-            for j in range(k, L - 1, -1):
-                dp[j] += dp[j - L]
-        total += dp[k]
-    orbits, rem = divmod(total, len(table))
-    if rem:
-        raise AssertionError("Burnside count is not integral")
-    return orbits
-
-
 # bytes of SG and SF state per batch of same-depth nodes
 _BATCH_BYTES = 1 << 16
 
@@ -205,7 +169,6 @@ def _orderly_reps(
     size: int,
     t: int,
     good: bool,
-    overlap_prune: bool = True,
     shard=None,
 ):
     """Run the orderly search; returns the representatives as an (n, size)
@@ -271,7 +234,7 @@ def _orderly_reps(
         # outside S, g(p) in S and g(p) = p exclude each other
         leaf = d + 1 == size
         top = 2 * (d + 1) - size - 1  # P2 prunes t <= |S' meet S'^g| <= top
-        overlap = good and top >= t and (leaf or overlap_prune)
+        overlap = good and top >= t
         if overlap or leaf:
             counts = (~(SG | SF), SG ^ SF, SG & SF)  # bits p with c = 0, 1, 2
             total = inter + span  # (3, n_el, B): inter + c
@@ -356,27 +319,16 @@ def good_k_orbit_reps(
     v: int,
     k: int,
     t: int,
-    overlap_prune: bool = True,
     shard=None,
 ) -> OrbitSet:
     """All good k-orbit representatives in lex order.
 
-    overlap_prune=False disables prune P2 (used by soundness tests; the
-    output is unchanged).  shard=(i, n) splits the tree at the second
-    point so workers can generate disjoint parts to be merged and
-    re-sorted.
+    shard=(i, n) splits the tree at the second point so workers can
+    generate disjoint parts to be merged and re-sorted.
     """
     if not t < k < v:
         raise ValueError("need t < k < v")
-    reps, sizes = _orderly_reps(
-        G,
-        v,
-        k,
-        t,
-        good=True,
-        overlap_prune=overlap_prune,
-        shard=shard,
-    )
+    reps, sizes = _orderly_reps(G, v, k, t, good=True, shard=shard)
     return OrbitSet(v=v, t=t, reps=reps, sizes=sizes, group_id=G.fingerprint())
 
 

@@ -31,35 +31,14 @@ __all__ = [
     "enumerate_order84_groups",
     "automorphism_perms",
     "normalizer_in_s91",
-    "abstract_isomorphic",
-    "order12_subgroup_classes",
     "EXPECTED_NORMALIZER_ORDER",
     "TABLE_GROUPS",
     "TABLE_BENCH",
-    "STRUCTURES",
 ]
 
 H_NAMES = ("C12", "C6xC2", "D12", "A4", "Dic3")
 
-# structure descriptions and |N(G_i)| values used to validate the construction
-STRUCTURES = {
-    "G1": "C7 : C12",
-    "G2": "C4 x (C7 : C3)",
-    "G3": "C7 x (C3 : C4)",
-    "G4": "C3 x (C7 : C4)",
-    "G5": "C21 : C4",
-    "G6": "C84",
-    "G7": "C2 x (C7 : C6)",
-    "G8": "S3 x D14",
-    "G9": "C2 x C2 x (C7 : C3)",
-    "G10": "C7 x A4",
-    "G11": "(C14 x C2) : C3",
-    "G12": "C6 x D14",
-    "G13": "C14 x S3",
-    "G14": "D84",
-    "G15": "C42 x C2",
-}
-
+# |N(G_i)| in S_91, used to validate the construction
 EXPECTED_NORMALIZER_ORDER = {
     "G1": 7056,
     "G2": 7056,
@@ -144,9 +123,6 @@ class SmallGroup:
 
     def is_abelian(self) -> bool:
         return self.center_size() == self.n
-
-    def order_multiset(self) -> tuple:
-        return tuple(sorted(self.order_of))
 
 
 def _closure(seed, mul_fn, identity):
@@ -387,38 +363,6 @@ def automorphism_perms(G: SmallGroup) -> list:
     """All automorphisms of G as permutations of element indices;
     complete search, feasible at order 84."""
     return list(_isomorphisms(G, G))
-
-
-def abstract_isomorphic(A: SmallGroup, B: SmallGroup) -> bool:
-    """Brute-force generator-image search for an isomorphism A -> B."""
-    if A.n != B.n or A.order_multiset() != B.order_multiset():
-        return False
-    return next(_isomorphisms(A, B), None) is not None
-
-
-def order12_subgroup_classes(G: SmallGroup) -> int:
-    """Number of conjugacy classes of order-12 subgroups.
-
-    All five groups of order 12 are 2-generated, so closures of element
-    pairs (orders dividing 12) find every subgroup.
-    """
-    small = [i for i in range(G.n) if G.order_of[i] > 1 and 12 % G.order_of[i] == 0]
-    subgroups = set()
-    for a in small:
-        for b in small:
-            els = frozenset(_closure((a, b), lambda x, y: G.mul[x][y], G.e))
-            if len(els) == 12:
-                subgroups.add(els)
-    classes = []
-    for S in subgroups:
-        if any(S in cl for cl in classes):
-            continue
-        conj = set()
-        for g in range(G.n):
-            gi = G.inv[g]
-            conj.add(frozenset(G.mul[G.mul[g][x]][gi] for x in S))
-        classes.append(conj)
-    return len(classes)
 
 
 def _reduce_generators(perms: list, degree: int) -> list:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 import threading
 from math import gcd
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -20,16 +20,12 @@ __all__ = [
     "PermutationGroup",
     "StabilizerChain",
     "parse_permutation",
-    "group_order",
     "cyclic_group",
     "normalizer_of_cyclic",
     "verify_normalizes",
     "read_group_file",
     "write_group_file",
 ]
-
-PointSubset = tuple  # sorted tuple of 1-based points
-
 
 # ---------------------------------------------------------------------------
 # raw tuple arithmetic (0-based); hot paths use these directly
@@ -95,15 +91,6 @@ class Permutation:
     def raw(self) -> tuple:
         """0-based image tuple (internal representation)."""
         return self._img
-
-    def apply(self, point: int) -> int:
-        """Image of a 1-based point."""
-        return self._img[point - 1] + 1
-
-    def apply_subset(self, subset: Iterable[int]) -> PointSubset:
-        """Image of a set of 1-based points, re-sorted."""
-        img = self._img
-        return tuple(sorted(img[p - 1] + 1 for p in subset))
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         """Left-to-right product: (p * q) means apply p, then q."""
@@ -364,10 +351,6 @@ class PermutationGroup:
             return False
         return self._get_chain().contains(g.raw())
 
-    def elements(self, cap: int = 10**6) -> list[Permutation]:
-        """All elements (deterministic order).  Raises if the order exceeds cap."""
-        return [Permutation(g) for g in self.element_table(cap).tolist()]
-
     def element_table(self, cap: int = 10**6) -> np.ndarray:
         """All elements as one read-only int64 array: row e holds the 0-based
         images of element e, in the chain's deterministic order.  Raises if
@@ -404,11 +387,6 @@ class PermutationGroup:
 
 # ---------------------------------------------------------------------------
 # spec operations
-
-
-def group_order(G: PermutationGroup) -> int:
-    """Exact group order via the stabilizer chain."""
-    return G.order()
 
 
 def cyclic_group(v: int) -> PermutationGroup:

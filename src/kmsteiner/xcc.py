@@ -30,13 +30,13 @@ where the solution limit, the time cap and progress are handled.
 
 from __future__ import annotations
 
-import ctypes
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
+
+from . import _native
 
 __all__ = [
     "XCCProblem",
@@ -202,28 +202,8 @@ class SolveStats:
     limit_hit: bool = False
 
 
-_kernel = None
-
 # kms_xcc_run's return values
 _DONE, _SOLUTION, _TICK, _CAP, _NOMEM = 0, 1, 2, 3, -1
-
-
-def _xcc_kernel() -> ctypes.CDLL:
-    """The search kernel ``_xcc.c``, built and loaded on first use."""
-    global _kernel
-    if _kernel is None:
-        from . import _native
-
-        lib = _native.load(Path(__file__).with_name("_xcc.c"))
-        i, i64, p = ctypes.c_int, ctypes.c_int64, ctypes.c_void_p
-        lib.kms_xcc_new.argtypes = (i, i, i64, p, p, p, p, p, i64, p, p)
-        lib.kms_xcc_new.restype = p
-        lib.kms_xcc_run.argtypes = (p,)
-        lib.kms_xcc_run.restype = i
-        lib.kms_xcc_free.argtypes = (p,)
-        lib.kms_xcc_free.restype = None
-        _kernel = lib
-    return _kernel
 
 
 def solve(
@@ -253,7 +233,7 @@ def solve(
         raise ValueError(f"time cap must be non-negative, not {time_cap}")
     stats = SolveStats()
     t0 = time.perf_counter()
-    lib = _xcc_kernel()
+    lib = _native.kernel("_xcc.c")
     info = np.zeros(4, dtype=np.int64)  # nodes, depth, root branch, root branches
     chosen = np.zeros(len(problem.primary) + 1, dtype=np.int32)
     arrays = problem._arrays()

@@ -20,8 +20,16 @@ import numpy as np
 
 from kmsteiner.designs import CanonicalForm, Design, _Canonizer
 from kmsteiner.km import KMError
+from kmsteiner.order84 import _closure, _isomorphisms
 from kmsteiner.perm import Permutation
 from kmsteiner.xcc import Solution, SolveStats
+
+
+def subset_image(g, S):
+    """Image of the 1-based point set S under the 0-based image row g
+    (a row of `PermutationGroup.element_table` or `Permutation.raw`),
+    re-sorted."""
+    return tuple(sorted(g[p - 1] + 1 for p in S))
 
 
 def orbit_of_subset(G, S):
@@ -35,7 +43,7 @@ def orbit_of_subset(G, S):
         cur = queue[qi]
         qi += 1
         for g in gens:
-            img = tuple(sorted(g[p - 1] + 1 for p in cur))
+            img = subset_image(g, cur)
             if img not in seen:
                 seen.add(img)
                 queue.append(img)
@@ -61,6 +69,41 @@ def subset_orbits(generators, v, size):
                     queue.append(img)
         seen |= orbit
         orbits[min(orbit)] = orbit
+    return orbits
+
+
+def subset_orbit_count(G, k):
+    """Number of G-orbits on k-subsets, by Burnside's lemma.
+
+    A subset is fixed by g iff it is a union of cycles of g, so the fixed
+    count per element is a subset-sum over its cycle lengths.
+    """
+    v = G.degree
+    table = G.element_table()
+    total = 0
+    for g in table.tolist():
+        seen = [False] * v
+        lengths = []
+        for i in range(v):
+            if seen[i]:
+                continue
+            L = 1
+            seen[i] = True
+            j = g[i]
+            while j != i:
+                seen[j] = True
+                L += 1
+                j = g[j]
+            lengths.append(L)
+        dp = [0] * (k + 1)
+        dp[0] = 1
+        for L in lengths:
+            for j in range(k, L - 1, -1):
+                dp[j] += dp[j - L]
+        total += dp[k]
+    orbits, rem = divmod(total, len(table))
+    if rem:
+        raise AssertionError("Burnside count is not integral")
     return orbits
 
 
@@ -300,11 +343,49 @@ def is_good_orbit(G, K, t):
     if len(K) <= t:
         raise ValueError("need |K| > t")
     kset = frozenset(K)
-    for g in G.elements():
-        img = frozenset(g.apply(p) for p in K)
+    for g in G.element_table().tolist():
+        img = frozenset(subset_image(g, K))
         if img != kset and len(kset & img) >= t:
             return False
     return True
+
+
+def order_multiset(G):
+    """Sorted element orders of a `SmallGroup`: an isomorphism invariant."""
+    return tuple(sorted(G.order_of))
+
+
+def abstract_isomorphic(A, B):
+    """Brute-force generator-image search for an isomorphism A -> B of
+    `SmallGroup` tables."""
+    if A.n != B.n or order_multiset(A) != order_multiset(B):
+        return False
+    return next(_isomorphisms(A, B), None) is not None
+
+
+def order12_subgroup_classes(G):
+    """Number of conjugacy classes of order-12 subgroups of a `SmallGroup`.
+
+    All five groups of order 12 are 2-generated, so closures of element
+    pairs (orders dividing 12) find every subgroup.
+    """
+    small = [i for i in range(G.n) if G.order_of[i] > 1 and 12 % G.order_of[i] == 0]
+    subgroups = set()
+    for a in small:
+        for b in small:
+            els = frozenset(_closure((a, b), lambda x, y: G.mul[x][y], G.e))
+            if len(els) == 12:
+                subgroups.add(els)
+    classes = []
+    for S in subgroups:
+        if any(S in cl for cl in classes):
+            continue
+        conj = set()
+        for g in range(G.n):
+            gi = G.inv[g]
+            conj.add(frozenset(G.mul[G.mul[g][x]][gi] for x in S))
+        classes.append(conj)
+    return len(classes)
 
 
 def km_block_count(v, k):
@@ -373,7 +454,7 @@ def expand_by_closure(orbit_indices, k_orbits, G):
     return Design(k_orbits.v, blocks)
 
 
-def verify_steiner_dict(d, t, lam=1):
+def verify_steiner_dict(d, t):
     """Steiner check by counting t-subsets in a dict: the same report as
     `designs.verify_steiner` (wrong counts in sorted order, then uncovered
     subsets in lexicographic order, at most 10 in all)."""
@@ -383,7 +464,7 @@ def verify_steiner_dict(d, t, lam=1):
             counts[T] = counts.get(T, 0) + 1
     violations = []
     for T, c in sorted(counts.items()):
-        if c != lam:
+        if c != 1:
             violations.append((T, c))
             if len(violations) >= 10:
                 break
@@ -411,7 +492,7 @@ def orderly_reps_bitmask(G, v, size, t, good, overlap_prune=True, shard=None):
     candidate's whole image masks at every node: one (candidates x elements
     x words) uint64 block per node, with the prunes P1 and P2 and the shard
     split of `orbitgen`."""
-    imgs = np.array([g.raw() for g in G.elements()], dtype=np.int64)
+    imgs = np.array(G.element_table())
     n_el = len(imgs)
     words = (v + 63) // 64
     point_bit = np.zeros((v, words), dtype=np.uint64)

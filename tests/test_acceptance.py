@@ -20,7 +20,6 @@ from kmsteiner.km import build_km, read_km_file, write_km_file
 from kmsteiner.orbitgen import (
     good_k_orbit_reps,
     read_orbit_file,
-    subset_orbit_count,
     t_orbit_reps,
     write_orbit_file,
 )
@@ -30,12 +29,10 @@ from kmsteiner.order84 import (
     TABLE_GROUPS,
     enumerate_order84_groups,
     normalizer_in_s91,
-    order12_subgroup_classes,
 )
 from kmsteiner.perm import (
     PermutationGroup,
     cyclic_group,
-    group_order,
     normalizer_of_cyclic,
     read_group_file,
     write_group_file,
@@ -58,7 +55,9 @@ from oracles import (
     designs_isomorphic_bruteforce,
     exact_covers_bruteforce,
     numpy_solve,
+    order12_subgroup_classes,
     orbit_of_subset,
+    subset_orbit_count,
     t_orbit_lookup,
     xcc_solutions_bruteforce,
 )
@@ -214,7 +213,7 @@ def test_criterion_6_identity_suite(tmp_path):
             km = build_km(G, tro, ko)
             lookup = t_orbit_lookup(G, tro)
             full = [sorted(orbit_of_subset(G, rep)) for rep in ko.reps.tolist()]
-            order = group_order(G)
+            order = G.order()
             assert (order % tro.sizes == 0).all() and (order % ko.sizes == 0).all()
             for j in range(len(ko)):
                 assert column_weight_ok(km, j)
@@ -266,7 +265,7 @@ def test_criterion_7_order84_construction():
         records = enumerate_order84_groups()
         assert [r.label for r in records] == [f"G{i}" for i in range(1, 16)]
         for r in records:
-            assert group_order(r.group) == 84
+            assert r.group.order() == 84
             assert len(orbit_of_subset(r.group, (1,))) == 7
             assert len(orbit_of_subset(r.group, (8,))) == 84
             assert order12_subgroup_classes(r.table) == 1
@@ -287,7 +286,7 @@ def test_criterion_9_order84_published_g8_g14(label, fixtures_dir):
         name = f"G{int(label[1:]):02d}.grp"
         G = read_group_file(os.path.join(fixtures_dir, "groups", name))
         N = read_group_file(os.path.join(fixtures_dir, "normalizers", name))
-        assert group_order(N) == EXPECTED_NORMALIZER_ORDER[label]
+        assert N.order() == EXPECTED_NORMALIZER_ORDER[label]
         ko = good_k_orbit_reps(G, 91, 6, 2)
         pairs = list(zip(map(tuple, ko.reps.tolist()), ko.sizes.tolist()))
         assert len(pairs) == exp_orb
@@ -304,25 +303,38 @@ def test_criterion_9_order84_published_g8_g14(label, fixtures_dir):
 # paper tier
 
 
+def stage(cid, t0, msg):
+    """Print one timed line for a stage of a paper run (shown under -s) and
+    return the start time of the next stage."""
+    print(f"[criterion {cid}] {msg} [{time.perf_counter() - t0:.1f}s]", flush=True)
+    return time.perf_counter()
+
+
 @pytest.mark.paper
 def test_criterion_8_cyclic_s26_91():
     with criterion(8, "cyclic S(2,6,91): 1774964 good orbits, 120/8 solutions, 4 classes"):
+        t0 = time.perf_counter()
         G = cyclic_group(91)
         N = normalizer_of_cyclic(91)
-        assert group_order(N) == 6552
+        assert N.order() == 6552
         assert subset_orbit_count(G, 6) == 7324878
+        t0 = stage(8, t0, "|N(C91)| = 6552, 7324878 6-orbits")
         tro = t_orbit_reps(G, 91, 2)
         assert len(tro) == 45
         ko = good_k_orbit_reps(G, 91, 6, 2)
         assert len(ko) == 1774964
+        t0 = stage(8, t0, f"{len(tro)} 2-orbits, {len(ko)} good 6-orbits")
         km = build_km(G, tro, ko)
         assert km.shape == (45, 1774964)
+        t0 = stage(8, t0, f"KM matrix {km.shape}")
         classes = normalizer_classes(N, ko, G)
         assert classes.n_classes == 24717
+        t0 = stage(8, t0, f"|Ncal| = {classes.n_classes}")
 
         enc_b = encode(km, classes, "b")
         sols_b, stats_b = solve_all(enc_b.problem)
         assert stats_b.solutions == 8
+        t0 = stage(8, t0, f"kind b: {stats_b.solutions} solutions, {stats_b.nodes} nodes")
         designs_b = [expand(decode_solution(s, enc_b), ko, G) for s in sols_b]
         for d in designs_b:
             assert verify_steiner(d, 2).ok
@@ -334,20 +346,25 @@ def test_criterion_8_cyclic_s26_91():
             (364, 3),
             (1092, 1),
         ]
+        t0 = stage(8, t0, f"kind b classified: {len(cls_b)} classes")
 
         enc_a = encode(km, None, "a")
         sols_a, stats_a = solve_all(enc_a.problem)
         assert stats_a.solutions == 120
+        t0 = stage(8, t0, f"kind a: {stats_a.solutions} solutions, {stats_a.nodes} nodes")
         designs_a = [expand(decode_solution(s, enc_a), ko, G) for s in sols_a]
         cls_a = classify(designs_a, known_autos=G.generators)
         assert sorted(c.aut_order for c in cls_a) == [91, 273, 364, 1092]
         assert {c.certificate for c in cls_a} == {c.certificate for c in cls_b}
+        stage(8, t0, f"kind a classified: {len(cls_a)} classes")
 
 
 @pytest.mark.paper
 def test_criterion_9_order84_classification():
     with criterion(9, "order-84 groups: published orbit counts, benchmarks, 24 designs"):
+        t0 = time.perf_counter()
         records = {r.label: r for r in enumerate_order84_groups()}
+        t0 = stage(9, t0, "15 groups of order 84")
         ncal = {}
         prepared = {}
         for label, (exp_orb, exp_ncal, _) in TABLE_GROUPS.items():
@@ -355,12 +372,13 @@ def test_criterion_9_order84_classification():
             ko = good_k_orbit_reps(r.group, 91, 6, 2)
             assert len(ko) == exp_orb, (label, len(ko))
             N = normalizer_in_s91(r)
-            assert group_order(N) == EXPECTED_NORMALIZER_ORDER[label]
+            assert N.order() == EXPECTED_NORMALIZER_ORDER[label]
             classes = normalizer_classes(N, ko, r.group)
             assert classes.n_classes == exp_ncal, (label, classes.n_classes)
             ncal[label] = classes.n_classes
             if label in TABLE_BENCH:
                 prepared[label] = (r, ko, classes)
+            t0 = stage(9, t0, f"{label}: {len(ko)} good orbits, |Ncal| = {classes.n_classes}")
 
         all_certs = {}
         total_designs = 0
@@ -368,6 +386,7 @@ def test_criterion_9_order84_classification():
         for label, (r, ko, classes) in prepared.items():
             tro = t_orbit_reps(r.group, 91, 2)
             km = build_km(r.group, tro, ko)
+            t0 = stage(9, t0, f"{label}: KM matrix {km.shape}")
             counts = {}
             per_kind_certs = {}
             for kind in "abc":
@@ -379,6 +398,9 @@ def test_criterion_9_order84_classification():
                     assert enc.problem.n_options == km.shape[1] + classes.n_classes
                 if kind == "c":
                     assert len(enc.problem.secondary) == classes.n_classes - 1
+                t0 = stage(
+                    9, t0, f"{label} kind {kind}: {stats.solutions} solutions, {stats.nodes} nodes"
+                )
                 designs = [expand(decode_solution(s, enc), ko, r.group) for s in sols]
                 for d in designs:
                     assert verify_steiner(d, 2).ok
@@ -386,6 +408,7 @@ def test_criterion_9_order84_classification():
                 per_kind_certs[kind] = {c.certificate for c in cls}
                 if kind == "a":
                     classified = cls
+                t0 = stage(9, t0, f"{label} kind {kind} classified: {len(cls)} classes")
             # kind a counts are pinned; b/c counts are reported, and any
             # deviation requires the kind-a cross-check plus identical designs
             assert counts["a"] == TABLE_BENCH[label]["a"], (label, counts)

@@ -146,8 +146,8 @@ def test_missing_compiler_is_an_import_error(tmp_path, monkeypatch):
     with pytest.raises(ImportError, match="gcc"):
         _native.load(tmp_path / "_refine.c")
     # canonization has no fallback: it fails the same way
-    monkeypatch.setattr(designs, "_kernel", None)
-    monkeypatch.setattr(designs, "__file__", str(tmp_path / "designs.py"))
+    monkeypatch.setattr(_native, "_loaded", {})
+    monkeypatch.setattr(_native, "__file__", str(tmp_path / "_native.py"))
     with pytest.raises(ImportError, match="gcc"):
         canonical_form(SMALL_DESIGNS["fano"])
     assert not list((tmp_path / "__pycache__").glob("*"))
@@ -173,9 +173,12 @@ def test_kernel_is_not_loaded_at_import():
         "import kmsteiner, kmsteiner.cli\n"
         "from kmsteiner import designs\n"
         "designs.Design(7, [(1, 2, 4)])\n"
-        "assert designs._kernel is None\n"
+        "from kmsteiner import _native\n"
+        "assert not _native._loaded\n"
         "designs.canonical_form(designs.Design(7, ()))\n"
-        "assert designs._kernel is None\n"
+        "assert not _native._loaded\n"
+        "designs.canonical_form(designs.Design(7, [(1, 2, 4)]))\n"
+        "assert list(_native._loaded) == ['_refine.c']\n"
     )
     src = str(Path(designs.__file__).parent.parent)
     subprocess.run([sys.executable, "-c", code], check=True, env={"PYTHONPATH": src})

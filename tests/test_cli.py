@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -519,3 +520,69 @@ def test_solve_logs_progress(tmp_path, caplog, monkeypatch):
         assert depth.startswith("depth ") and 0 < int(depth.split()[1]) <= 30
         # every one of the 120 triples lies in 7 of the 210 4-subsets
         assert branch == "root branch 1 of 7"
+
+
+def test_missing_compiler_exits_1(sts13_cfg, tmp_path, monkeypatch, caplog):
+    # no gcc on PATH and no cached kernel: solve and classify log the
+    # loader's message and exit 1 instead of raising out of main
+    from kmsteiner import _native
+
+    for stage in ("orbits", "km", "encode", "solve"):
+        assert main([stage, "--config", sts13_cfg]) == EXIT_OK
+    kernels = tmp_path / "kernels"
+    kernels.mkdir()
+    for name in ("_refine.c", "_xcc.c"):
+        shutil.copy(os.path.join(os.path.dirname(_native.__file__), name), kernels)
+    monkeypatch.setattr(_native.shutil, "which", lambda name: None)
+    monkeypatch.setattr(_native, "_loaded", {})
+    monkeypatch.setattr(_native, "__file__", str(kernels / "_native.py"))
+    for stage, source in (("solve", "_xcc.c"), ("classify", "_refine.c")):
+        caplog.clear()
+        assert main([stage, "--config", sts13_cfg]) == EXIT_VALIDATION
+        errors = [r for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1 and errors[0].exc_info is None
+        assert errors[0].getMessage() == (
+            f"building the C kernel {source} needs gcc, found none on PATH"
+        )
+    assert not (kernels / "__pycache__").exists()
+
+
+@pytest.mark.parametrize("missing", ["v", "k", "t", "group_file", "output_dir"])
+def test_missing_required_key_rejected(tmp_path, fixtures_dir, missing):
+    keys = dict(
+        v=13,
+        k=3,
+        t=2,
+        group_file=os.path.join(fixtures_dir, "groups", "C13.grp"),
+        output_dir=str(tmp_path / "out"),
+        encoding="a",
+    )
+    del keys[missing]
+    path = write_config(tmp_path / "short.cfg", **keys)
+    with pytest.raises(ValidationError, match=f"missing required key '{missing}'"):
+        JobConfig.load(path)
+
+
+def test_config_keys_are_the_documented_ones(tmp_path, fixtures_dir):
+    # every documented key loads; the path field is not a key
+    cfg = JobConfig.load(write_config(
+        tmp_path / "all.cfg",
+        v=13,
+        k=3,
+        t=2,
+        group_file=os.path.join(fixtures_dir, "groups", "C13.grp"),
+        normalizer_file=os.path.join(fixtures_dir, "normalizers", "C13.grp"),
+        encoding="c",
+        node_cap=5,
+        time_cap=1.5,
+        solution_limit=2,
+        label="C13",
+        output_dir=str(tmp_path / "out"),
+    ))
+    assert (cfg.encoding, cfg.node_cap, cfg.time_cap, cfg.solution_limit, cfg.label) == (
+        "c", 5, 1.5, 2, "C13"
+    )
+    with open(cfg.path, "a") as fh:
+        fh.write("path = elsewhere.cfg\n")
+    with pytest.raises(ValidationError, match="unknown key 'path'"):
+        JobConfig.load(cfg.path)

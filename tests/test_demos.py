@@ -1,7 +1,7 @@
-"""The short demos and the README's library quickstart run as shipped.
+"""The demos and the README's library quickstart run as shipped.
 
-``demos/reproduce_s26_91.py`` takes hours, so only its ``--help`` runs:
-argparse exits after the imports.
+The full-scale reproduction is the paper tier of the acceptance suite
+(``pytest -m paper -s``), not a demo.
 """
 
 import os
@@ -19,15 +19,6 @@ ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 def test_demo_runs(name, capsys):
     runpy.run_path(os.path.join(ROOT, "demos", f"{name}.py"), run_name="__main__")
     assert capsys.readouterr().out
-
-
-def test_paper_demo_help(monkeypatch, capsys):
-    path = os.path.join(ROOT, "demos", "reproduce_s26_91.py")
-    monkeypatch.setattr("sys.argv", [path, "--help"])
-    with pytest.raises(SystemExit) as exc:
-        runpy.run_path(path, run_name="__main__")
-    assert exc.value.code == 0
-    assert "--stage {cyclic,tables,bench}" in capsys.readouterr().out
 
 
 def test_readme_library_quickstart(capsys):

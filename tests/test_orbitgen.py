@@ -10,7 +10,6 @@ from kmsteiner.orbitgen import (
     _orderly_reps,
     good_k_orbit_reps,
     read_orbit_file,
-    subset_orbit_count,
     t_orbit_reps,
     write_orbit_file,
 )
@@ -20,6 +19,7 @@ from oracles import (
     good_orbits_bruteforce,
     is_good_orbit,
     orderly_reps_bitmask,
+    subset_orbit_count,
     subset_orbits,
 )
 
@@ -132,7 +132,7 @@ def _seeded_group(kind, v, seed):
 
 @pytest.mark.parametrize("kind", ["cyclic", "dihedral", "reflection", "trivial"])
 @pytest.mark.parametrize(
-    "v,size,t,good,overlap_prune",
+    "v,size,t,good,oracle_p2",
     [
         (13, 4, 2, True, True),
         (19, 4, 2, True, True),
@@ -143,8 +143,10 @@ def _seeded_group(kind, v, seed):
         (70, 2, 2, False, True),
     ],
 )
-def test_matches_bitmask_oracle(kind, v, size, t, good, overlap_prune):
-    _check_against_oracle(kind, v, size, t, good, overlap_prune)
+def test_matches_bitmask_oracle(kind, v, size, t, good, oracle_p2):
+    # oracle_p2=False compares the library (prune P2 always on) with the
+    # oracle's tree without P2
+    _check_against_oracle(kind, v, size, t, good, oracle_p2)
 
 
 @pytest.mark.parametrize(
@@ -163,16 +165,16 @@ def test_matches_bitmask_oracle_past_256_points(kind, v, size, t, good):
     _check_against_oracle(kind, v, size, t, good, True)
 
 
-def _check_against_oracle(kind, v, size, t, good, overlap_prune):
+def _check_against_oracle(kind, v, size, t, good, oracle_p2):
     seed = v * 100 + size * 10 + t
     G = _seeded_group(kind, v, seed)
-    whole = orderly_reps_bitmask(G, v, size, t, good, overlap_prune)
-    reps, sizes = _orderly_reps(G, v, size, t, good, overlap_prune)
+    whole = orderly_reps_bitmask(G, v, size, t, good, oracle_p2)
+    reps, sizes = _orderly_reps(G, v, size, t, good)
     assert reps.dtype == np.min_scalar_type(v) and sizes.dtype == np.int64
     assert _pairs(reps, sizes) == whole
     parts = []
     for i in range(3):
-        parts += _pairs(*_orderly_reps(G, v, size, t, good, overlap_prune, shard=(i, 3)))
+        parts += _pairs(*_orderly_reps(G, v, size, t, good, shard=(i, 3)))
     assert sorted(parts) == whole
 
 
@@ -180,8 +182,8 @@ def test_overlap_prune_is_sound():
     for v, k in [(13, 3), (16, 4)]:
         G = cyclic_group(v)
         with_prune = good_k_orbit_reps(G, v, k, 2)
-        without = good_k_orbit_reps(G, v, k, 2, overlap_prune=False)
-        assert _pairs(with_prune.reps, with_prune.sizes) == _pairs(without.reps, without.sizes)
+        without = orderly_reps_bitmask(G, v, k, 2, True, overlap_prune=False)
+        assert _pairs(with_prune.reps, with_prune.sizes) == without
 
 
 def test_rerun_identical():

@@ -49,15 +49,15 @@ def test_classes_match_bruteforce_partition():
     # element of N maps one onto the other
     G, N, ko, _ = pipeline_parts(13)
     cls = normalizer_classes(N, ko, G)
-    from oracles import lex_min_rep
+    from oracles import lex_min_rep, subset_image
 
     reps = list(map(tuple, ko.reps.tolist()))
     rep_index = {rep: j for j, rep in enumerate(reps)}
     n = len(reps)
     adj = [set() for _ in range(n)]
-    for pi in N.elements():
+    for pi in N.element_table().tolist():
         for j, rep in enumerate(reps):
-            img = lex_min_rep(G, pi.apply_subset(rep))
+            img = lex_min_rep(G, subset_image(pi, rep))
             adj[j].add(rep_index[img])
     # transitive closure by BFS gives the brute-force classes
     seen = [False] * n

@@ -329,8 +329,8 @@ def test_missing_compiler_is_an_import_error(tmp_path, monkeypatch):
     shutil.copy(KERNEL_SOURCE, tmp_path / "_xcc.c")
     monkeypatch.setattr(_native.shutil, "which", lambda name: None)
     # solve has no fallback: it fails with the loader's ImportError
-    monkeypatch.setattr(xcc, "_kernel", None)
-    monkeypatch.setattr(xcc, "__file__", str(tmp_path / "xcc.py"))
+    monkeypatch.setattr(_native, "_loaded", {})
+    monkeypatch.setattr(_native, "__file__", str(tmp_path / "_native.py"))
     with pytest.raises(ImportError, match="gcc"):
         solve(toy_problem())
     assert not list((tmp_path / "__pycache__").glob("*"))
@@ -342,9 +342,10 @@ def test_kernel_is_not_loaded_before_the_first_solve():
         "from kmsteiner import xcc\n"
         "p = xcc.XCCProblem(['A', 'B'], ['X'], [((0,), ((0, 1),)), ((0, 1), ())])\n"
         "xcc.import_text(xcc.export_text(p))\n"
-        "assert xcc._kernel is None\n"
+        "from kmsteiner import _native\n"
+        "assert not _native._loaded\n"
         "assert xcc.solve(p).solutions == 1\n"
-        "assert xcc._kernel is not None\n"
+        "assert list(_native._loaded) == ['_xcc.c']\n"
     )
     src = str(Path(xcc.__file__).parent.parent)
     env = {"PYTHONPATH": src, "PATH": os.environ.get("PATH", "")}
