@@ -320,8 +320,9 @@ def cmd_encode(cfg: JobConfig) -> None:
     km = _load_km(cfg, tro, kset)
     classes = None
     if cfg.encoding in ("b", "c"):
+        t1 = time.perf_counter()
         classes = symbreak.normalizer_classes(cfg.normalizer(), kset, G)
-        log.info("normalizer classes: %d", classes.n_classes)
+        log.info("normalizer classes: %d in %.1f s", classes.n_classes, time.perf_counter() - t1)
     enc = symbreak.encode(km, classes, cfg.encoding)
     with open(cfg.out("xcc.txt"), "w", encoding="utf-8") as fh:
         fh.write(xcc.export_text(enc.problem))

@@ -157,9 +157,11 @@ def verify_steiner(d: Design, t: int) -> SteinerReport:
     """
     pick = np.array(list(combinations(range(d.k), t)), dtype=np.intp).reshape(comb(d.k, t), t)
     rows = (d.blocks[:, pick] - 1).reshape(d.b * len(pick), t)
-    uniq, first, counts = np.unique(_pack_keys(rows, d.v), return_index=True, return_counts=True)
+    keys = _pack_keys(rows, d.v)
+    uniq, counts = np.unique(keys, return_counts=True)
     wrong = np.flatnonzero(counts != 1)[:10]
-    violations = list(zip(map(tuple, (rows[first[wrong]] + 1).tolist()), counts[wrong].tolist()))
+    at = [int(np.argmax(keys == key)) for key in uniq[wrong]]  # a row holding each wrong key
+    violations = list(zip(map(tuple, (rows[at] + 1).tolist()), counts[wrong].tolist()))
     if len(violations) < 10 and len(uniq) != comb(d.v, t):
         present = set(uniq.tolist())
         # combinations() yields the t-subsets in lex order, so its index is the key

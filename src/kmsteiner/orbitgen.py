@@ -38,6 +38,10 @@ The search evaluates batches of same-depth nodes, each holding at most
 _BATCH_BYTES of SG and SF state, so numpy's per-call cost is paid per
 batch.  The children of a batch are built in chunks of the same bound and
 visited depth first, so the representatives come out in lex order.
+
+Subsets are keyed by their lex ranks (``_pack_keys``); the key of a
+subset's orbit, the rank of its lex-least image, comes from
+``_min_image_keys``, which tries only the elements that can give it.
 """
 
 from __future__ import annotations
@@ -112,6 +116,45 @@ def _pack_keys(subsets0: np.ndarray, v: int) -> np.ndarray:
     keys = np.full(subsets0.shape[:-1], top, dtype=np.int64)
     for c in range(k):
         keys -= binom[c][subsets0[..., c]]
+    return keys
+
+
+# candidate images per chunk of _min_image_keys
+_CHUNK_ROWS = 1 << 12
+
+
+def _min_image_keys(subsets0: np.ndarray, G: PermutationGroup) -> np.ndarray:
+    """Keys (n,) of the lex-least images under G of sorted 0-based
+    k-subsets (n, k), as ``_pack_keys`` gives them.
+
+    The least image of S starts with m, the least orbit minimum of its
+    points, so only the elements sending some x in S with orbit minimum m
+    to m can give it: |G_x| elements for each such x, not all of G.
+    Their images are sorted and keyed in chunks of about _CHUNK_ROWS
+    candidates, and each subset keeps the least.
+    """
+    els = G.element_table()
+    n = len(subsets0)
+    omin = els.min(axis=0)  # the least point of each point's orbit
+    # per point x, the elements g with g(x) = omin[x], grouped by x
+    x_of, g_of = np.nonzero(els.T == omin[:, None])
+    stab = np.bincount(x_of, minlength=G.degree)
+    start = np.cumsum(stab) - stab
+    om = omin.astype(subsets0.dtype)[subsets0]
+    m = om.min(axis=1)
+    reach = om == m[:, None]  # the x in S with omin[x] = m, all in the orbit of m
+    lens = reach.sum(axis=1) * stab[m]  # candidates per subset, |G_x| = |G_m| each
+    cuts = np.searchsorted(np.cumsum(lens), np.arange(_CHUNK_ROWS, lens.sum(), _CHUNK_ROWS))
+    cuts = np.r_[0, cuts, n]  # a chunk is empty where one subset has more rows
+    keys = np.empty(n, dtype=np.int64)
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        part, rows = subsets0[lo:hi], lens[lo:hi]
+        x = part[reach[lo:hi]]  # row-major: each subset's candidates are contiguous
+        cnt = stab[x]
+        # g_of[start[x] + j] for j < |G_x|, the elements sending x to m
+        g = g_of[np.repeat(start[x] - np.cumsum(cnt) + cnt, cnt) + np.arange(cnt.sum())]
+        imgs = np.sort(np.take(els, g[:, None] * G.degree + np.repeat(part, rows, axis=0)), axis=1)
+        keys[lo:hi] = np.minimum.reduceat(_pack_keys(imgs, G.degree), np.cumsum(rows) - rows)
     return keys
 
 

@@ -2,8 +2,14 @@
 
 The normalizer N of the prescribed group G permutes the good k-orbits;
 orbits in the same N-class lead to isomorphic designs, so the choice of a
-"first" orbit can be restricted to one representative per class.  Three
-encodings of the Kramer-Mesner instance are emitted:
+"first" orbit can be restricted to one representative per class.  The
+orbit of a representative's N-image is found by the image's lex-least
+image under G, for which only the elements of G sending a point of the
+subset to the least orbit minimum among its points are tried: at most
+k·|G_m| of them instead of |G| (``orbitgen._min_image_keys``; Jefferson,
+Jonauskyte, Pfeiffer and Waldecker, "Minimal and canonical images",
+J. Algebra 521, 2019).  Three encodings of the Kramer-Mesner instance
+are emitted:
 
   a) plain exact cover, one option per good orbit;
   b) as a), plus an extra primary item and one copy-option per class
@@ -22,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .km import KMInstance
-from .orbitgen import OrbitSet, _pack_keys
+from .orbitgen import OrbitSet, _min_image_keys, _pack_keys
 from .perm import PermutationGroup, verify_normalizes
 from .xcc import Solution, XCCProblem
 
@@ -47,54 +53,38 @@ class NormalizerClasses:
         return len(self.reps)
 
 
-def _canonical_keys(subsets0: np.ndarray, g_images: np.ndarray, v: int) -> np.ndarray:
-    """Lex-minimal representative keys for each subset under all group elements."""
-    best = None
-    for e in range(g_images.shape[0]):
-        img = np.sort(g_images[e][subsets0], axis=1)
-        keys = _pack_keys(img, v)
-        best = keys if best is None else np.minimum(best, keys)
-    return best
-
-
 def normalizer_classes(
     N: PermutationGroup, k_orbits: OrbitSet, G: PermutationGroup
 ) -> NormalizerClasses:
     """Partition good k-orbits into N-classes.
 
-    Applies each generator of N to each representative, re-canonicalizes
-    under G and joins each orbit with its image; a class is led by its
-    smallest orbit index.  An image orbit missing from the good set means
-    N does not normalize G (or the orbit set is stale) and is a hard
-    failure.
+    Applies each generator of N to each representative, finds the orbit
+    of the image by its lex-least image under G (``orbitgen._min_image_keys``,
+    which tries only the elements that can give it) and joins each orbit
+    with that orbit; a class is led by its smallest orbit index.  An image
+    orbit missing from the good set means N does not normalize G (or the
+    orbit set is stale) and is a hard failure.
     """
     if not verify_normalizes(N, G):
         raise ValueError("N does not normalize G")
     if k_orbits.group_id != G.fingerprint():
         raise ValueError("k_orbits were generated under a different group")
-    v = k_orbits.v
     n = len(k_orbits)
-    reps0 = k_orbits.reps.astype(np.int64) - 1
-    rep_keys = _pack_keys(reps0, v)  # ascending since reps are in lex order
-    g_images = G.element_table()
+    reps0 = k_orbits.reps - 1  # in the reps' own dtype
+    rep_keys = _pack_keys(reps0, k_orbits.v)  # ascending since reps are in lex order
     images = []  # per generator of N, the index of each orbit's image
-    chunk = 65536
     for pi in N.generators:
-        table = np.array(pi.raw(), dtype=np.int64)
-        images.append(np.empty(n, dtype=np.int64))
-        for lo in range(0, n, chunk):
-            part = reps0[lo : lo + chunk]
-            imgs = np.sort(table[part], axis=1)
-            keys = _canonical_keys(imgs, g_images, v)
-            idx = np.searchsorted(rep_keys, keys)
-            ok = (idx < n) & (rep_keys[np.minimum(idx, n - 1)] == keys)
-            if not ok.all():
-                bad = int(np.flatnonzero(~ok)[0]) + lo
-                raise RuntimeError(
-                    f"image of good orbit {bad} under a normalizer generator "
-                    "is not a good orbit: N-closure violated"
-                )
-            images[-1][lo : lo + chunk] = idx
+        table = np.array(pi.raw(), dtype=reps0.dtype)
+        keys = _min_image_keys(np.sort(table[reps0], axis=1), G)
+        idx = np.searchsorted(rep_keys, keys)
+        ok = (idx < n) & (rep_keys[np.minimum(idx, n - 1)] == keys)
+        if not ok.all():
+            bad = int(np.flatnonzero(~ok)[0])
+            raise RuntimeError(
+                f"image of good orbit {bad} under a normalizer generator "
+                "is not a good orbit: N-closure violated"
+            )
+        images.append(idx)
     # spread the smallest index over every pair (j, image[j]) until no
     # label changes; lead[j] <= j throughout, so lead[lead] jumps ahead
     lead = np.arange(n)

@@ -6,7 +6,8 @@ subset enumeration, automorphism groups from full permutation sweeps, and
 isomorphism from point-map backtracking.  Former implementations are kept
 as references for the array code that replaced them: `orderly_reps_bitmask`
 for the search tree of the orderly search and its prunes, `km_columns_dict`
-for the Kramer-Mesner matrix, `expand_by_closure` for design expansion,
+for the Kramer-Mesner matrix, `canonical_keys` for the lex-least images of
+`normalizer_classes`, `expand_by_closure` for design expansion,
 `Partition`, `refine` and `PythonCanonizer` for the canonizer's C
 refinement kernel, and `numpy_solve` for the search tree of the C
 exact-cover kernel.
@@ -20,6 +21,7 @@ import numpy as np
 
 from kmsteiner.designs import CanonicalForm, Design, _Canonizer
 from kmsteiner.km import KMError
+from kmsteiner.orbitgen import _pack_keys
 from kmsteiner.order84 import _closure, _isomorphisms
 from kmsteiner.perm import Permutation
 from kmsteiner.xcc import Solution, SolveStats
@@ -452,6 +454,43 @@ def expand_by_closure(orbit_indices, k_orbits, G):
         assert len(orbit) == k_orbits.sizes[j]
         blocks.extend(orbit)
     return Design(k_orbits.v, blocks)
+
+
+def canonical_keys(subsets0, G):
+    """Lex-rank keys of the lex-least images of sorted 0-based subsets
+    (n, k) under every element of G: the reference for
+    `orbitgen._min_image_keys`."""
+    best = None
+    for g in G.element_table():
+        keys = _pack_keys(np.sort(g[subsets0], axis=1), G.degree)
+        best = keys if best is None else np.minimum(best, keys)
+    return best
+
+
+def normalizer_classes_by_keys(N, k_orbits, G):
+    """`symbreak.normalizer_classes` as (class_of, reps) lists: each good
+    orbit is joined with its image under each generator of N, found by its
+    `canonical_keys` key, by a plain union-find; a class is led by its
+    smallest orbit index and classes are numbered in that order."""
+    reps0 = k_orbits.reps.astype(np.int64) - 1
+    index = {key: j for j, key in enumerate(_pack_keys(reps0, k_orbits.v).tolist())}
+    parent = list(range(len(reps0)))
+
+    def find(j):
+        while parent[j] != j:
+            parent[j] = parent[parent[j]]
+            j = parent[j]
+        return j
+
+    for pi in N.generators:
+        images = np.sort(np.array(pi.raw())[reps0], axis=1)
+        for j, key in enumerate(canonical_keys(images, G).tolist()):
+            a, b = find(j), find(index[key])
+            parent[max(a, b)] = min(a, b)
+    lead = [find(j) for j in range(len(reps0))]
+    reps = sorted(set(lead))
+    class_id = {r: c for c, r in enumerate(reps)}
+    return [class_id[x] for x in lead], reps
 
 
 def verify_steiner_dict(d, t):

@@ -7,15 +7,23 @@ import pytest
 
 from kmsteiner.orbitgen import (
     OrbitSet,
+    _min_image_keys,
     _orderly_reps,
     good_k_orbit_reps,
     read_orbit_file,
     t_orbit_reps,
     write_orbit_file,
 )
-from kmsteiner.perm import Permutation, PermutationGroup, cyclic_group, parse_permutation
+from kmsteiner.perm import (
+    Permutation,
+    PermutationGroup,
+    cyclic_group,
+    parse_permutation,
+    read_group_file,
+)
 
 from oracles import (
+    canonical_keys,
     good_orbits_bruteforce,
     is_good_orbit,
     orderly_reps_bitmask,
@@ -260,3 +268,61 @@ def test_parameter_validation():
         t_orbit_reps(cyclic_group(7), 7, 0)
     with pytest.raises(ValueError):
         good_k_orbit_reps(cyclic_group(7), 7, 3, 3)
+
+
+def _conjugate(G, sigma):
+    """The group with g' mapping sigma(x) to sigma(g(x)) for each g in G."""
+    gens = []
+    for g in G.generators:
+        img = [0] * G.degree
+        for x, gx in enumerate(g.raw()):
+            img[sigma[x]] = sigma[gx]
+        gens.append(Permutation(img))
+    return PermutationGroup(gens, G.degree)
+
+
+def _example_group(name, fixtures_dir):
+    if name == "trivial":
+        return PermutationGroup.trivial(10)
+    if name == "S8":
+        return PermutationGroup([Permutation([1, 0, 2, 3, 4, 5, 6, 7]),
+                                 Permutation([1, 2, 3, 4, 5, 6, 7, 0])], 8)
+    if name.startswith("C"):
+        return cyclic_group(int(name[1:]))
+    G = read_group_file(os.path.join(fixtures_dir, "groups", name[:3] + ".grp"))
+    if name.endswith("moved"):
+        # swap point 0 with a point of another orbit, so the orbit holding
+        # point 0, and with it the least orbit minimum, changes
+        y = int(np.flatnonzero(~np.isin(np.arange(G.degree), G.element_table()[:, 0]))[0])
+        sigma = list(range(G.degree))
+        sigma[0], sigma[y] = y, 0
+        moved = _conjugate(G, sigma)
+        assert len(set(moved.element_table()[:, 0])) != len(set(G.element_table()[:, 0]))
+        return moved
+    return G
+
+
+@pytest.mark.parametrize(
+    "name, k, count",
+    [
+        ("trivial", 3, 5000),
+        ("C13", 3, 5000),
+        ("C37", 4, 5000),
+        ("C73", 4, 5000),
+        ("G08", 6, 5000),
+        ("G14", 6, 5000),
+        ("G08 moved", 6, 5000),
+        # 3 x 5,040 candidates per subset, more than one chunk holds
+        ("S8", 3, 20),
+    ],
+)
+def test_min_image_keys_match_all_elements_oracle(name, k, count, fixtures_dir):
+    # random sorted k-subsets, not only orbit representatives; 5,000 of
+    # them give more than one chunk of candidate images
+    G = _example_group(name, fixtures_dir)
+    rng = np.random.default_rng(11)
+    subsets0 = np.sort(rng.random((count, G.degree)).argsort(axis=1)[:, :k], axis=1)
+    expected = canonical_keys(subsets0, G)
+    assert (_min_image_keys(subsets0, G) == expected).all()
+    assert (_min_image_keys(subsets0.astype(np.uint8), G) == expected).all()
+    assert _min_image_keys(subsets0[:0], G).shape == (0,)

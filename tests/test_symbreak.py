@@ -5,8 +5,8 @@ import pytest
 
 from kmsteiner.designs import classify, expand, verify_steiner
 from kmsteiner.km import build_km
-from kmsteiner.orbitgen import good_k_orbit_reps, t_orbit_reps
-from kmsteiner.perm import cyclic_group, normalizer_of_cyclic
+from kmsteiner.orbitgen import OrbitSet, good_k_orbit_reps, t_orbit_reps
+from kmsteiner.perm import cyclic_group, normalizer_of_cyclic, read_group_file
 from kmsteiner.symbreak import (
     decode_solution,
     encode,
@@ -15,6 +15,8 @@ from kmsteiner.symbreak import (
     write_copy_map,
 )
 from kmsteiner.xcc import solve, solve_all
+
+from oracles import normalizer_classes_by_keys
 
 
 def pipeline_parts(v, k=3, t=2):
@@ -79,6 +81,30 @@ def test_classes_match_bruteforce_partition():
     for j in range(n):
         got.setdefault(int(cls.class_of[j]), set()).add(j)
     assert sorted(map(frozenset, got.values())) == sorted(brute)
+
+
+@pytest.mark.parametrize("name", ["G08", "G14", "C73"])
+def test_classes_match_all_elements_oracle(name, fixtures_dir):
+    if name == "C73":
+        G, N, ko, _ = pipeline_parts(73, 4)
+    else:
+        G = read_group_file(os.path.join(fixtures_dir, "groups", name + ".grp"))
+        N = read_group_file(os.path.join(fixtures_dir, "normalizers", name + ".grp"))
+        ko = good_k_orbit_reps(G, 91, 6, 2)
+    cls = normalizer_classes(N, ko, G)
+    assert (cls.class_of.tolist(), cls.reps) == normalizer_classes_by_keys(N, ko, G)
+
+
+def test_missing_image_orbit_is_n_closure_violation():
+    # drop the last orbit of a class of two or more: another orbit of the
+    # class has it as an image under some generator of N
+    G, N, ko, _ = pipeline_parts(13)
+    class_of = normalizer_classes(N, ko, G).class_of
+    drop = max(j for j in range(len(ko)) if (class_of == class_of[j]).sum() > 1)
+    keep = np.arange(len(ko)) != drop
+    short = OrbitSet(ko.v, ko.t, ko.reps[keep], ko.sizes[keep], ko.group_id)
+    with pytest.raises(RuntimeError, match="N-closure violated"):
+        normalizer_classes(N, short, G)
 
 
 def test_classes_require_normalizer():
