@@ -1,4 +1,10 @@
-/* Partition refinement for the canonizer in designs.py.
+/* The canonizer of designs.py: the individualization-refinement search
+ * over a design's point/block incidence graph (kms_canon) and the
+ * partition refinement it runs at every node (kms_refine,
+ * kms_individualize, kms_target_cell).  The Python side builds the graph,
+ * checks the known automorphisms and keeps the stabilizer chain of the
+ * automorphisms found; the walk over the tree, the leaf certificates, the
+ * node budget and the orbit pruning are here.
  *
  * A partition of the vertices 0..n-1 is one int32 array of 4n entries:
  *   lab[i]    (i < n)   the vertex at position i,
@@ -15,6 +21,7 @@
  */
 
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 /* Refine to a fixpoint against the queued cells.  queue holds qlen cell
@@ -158,4 +165,296 @@ int kms_individualize(int n, const int32_t *indptr, const int32_t *adj,
     int32_t queue[2] = {ts, ts + 1};
     kms_refine(n, indptr, adj, dst, queue, 2, work);
     return kms_target_cell(n, dst);
+}
+
+/* ------------------------------------------------------------------------
+ * The search.  The graph is a design's incidence graph: vertices 0..v-1
+ * are the points, v..n-1 the blocks, each block adjacent to its k points
+ * in ascending order.  Points hold positions 0..v-1 of every partition,
+ * since refinement never moves a vertex out of its cell.
+ *
+ * A node is counted when it is entered; the root is the partition
+ * {points, blocks} refined.  A node with a discrete partition is a leaf.
+ * Otherwise it branches on its target cell (kms_target_cell), trying the
+ * members in cell order, and skips a member y after the first when y lies
+ * in the explored orbit: the closure of the members before y under the
+ * known automorphisms that fix every vertex individualized on the path.
+ * The closure is recomputed when automorphisms were found since it was
+ * built, and otherwise grown by each member searched.
+ *
+ * The certificate of a leaf labels point p with its position, sorts every
+ * block's labels, sorts the blocks in lex order and writes the labels as
+ * big-endian 16-bit integers.  The least certificate is the answer.  A
+ * leaf whose certificate equals the first leaf's gives an automorphism:
+ * the point at position i goes to the first leaf's point at position i,
+ * and the block of the j-th row to the first leaf's block of the j-th row.
+ * It is dropped when it sifts to the identity through the stabilizer chain
+ * of the automorphisms kept so far.  Otherwise it is passed to the
+ * callback, which returns 1 to keep it as a generator (after pointing the
+ * chain at the grown group), 0 to drop it and -1 to stop the search.
+ */
+
+typedef int (*kms_aut_cb)(const int32_t *perm);
+
+/* A stabilizer chain of a group on the points: base[0..levels-1]; at level
+ * j, trans[j*v + p] is the row of inv (v entries each) holding the inverse
+ * of the transversal element that maps base[j] to p, or -1 when p is not
+ * in the orbit of base[j] under the stabilizer of base[0..j-1]. */
+typedef struct {
+    int levels;
+    const int32_t *base, *trans, *inv;
+} KmsChain;
+
+enum { CANON_DONE = 0, CANON_BUDGET = 1, CANON_STOPPED = 2, CANON_NOMEM = -1 };
+
+typedef struct {
+    int n, v, b, k;
+    const int32_t *indptr, *adj;
+    int32_t *work;
+    int64_t budget, nodes;
+    kms_aut_cb cb;
+    const KmsChain *chain;
+    int32_t **part;          /* per depth: the partition (4n), then n orbit flags */
+    int32_t **pgens;         /* per depth: generators fixing the path */
+    int *pgens_cap;
+    int32_t *path, *queue;   /* n each */
+    int32_t *gens;           /* n_gens vertex permutations of n entries */
+    int n_gens, gens_cap;
+    int32_t *rows, *order, *order_tmp, *count, *perm, *sift, *first_lab, *first_order;
+    uint8_t *cert, *first, *best;
+    int have_first;
+} Canon;
+
+/* Labels, rows and certificate of a discrete partition: rows[i*k..] are
+ * block i's sorted labels, order lists the blocks in certificate order. */
+static void leaf_cert(Canon *c, const int32_t *part) {
+    int v = c->v, b = c->b, k = c->k;
+    const int32_t *pos = part + c->n, *pts = c->adj + c->indptr[v];
+    for (int i = 0; i < b; i++) {
+        int32_t *row = c->rows + (size_t)i * k;
+        for (int j = 0; j < k; j++) {
+            int x = pos[pts[(size_t)i * k + j]], m = j;
+            for (; m > 0 && row[m - 1] > x; m--)
+                row[m] = row[m - 1];
+            row[m] = x;
+        }
+        c->order[i] = i;
+    }
+    /* least significant column first: counting sorts, stable, labels < v */
+    for (int j = k - 1; j >= 0; j--) {
+        memset(c->count, 0, (size_t)(v + 1) * sizeof(int32_t));
+        for (int i = 0; i < b; i++)
+            c->count[c->rows[(size_t)i * k + j] + 1]++;
+        for (int x = 0; x < v; x++)
+            c->count[x + 1] += c->count[x];
+        for (int i = 0; i < b; i++) {
+            int r = c->order[i];
+            c->order_tmp[c->count[c->rows[(size_t)r * k + j]]++] = r;
+        }
+        int32_t *t = c->order;
+        c->order = c->order_tmp;
+        c->order_tmp = t;
+    }
+    uint8_t *out = c->cert;
+    for (int i = 0; i < b; i++) {
+        const int32_t *row = c->rows + (size_t)c->order[i] * k;
+        for (int j = 0; j < k; j++) {
+            *out++ = (uint8_t)(row[j] >> 8);
+            *out++ = (uint8_t)row[j];
+        }
+    }
+}
+
+static int add_gen(Canon *c) {
+    if (c->n_gens == c->gens_cap) {
+        int cap = c->gens_cap ? 2 * c->gens_cap : 8;
+        int32_t *g = realloc(c->gens, (size_t)cap * c->n * sizeof(int32_t));
+        if (!g)
+            return CANON_NOMEM;
+        c->gens = g;
+        c->gens_cap = cap;
+    }
+    memcpy(c->gens + (size_t)c->n_gens++ * c->n, c->perm, (size_t)c->n * sizeof(int32_t));
+    return 0;
+}
+
+/* Whether the points part of perm lies in the chain's group. */
+static int in_group(Canon *c) {
+    const KmsChain *ch = c->chain;
+    int v = c->v;
+    int32_t *g = c->sift;
+    memcpy(g, c->perm, (size_t)v * sizeof(int32_t));
+    for (int j = 0; j < ch->levels; j++) {
+        int row = ch->trans[(size_t)j * v + g[ch->base[j]]];
+        if (row < 0)
+            return 0;
+        const int32_t *u = ch->inv + (size_t)row * v;
+        for (int x = 0; x < v; x++)
+            g[x] = u[g[x]];
+    }
+    for (int x = 0; x < v; x++)
+        if (g[x] != x)
+            return 0;
+    return 1;
+}
+
+static int leaf(Canon *c, const int32_t *part) {
+    int n = c->n, v = c->v, b = c->b;
+    size_t bytes = 2 * (size_t)b * c->k;
+    leaf_cert(c, part);
+    if (!c->have_first) {
+        c->have_first = 1;
+        memcpy(c->best, c->cert, bytes);
+        memcpy(c->first, c->cert, bytes);
+        memcpy(c->first_lab, part, (size_t)n * sizeof(int32_t));
+        memcpy(c->first_order, c->order, (size_t)b * sizeof(int32_t));
+        return 0;
+    }
+    if (memcmp(c->cert, c->best, bytes) < 0)
+        memcpy(c->best, c->cert, bytes);
+    if (memcmp(c->cert, c->first, bytes))
+        return 0;
+    for (int i = 0; i < v; i++)
+        c->perm[part[i]] = c->first_lab[i];
+    for (int j = 0; j < b; j++)
+        c->perm[v + c->order[j]] = v + c->first_order[j];
+    if (in_group(c))
+        return 0;
+    int keep = c->cb(c->perm);
+    if (keep < 0)
+        return CANON_STOPPED;
+    return keep ? add_gen(c) : 0;
+}
+
+/* Indices of the generators fixing path[0..depth-1], into pgens[depth]. */
+static int path_gens(Canon *c, int depth) {
+    if (c->pgens_cap[depth] < c->n_gens) {
+        int32_t *p = realloc(c->pgens[depth], (size_t)c->gens_cap * sizeof(int32_t));
+        if (!p)
+            return -1;
+        c->pgens[depth] = p;
+        c->pgens_cap[depth] = c->gens_cap;
+    }
+    int count = 0;
+    for (int g = 0; g < c->n_gens; g++) {
+        const int32_t *gen = c->gens + (size_t)g * c->n;
+        int d = 0;
+        while (d < depth && gen[c->path[d]] == c->path[d])
+            d++;
+        if (d == depth)
+            c->pgens[depth][count++] = g;
+    }
+    return count;
+}
+
+/* Add the orbit of y under the listed generators to the flags. */
+static void grow(Canon *c, uint8_t *orbit, int y, const int32_t *gens, int n_gens) {
+    if (orbit[y])
+        return;
+    int tail = 0;
+    orbit[y] = 1;
+    c->queue[tail++] = y;
+    while (tail) {
+        int x = c->queue[--tail];
+        for (int g = 0; g < n_gens; g++) {
+            int z = c->gens[(size_t)gens[g] * c->n + x];
+            if (!orbit[z]) {
+                orbit[z] = 1;
+                c->queue[tail++] = z;
+            }
+        }
+    }
+}
+
+#define LEVEL_BYTES(n) (4 * (size_t)(n) * sizeof(int32_t) + (size_t)(n))
+
+static int search(Canon *c, int depth, int ts) {
+    if (++c->nodes > c->budget)
+        return CANON_BUDGET;
+    int n = c->n;
+    int32_t *part = c->part[depth];
+    if (ts < 0)
+        return leaf(c, part);
+    if (!c->part[depth + 1] && !(c->part[depth + 1] = malloc(LEVEL_BYTES(n))))
+        return CANON_NOMEM;
+    uint8_t *orbit = (uint8_t *)(part + 4 * n);
+    int te = part[3 * n + ts], epoch = -1, n_pgens = 0;
+    for (int i = ts; i < te; i++) {
+        int y = part[i];
+        if (i > ts) {
+            if (epoch != c->n_gens) {
+                n_pgens = path_gens(c, depth);
+                if (n_pgens < 0)
+                    return CANON_NOMEM;
+                memset(orbit, 0, (size_t)n);
+                for (int j = ts; j < i; j++)
+                    grow(c, orbit, part[j], c->pgens[depth], n_pgens);
+                epoch = c->n_gens;
+            }
+            if (orbit[y])
+                continue;
+        }
+        int cts = kms_individualize(n, c->indptr, c->adj, part, c->part[depth + 1], ts, y, c->work);
+        c->path[depth] = y;
+        int r = search(c, depth + 1, cts);
+        if (r)
+            return r;
+        if (epoch == c->n_gens)
+            grow(c, orbit, y, c->pgens[depth], n_pgens);
+    }
+    return 0;
+}
+
+/* Canonical certificate of the design whose incidence graph has n vertices,
+ * v of them points.  gens holds n_gens known automorphisms as vertex
+ * permutations, chain the stabilizer chain of the group they generate; the
+ * callback's kept automorphisms are added to gens.
+ * Writes the least certificate (2bk bytes) to best and the nodes visited
+ * to *nodes.  Returns 0, 1 when the node count passes budget (nothing in
+ * best is then final), 2 when the callback stopped the search, -1 when
+ * out of memory. */
+int kms_canon(int n, int v, const int32_t *indptr, const int32_t *adj,
+              const int32_t *gens, int n_gens, const KmsChain *chain,
+              int64_t budget, kms_aut_cb cb,
+              uint8_t *best, int64_t *nodes, int32_t *work) {
+    Canon c = {0};
+    int b = n - v, k = indptr[v + 1] - indptr[v], r = CANON_NOMEM;
+    size_t bytes = 2 * (size_t)b * k;
+    c.n = n, c.v = v, c.b = b, c.k = k;
+    c.indptr = indptr, c.adj = adj, c.work = work, c.budget = budget, c.cb = cb, c.best = best;
+    c.chain = chain;
+    /* path, queue, perm, first_lab (n each), sift (v), count (v + 1),
+     * rows (bk), order, order_tmp, first_order (b each), cert, first */
+    int32_t *arena = malloc((4 * (size_t)n + 2 * (size_t)v + 1 + (size_t)b * k + 3 * (size_t)b)
+                            * sizeof(int32_t) + 2 * bytes);
+    c.part = calloc((size_t)n + 1, sizeof *c.part);
+    c.pgens = calloc((size_t)n + 1, sizeof *c.pgens);
+    c.pgens_cap = calloc((size_t)n + 1, sizeof *c.pgens_cap);
+    if (arena && c.part && c.pgens && c.pgens_cap && (c.part[0] = malloc(LEVEL_BYTES(n)))) {
+        c.path = arena, c.queue = c.path + n, c.perm = c.queue + n, c.first_lab = c.perm + n;
+        c.sift = c.first_lab + n, c.count = c.sift + v, c.rows = c.count + v + 1;
+        c.order = c.rows + (size_t)b * k, c.order_tmp = c.order + b, c.first_order = c.order_tmp + b;
+        c.cert = (uint8_t *)(c.first_order + b), c.first = c.cert + bytes;
+        r = 0;
+        for (int g = 0; g < n_gens && !r; g++) {
+            memcpy(c.perm, gens + (size_t)g * n, (size_t)n * sizeof(int32_t));
+            r = add_gen(&c);
+        }
+    }
+    if (!r) {
+        int32_t *part = c.part[0];
+        for (int i = 0; i < n; i++) {
+            part[i] = part[n + i] = i;
+            part[2 * n + i] = i < v ? 0 : v;
+            part[3 * n + i] = i < v ? v : n;
+        }
+        int32_t queue[2] = {0, v};
+        kms_refine(n, indptr, adj, part, queue, 2, work);
+        r = search(&c, 0, kms_target_cell(n, part));
+    }
+    *nodes = c.nodes;
+    for (int d = 0; d <= n && c.part && c.pgens; d++)
+        free(c.part[d]), free(c.pgens[d]);
+    free(c.part), free(c.pgens), free(c.pgens_cap), free(c.gens), free(arena);
+    return r;
 }

@@ -8,23 +8,27 @@ their lex ranks (``orbitgen._pack_keys``).
 Isomorphism means relabeling of points; block order is irrelevant.  The
 canonical form is computed by individualization-refinement on the
 bipartite point/block incidence graph, with the two sides as initial
-colors.  Partition refinement, the inner loop, runs in a small C kernel
-(``_refine.c``, built with gcc on the first canonization and loaded with
-ctypes by ``_native``): partitions are int32 arrays and the graph is in
-CSR form.  The search over the tree, automorphism pruning and the leaf
-certificates stay here, in Python and numpy.  The certificate is the
+colors.  The whole search runs in a small C kernel (``_refine.c``, built
+with gcc on the first canonization and loaded with ctypes by
+``_native``): partition refinement, the walk over the tree, the leaf
+certificates and the automorphism pruning.  The certificate is the
 canonically relabeled block list (each block sorted, blocks sorted,
-fixed-width integers), taken minimal over the leaves of the search tree.
-Automorphisms are detected as leaves with a certificate equal to the
-first leaf's and are used to prune candidate choices; the discovered
-group is returned via its order, with the number of search nodes.  A
-design without blocks has the empty certificate and aut order v!.
+16-bit big-endian labels), taken minimal over the leaves of the search
+tree.  Automorphisms are detected as leaves with a certificate equal to
+the first leaf's and are used to prune candidate choices.  Here stay the
+CSR graph, the check of the known automorphisms and the
+``StabilizerChain`` of the group found: the kernel sifts each leaf
+automorphism through the chain's tables and calls back only when it
+grows the group.  The group is returned via its order, with the number
+of search nodes.  A design without blocks has the empty certificate and
+aut order v!.
 Canonization refuses v >= 2^16 (certificate labels are 16-bit) and k with
 C(v, k) >= 2^63, which has no 63-bit lex rank.
 """
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb, factorial
@@ -185,184 +189,98 @@ class CanonicalForm:
 
 
 class _Canonizer:
-    """Individualization-refinement search over partitions held by the C
-    kernel: the partition of search depth i is the i-th array of
-    ``_levels``, laid out as ``_refine.c`` describes."""
+    """One canonization: the design's incidence graph in CSR form for the
+    C search, and the stabilizer chain of the automorphisms it finds."""
 
-    def __init__(self, design: Design, node_budget: int, known_autos):
+    def __init__(self, design: Design, known_autos):
         if design.v >= 1 << 16:
             raise ValueError("certificates hold points as 16-bit labels: v too large")
-        self.v = design.v
-        self.b = design.b
+        self.v, self.b, self.k = design.v, design.b, design.k
         self.n = self.v + self.b
         self.blocks0 = design.blocks.astype(np.intp) - 1
         self.keys = _pack_keys(self.blocks0, self.v)  # ascending: the rows are in lex order
         # incidence graph in CSR form: point p is vertex p, block i vertex v + i
         flat = self.blocks0.ravel()
-        degree = np.r_[np.bincount(flat, minlength=self.v), np.full(self.b, design.k)]
+        degree = np.r_[np.bincount(flat, minlength=self.v), np.full(self.b, self.k)]
         self.indptr = np.r_[0, np.cumsum(degree)].astype(np.int32)
-        self.adj = np.r_[self.v + np.argsort(flat, kind="stable") // design.k, flat].astype(np.int32)
-        self._kernel = _native.kernel("_refine.c")
-        self._work = np.zeros(2 * (self.n // 64 + 1) + 7 * self.n, dtype=np.int32)
-        # the kernel's arguments before the partitions
-        self._args = (self.n, self.indptr.ctypes.data, self.adj.ctypes.data)
-        self._work_addr = self._work.ctypes.data
-        self._levels: list = []
-        self._addrs: list = []  # data addresses of _levels
-        self.node_budget = node_budget
-        self.nodes = 0
-        self.aut_gens: list = []  # full vertex permutations (tuples)
-        self._aut_epoch = 0
-        self._chain = StabilizerChain([], self.v)
+        self.adj = np.r_[self.v + np.argsort(flat, kind="stable") // self.k, flat].astype(np.int32)
+        self.work = np.zeros(2 * (self.n // 64 + 1) + 7 * self.n, dtype=np.int32)
+        self.chain = StabilizerChain([], self.v)
+        seeds = []  # vertex permutations of the known automorphisms that grow the chain
         for g in known_autos:
             if g.degree != self.v:
                 raise ValueError("seed automorphism has wrong degree")
-            vp = self._extend_point_perm(np.array(g.raw()))
+            vp = self._vertex_perm(np.array(g.raw()))
             if vp is None:
                 raise ValueError("permutation is not an automorphism of the design")
-            self._add_aut(vp)
-        self.first_cert = None
-        self.first_pt_label = None
-        self.best_cert = None
+            if self.chain.add(tuple(vp[: self.v].tolist())):
+                seeds.append(vp)
+        self.seeds = np.array(seeds, dtype=np.int32).reshape(len(seeds), self.n)
+        self.chain_c = _native.Chain()
+        self._export_chain()
+        self.error = None  # an exception raised in _on_aut
 
-    # -- automorphism bookkeeping ---------------------------------------
+    def _export_chain(self) -> None:
+        """Point chain_c at tables of the stabilizer chain, for the kernel's
+        sift; the tables stay alive in _tables."""
+        base, trans = self.chain.base, self.chain.trans
+        table = np.full((len(base), self.v), -1, dtype=np.int32)
+        offset = 0
+        for j, t in enumerate(trans):
+            table[j, list(t)] = np.arange(offset, offset + len(t))
+            offset += len(t)
+        elements = np.array([u for t in trans for u in t.values()]).reshape(offset, self.v)
+        self._tables = (np.array(base, dtype=np.int32), table,
+                        np.argsort(elements, axis=1).astype(np.int32))
+        self.chain_c.levels = len(base)
+        self.chain_c.base, self.chain_c.trans, self.chain_c.inv = (a.ctypes.data for a in self._tables)
 
-    def _extend_point_perm(self, pt_perm: np.ndarray):
+    def _vertex_perm(self, pt_perm: np.ndarray):
         """The vertex permutation of a 0-based point permutation, or None
         if it does not map the block set onto itself."""
         img = _pack_keys(np.sort(pt_perm[self.blocks0], axis=1), self.v)
         tgt = np.minimum(np.searchsorted(self.keys, img), self.b - 1)
         if (self.keys[tgt] != img).any():
             return None
-        return tuple(pt_perm.tolist() + (self.v + tgt).tolist())
+        return np.r_[pt_perm, self.v + tgt]
 
-    def _add_aut(self, vertex_perm: tuple) -> None:
-        if self._chain.add(vertex_perm[: self.v]):
-            self.aut_gens.append(vertex_perm)
-            self._aut_epoch += 1
-
-    def aut_order(self) -> int:
-        return self._chain.order()
-
-    # -- partitions --------------------------------------------------------
-
-    def _level(self, depth: int) -> np.ndarray:
-        while len(self._levels) <= depth:
-            self._levels.append(np.empty(4 * self.n, dtype=np.int32))
-            self._addrs.append(self._levels[-1].ctypes.data)
-        return self._levels[depth]
-
-    def _root(self):
-        """Partition of depth 0, points then blocks, refined; and its
-        target cell."""
-        n, v = self.n, self.v
-        part = self._level(0)
-        part[: 2 * n] = np.tile(np.arange(n), 2)  # lab, pos
-        part[2 * n :] = np.repeat([0, v, v, n], [v, n - v, v, n - v])  # start, end
-        queue = np.array([0, v], dtype=np.int32)
-        k = self._kernel
-        k.kms_refine(*self._args, self._addrs[0], queue.ctypes.data, 2, self._work_addr)
-        return 0, k.kms_target_cell(n, self._addrs[0])
-
-    def _individualize(self, depth: int, ts: int, y: int):
-        """Depth + 1 holds the depth partition with y split off the front
-        of cell ts, refined; returns it and its target cell."""
-        self._level(depth + 1)
-        cts = self._kernel.kms_individualize(
-            *self._args, self._addrs[depth], self._addrs[depth + 1], ts, y, self._work_addr
-        )
-        return depth + 1, cts
-
-    def _cell(self, depth: int, ts: int) -> list:
-        part = self._levels[depth]
-        return part[ts : part[3 * self.n + ts]].tolist()
-
-    def _lab(self, depth: int) -> np.ndarray:
-        return self._levels[depth][: self.n]
-
-    # -- leaves ----------------------------------------------------------
-
-    def _leaf_cert(self, lab: np.ndarray):
-        """Certificate bytes and the point labeling of a discrete partition."""
-        pt_label = np.empty(self.v, dtype=np.intp)  # point -> canonical label (0-based)
-        pt_label[lab[lab < self.v]] = np.arange(self.v)
-        rows = np.sort(pt_label[self.blocks0], axis=1)
-        cert = rows[np.argsort(_pack_keys(rows, self.v))].astype(">u2").tobytes()
-        return cert, pt_label
-
-    def _leaf(self, lab: np.ndarray) -> None:
-        cert, pt_label = self._leaf_cert(lab)
-        if self.best_cert is None or cert < self.best_cert:
-            self.best_cert = cert
-        if self.first_cert is None:
-            self.first_cert = cert
-            self.first_pt_label = pt_label
-            return
-        if cert == self.first_cert:
-            # label-preserving map: p -> q with first_label[q] == leaf_label[p]
-            inv_first = np.empty(self.v, dtype=np.intp)
-            inv_first[self.first_pt_label] = np.arange(self.v)
-            vp = self._extend_point_perm(inv_first[pt_label])
-            if vp is None:  # replay check: must fix the block set
+    def _on_aut(self, addr) -> int:
+        """The search's callback for a leaf automorphism at addr outside the
+        chain's group: replay it on the block set, then 1 if it grows the
+        group, 0 if not, and -1, keeping the exception for run, if anything
+        raised."""
+        try:
+            vp = np.ctypeslib.as_array((ctypes.c_int32 * self.n).from_address(addr))
+            pts = vp[: self.v]
+            replay = self._vertex_perm(pts)
+            if replay is None or not np.array_equal(replay, vp):
                 raise AssertionError("leaf map does not preserve the block set")
-            self._add_aut(vp)
+            if not self.chain.add(tuple(pts.tolist())):
+                return 0
+            self._export_chain()
+            return 1
+        except BaseException as exc:
+            self.error = exc
+            return -1
 
-    # -- search ----------------------------------------------------------
-
-    def search(self, part, ts: int, prefix: list) -> None:
-        """Visit the node with partition part and target cell ts; prefix
-        lists the vertices individualized on the way to it."""
-        self.nodes += 1
-        if self.nodes > self.node_budget:
-            raise BudgetExceeded(
-                f"canonical labeling exceeded {self.node_budget} nodes"
-            )
-        if ts < 0:
-            self._leaf(self._lab(part))
-            return
-        candidates = self._cell(part, ts)
-        explored: list = []
-        explored_orbit: set = set()
-        orbit_epoch = -1
-        for y in candidates:
-            if explored:
-                if orbit_epoch != self._aut_epoch:
-                    explored_orbit = self._orbit_closure(explored, prefix)
-                    orbit_epoch = self._aut_epoch
-                if y in explored_orbit:
-                    explored.append(y)
-                    explored_orbit = self._grow_closure(explored_orbit, [y], prefix)
-                    continue
-            child, cts = self._individualize(part, ts, y)
-            prefix.append(y)
-            self.search(child, cts, prefix)
-            prefix.pop()
-            explored.append(y)
-            if orbit_epoch == self._aut_epoch:
-                explored_orbit = self._grow_closure(explored_orbit, [y], prefix)
-
-    # -- aut orbit pruning ------------------------------------------------
-
-    def _prefix_gens(self, prefix: list) -> list:
-        pf = set(prefix)
-        return [a for a in self.aut_gens if all(a[p] == p for p in pf)]
-
-    def _orbit_closure(self, seeds: list, prefix: list) -> set:
-        return self._grow_closure(set(), seeds, prefix)
-
-    def _grow_closure(self, closure: set, seeds: list, prefix: list) -> set:
-        gens = self._prefix_gens(prefix)
-        out = set(closure)
-        queue = [s for s in seeds if s not in out]
-        out.update(queue)
-        while queue:
-            x = queue.pop()
-            for a in gens:
-                y = a[x]
-                if y not in out:
-                    out.add(y)
-                    queue.append(y)
-        return out
+    def run(self, node_budget: int) -> CanonicalForm:
+        kernel = _native.kernel("_refine.c")
+        best = np.empty(2 * self.b * self.k, dtype=np.uint8)
+        nodes = ctypes.c_int64()
+        status = kernel.kms_canon(
+            self.n, self.v, self.indptr.ctypes.data, self.adj.ctypes.data,
+            self.seeds.ctypes.data, len(self.seeds), ctypes.byref(self.chain_c),
+            min(node_budget, (1 << 63) - 1),
+            _native.AUT_CALLBACK(self._on_aut), best.ctypes.data, ctypes.byref(nodes),
+            self.work.ctypes.data,
+        )
+        if self.error is not None:
+            raise self.error
+        if status == 1:
+            raise BudgetExceeded(f"canonical labeling exceeded {node_budget} nodes")
+        if status:
+            raise MemoryError("canonical labeling ran out of memory")
+        return CanonicalForm(best.tobytes(), self.chain.order(), nodes.value)
 
 
 def canonical_form(
@@ -379,9 +297,7 @@ def canonical_form(
     """
     if not d.b:
         return CanonicalForm(b"", factorial(d.v), 0)
-    cz = _Canonizer(d, node_budget, known_autos)
-    cz.search(*cz._root(), [])
-    return CanonicalForm(cz.best_cert, cz.aut_order(), cz.nodes)
+    return _Canonizer(d, known_autos).run(node_budget)
 
 
 @dataclass

@@ -76,14 +76,17 @@ def normalizer_classes(
     for pi in N.generators:
         table = np.array(pi.raw(), dtype=reps0.dtype)
         keys = _min_image_keys(np.sort(table[reps0], axis=1), G)
-        idx = np.searchsorted(rep_keys, keys)
-        ok = (idx < n) & (rep_keys[np.minimum(idx, n - 1)] == keys)
-        if not ok.all():
-            bad = int(np.flatnonzero(~ok)[0])
+        # pi permutes the k-orbits, so the image keys sort to rep_keys
+        # unless some image is not a good orbit
+        order = np.argsort(keys)
+        if not np.array_equal(keys[order], rep_keys):
+            bad = int(np.argmin(np.isin(keys, rep_keys)))
             raise RuntimeError(
                 f"image of good orbit {bad} under a normalizer generator "
                 "is not a good orbit: N-closure violated"
             )
+        idx = np.empty(n, dtype=np.intp)
+        idx[order] = np.arange(n)
         images.append(idx)
     # spread the smallest index over every pair (j, image[j]) until no
     # label changes; lead[j] <= j throughout, so lead[lead] jumps ahead

@@ -8,9 +8,9 @@ as references for the array code that replaced them: `orderly_reps_bitmask`
 for the search tree of the orderly search and its prunes, `km_columns_dict`
 for the Kramer-Mesner matrix, `canonical_keys` for the lex-least images of
 `normalizer_classes`, `expand_by_closure` for design expansion,
-`Partition`, `refine` and `PythonCanonizer` for the canonizer's C
-refinement kernel, and `numpy_solve` for the search tree of the C
-exact-cover kernel.
+`Partition`, `refine` and `PythonCanonizer` for the refinement and the
+search tree of the C canonizer, and `numpy_solve` for the search tree of
+the C exact-cover kernel.
 """
 
 import time
@@ -19,11 +19,11 @@ from math import comb
 
 import numpy as np
 
-from kmsteiner.designs import CanonicalForm, Design, _Canonizer
+from kmsteiner.designs import BudgetExceeded, CanonicalForm, Design
 from kmsteiner.km import KMError
 from kmsteiner.orbitgen import _pack_keys
 from kmsteiner.order84 import _closure, _isomorphisms
-from kmsteiner.perm import Permutation
+from kmsteiner.perm import Permutation, StabilizerChain
 from kmsteiner.xcc import Solution, SolveStats
 
 
@@ -702,14 +702,56 @@ def refine(adj, part, queue):
             cnt[x] = 0
 
 
-class PythonCanonizer(_Canonizer):
-    """The library's canonizer with its partitions held as `Partition`s
-    and refined by `refine`: the same search, with no C kernel."""
+class PythonCanonizer:
+    """The reference for the canonizer's C search (``kms_canon`` in
+    ``_refine.c``): the same tree, certificates and automorphisms, with
+    partitions held as `Partition`s and refined by `refine`."""
 
     def __init__(self, design, node_budget=10**7, known_autos=()):
-        super().__init__(design, node_budget, known_autos)
-        indptr, adj = self.indptr.tolist(), self.adj.tolist()
-        self.adj_lists = [adj[indptr[u] : indptr[u + 1]] for u in range(self.n)]
+        if design.v >= 1 << 16:
+            raise ValueError("certificates hold points as 16-bit labels: v too large")
+        self.v, self.b, self.k = design.v, design.b, design.k
+        self.n = self.v + self.b
+        self.blocks0 = design.blocks.astype(np.intp) - 1
+        self.keys = _pack_keys(self.blocks0, self.v)
+        # incidence graph: point p is vertex p, block i vertex v + i
+        self.adj_lists = [[] for _ in range(self.v)] + self.blocks0.tolist()
+        for i, blk in enumerate(self.adj_lists[self.v :]):
+            for p in blk:
+                self.adj_lists[p].append(self.v + i)
+        self.node_budget = node_budget
+        self.nodes = 0
+        self.aut_gens = []  # full vertex permutations (tuples)
+        self._aut_epoch = 0
+        self._chain = StabilizerChain([], self.v)
+        for g in known_autos:
+            if g.degree != self.v:
+                raise ValueError("seed automorphism has wrong degree")
+            vp = self._extend_point_perm(np.array(g.raw()))
+            if vp is None:
+                raise ValueError("permutation is not an automorphism of the design")
+            self._add_aut(vp)
+        self.first_cert = None
+        self.first_pt_label = None
+        self.best_cert = None
+
+    # -- automorphism bookkeeping
+
+    def _extend_point_perm(self, pt_perm):
+        """The vertex permutation of a 0-based point permutation, or None
+        if it does not map the block set onto itself."""
+        img = _pack_keys(np.sort(pt_perm[self.blocks0], axis=1), self.v)
+        tgt = np.minimum(np.searchsorted(self.keys, img), self.b - 1)
+        if (self.keys[tgt] != img).any():
+            return None
+        return tuple(pt_perm.tolist() + (self.v + tgt).tolist())
+
+    def _add_aut(self, vertex_perm):
+        if self._chain.add(vertex_perm[: self.v]):
+            self.aut_gens.append(vertex_perm)
+            self._aut_epoch += 1
+
+    # -- partitions
 
     def _root(self):
         part = Partition([list(range(self.v)), list(range(self.v, self.n))])
@@ -723,15 +765,84 @@ class PythonCanonizer(_Canonizer):
         refine(self.adj_lists, child, starts)
         return child, child.target_cell()
 
-    def _cell(self, part, ts):
-        return part.cell_at(ts)
+    # -- leaves
 
-    def _lab(self, part):
-        return np.array(part.lab)
+    def _leaf_cert(self, lab):
+        """Certificate bytes and the point labeling of a discrete partition."""
+        pt_label = np.empty(self.v, dtype=np.intp)  # point -> canonical label (0-based)
+        pt_label[lab[lab < self.v]] = np.arange(self.v)
+        rows = np.sort(pt_label[self.blocks0], axis=1)
+        cert = rows[np.argsort(_pack_keys(rows, self.v))].astype(">u2").tobytes()
+        return cert, pt_label
+
+    def _leaf(self, lab):
+        cert, pt_label = self._leaf_cert(lab)
+        if self.best_cert is None or cert < self.best_cert:
+            self.best_cert = cert
+        if self.first_cert is None:
+            self.first_cert = cert
+            self.first_pt_label = pt_label
+            return
+        if cert == self.first_cert:
+            # label-preserving map: p -> q with first_label[q] == leaf_label[p]
+            inv_first = np.empty(self.v, dtype=np.intp)
+            inv_first[self.first_pt_label] = np.arange(self.v)
+            vp = self._extend_point_perm(inv_first[pt_label])
+            if vp is None:  # replay check: must fix the block set
+                raise AssertionError("leaf map does not preserve the block set")
+            self._add_aut(vp)
+
+    # -- search
+
+    def search(self, part, ts, prefix):
+        """Visit the node with partition part and target cell ts; prefix
+        lists the vertices individualized on the way to it."""
+        self.nodes += 1
+        if self.nodes > self.node_budget:
+            raise BudgetExceeded(f"canonical labeling exceeded {self.node_budget} nodes")
+        if ts < 0:
+            self._leaf(np.array(part.lab))
+            return
+        explored = []
+        explored_orbit = set()
+        orbit_epoch = -1
+        for y in part.cell_at(ts):
+            if explored:
+                if orbit_epoch != self._aut_epoch:
+                    explored_orbit = self._grow_closure(set(), explored, prefix)
+                    orbit_epoch = self._aut_epoch
+                if y in explored_orbit:
+                    explored.append(y)
+                    continue
+            child, cts = self._individualize(part, ts, y)
+            prefix.append(y)
+            self.search(child, cts, prefix)
+            prefix.pop()
+            explored.append(y)
+            if orbit_epoch == self._aut_epoch:
+                explored_orbit = self._grow_closure(explored_orbit, [y], prefix)
+
+    # -- aut orbit pruning
+
+    def _grow_closure(self, closure, seeds, prefix):
+        """closure and seeds closed under the automorphisms found so far
+        that fix every vertex of prefix."""
+        gens = [a for a in self.aut_gens if all(a[p] == p for p in prefix)]
+        out = set(closure)
+        queue = [s for s in seeds if s not in out]
+        out.update(queue)
+        while queue:
+            x = queue.pop()
+            for a in gens:
+                y = a[x]
+                if y not in out:
+                    out.add(y)
+                    queue.append(y)
+        return out
 
     def canonical_form(self):
         self.search(*self._root(), [])
-        return CanonicalForm(self.best_cert, self.aut_order(), self.nodes)
+        return CanonicalForm(self.best_cert, self._chain.order(), self.nodes)
 
 
 # ---------------------------------------------------------------------------

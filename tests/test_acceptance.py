@@ -310,6 +310,35 @@ def stage(cid, t0, msg):
     return time.perf_counter()
 
 
+class Progress:
+    """Progress callbacks for one solve or classification of a paper run:
+    a line at most every 10 s (shown under -s)."""
+
+    def __init__(self, cid):
+        self.cid = cid
+        self.t0 = self.last = time.perf_counter()
+
+    def _line(self, message):
+        now = time.perf_counter()
+        if now - self.last >= 10:
+            self.last = now
+            print(f"[criterion {self.cid}]   {message(now - self.t0)}", flush=True)
+
+    def solve(self, nodes, depth, branch, branches):
+        self._line(lambda s: f"solve: {nodes} nodes, {nodes / s:.0f} nodes/s, depth {depth}, "
+                             f"root branch {branch} of {branches}")
+
+    def classify(self, i, n, nodes):
+        self._line(lambda s: f"classify: design {i} of {n}, {nodes} canonization nodes")
+
+
+def solve_reporting(cid, problem):
+    """solve_all with progress lines."""
+    sols = []
+    stats = solve(problem, on_solution=sols.append, progress=Progress(cid).solve)
+    return sols, stats
+
+
 @pytest.mark.paper
 def test_criterion_8_cyclic_s26_91():
     with criterion(8, "cyclic S(2,6,91): 1774964 good orbits, 120/8 solutions, 4 classes"):
@@ -332,14 +361,14 @@ def test_criterion_8_cyclic_s26_91():
         t0 = stage(8, t0, f"|Ncal| = {classes.n_classes}")
 
         enc_b = encode(km, classes, "b")
-        sols_b, stats_b = solve_all(enc_b.problem)
+        sols_b, stats_b = solve_reporting(8, enc_b.problem)
         assert stats_b.solutions == 8
         t0 = stage(8, t0, f"kind b: {stats_b.solutions} solutions, {stats_b.nodes} nodes")
         designs_b = [expand(decode_solution(s, enc_b), ko, G) for s in sols_b]
         for d in designs_b:
             assert verify_steiner(d, 2).ok
             assert d.b == 273
-        cls_b = classify(designs_b, known_autos=G.generators)
+        cls_b = classify(designs_b, known_autos=G.generators, progress=Progress(8).classify)
         assert sorted((c.aut_order, c.multiplicity) for c in cls_b) == [
             (91, 3),
             (273, 1),
@@ -349,11 +378,11 @@ def test_criterion_8_cyclic_s26_91():
         t0 = stage(8, t0, f"kind b classified: {len(cls_b)} classes")
 
         enc_a = encode(km, None, "a")
-        sols_a, stats_a = solve_all(enc_a.problem)
+        sols_a, stats_a = solve_reporting(8, enc_a.problem)
         assert stats_a.solutions == 120
         t0 = stage(8, t0, f"kind a: {stats_a.solutions} solutions, {stats_a.nodes} nodes")
         designs_a = [expand(decode_solution(s, enc_a), ko, G) for s in sols_a]
-        cls_a = classify(designs_a, known_autos=G.generators)
+        cls_a = classify(designs_a, known_autos=G.generators, progress=Progress(8).classify)
         assert sorted(c.aut_order for c in cls_a) == [91, 273, 364, 1092]
         assert {c.certificate for c in cls_a} == {c.certificate for c in cls_b}
         stage(8, t0, f"kind a classified: {len(cls_a)} classes")
@@ -391,7 +420,7 @@ def test_criterion_9_order84_classification():
             per_kind_certs = {}
             for kind in "abc":
                 enc = encode(km, classes if kind != "a" else None, kind)
-                sols, stats = solve_all(enc.problem)
+                sols, stats = solve_reporting(9, enc.problem)
                 counts[kind] = stats.solutions
                 if kind == "b":
                     assert len(enc.problem.primary) == km.shape[0] + 1
@@ -404,7 +433,8 @@ def test_criterion_9_order84_classification():
                 designs = [expand(decode_solution(s, enc), ko, r.group) for s in sols]
                 for d in designs:
                     assert verify_steiner(d, 2).ok
-                cls = classify(designs, known_autos=r.group.generators)
+                cls = classify(designs, known_autos=r.group.generators,
+                               progress=Progress(9).classify)
                 per_kind_certs[kind] = {c.certificate for c in cls}
                 if kind == "a":
                     classified = cls

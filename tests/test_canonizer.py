@@ -1,5 +1,6 @@
-"""The canonizer's C refinement kernel against the Python reference in
-`oracles`, the node counts of its search, and the kernel's build."""
+"""The canonizer's C kernel (refinement and search) against the Python
+reference in `oracles`, the node counts of its search, and the kernel's
+build."""
 
 import shutil
 import subprocess
@@ -12,14 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kmsteiner import _native, designs
-from kmsteiner.designs import Design, canonical_form, classify, expand
+from kmsteiner.designs import BudgetExceeded, Design, canonical_form, classify, expand
 from kmsteiner.km import build_km
 from kmsteiner.orbitgen import good_k_orbit_reps, t_orbit_reps
-from kmsteiner.perm import Permutation, cyclic_group, normalizer_of_cyclic
+from kmsteiner.perm import Permutation, StabilizerChain, cyclic_group, normalizer_of_cyclic
 from kmsteiner.symbreak import decode_solution, encode, normalizer_classes
 from kmsteiner.xcc import solve_all
 
-from oracles import PythonCanonizer, orbit_of_subset
+from oracles import Partition, PythonCanonizer, orbit_of_subset
 
 KERNEL_SOURCE = Path(designs.__file__).with_name("_refine.c")
 
@@ -57,26 +58,38 @@ def test_small_designs_are_steiner_systems():
         assert (d.v, d.b, d.k) == (v, b, k) and designs.verify_steiner(d, 2).ok
 
 
+def clean_work(cz):
+    """Whether the kernel left its bit set, counters and flags zero."""
+    return not cz.work[: 2 * (cz.n // 64 + 1) + 3 * cz.n].any()
+
+
 @settings(max_examples=40, deadline=None)
 @given(relabeling(), st.randoms(use_true_random=False))
 def test_kernel_refines_like_reference(relabeled, rng):
     d, _ = relabeled
-    cz = PythonCanonizer(d)  # its graph arrays feed both sides
-    n = cz.n
-    ref, ts = cz._root()
-    depth, kts = designs._Canonizer._root(cz)
-    assert np.array_equal(cz._levels[0], ref.array()) and kts == ts
+    cz = designs._Canonizer(d, ())  # its graph arrays feed both sides
+    n, kernel = cz.n, _native.kernel("_refine.c")
+    graph = (n, cz.indptr.ctypes.data, cz.adj.ctypes.data)
+    oracle = PythonCanonizer(d)
+    ref, ts = oracle._root()
+    part = Partition([list(range(d.v)), list(range(d.v, n))]).array()  # the root, unrefined
+    queue = np.array([0, d.v], dtype=np.int32)
+    kernel.kms_refine(*graph, part.ctypes.data, queue.ctypes.data, 2, cz.work.ctypes.data)
+    assert np.array_equal(part, ref.array()) and kernel.kms_target_cell(n, part.ctypes.data) == ts
     while ts >= 0:
         # any non-singleton cell, not only the target cell
         cells = [s for s in sorted(set(ref.start)) if ref.end[s] - s > 1]
         cs = rng.choice(cells)
         y = rng.choice(ref.cell_at(cs))
-        ref, ts = cz._individualize(ref, cs, y)
-        depth, kts = designs._Canonizer._individualize(cz, depth, cs, y)
-        assert np.array_equal(cz._levels[depth], ref.array()) and kts == ts
-        assert cz._kernel.kms_target_cell(n, cz._addrs[depth]) == ts
-    # the kernel leaves its bit set, counters and flags zero
-    assert not cz._work[: 2 * (n // 64 + 1) + 3 * n].any()
+        ref, ts = oracle._individualize(ref, cs, y)
+        child = np.empty_like(part)
+        kts = kernel.kms_individualize(
+            *graph, part.ctypes.data, child.ctypes.data, cs, y, cz.work.ctypes.data
+        )
+        part = child
+        assert np.array_equal(part, ref.array()) and kts == ts
+        assert kernel.kms_target_cell(n, part.ctypes.data) == ts
+    assert clean_work(cz)
 
 
 @settings(max_examples=20, deadline=None)
@@ -85,9 +98,58 @@ def test_kernel_search_matches_reference(relabeled, seeded):
     d, shift = relabeled
     autos = [shift] if seeded else []
     ref = PythonCanonizer(d, known_autos=autos).canonical_form()
-    cf = canonical_form(d, known_autos=autos)
+    cz = designs._Canonizer(d, autos)
+    cf = cz.run(10**7)
     assert (cf.certificate, cf.aut_order, cf.nodes) == (ref.certificate, ref.aut_order, ref.nodes)
     assert cf.aut_order == {7: 168, 13: 39, 15: 20160, 21: 120960}[d.v]
+    assert clean_work(cz)
+    # the budget: both stop when they enter node budget + 1
+    assert canonical_form(d, node_budget=ref.nodes, known_autos=autos).nodes == ref.nodes
+    for budget in (ref.nodes - 1, ref.nodes // 2):
+        with pytest.raises(BudgetExceeded):
+            canonical_form(d, node_budget=budget, known_autos=autos)
+    if ref.nodes < 1000:  # the oracle's budgeted run costs as much as its full run
+        oracle = PythonCanonizer(d, node_budget=ref.nodes - 1, known_autos=autos)
+        with pytest.raises(BudgetExceeded):
+            oracle.canonical_form()
+        assert oracle.nodes == ref.nodes
+    # a transposition of two points is no automorphism of a 2-design with k > 2
+    swap = list(range(d.v))
+    swap[0], swap[1] = 1, 0
+    with pytest.raises(ValueError, match="not an automorphism"):
+        PythonCanonizer(d, known_autos=autos + [Permutation(swap)])
+    with pytest.raises(ValueError, match="not an automorphism"):
+        canonical_form(d, known_autos=autos + [Permutation(swap)])
+
+
+def test_callback_exception_reaches_the_caller(monkeypatch):
+    def add(self, g):
+        raise KeyError("from the callback")
+
+    monkeypatch.setattr(StabilizerChain, "add", add)
+    cz = designs._Canonizer(SMALL_DESIGNS["sts13"], ())  # unseeded: add runs in the callback only
+    with pytest.raises(KeyError, match="from the callback"):
+        cz.run(10**7)
+    assert clean_work(cz)
+
+
+def test_uint16_design_matches_reference():
+    """A design on 260 points (uint16 blocks, labels past one byte), every
+    point covered, and a relabeled copy."""
+    rng = np.random.default_rng(12)
+    v = 260
+    blocks = {tuple(sorted(rng.choice(v, 3, replace=False) + 1)) for _ in range(300)}
+    blocks |= {(p, p % v + 1, (p + 1) % v + 1) for p in range(1, v + 1, 3)}
+    d = Design(v, sorted(blocks))
+    assert d.blocks.dtype == np.uint16 and len(np.unique(d.blocks)) == v
+    perm = rng.permutation(v)
+    relabeled = Design(v, perm[d.blocks - 1] + 1)
+    forms = [canonical_form(x) for x in (d, relabeled)]
+    ref = PythonCanonizer(d).canonical_form()
+    assert forms[0] == forms[1] or forms[0].certificate == forms[1].certificate
+    assert (forms[0].certificate, forms[0].aut_order, forms[0].nodes) == (
+        ref.certificate, ref.aut_order, ref.nodes)
+    assert max(ref.certificate[::2]) == 1  # labels 256 and up are written big-endian
 
 
 def _classify_mix_designs(v, k):
@@ -120,6 +182,33 @@ def test_canonization_nodes_pinned():
         assert sum(c.nodes for c in classes) == sum(nodes for _, nodes in expected)
         total += sum(cf.nodes for cf in forms)
     assert total == 19245
+
+
+@pytest.mark.parametrize("name", ["fano", "sts13"])
+def test_complements_match_reference(name):
+    """The block complements of a Steiner triple system: every pair of
+    points lies on several blocks, so rows tie on their first two labels
+    and the later ones order them."""
+    d = SMALL_DESIGNS[name]
+    inside = np.zeros((d.b, d.v + 1), dtype=bool)
+    inside[np.arange(d.b)[:, None], d.blocks] = True
+    complement = Design(d.v, [np.flatnonzero(~row[1:]) + 1 for row in inside])
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        relabeled = Design(d.v, rng.permutation(d.v)[complement.blocks - 1] + 1)
+        ref = PythonCanonizer(relabeled).canonical_form()
+        assert canonical_form(relabeled) == ref
+        assert ref.aut_order == {7: 168, 13: 39}[d.v]
+
+
+@pytest.mark.parametrize("v, k, picks", [(21, 3, range(12)), (37, 4, [0, 2])])
+def test_classify_mix_certificates_match_reference(v, k, picks):
+    """Byte for byte, with G seeded; for S(2,4,37) one design of each of
+    its two classes, as the reference takes about 1.4 s per design there."""
+    G, found = _classify_mix_designs(v, k)
+    for i in picks:
+        ref = PythonCanonizer(found[i], known_autos=G.generators).canonical_form()
+        assert canonical_form(found[i], known_autos=G.generators) == ref
 
 
 def test_classify_jobs_agree_and_report_progress():
@@ -166,6 +255,17 @@ def test_changed_source_builds_a_new_library(tmp_path):
     assert len(built) == 2 and first[0] in built
     assert all(p.suffix == ".so" for p in built)
     assert lib.kms_target_cell  # the new library loads
+
+
+@pytest.mark.skipif(shutil.which("gcc") is None, reason="needs gcc")
+@pytest.mark.parametrize("source", sorted(_native._PROTOTYPES))
+def test_kernel_compiles_without_warnings(source):
+    path = Path(_native.__file__).with_name(source)
+    proc = subprocess.run(
+        ["gcc", "-fsyntax-only", "-Wall", "-Wextra", "-Werror", str(path)],
+        capture_output=True, text=True, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_kernel_is_not_loaded_at_import():
