@@ -2,7 +2,11 @@
 artifacts, one run record per output directory, and report tables.
 
 Stages (orbits -> km -> encode -> solve -> classify) are resumable and
-idempotent.  Each stage sets its entry in ``run.json`` in the output
+idempotent.  ``JobConfig.load`` reads each group file once and gives the
+stages G, N and the configuration fingerprint; the solver caps are the
+config keys ``node_cap``, ``time_cap`` and ``solution_limit``.  ``--jobs``
+sets the worker processes of orbits and classify (at least 1, at most one
+per CPU).  Each stage sets its entry in ``run.json`` in the output
 directory: the configuration fingerprint, the artifacts it wrote, its
 counts and its seconds.  A stage checks the entries of the stages whose
 artifacts it reads, so artifacts from different configurations cannot be
@@ -29,10 +33,7 @@ import numpy as np
 from . import designs as designs_mod
 from . import km as km_mod
 from . import orbitgen, symbreak, xcc
-from .perm import (
-    PermutationGroup,
-    read_group_file,
-)
+from .perm import Permutation, PermutationGroup, parse_group
 
 log = logging.getLogger("kmsteiner")
 
@@ -77,6 +78,15 @@ def check_admissible(v: int, k: int, t: int) -> list:
     return problems
 
 
+# the config keys and how each value is read; a path is relative to the
+# config file
+KEY_TYPES = {
+    "v": int, "k": int, "t": int, "group_file": "path", "output_dir": "path",
+    "normalizer_file": "path", "encoding": str, "node_cap": int, "time_cap": float,
+    "solution_limit": int, "label": str,
+}
+
+
 @dataclass
 class JobConfig:
     v: int
@@ -90,11 +100,16 @@ class JobConfig:
     time_cap: float | None = None
     solution_limit: int | None = None
     label: str | None = None
-    path: str = ""  # the config file itself, not a key
+    # not keys: the config file itself, and what load reads from the group files
+    path: str = ""
+    G: PermutationGroup | None = None
+    N: PermutationGroup | None = None
+    fingerprint: str = ""
 
     @classmethod
     def load(cls, path) -> "JobConfig":
-        keys = {f.name: f for f in fields(cls) if f.name != "path"}
+        """Read and check a config, and read its group files once: G and N
+        from their bytes, and the fingerprint from the same bytes."""
         raw: dict = {}
         with open(path, "r", encoding="utf-8") as fh:
             for ln, line in enumerate(fh, start=1):
@@ -105,88 +120,56 @@ class JobConfig:
                     raise ValidationError(f"{path}:{ln}: expected key = value")
                 key, _, val = line.partition("=")
                 key, val = key.strip(), val.strip()
-                if key not in keys:
+                if key not in KEY_TYPES:
                     raise ValidationError(f"{path}:{ln}: unknown key {key!r}")
                 raw[key] = val
-        for req in (name for name, f in keys.items() if f.default is MISSING):
-            if req not in raw:
-                raise ValidationError(f"{path}: missing required key {req!r}")
+        for f in fields(cls):
+            if f.default is MISSING and f.name not in raw:
+                raise ValidationError(f"{path}: missing required key {f.name!r}")
         base = os.path.dirname(os.path.abspath(path))
+        for key, val in raw.items():
+            kind = KEY_TYPES[key]
+            raw[key] = os.path.join(base, val) if kind == "path" else kind(val)
+        cfg = cls(**raw, path=os.path.abspath(path))
 
-        def rel(p):
-            return p if os.path.isabs(p) else os.path.join(base, p)
-
-        cfg = cls(
-            v=int(raw["v"]),
-            k=int(raw["k"]),
-            t=int(raw["t"]),
-            group_file=rel(raw["group_file"]),
-            output_dir=rel(raw["output_dir"]),
-            normalizer_file=rel(raw["normalizer_file"]) if "normalizer_file" in raw else None,
-            encoding=raw.get("encoding", "a"),
-            node_cap=int(raw["node_cap"]) if "node_cap" in raw else None,
-            time_cap=float(raw["time_cap"]) if "time_cap" in raw else None,
-            solution_limit=int(raw["solution_limit"]) if "solution_limit" in raw else None,
-            label=raw.get("label"),
-            path=os.path.abspath(path),
-        )
-        cfg.validate()
-        return cfg
-
-    def validate(self) -> None:
-        violations = check_admissible(self.v, self.k, self.t)
+        violations = check_admissible(cfg.v, cfg.k, cfg.t)
         if violations:
             raise ValidationError("inadmissible parameters: " + "; ".join(violations))
-        if self.encoding not in ("a", "b", "c"):
-            raise ValidationError(f"encoding must be a, b or c, not {self.encoding!r}")
-        if not os.path.exists(self.group_file):
-            raise ValidationError(f"group file {self.group_file} does not exist")
-        if self.encoding in ("b", "c") and not self.normalizer_file:
-            raise ValidationError(f"encoding {self.encoding} requires normalizer_file")
-        if self.normalizer_file and not os.path.exists(self.normalizer_file):
-            raise ValidationError(f"normalizer file {self.normalizer_file} does not exist")
-        if self.node_cap is not None and self.node_cap < 0:
-            raise ValidationError(f"node_cap must be non-negative, not {self.node_cap}")
-        if self.time_cap is not None and not self.time_cap >= 0:  # NaN fails too
-            raise ValidationError(f"time_cap must be non-negative, not {self.time_cap}")
-        if self.solution_limit is not None and self.solution_limit < 1:
-            raise ValidationError(f"solution_limit must be at least 1, not {self.solution_limit}")
-        try:
-            read_group_file(self.group_file)
-            if self.normalizer_file:
-                read_group_file(self.normalizer_file)
-        except ValueError as exc:
-            raise ValidationError(str(exc)) from None
-
-    def group(self) -> PermutationGroup:
-        G = read_group_file(self.group_file)
-        if G.degree != self.v:
-            raise ValidationError(
-                f"group degree {G.degree} does not match v={self.v}"
-            )
-        return G
-
-    def normalizer(self) -> PermutationGroup:
-        if not self.normalizer_file:
-            raise ValidationError("no normalizer_file configured")
-        N = read_group_file(self.normalizer_file)
-        if N.degree != self.v:
-            raise ValidationError("normalizer degree does not match v")
-        return N
-
-    def fingerprint(self) -> str:
-        h = hashlib.sha256()
-        h.update(f"{self.v}|{self.k}|{self.t}|{self.encoding}|".encode())
-        with open(self.group_file, "rb") as fh:
-            h.update(fh.read())
+        if cfg.encoding not in ("a", "b", "c"):
+            raise ValidationError(f"encoding must be a, b or c, not {cfg.encoding!r}")
+        if cfg.encoding in ("b", "c") and not cfg.normalizer_file:
+            raise ValidationError(f"encoding {cfg.encoding} requires normalizer_file")
+        if cfg.node_cap is not None and cfg.node_cap < 0:
+            raise ValidationError(f"node_cap must be non-negative, not {cfg.node_cap}")
+        if cfg.time_cap is not None and not cfg.time_cap >= 0:  # NaN fails too
+            raise ValidationError(f"time_cap must be non-negative, not {cfg.time_cap}")
+        if cfg.solution_limit is not None and cfg.solution_limit < 1:
+            raise ValidationError(f"solution_limit must be at least 1, not {cfg.solution_limit}")
+        h = hashlib.sha256(f"{cfg.v}|{cfg.k}|{cfg.t}|{cfg.encoding}|".encode())
+        cfg.G = _read_group(cfg.group_file, "group", cfg.v, h)
         h.update(b"|")
-        if self.normalizer_file:
-            with open(self.normalizer_file, "rb") as fh:
-                h.update(fh.read())
-        return h.hexdigest()[:16]
+        if cfg.normalizer_file:
+            cfg.N = _read_group(cfg.normalizer_file, "normalizer", cfg.v, h)
+        cfg.fingerprint = h.hexdigest()[:16]
+        return cfg
 
     def out(self, name: str) -> str:
         return os.path.join(self.output_dir, name)
+
+
+def _read_group(path: str, what: str, v: int, digest) -> PermutationGroup:
+    """The group in a group file, which must have degree v; the file's
+    bytes go into the digest."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        G = parse_group(data.decode("utf-8").splitlines(), path)
+    except (OSError, ValueError) as exc:
+        raise ValidationError(f"{what} file: {exc}") from None
+    digest.update(data)
+    if G.degree != v:
+        raise ValidationError(f"{what} degree {G.degree} does not match v={v}")
+    return G
 
 
 # -- run record ---------------------------------------------------------------
@@ -210,7 +193,7 @@ def _record_stage(cfg: JobConfig, stage: str, t0: float, artifacts, **counts) ->
     run record; the file is replaced whole."""
     record = _read_record(cfg)
     record["stages"][stage] = {
-        "fingerprint": cfg.fingerprint(),
+        "fingerprint": cfg.fingerprint,
         "artifacts": artifacts,
         "counts": counts,
         "seconds": round(time.perf_counter() - t0, 3),
@@ -222,10 +205,11 @@ def _record_stage(cfg: JobConfig, stage: str, t0: float, artifacts, **counts) ->
     os.replace(tmp, cfg.out(RECORD))
 
 
-def _check_record(cfg: JobConfig, stages) -> None:
-    """Each stage must be recorded under this config, with its artifacts present."""
+def _check_record(cfg: JobConfig, stages) -> dict:
+    """The recorded stages; each of stages must be recorded under this
+    config, with its artifacts present."""
     entries = _read_record(cfg)["stages"]
-    fp = cfg.fingerprint()
+    fp = cfg.fingerprint
     for stage in stages:
         if stage not in entries:
             raise ValidationError(f"stage {stage} not recorded in {cfg.output_dir}; run it first")
@@ -237,31 +221,34 @@ def _check_record(cfg: JobConfig, stages) -> None:
         for art in entry["artifacts"]:
             if not os.path.exists(cfg.out(art)):
                 raise ValidationError(f"artifact {art} missing from {cfg.output_dir}")
+    return entries
 
 
 # -- stages -------------------------------------------------------------------
 
 
 def _orbit_shard(args):
-    group_file, v, k, t, idx, njobs = args
-    G = read_group_file(group_file)
+    gens, v, k, t, idx, njobs = args
+    G = PermutationGroup([Permutation(g) for g in gens], v)
     s = orbitgen.good_k_orbit_reps(G, v, k, t, shard=(idx, njobs))
     return s.reps, s.sizes
 
 
 def cmd_orbits(cfg: JobConfig, jobs: int = 1) -> None:
     os.makedirs(cfg.output_dir, exist_ok=True)
-    G = cfg.group()
+    G = cfg.G
     t0 = time.perf_counter()
     tro = orbitgen.t_orbit_reps(G, cfg.v, cfg.t)
     log.info("t-orbits: %d", len(tro))
-    if jobs > 1:
+    shards = min(jobs, os.cpu_count() or 1)  # one shard per worker
+    if shards > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        gens = [g.raw() for g in G.generators]
+        with ProcessPoolExecutor(max_workers=shards) as pool:
             parts = list(pool.map(
                 _orbit_shard,
-                [(cfg.group_file, cfg.v, cfg.k, cfg.t, i, jobs) for i in range(jobs)],
+                [(gens, cfg.v, cfg.k, cfg.t, i, shards) for i in range(shards)],
             ))
         reps = np.concatenate([r for r, _ in parts])
         sizes = np.concatenate([s for _, s in parts])
@@ -277,22 +264,16 @@ def cmd_orbits(cfg: JobConfig, jobs: int = 1) -> None:
                   t_orbits=len(tro), good_orbits=len(ko))
 
 
-def _load_orbits(cfg: JobConfig):
-    """G and the t- and good k-orbit sets read back from the orbit files."""
-    _check_record(cfg, ["orbits"])
-    G = cfg.group()
-    sets = []
-    for name, size in (("torbits.txt", cfg.t), ("korbits.txt", cfg.k)):
-        v, k, t, _, reps, sizes = orbitgen.read_orbit_file(cfg.out(name), size)
-        if (v, k, t) != (cfg.v, cfg.k, cfg.t):
-            raise ValidationError("orbit file parameters disagree with config")
-        sets.append(orbitgen.OrbitSet(v, t, reps, sizes, G.fingerprint()))
-    return G, *sets
+def _read_orbits(cfg: JobConfig, name: str, size: int) -> orbitgen.OrbitSet:
+    """An orbit set read back from its file, checked against the config."""
+    v, k, t, _, reps, sizes = orbitgen.read_orbit_file(cfg.out(name), size)
+    if (v, k, t) != (cfg.v, cfg.k, cfg.t):
+        raise ValidationError("orbit file parameters disagree with config")
+    return orbitgen.OrbitSet(v, t, reps, sizes, cfg.G.fingerprint())
 
 
 def _load_km(cfg: JobConfig, tro, kset) -> km_mod.KMInstance:
     """The matrix from km.txt, checked against the loaded orbit files."""
-    _check_record(cfg, ["km"])
     m, n, v, k, t, sizes, indptr, rows = km_mod.read_km_file(cfg.out("km.txt"))
     if (m, n, v, k, t) != (len(tro), len(kset), cfg.v, cfg.k, cfg.t):
         raise ValidationError(
@@ -305,9 +286,11 @@ def _load_km(cfg: JobConfig, tro, kset) -> km_mod.KMInstance:
 
 
 def cmd_km(cfg: JobConfig) -> None:
-    G, tro, kset = _load_orbits(cfg)
+    _check_record(cfg, ["orbits"])
+    tro = _read_orbits(cfg, "torbits.txt", cfg.t)
+    kset = _read_orbits(cfg, "korbits.txt", cfg.k)
     t0 = time.perf_counter()
-    km = km_mod.build_km(G, tro, kset)
+    km = km_mod.build_km(cfg.G, tro, kset)
     km_mod.write_km_file(cfg.out("km.txt"), km)
     log.info("KM matrix: %d x %d", *km.shape)
     m, n = km.shape
@@ -315,13 +298,15 @@ def cmd_km(cfg: JobConfig) -> None:
 
 
 def cmd_encode(cfg: JobConfig) -> None:
-    G, tro, kset = _load_orbits(cfg)
+    _check_record(cfg, ["orbits", "km"])
+    tro = _read_orbits(cfg, "torbits.txt", cfg.t)
+    kset = _read_orbits(cfg, "korbits.txt", cfg.k)
     t0 = time.perf_counter()
     km = _load_km(cfg, tro, kset)
     classes = None
     if cfg.encoding in ("b", "c"):
         t1 = time.perf_counter()
-        classes = symbreak.normalizer_classes(cfg.normalizer(), kset, G)
+        classes = symbreak.normalizer_classes(cfg.N, kset, cfg.G)
         log.info("normalizer classes: %d in %.1f s", classes.n_classes, time.perf_counter() - t1)
     enc = symbreak.encode(km, classes, cfg.encoding)
     with open(cfg.out("xcc.txt"), "w", encoding="utf-8") as fh:
@@ -338,9 +323,7 @@ def cmd_encode(cfg: JobConfig) -> None:
     _record_stage(cfg, "encode", t0, ["xcc.txt", "copymap.txt"], **counts)
 
 
-def cmd_solve(cfg: JobConfig, limit: int | None = None) -> None:
-    if limit is not None and limit < 1:
-        raise ValidationError(f"--limit must be at least 1, not {limit}")
+def cmd_solve(cfg: JobConfig) -> None:
     _check_record(cfg, ["encode"])
     t0 = time.perf_counter()
     with open(cfg.out("xcc.txt"), "r", encoding="utf-8") as fh:
@@ -351,7 +334,7 @@ def cmd_solve(cfg: JobConfig, limit: int | None = None) -> None:
     start = time.perf_counter()
     stats = xcc.solve(
         problem,
-        limit=limit if limit is not None else cfg.solution_limit,
+        limit=cfg.solution_limit,
         on_solution=sols.append,
         node_cap=cfg.node_cap,
         time_cap=cfg.time_cap,
@@ -389,10 +372,10 @@ class _ProgressLog:
 
 
 def cmd_classify(cfg: JobConfig, jobs: int = 1) -> None:
-    G, tro, kset = _load_orbits(cfg)
-    _check_record(cfg, ["encode", "solve"])
+    stages = _check_record(cfg, ["orbits", "encode", "solve"])
+    kset = _read_orbits(cfg, "korbits.txt", cfg.k)
     t0 = time.perf_counter()
-    if _read_record(cfg)["stages"]["solve"]["counts"]["limit_hit"]:
+    if stages["solve"]["counts"]["limit_hit"]:
         log.warning("the solve stopped at a cap: its solutions, and so the classes, "
                     "may be incomplete")
     copy_map = symbreak.read_copy_map(cfg.out("copymap.txt"))
@@ -404,12 +387,12 @@ def cmd_classify(cfg: JobConfig, jobs: int = 1) -> None:
     all_designs = []
     for opt_ids in solutions:
         orbit_ids = {copy_map.get(o, o) for o in opt_ids}
-        d = designs_mod.expand(orbit_ids, kset, G)
+        d = designs_mod.expand(orbit_ids, kset, cfg.G)
         rep = designs_mod.verify_steiner(d, cfg.t)
         if not rep.ok:
             raise ValidationError(f"solution {opt_ids} is not a Steiner design: {rep.violations[:3]}")
         all_designs.append(d)
-    classes = designs_mod.classify(all_designs, known_autos=G.generators, jobs=jobs,
+    classes = designs_mod.classify(all_designs, known_autos=cfg.G.generators, jobs=jobs,
                                    progress=_ProgressLog("canonized design %d of %d, %d nodes"))
     os.makedirs(cfg.out("designs"), exist_ok=True)
     for name in os.listdir(cfg.out("designs")):
@@ -451,9 +434,7 @@ def cmd_report(cfg_paths, out_stream=None) -> str:
         def count(stage, key, mark=""):
             return str(stages[stage]["counts"][key]) + mark if stage in stages else "-"
 
-        n_order = "-"
-        if cfg.normalizer_file and os.path.exists(cfg.normalizer_file):
-            n_order = str(cfg.normalizer().order())
+        n_order = str(cfg.N.order()) if cfg.N is not None else "-"
         enc = stages["encode"]["counts"] if "encode" in stages else {}
         rows.append(
             {
@@ -506,11 +487,8 @@ def main(argv=None) -> int:
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True)
         sp.add_argument("--jobs", type=int, default=1,
-                        help="worker processes; used by orbits and classify, "
-                        "accepted by every stage")
-        if name == "solve":
-            sp.add_argument("--limit", type=int, default=None,
-                            help="stop after this many solutions (exit 2)")
+                        help="worker processes, at most one per CPU; used by orbits "
+                        "and classify, accepted by every stage")
     rp = sub.add_parser("report")
     rp.add_argument("--config", action="append", required=True,
                     help="config of a completed run; repeat for more rows")
@@ -531,6 +509,8 @@ def main(argv=None) -> int:
             stats = xcc.solve(problem)
             print(f"solutions={stats.solutions} nodes={stats.nodes} seconds={stats.elapsed:.3f}")
             return EXIT_OK
+        if args.jobs < 1:
+            raise ValidationError(f"--jobs must be at least 1, not {args.jobs}")
         cfg = JobConfig.load(args.config)
         if args.command == "orbits":
             cmd_orbits(cfg, jobs=args.jobs)
@@ -539,14 +519,11 @@ def main(argv=None) -> int:
         elif args.command == "encode":
             cmd_encode(cfg)
         elif args.command == "solve":
-            cmd_solve(cfg, limit=args.limit)
+            cmd_solve(cfg)
         elif args.command == "classify":
             cmd_classify(cfg, jobs=args.jobs)
         return EXIT_OK
-    except ResourceCapHit as exc:
-        log.error("%s", exc)
-        return EXIT_RESOURCE
-    except designs_mod.BudgetExceeded as exc:
+    except (ResourceCapHit, designs_mod.BudgetExceeded) as exc:
         log.error("%s", exc)
         return EXIT_RESOURCE
     except (ValidationError, ValueError, OverflowError, OSError, ImportError,

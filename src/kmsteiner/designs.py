@@ -29,6 +29,7 @@ C(v, k) >= 2^63, which has no 63-bit lex rank.
 from __future__ import annotations
 
 import ctypes
+import os
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb, factorial
@@ -324,10 +325,11 @@ def classify(
 ) -> list:
     """Group designs by certificate; returns IsoClasses sorted by certificate.
 
-    Canonization is pure, so jobs > 1 spreads it over worker processes;
-    the grouped result is independent of the worker count.  progress, if
-    given, is called as progress(i, n, nodes) after the i-th of n designs
-    is canonized, with the canonization nodes of designs 1..i.
+    Canonization is pure, so jobs > 1 spreads it over worker processes,
+    at most one per CPU and per design; the grouped result is independent
+    of the worker count.  progress, if given, is called as
+    progress(i, n, nodes) after the i-th of n designs is canonized, with
+    the canonization nodes of designs 1..i.
     """
     if not designs:
         return []
@@ -336,14 +338,15 @@ def classify(
     for d in designs:
         if d.v != v or d.k != k:
             raise ValueError("designs must share (v, k)")
-    if jobs > 1:
+    workers = min(jobs, os.cpu_count() or 1, len(designs))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         work = [
             (d.v, d.blocks, node_budget, [g.raw() for g in known_autos])
             for d in designs
         ]
-        pool = ProcessPoolExecutor(max_workers=jobs)
+        pool = ProcessPoolExecutor(max_workers=workers)
         forms = pool.map(_canonical_form_job, work, chunksize=1)
     else:
         pool = None

@@ -177,32 +177,32 @@ def order12_group(name: str) -> SmallGroup:
     raise ValueError(f"unknown order-12 group {name!r}")
 
 
-def _phi_extension(H: SmallGroup, gen_images: tuple) -> list | None:
-    """Extend generator images in the units mod 7 to all of H; None if the
-    map violates a relation."""
-    phi = [None] * H.n
-    phi[H.e] = 1
-    frontier = [H.e]
+# multiplication mod 7 as a table, for maps into the units mod 7
+_MUL_MOD_7 = [[a * b % 7 for b in range(7)] for a in range(7)]
+
+
+def _extend(A: SmallGroup, imgs, identity, mul) -> list | None:
+    """The map on A that sends the identity to identity and x g to
+    mul[phi(x)][img] for each generator g with image img, built along a
+    walk from the identity; None if the walk reaches an element twice
+    with different values, or misses one.  The walk checks that rule for
+    every element x and generator g, so a map it returns is a homomorphism."""
+    phi = [None] * A.n
+    phi[A.e] = identity
+    frontier = [A.e]
     while frontier:
         new = []
         for x in frontier:
-            for gi, g in enumerate(H.gens):
-                y = H.mul[x][g]
-                val = phi[x] * gen_images[gi] % 7
+            for g, img in zip(A.gens, imgs):
+                y = A.mul[x][g]
+                val = mul[phi[x]][img]
                 if phi[y] is None:
                     phi[y] = val
                     new.append(y)
                 elif phi[y] != val:
                     return None
         frontier = new
-    if any(p is None for p in phi):
-        return None  # generators do not generate H
-    # full generator-product verification makes the extension a homomorphism
-    for x in range(H.n):
-        for gi, g in enumerate(H.gens):
-            if phi[H.mul[x][g]] != phi[x] * gen_images[gi] % 7:
-                return None
-    return phi
+    return None if None in phi else phi
 
 
 def valid_phis(name: str) -> list:
@@ -211,7 +211,7 @@ def valid_phis(name: str) -> list:
     units = (1, 2, 3, 4, 5, 6)
     out = []
     for imgs in iproduct(units, repeat=len(H.gens)):
-        if _phi_extension(H, imgs) is not None:
+        if _extend(H, imgs, 1, _MUL_MOD_7) is not None:
             out.append(imgs)
     return out
 
@@ -219,7 +219,7 @@ def valid_phis(name: str) -> list:
 def _semidirect_table(name: str, phi_imgs: tuple) -> tuple:
     """Multiplication table of C7 x| H; returns (SmallGroup, H, phi list)."""
     H = order12_group(name)
-    phi = _phi_extension(H, tuple(phi_imgs))
+    phi = _extend(H, [p % 7 for p in phi_imgs], 1, _MUL_MOD_7)
     if phi is None:
         raise ValueError(f"invalid phi {phi_imgs} for {name}: relations violated")
 
@@ -330,32 +330,15 @@ def _isomorphisms(A: SmallGroup, B: SmallGroup):
     """Every isomorphism A -> B as a tuple of element indices.
 
     Brute force over the images of A's generators (elements of B of the
-    same orders).  Each choice is extended along a walk from the identity
-    by phi(x g) = phi(x) img(g); the walk checks that rule for every
-    element x and generator g, so a consistent walk that reaches all of A
+    same orders); each choice that extends to a homomorphism (``_extend``)
     and is injective is an isomorphism.
     """
     candidates = [
         [i for i in range(B.n) if B.order_of[i] == A.order_of[g]] for g in A.gens
     ]
     for imgs in iproduct(*candidates):
-        phi = [None] * A.n
-        phi[A.e] = B.e
-        frontier = [A.e]
-        ok = True
-        while frontier and ok:
-            new = []
-            for x in frontier:
-                for g, img in zip(A.gens, imgs):
-                    y = A.mul[x][g]
-                    val = B.mul[phi[x]][img]
-                    if phi[y] is None:
-                        phi[y] = val
-                        new.append(y)
-                    elif phi[y] != val:
-                        ok = False
-            frontier = new
-        if ok and None not in phi and len(set(phi)) == A.n:
+        phi = _extend(A, imgs, B.e, B.mul)
+        if phi is not None and len(set(phi)) == A.n:
             yield tuple(phi)
 
 

@@ -24,6 +24,7 @@ __all__ = [
     "normalizer_of_cyclic",
     "verify_normalizes",
     "read_group_file",
+    "parse_group",
     "write_group_file",
 ]
 
@@ -459,11 +460,16 @@ def verify_normalizes(N: PermutationGroup, G: PermutationGroup) -> bool:
 
 def read_group_file(path) -> PermutationGroup:
     with open(path, "r", encoding="utf-8") as fh:
-        lines = []
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                lines.append(line)
+        return parse_group(fh, path)
+
+
+def parse_group(text_lines, path) -> PermutationGroup:
+    """The group of a group file given as its lines; path names it in errors."""
+    lines = []
+    for raw in text_lines:
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            lines.append(line)
     if not lines:
         raise ValueError(f"{path}: empty group file")
     head = lines[0].split()

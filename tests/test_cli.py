@@ -300,18 +300,22 @@ def test_tampered_solution_artifacts_rejected(sts13_cfg, name, i, line):
 
 
 def test_solution_limit_flag(tmp_path, fixtures_dir):
+    # the config key solution_limit is the one solution cap; solve has no --limit
     cfgp = write_config(
         tmp_path / "lim.cfg",
         v=13,
         k=3,
         t=2,
         group_file=os.path.join(fixtures_dir, "groups", "C13.grp"),
+        solution_limit=1,
         output_dir=str(tmp_path / "run"),
     )
     assert main(["orbits", "--config", cfgp]) == EXIT_OK
     assert main(["km", "--config", cfgp]) == EXIT_OK
     assert main(["encode", "--config", cfgp]) == EXIT_OK
-    assert main(["solve", "--config", cfgp, "--limit", "1"]) == EXIT_RESOURCE
+    with pytest.raises(SystemExit):
+        main(["solve", "--config", cfgp, "--limit", "1"])
+    assert main(["solve", "--config", cfgp]) == EXIT_RESOURCE
     cfg = JobConfig.load(cfgp)
     sols = [line for line in open(cfg.out("solutions.txt")) if line.strip()]
     assert len(sols) == 1
@@ -332,7 +336,10 @@ def test_capped_solve_then_classify(tmp_path, fixtures_dir, caplog):
     assert len(os.listdir(cfg.out("designs"))) == 4
     lines = cmd_report([cfgp]).splitlines()
     assert lines[1].split()[-1] == "4" and lines[-1].split()[4] == "8"
-    assert main(["solve", "--config", cfgp, "--limit", "1"]) == EXIT_RESOURCE
+    # the caps are not part of the fingerprint, so a capped solve reuses the run
+    with open(cfgp, "a") as fh:
+        fh.write("solution_limit = 1\n")
+    assert main(["solve", "--config", cfgp]) == EXIT_RESOURCE
     caplog.clear()
     assert main(["classify", "--config", cfgp]) == EXIT_OK
     assert "stopped at a cap" in caplog.text
@@ -357,6 +364,109 @@ def test_jobs_flag_is_deterministic(tmp_path, fixtures_dir):
     cmd_orbits(c1, jobs=1)
     cmd_orbits(c2, jobs=2)
     assert open(c1.out("korbits.txt")).read() == open(c2.out("korbits.txt")).read()
+
+
+class RecordingExecutor:
+    """Stands in for ProcessPoolExecutor: records max_workers and runs the
+    work inline, so no process is started."""
+
+    made: list = []
+
+    def __init__(self, max_workers):
+        self.made.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.shutdown()
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+def test_jobs_capped_by_cpus_and_work_items(tmp_path, fixtures_dir, monkeypatch):
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(RecordingExecutor, "made", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    base = dict(
+        v=19,
+        k=3,
+        t=2,
+        group_file=os.path.join(fixtures_dir, "groups", "C19.grp"),
+        normalizer_file=os.path.join(fixtures_dir, "normalizers", "C19.grp"),
+        encoding="c",
+    )
+    one = run_pipeline(write_config(tmp_path / "one.cfg", output_dir=str(tmp_path / "one"), **base))
+    assert RecordingExecutor.made == []
+    names = ["korbits.txt", "classes.txt", "designs.gap"]
+    expected = {name: open(one.out(name)).read() for name in names}
+    cfg = JobConfig.load(write_config(tmp_path / "many.cfg", output_dir=str(tmp_path / "many"),
+                                      **base))
+    for jobs in (3, 1000):  # one shard per worker, at most one worker per CPU
+        cmd_orbits(cfg, jobs=jobs)
+        assert open(cfg.out("korbits.txt")).read() == expected["korbits.txt"]
+    cmd_km(cfg)
+    cmd_encode(cfg)
+    cmd_solve(cfg)
+    cmd_classify(cfg, jobs=1000)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    cmd_classify(cfg, jobs=1000)  # never more workers than the 8 designs
+    assert RecordingExecutor.made == [3, 4, 4, 8]
+    assert {name: open(cfg.out(name)).read() for name in names} == expected
+
+
+def test_jobs_below_one_rejected(sts13_cfg, caplog):
+    stages = ("orbits", "km", "encode", "solve", "classify")
+    for stage in stages:
+        caplog.clear()
+        assert main([stage, "--config", sts13_cfg, "--jobs", "0"]) == EXIT_VALIDATION
+        assert "--jobs must be at least 1, not 0" in caplog.text
+    assert main(["orbits", "--config", sts13_cfg, "--jobs", "-2"]) == EXIT_VALIDATION
+    assert not os.path.exists(JobConfig.load(sts13_cfg).output_dir)
+    for stage in stages:  # every stage accepts --jobs
+        assert main([stage, "--config", sts13_cfg, "--jobs", "1"]) == EXIT_OK
+
+
+def test_fingerprint_of_earlier_runs_kept(tmp_path, fixtures_dir):
+    # the digest that run.json files already on disk hold for this config
+    cfg = JobConfig.load(write_config(
+        tmp_path / "c13.cfg",
+        v=13,
+        k=3,
+        t=2,
+        group_file=os.path.join(fixtures_dir, "groups", "C13.grp"),
+        normalizer_file=os.path.join(fixtures_dir, "normalizers", "C13.grp"),
+        encoding="c",
+        output_dir=str(tmp_path / "run"),
+    ))
+    assert cfg.fingerprint == "ac8283332aa159d4"
+
+
+def test_normalizer_degree_mismatch_rejected(tmp_path, fixtures_dir):
+    cfgp = write_config(
+        tmp_path / "n.cfg",
+        v=13,
+        k=3,
+        t=2,
+        group_file=os.path.join(fixtures_dir, "groups", "C13.grp"),
+        normalizer_file=os.path.join(fixtures_dir, "normalizers", "C19.grp"),
+        encoding="b",
+        output_dir=str(tmp_path / "run"),
+    )
+    with pytest.raises(ValidationError, match="normalizer degree 19 does not match v=13"):
+        JobConfig.load(cfgp)
+    assert main(["orbits", "--config", cfgp]) == EXIT_VALIDATION
+    assert not os.path.exists(tmp_path / "run")
+    with open(cfgp, "a") as fh:
+        fh.write("normalizer_file = missing.grp\n")
+    with pytest.raises(ValidationError, match="normalizer file: .*missing.grp"):
+        JobConfig.load(cfgp)
 
 
 def test_encoding_c_through_cli(tmp_path, fixtures_dir):
@@ -477,22 +587,6 @@ def test_bad_cap_in_config_rejected(tmp_path, fixtures_dir, key, value):
     with pytest.raises(ValidationError, match=key):
         JobConfig.load(path)
     assert main(["orbits", "--config", path]) == EXIT_VALIDATION
-
-
-@pytest.mark.parametrize("limit", ["0", "-3"])
-def test_bad_limit_flag_rejected(tmp_path, fixtures_dir, limit):
-    cfgp = write_config(
-        tmp_path / "lim.cfg",
-        v=13,
-        k=3,
-        t=2,
-        group_file=os.path.join(fixtures_dir, "groups", "C13.grp"),
-        output_dir=str(tmp_path / "run"),
-    )
-    for stage in ("orbits", "km", "encode"):
-        assert main([stage, "--config", cfgp]) == EXIT_OK
-    assert main(["solve", "--config", cfgp, "--limit", limit]) == EXIT_VALIDATION
-    assert not os.path.exists(tmp_path / "run" / "solutions.txt")
 
 
 def test_solve_logs_progress(tmp_path, caplog, monkeypatch):
