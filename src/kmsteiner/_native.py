@@ -1,10 +1,10 @@
 """Build, cache and load the package's C kernels.
 
 ``kernel(source)`` returns the ctypes library of one of the kernel sources
-beside this module (``_refine.c``, ``_xcc.c``) with the prototypes of its
-functions declared.  The first call in a process builds or reuses the
-library and later calls return the same object, so a kernel is loaded on
-first use and never at import.
+beside this module (``_orbits.c``, ``_refine.c``, ``_xcc.c``) with the
+prototypes of its functions declared.  The first call in a process
+builds or reuses the library and later calls return the same object, so
+a kernel is loaded on first use and never at import.
 
 ``load(source)`` compiles a C file with ``gcc -O2 -shared -fPIC`` into the
 ``__pycache__`` directory beside it, named after the SHA-256 of the
@@ -36,6 +36,11 @@ class Chain(ctypes.Structure):
 
 # per kernel source: function -> (argument types, return type)
 _PROTOTYPES = {
+    "_orbits.c": {
+        "kms_orbits_new": ((_I, _I, _I, _I, _I, _P, _I, _I, _P), _P),
+        "kms_orbits_run": ((_P, _P, _P, _I64), _I),
+        "kms_orbits_free": ((_P,), None),
+    },
     "_refine.c": {
         "kms_refine": ((_I, _P, _P, _P, _P, _I, _P), _I),
         "kms_target_cell": ((_I, _P), _I),

@@ -227,11 +227,26 @@ def _check_record(cfg: JobConfig, stages) -> dict:
 # -- stages -------------------------------------------------------------------
 
 
+def _good_orbits(G, v, k, t, shard=None):
+    """The good k-orbits and the number of search nodes, with progress
+    logged at most once per ``PROGRESS_SECONDS``."""
+    report = _ProgressLog("%d nodes, %.0f nodes/s, %d representatives, second point %d of %d")
+    start = time.perf_counter()
+    nodes = 0
+
+    def progress(n, *where):
+        nonlocal nodes
+        nodes = n
+        report(n, n / (time.perf_counter() - start), *where)
+
+    return orbitgen.good_k_orbit_reps(G, v, k, t, shard=shard, progress=progress), nodes
+
+
 def _orbit_shard(args):
     gens, v, k, t, idx, njobs = args
     G = PermutationGroup([Permutation(g) for g in gens], v)
-    s = orbitgen.good_k_orbit_reps(G, v, k, t, shard=(idx, njobs))
-    return s.reps, s.sizes
+    s, nodes = _good_orbits(G, v, k, t, shard=(idx, njobs))
+    return s.reps, s.sizes, nodes
 
 
 def cmd_orbits(cfg: JobConfig, jobs: int = 1) -> None:
@@ -250,13 +265,14 @@ def cmd_orbits(cfg: JobConfig, jobs: int = 1) -> None:
                 _orbit_shard,
                 [(gens, cfg.v, cfg.k, cfg.t, i, shards) for i in range(shards)],
             ))
-        reps = np.concatenate([r for r, _ in parts])
-        sizes = np.concatenate([s for _, s in parts])
+        reps = np.concatenate([r for r, _, _ in parts])
+        sizes = np.concatenate([s for _, s, _ in parts])
+        nodes = sum(n for _, _, n in parts)
         order = np.lexsort(reps.T[::-1])  # rows in lex order
         ko = orbitgen.OrbitSet(cfg.v, cfg.t, reps[order], sizes[order], G.fingerprint())
     else:
-        ko = orbitgen.good_k_orbit_reps(G, cfg.v, cfg.k, cfg.t)
-    log.info("good k-orbits: %d", len(ko))
+        ko, nodes = _good_orbits(G, cfg.v, cfg.k, cfg.t)
+    log.info("good k-orbits: %d, %d search nodes", len(ko), nodes)
     glabel = os.path.basename(cfg.group_file)
     orbitgen.write_orbit_file(cfg.out("torbits.txt"), cfg.v, cfg.k, cfg.t, tro, glabel)
     orbitgen.write_orbit_file(cfg.out("korbits.txt"), cfg.v, cfg.k, cfg.t, ko, glabel)

@@ -29,15 +29,18 @@ tested without forming its images:
      because for p outside S, g(p) in S and g(p) = p exclude each other.
      Bit-sliced counts over SG and SF give the prune for every p and
      element; at a leaf K, the elements with count k are the stabilizer,
-     so the orbit size is |G| / #{g : |K meet K^g| = k}.
+     so the orbit size is |G| / #{g : |K meet K^g| = k}.  Only elements
+     with inter >= k - 2 can reach k, so only those are counted.
 
 A child's state follows from its parent's in O(elements x words); m is
 recomputed from the masks only where g(p) = m.
 
-The search evaluates batches of same-depth nodes, each holding at most
-_BATCH_BYTES of SG and SF state, so numpy's per-call cost is paid per
-batch.  The children of a batch are built in chunks of the same bound and
-visited depth first, so the representatives come out in lex order.
+The search runs in a small C kernel, ``_orbits.c``, which ``_native``
+builds with gcc on the first call and loads with ctypes; without gcc
+orbit generation raises ImportError.  It visits the children of a node
+in ascending p, depth first, so the representatives come out in lex
+order, and returns to Python with each chunk of representatives and
+every 2^16 nodes, where progress is reported.
 
 Subsets are keyed by their lex ranks (``_pack_keys``); the key of a
 subset's orbit, the rank of its lex-least image, comes from
@@ -52,6 +55,7 @@ from math import comb
 
 import numpy as np
 
+from . import _native
 from .perm import PermutationGroup
 
 __all__ = [
@@ -158,52 +162,12 @@ def _min_image_keys(subsets0: np.ndarray, G: PermutationGroup) -> np.ndarray:
     return keys
 
 
-# bytes of SG and SF state per batch of same-depth nodes
-_BATCH_BYTES = 1 << 16
+# rows of representatives per call into the kernel
+_REP_ROWS = 1 << 14
 
-
-def _pack(flags: np.ndarray, words: int) -> np.ndarray:
-    """Boolean (..., n) -> bitmasks (words, ...) with bit x set where flags[..., x]."""
-    by = np.packbits(flags, axis=-1, bitorder="little")
-    pad = [(0, 0)] * (by.ndim - 1) + [(0, 8 * words - by.shape[-1])]
-    masks = np.pad(by, pad).view("<u8").astype(np.uint64)
-    return np.ascontiguousarray(np.moveaxis(masks, -1, 0))
-
-
-def _bytes(masks: np.ndarray) -> np.ndarray:
-    """Bitmasks (words, ...) -> their bytes (..., 8 * words), point x in byte x >> 3."""
-    return np.ascontiguousarray(np.moveaxis(masks, 0, -1), dtype="<u8").view(np.uint8)
-
-
-def _unpack(masks: np.ndarray, v: int) -> np.ndarray:
-    """Bitmasks (words, ...) -> 0/1 uint8 (..., v); the inverse of _pack."""
-    return np.unpackbits(_bytes(masks), axis=-1, count=v, bitorder="little")
-
-
-def _select(counts, which: np.ndarray) -> np.ndarray:
-    """OR over c of counts[c] (words, n_el, B) where which[c] (n_el, B)."""
-    on = which.astype(np.uint64) * ~np.uint64(0)
-    return (counts[0] & on[0]) | (counts[1] & on[1]) | (counts[2] & on[2])
-
-
-def _lowest(diff: np.ndarray, v: int) -> np.ndarray:
-    """Lowest set point of ``diff`` (words, ...) along its first axis, or v."""
-    one = np.uint64(1)
-    point = np.full(diff.shape[1:], v)
-    for w in range(len(diff) - 1, -1, -1):
-        dw = diff[w]
-        low = np.bitwise_count((dw & (~dw + one)) - one).astype(np.int64)
-        point = np.where(dw != 0, 64 * w + low, point)
-    return point
-
-
-def _lowest_in(diff: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Whether ``mask`` has the lowest set point of ``diff`` (both (words, ...))."""
-    inside = np.zeros(diff.shape[1:], dtype=bool)
-    for w in range(len(diff) - 1, -1, -1):
-        dw = diff[w]
-        inside = np.where(dw != 0, (dw & (~dw + np.uint64(1)) & mask[w]) != 0, inside)
-    return inside
+# kms_orbits_run's return value at the end of the search; it also returns
+# with a full chunk (1) and every 2^16 nodes (2)
+_DONE = 0
 
 
 def _orderly_reps(
@@ -213,144 +177,58 @@ def _orderly_reps(
     t: int,
     good: bool,
     shard=None,
+    progress=None,
 ):
-    """Run the orderly search; returns the representatives as an (n, size)
-    array of 1-based points in lex order and their orbit sizes.
+    """Run the orderly search in the kernel ``_orbits.c``; returns the
+    representatives as an (n, size) array of 1-based points in lex order,
+    their orbit sizes, and the number of search nodes.
 
     shard=(i, n) keeps only second points p with p % n == i; the union
     over all i is the full tree, so shards may run on separate workers
-    and be merged by re-sorting the representatives.
+    and be merged by re-sorting the representatives.  Every 2^16 nodes,
+    at every chunk of _REP_ROWS representatives and at the end,
+    ``progress(nodes, representatives, second point, v)`` is called if
+    given; the second point is 1-based, 0 before the first.
     """
     if G.degree != v:
         raise ValueError("group degree does not match v")
-    img = G.element_table()  # img[g, x] = g(x)
-    n_el = len(img)
-    words = (v + 63) // 64
-    inv = np.argsort(img, axis=1)  # inv[g, y] = g^-1(y)
-    points = np.arange(v)
-    # masks are (words, ...) arrays; bit[:, x] is point x, bit[:, v] is empty
-    bit = _pack(np.eye(v + 1, v, dtype=bool), words)
-    # p is pruned by g when g(p) < m_g: column m_g is PRE[g, m_g] = {x : g(x) < m_g};
-    # column v, for g fixing S, is LT[g] = {x : g(x) < x}
-    below = np.zeros((words, n_el, v + 1), dtype=np.uint64)
-    below[:, :, 1:] = bit[:, inv]  # bit of g^-1(j - 1) in column j
-    np.bitwise_or.accumulate(below[:, :, 1:v], axis=2, out=below[:, :, 1:v])
-    below[:, :, v] = _pack(img < points, words)
-    below = below.reshape(words, -1)
-    pre_image = np.column_stack([inv, np.full(n_el, v)]).ravel()
-    base = np.arange(n_el)[:, None] * (v + 1)  # row offsets of the elements in below
-    from_point = _pack(points >= np.arange(v + 1)[:, None], words)
-    if shard is not None:
-        shard_mask = _pack(points % shard[1] == shard[0], words)[:, None]
-    span = np.arange(3)[:, None, None]
-    batch = max(1, _BATCH_BYTES // (2 * n_el * words * 8))
-    out_reps = [np.zeros((0, size), dtype=np.min_scalar_type(v))]
+    i, n = shard if shard is not None else (0, 0)
+    if shard is not None and not 0 <= i < n:
+        raise ValueError(f"shard {shard} is not (i, n) with 0 <= i < n")
+    img = G.element_table()  # img[g, x] = g(x), int64 and C-contiguous
+    lib = _native.kernel("_orbits.c")
+    info = np.zeros(3, dtype=np.int64)  # nodes, second point, rows written
+    reps = np.empty((_REP_ROWS, size), dtype=np.int32)
+    sizes = np.empty(_REP_ROWS, dtype=np.int64)
+    dtype = np.min_scalar_type(v)
+    out_reps = [np.zeros((0, size), dtype=dtype)]
     out_sizes = [np.zeros(0, dtype=np.int64)]
-
-    def survivors(prefix, S, SG, SF, m, inter):
-        """The children S + p of a batch of B depth-d nodes that pass P1 and
-        P2, as node indices b and points p in lex order; at leaves also the
-        orbit size of each S + p.
-
-        prefix (B, d) holds the 0-based points of each node's S, and S
-        (words, B) its bitmask.  Per element g and node: SG = S^g and SF =
-        g^-1(S) + Fix(g), both (words, n_el, B); m = min(S xor S^g), or v
-        if g fixes S, and inter = |S meet S^g|, both (n_el, B).
-        """
-        B, d = prefix.shape
-        last = prefix[:, -1] if d else np.full(B, -1)
-        # candidates last < p <= v - (size - d), room left for the rest of S
-        keep = from_point[:, last + 1] & ~from_point[:, v - size + d + 1, None]
-        if d == 1 and shard is not None:
-            keep &= shard_mask
-        # P1: g makes S + p smaller iff g(p) < m_g, except at g(p) = m_g
-        bad = np.bitwise_or.reduce(np.take(below, base + m, axis=1), axis=1)
-        # there, with m_g in S and not in S^g, (S + p)^g xor (S + p) is
-        # SG xor S xor {m_g, p}, and the image is smaller iff its lowest
-        # point is in SG
-        pe = np.take(pre_image, base + m)  # the p with g(p) = m_g, v if m_g = v
-        pe_bit = np.take(bit, pe, axis=1)
-        diff = SG ^ S[:, None] ^ np.take(bit, m, axis=1) ^ pe_bit
-        bad |= np.bitwise_or.reduce(pe_bit * _lowest_in(diff, SG), axis=1)
-        keep &= ~bad
-        # |S' meet S'^g| = inter + c, c = [p in S^g] + [p in SF]: for p
-        # outside S, g(p) in S and g(p) = p exclude each other
-        leaf = d + 1 == size
-        top = 2 * (d + 1) - size - 1  # P2 prunes t <= |S' meet S'^g| <= top
-        overlap = good and top >= t
-        if overlap or leaf:
-            counts = (~(SG | SF), SG ^ SF, SG & SF)  # bits p with c = 0, 1, 2
-            total = inter + span  # (3, n_el, B): inter + c
-        if overlap:
-            hit = _select(counts, (t <= total) & (total <= top))
-            keep &= ~np.bitwise_or.reduce(hit, axis=1)
-        bi, p = np.nonzero(_unpack(keep, v))
-        if not leaf:
-            return bi, p, None
-        # the byte holding bit p of each element's mask, (n_el, leaves)
-        fixed = _bytes(_select(counts, total == size))[:, bi, p >> 3]
-        n_stab = ((fixed >> (p & 7).astype(np.uint8)) & 1).sum(axis=0)
-        return bi, p, n_el // n_stab
-
-    def child(prefix, S, SG, SF, m, inter, b, q):
-        """The state of the nodes S + q, for each node index in b and point in q."""
-        gq = np.take(img, q, axis=1)  # (n_el, C): g(q)
-        mb = np.take(m, b, axis=1)
-        child_S = np.take(S, b, axis=1) | bit[:, q]
-        child_SG = np.take(SG, b, axis=2) | np.take(bit, gq, axis=1)
-        # m_g stays unless g fixed S (then S + q and its image differ first
-        # at q, as P1 kept only g(q) > q) or g(q) = m_g (then look it up)
-        child_m = np.where((mb == v) & (gq != q), q, mb)
-        redo = np.flatnonzero(mb == gq)  # g * C + c
-        diff = np.take(child_SG.reshape(words, -1), redo, axis=1) ^ np.take(
-            child_S, redo % len(q), axis=1
-        )
-        np.put(child_m, redo, _lowest(diff, v))
-        return (
-            np.column_stack([prefix[b], q]),
-            child_S,
-            child_SG,
-            np.take(SF, b, axis=2) | np.take(bit, np.take(inv, q, axis=1), axis=1),
-            child_m,
-            np.bitwise_count(child_SG & child_S[:, None]).sum(axis=0, dtype=np.int64),
-        )
-
-    def children(node, bi, p):
-        """The states of the survivors (bi, p) of node, in chunks of at most
-        ``batch`` nodes."""
-        for lo in range(0, len(bi), batch):
-            yield child(*node, bi[lo : lo + batch], p[lo : lo + batch])
-
-    root = (
-        np.zeros((1, 0), dtype=np.int64),
-        np.zeros((words, 1), dtype=np.uint64),
-        np.zeros((words, n_el, 1), dtype=np.uint64),
-        _pack(img == points, words)[:, :, None],
-        np.full((n_el, 1), v),
-        np.zeros((n_el, 1), dtype=np.int64),
-    )
-    # depth first over chunks of same-depth nodes, so the output is in lex order
-    pending = [iter([root])]
-    while pending:
-        node = next(pending[-1], None)
-        if node is None:
-            pending.pop()
-            continue
-        bi, p, sizes = survivors(*node)
-        if sizes is None:
-            pending.append(children(node, bi, p))
-        else:
-            reps = np.column_stack([node[0][bi], p]) + 1
-            out_reps.append(reps.astype(out_reps[0].dtype))
-            out_sizes.append(sizes.astype(np.int64))
-    return np.concatenate(out_reps), np.concatenate(out_sizes)
+    state = lib.kms_orbits_new(v, size, t, int(good), len(img), img.ctypes.data, i, n,
+                               info.ctypes.data)
+    if not state:
+        raise MemoryError("orbit kernel: out of memory")
+    found = 0
+    try:
+        while True:
+            status = lib.kms_orbits_run(state, reps.ctypes.data, sizes.ctypes.data, _REP_ROWS)
+            nodes, second, rows = info.tolist()
+            out_reps.append(reps[:rows].astype(dtype))
+            out_sizes.append(sizes[:rows].copy())
+            found += rows
+            if progress is not None:
+                progress(nodes, found, second, v)
+            if status == _DONE:
+                break
+    finally:
+        lib.kms_orbits_free(state)
+    return np.concatenate(out_reps), np.concatenate(out_sizes), nodes
 
 
 def t_orbit_reps(G: PermutationGroup, v: int, t: int) -> OrbitSet:
     """All G-orbits on t-subsets, in lex order of representative."""
     if not 1 <= t < v:
         raise ValueError("need 1 <= t < v")
-    reps, sizes = _orderly_reps(G, v, t, t, good=False)
+    reps, sizes, _ = _orderly_reps(G, v, t, t, good=False)
     total = int(sizes.sum())
     if total != comb(v, t):
         raise AssertionError(f"orbit sizes sum to {total}, expected C({v},{t})")
@@ -363,15 +241,18 @@ def good_k_orbit_reps(
     k: int,
     t: int,
     shard=None,
+    progress=None,
 ) -> OrbitSet:
     """All good k-orbit representatives in lex order.
 
     shard=(i, n) splits the tree at the second point so workers can
-    generate disjoint parts to be merged and re-sorted.
+    generate disjoint parts to be merged and re-sorted.  Every 2^16
+    search nodes and at the end, ``progress(nodes, representatives,
+    second point, v)`` is called if given.
     """
     if not t < k < v:
         raise ValueError("need t < k < v")
-    reps, sizes = _orderly_reps(G, v, k, t, good=True, shard=shard)
+    reps, sizes, _ = _orderly_reps(G, v, k, t, good=True, shard=shard, progress=progress)
     return OrbitSet(v=v, t=t, reps=reps, sizes=sizes, group_id=G.fingerprint())
 
 

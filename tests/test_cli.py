@@ -616,21 +616,47 @@ def test_solve_logs_progress(tmp_path, caplog, monkeypatch):
         assert branch == "root branch 1 of 7"
 
 
+def test_orbits_logs_progress_and_nodes(tmp_path, fixtures_dir, caplog, monkeypatch):
+    # G8: 2,443 good orbits in 40,249 nodes, so the kernel returns once, at the end
+    cfgp = write_config(
+        tmp_path / "g8.cfg",
+        v=91,
+        k=6,
+        t=2,
+        group_file=os.path.join(fixtures_dir, "groups", "G08.grp"),
+        output_dir=str(tmp_path / "run"),
+    )
+    monkeypatch.setattr(cli, "PROGRESS_SECONDS", 0.0)
+    with caplog.at_level("INFO", logger="kmsteiner"):
+        assert main(["orbits", "--config", cfgp]) == EXIT_OK
+    messages = [r.getMessage() for r in caplog.records]
+    lines = [m for m in messages if "second point" in m]
+    assert len(lines) == 1
+    nodes, rate, reps, second = lines[0].split(", ")
+    assert (nodes, reps) == ("40249 nodes", "2443 representatives")
+    assert rate.endswith(" nodes/s") and float(rate.split()[0]) > 0
+    words = second.split()
+    assert words[:2] == ["second", "point"] and words[3:] == ["of", "91"]
+    assert 2 <= int(words[2]) <= 87  # a second point leaves room for four more
+    assert "good k-orbits: 2443, 40249 search nodes" in messages
+
+
 def test_missing_compiler_exits_1(sts13_cfg, tmp_path, monkeypatch, caplog):
-    # no gcc on PATH and no cached kernel: solve and classify log the
-    # loader's message and exit 1 instead of raising out of main
+    # no gcc on PATH and no cached kernel: orbits, solve and classify log
+    # the loader's message and exit 1 instead of raising out of main
     from kmsteiner import _native
 
     for stage in ("orbits", "km", "encode", "solve"):
         assert main([stage, "--config", sts13_cfg]) == EXIT_OK
     kernels = tmp_path / "kernels"
     kernels.mkdir()
-    for name in ("_refine.c", "_xcc.c"):
+    for name in ("_orbits.c", "_refine.c", "_xcc.c"):
         shutil.copy(os.path.join(os.path.dirname(_native.__file__), name), kernels)
     monkeypatch.setattr(_native.shutil, "which", lambda name: None)
     monkeypatch.setattr(_native, "_loaded", {})
     monkeypatch.setattr(_native, "__file__", str(kernels / "_native.py"))
-    for stage, source in (("solve", "_xcc.c"), ("classify", "_refine.c")):
+    for stage, source in (("orbits", "_orbits.c"), ("solve", "_xcc.c"),
+                          ("classify", "_refine.c")):
         caplog.clear()
         assert main([stage, "--config", sts13_cfg]) == EXIT_VALIDATION
         errors = [r for r in caplog.records if r.levelname == "ERROR"]

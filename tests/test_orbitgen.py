@@ -1,10 +1,14 @@
 import os
 import random
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from kmsteiner import orbitgen
 from kmsteiner.orbitgen import (
     OrbitSet,
     _min_image_keys,
@@ -14,6 +18,7 @@ from kmsteiner.orbitgen import (
     t_orbit_reps,
     write_orbit_file,
 )
+from kmsteiner.order84 import TABLE_GROUPS
 from kmsteiner.perm import (
     Permutation,
     PermutationGroup,
@@ -177,12 +182,13 @@ def _check_against_oracle(kind, v, size, t, good, oracle_p2):
     seed = v * 100 + size * 10 + t
     G = _seeded_group(kind, v, seed)
     whole = orderly_reps_bitmask(G, v, size, t, good, oracle_p2)
-    reps, sizes = _orderly_reps(G, v, size, t, good)
+    reps, sizes, _ = _orderly_reps(G, v, size, t, good)
     assert reps.dtype == np.min_scalar_type(v) and sizes.dtype == np.int64
     assert _pairs(reps, sizes) == whole
     parts = []
     for i in range(3):
-        parts += _pairs(*_orderly_reps(G, v, size, t, good, shard=(i, 3)))
+        reps, sizes, _ = _orderly_reps(G, v, size, t, good, shard=(i, 3))
+        parts += _pairs(reps, sizes)
     assert sorted(parts) == whole
 
 
@@ -268,6 +274,9 @@ def test_parameter_validation():
         t_orbit_reps(cyclic_group(7), 7, 0)
     with pytest.raises(ValueError):
         good_k_orbit_reps(cyclic_group(7), 7, 3, 3)
+    for shard in [(0, 0), (3, 3), (-1, 3)]:
+        with pytest.raises(ValueError, match="shard"):
+            good_k_orbit_reps(cyclic_group(7), 7, 3, 2, shard=shard)
 
 
 def _conjugate(G, sigma):
@@ -326,3 +335,51 @@ def test_min_image_keys_match_all_elements_oracle(name, k, count, fixtures_dir):
     assert (_min_image_keys(subsets0, G) == expected).all()
     assert (_min_image_keys(subsets0.astype(np.uint8), G) == expected).all()
     assert _min_image_keys(subsets0[:0], G).shape == (0,)
+
+
+# nodes of the orderly search for the good 6-orbits at v = 91
+SEARCH_NODES = {"G8": 40249, "G14": 40492, "G1": 229055, "C91": 322281}
+
+
+def _order84_group(label, fixtures_dir):
+    return read_group_file(os.path.join(fixtures_dir, "groups", f"G{int(label[1:]):02d}.grp"))
+
+
+@pytest.mark.parametrize("label", ["G8", "G14"])
+def test_orderly_reps_node_count(label, fixtures_dir):
+    _, sizes, nodes = _orderly_reps(_order84_group(label, fixtures_dir), 91, 6, 2, True)
+    assert (len(sizes), nodes) == (TABLE_GROUPS[label][0], SEARCH_NODES[label])
+
+
+@pytest.mark.parametrize("label", [*TABLE_GROUPS, "C91"])
+def test_good_orbit_counts_match_the_paper(label, fixtures_dir):
+    # the paper's good 6-orbit column for the 15 groups of order 84, and
+    # the 1,774,964 good orbits of cyclic S(2,6,91)
+    if label == "C91":
+        G, expected = cyclic_group(91), 1774964
+    else:
+        G, expected = _order84_group(label, fixtures_dir), TABLE_GROUPS[label][0]
+    calls = []
+    ko = good_k_orbit_reps(G, 91, 6, 2, progress=lambda *args: calls.append(args))
+    assert len(ko) == expected
+    nodes, found, second, v = calls[-1]
+    assert (found, v) == (expected, 91)
+    assert 2 <= second <= 87  # a second point leaves room for four more
+    if label in SEARCH_NODES:
+        assert nodes == SEARCH_NODES[label]
+    # a call every 2^16 nodes, counts never falling
+    assert {n for n, *_ in calls if n % (1 << 16) == 0} == set(range(1 << 16, nodes + 1, 1 << 16))
+    assert [c[:3] for c in calls] == sorted(c[:3] for c in calls)
+
+
+def test_kernel_is_not_loaded_before_the_first_orbit_search():
+    code = (
+        "import kmsteiner, kmsteiner.cli, kmsteiner.orbitgen\n"
+        "from kmsteiner import _native, orbitgen, perm\n"
+        "assert not _native._loaded\n"
+        "assert len(orbitgen.good_k_orbit_reps(perm.cyclic_group(13), 13, 3, 2)) == 16\n"
+        "assert list(_native._loaded) == ['_orbits.c']\n"
+    )
+    src = str(Path(orbitgen.__file__).parent.parent)
+    env = {"PYTHONPATH": src, "PATH": os.environ.get("PATH", "")}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
