@@ -9,8 +9,7 @@
  * finds its survivors, the points p above max(S) that pass P1 and P2, as
  * one bitmask.  At depth size - 1 the survivors are the leaves, written
  * out with their orbit sizes; above it they are visited in ascending p,
- * depth first, so the representatives come out in lex order.  shard_n > 0
- * keeps only second points p with p % shard_n == shard_i.
+ * depth first, so the representatives come out in lex order.
  *
  * The search is resumable: kms_orbits_run writes representatives into the
  * caller's chunk and returns when the chunk is full, every 2^16 nodes
@@ -29,7 +28,7 @@ enum { ENTER, EXPAND, NEXT, FINISHED };
 #define TICK_NODES ((int64_t)1 << 16)
 
 typedef struct {
-    int v, size, t, good, n_el, words, shard_i, shard_n;
+    int v, size, t, good, n_el, words;
     const int64_t *img;  /* img[g * v + x] = g(x) */
     int32_t *inv;        /* inv[g * v + y] = g^-1(y) */
     uint64_t *below;     /* row g * (v + 1) + j: {x : g(x) < j}, row v: {x : g(x) < x} */
@@ -73,7 +72,7 @@ void kms_orbits_free(State *s) {
  * elements of G as 0-based images of 0..v-1; img and info (3 entries)
  * must outlive the state.  Needs 1 <= size. */
 State *kms_orbits_new(int v, int size, int t, int good, int n_el, const int64_t *img,
-                      int shard_i, int shard_n, int64_t *info) {
+                      int64_t *info) {
     State *s = calloc(1, sizeof(State));
     if (!s)
         return NULL;
@@ -85,8 +84,6 @@ State *kms_orbits_new(int v, int size, int t, int good, int n_el, const int64_t 
     s->good = good;
     s->n_el = n_el;
     s->words = words;
-    s->shard_i = shard_i;
-    s->shard_n = shard_n;
     s->img = img;
     s->info = info;
     s->inv = malloc((size_t)n_el * v * sizeof(int32_t));
@@ -149,8 +146,7 @@ static void expand(State *s, int d) {
     for (int w = 0; w < words; w++)
         keep[w] = 0;
     for (int p = lo; p <= hi; p++)
-        if (d != 1 || !s->shard_n || p % s->shard_n == s->shard_i)
-            set(keep, p);
+        set(keep, p);
     /* P1: g makes S + p smaller iff g(p) < m_g, except at g(p) = m_g */
     for (int g = 0; g < n_el; g++) {
         const uint64_t *row = s->below + ((size_t)g * (v + 1) + m[g]) * words;

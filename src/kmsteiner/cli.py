@@ -5,15 +5,15 @@ Stages (orbits -> km -> encode -> solve -> classify) are resumable and
 idempotent.  ``JobConfig.load`` reads each group file once and gives the
 stages G, N and the configuration fingerprint; the solver caps are the
 config keys ``node_cap``, ``time_cap`` and ``solution_limit``.  ``--jobs``
-sets the worker processes of orbits and classify (at least 1, at most one
-per CPU).  Each stage sets its entry in ``run.json`` in the output
-directory: the configuration fingerprint, the artifacts it wrote, its
-counts and its seconds.  A stage checks the entries of the stages whose
-artifacts it reads, so artifacts from different configurations cannot be
-mixed, and ``report`` reads its tables from the record.  Apart from the
-``seconds`` fields, the record and every artifact are byte-identical
-across reruns.  ``kmsteiner xcc solve FILE`` solves a problem file on its
-own.
+sets the worker processes of classify (at least 1, at most one per CPU):
+used by classify, accepted by every stage.  Each stage sets its entry in
+``run.json`` in the output directory: the configuration fingerprint, the
+artifacts it wrote, its counts and its seconds.  A stage checks the
+entries of the stages whose artifacts it reads, so artifacts from
+different configurations cannot be mixed, and ``report`` reads its
+tables from the record.  Apart from the ``seconds`` fields, the record
+and every artifact are byte-identical across reruns.  ``kmsteiner xcc
+solve FILE`` solves a problem file on its own.
 """
 
 from __future__ import annotations
@@ -28,12 +28,10 @@ import time
 from dataclasses import MISSING, dataclass, fields
 from math import comb
 
-import numpy as np
-
 from . import designs as designs_mod
 from . import km as km_mod
 from . import orbitgen, symbreak, xcc
-from .perm import Permutation, PermutationGroup, parse_group
+from .perm import PermutationGroup, parse_group
 
 log = logging.getLogger("kmsteiner")
 
@@ -111,6 +109,7 @@ class JobConfig:
         """Read and check a config, and read its group files once: G and N
         from their bytes, and the fingerprint from the same bytes."""
         raw: dict = {}
+        first: dict = {}  # key -> the line that gives it
         with open(path, "r", encoding="utf-8") as fh:
             for ln, line in enumerate(fh, start=1):
                 line = line.split("#", 1)[0].strip()
@@ -122,7 +121,10 @@ class JobConfig:
                 key, val = key.strip(), val.strip()
                 if key not in KEY_TYPES:
                     raise ValidationError(f"{path}:{ln}: unknown key {key!r}")
-                raw[key] = val
+                if key in raw:
+                    raise ValidationError(
+                        f"{path}:{ln}: key {key!r} given twice, first on line {first[key]}")
+                raw[key], first[key] = val, ln
         for f in fields(cls):
             if f.default is MISSING and f.name not in raw:
                 raise ValidationError(f"{path}: missing required key {f.name!r}")
@@ -177,14 +179,38 @@ def _read_group(path: str, what: str, v: int, digest) -> PermutationGroup:
 RECORD = "run.json"
 
 
+# the counts that classify and report read from a stage's entry
+_READ_COUNTS = {"orbits": {"good_orbits"}, "encode": {"primary", "secondary", "options"},
+                "solve": {"solutions", "nodes", "limit_hit"}, "classify": {"classes"}}
+
+
+def _entry_ok(stage: str, e) -> bool:
+    """Whether a stage's entry has the fields ``_record_stage`` writes and
+    the counts that are read from it."""
+    return (
+        isinstance(e, dict) and isinstance(e.get("fingerprint"), str)
+        and isinstance(e.get("artifacts"), list) and all(isinstance(a, str) for a in e["artifacts"])
+        and isinstance(e.get("counts"), dict)
+        and _READ_COUNTS.get(stage, set()) <= e["counts"].keys()
+        and type(e.get("seconds")) in (int, float)  # a bool is not seconds
+    )
+
+
 def _read_record(cfg: JobConfig) -> dict:
     path = cfg.out(RECORD)
     if not os.path.exists(path):
         return {"stages": {}}
     with open(path, "r", encoding="utf-8") as fh:
-        record = json.load(fh)
-    if not isinstance(record, dict) or not isinstance(record.get("stages"), dict):
+        try:
+            record = json.load(fh)
+        except ValueError as exc:
+            raise ValidationError(f"{path}: malformed run record: {exc}") from None
+    stages = record.get("stages") if isinstance(record, dict) else None
+    if not isinstance(stages, dict):
         raise ValidationError(f"{path}: malformed run record")
+    for stage, entry in stages.items():
+        if not _entry_ok(stage, entry):
+            raise ValidationError(f"{path}: malformed run record, stage {stage!r}")
     return record
 
 
@@ -227,9 +253,11 @@ def _check_record(cfg: JobConfig, stages) -> dict:
 # -- stages -------------------------------------------------------------------
 
 
-def _good_orbits(G, v, k, t, shard=None):
-    """The good k-orbits and the number of search nodes, with progress
-    logged at most once per ``PROGRESS_SECONDS``."""
+def cmd_orbits(cfg: JobConfig) -> None:
+    os.makedirs(cfg.output_dir, exist_ok=True)
+    t0 = time.perf_counter()
+    tro = orbitgen.t_orbit_reps(cfg.G, cfg.v, cfg.t)
+    log.info("t-orbits: %d", len(tro))
     report = _ProgressLog("%d nodes, %.0f nodes/s, %d representatives, second point %d of %d")
     start = time.perf_counter()
     nodes = 0
@@ -239,45 +267,13 @@ def _good_orbits(G, v, k, t, shard=None):
         nodes = n
         report(n, n / (time.perf_counter() - start), *where)
 
-    return orbitgen.good_k_orbit_reps(G, v, k, t, shard=shard, progress=progress), nodes
-
-
-def _orbit_shard(args):
-    gens, v, k, t, idx, njobs = args
-    G = PermutationGroup([Permutation(g) for g in gens], v)
-    s, nodes = _good_orbits(G, v, k, t, shard=(idx, njobs))
-    return s.reps, s.sizes, nodes
-
-
-def cmd_orbits(cfg: JobConfig, jobs: int = 1) -> None:
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    G = cfg.G
-    t0 = time.perf_counter()
-    tro = orbitgen.t_orbit_reps(G, cfg.v, cfg.t)
-    log.info("t-orbits: %d", len(tro))
-    shards = min(jobs, os.cpu_count() or 1)  # one shard per worker
-    if shards > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        gens = [g.raw() for g in G.generators]
-        with ProcessPoolExecutor(max_workers=shards) as pool:
-            parts = list(pool.map(
-                _orbit_shard,
-                [(gens, cfg.v, cfg.k, cfg.t, i, shards) for i in range(shards)],
-            ))
-        reps = np.concatenate([r for r, _, _ in parts])
-        sizes = np.concatenate([s for _, s, _ in parts])
-        nodes = sum(n for _, _, n in parts)
-        order = np.lexsort(reps.T[::-1])  # rows in lex order
-        ko = orbitgen.OrbitSet(cfg.v, cfg.t, reps[order], sizes[order], G.fingerprint())
-    else:
-        ko, nodes = _good_orbits(G, cfg.v, cfg.k, cfg.t)
+    ko = orbitgen.good_k_orbit_reps(cfg.G, cfg.v, cfg.k, cfg.t, progress=progress)
     log.info("good k-orbits: %d, %d search nodes", len(ko), nodes)
     glabel = os.path.basename(cfg.group_file)
     orbitgen.write_orbit_file(cfg.out("torbits.txt"), cfg.v, cfg.k, cfg.t, tro, glabel)
     orbitgen.write_orbit_file(cfg.out("korbits.txt"), cfg.v, cfg.k, cfg.t, ko, glabel)
     _record_stage(cfg, "orbits", t0, ["torbits.txt", "korbits.txt"],
-                  t_orbits=len(tro), good_orbits=len(ko))
+                  t_orbits=len(tro), good_orbits=len(ko), search_nodes=nodes)
 
 
 def _read_orbits(cfg: JobConfig, name: str, size: int) -> orbitgen.OrbitSet:
@@ -503,8 +499,8 @@ def main(argv=None) -> int:
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True)
         sp.add_argument("--jobs", type=int, default=1,
-                        help="worker processes, at most one per CPU; used by orbits "
-                        "and classify, accepted by every stage")
+                        help="worker processes, at most one per CPU; used by classify, "
+                        "accepted by every stage")
     rp = sub.add_parser("report")
     rp.add_argument("--config", action="append", required=True,
                     help="config of a completed run; repeat for more rows")
@@ -529,7 +525,7 @@ def main(argv=None) -> int:
             raise ValidationError(f"--jobs must be at least 1, not {args.jobs}")
         cfg = JobConfig.load(args.config)
         if args.command == "orbits":
-            cmd_orbits(cfg, jobs=args.jobs)
+            cmd_orbits(cfg)
         elif args.command == "km":
             cmd_km(cfg)
         elif args.command == "encode":

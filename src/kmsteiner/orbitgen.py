@@ -176,25 +176,18 @@ def _orderly_reps(
     size: int,
     t: int,
     good: bool,
-    shard=None,
     progress=None,
 ):
     """Run the orderly search in the kernel ``_orbits.c``; returns the
     representatives as an (n, size) array of 1-based points in lex order,
     their orbit sizes, and the number of search nodes.
 
-    shard=(i, n) keeps only second points p with p % n == i; the union
-    over all i is the full tree, so shards may run on separate workers
-    and be merged by re-sorting the representatives.  Every 2^16 nodes,
-    at every chunk of _REP_ROWS representatives and at the end,
-    ``progress(nodes, representatives, second point, v)`` is called if
-    given; the second point is 1-based, 0 before the first.
+    Every 2^16 nodes, at every chunk of _REP_ROWS representatives and at
+    the end, ``progress(nodes, representatives, second point, v)`` is
+    called if given; the second point is 1-based, 0 before the first.
     """
     if G.degree != v:
         raise ValueError("group degree does not match v")
-    i, n = shard if shard is not None else (0, 0)
-    if shard is not None and not 0 <= i < n:
-        raise ValueError(f"shard {shard} is not (i, n) with 0 <= i < n")
     img = G.element_table()  # img[g, x] = g(x), int64 and C-contiguous
     lib = _native.kernel("_orbits.c")
     info = np.zeros(3, dtype=np.int64)  # nodes, second point, rows written
@@ -203,7 +196,7 @@ def _orderly_reps(
     dtype = np.min_scalar_type(v)
     out_reps = [np.zeros((0, size), dtype=dtype)]
     out_sizes = [np.zeros(0, dtype=np.int64)]
-    state = lib.kms_orbits_new(v, size, t, int(good), len(img), img.ctypes.data, i, n,
+    state = lib.kms_orbits_new(v, size, t, int(good), len(img), img.ctypes.data,
                                info.ctypes.data)
     if not state:
         raise MemoryError("orbit kernel: out of memory")
@@ -240,19 +233,16 @@ def good_k_orbit_reps(
     v: int,
     k: int,
     t: int,
-    shard=None,
     progress=None,
 ) -> OrbitSet:
     """All good k-orbit representatives in lex order.
 
-    shard=(i, n) splits the tree at the second point so workers can
-    generate disjoint parts to be merged and re-sorted.  Every 2^16
-    search nodes and at the end, ``progress(nodes, representatives,
-    second point, v)`` is called if given.
+    Every 2^16 search nodes and at the end, ``progress(nodes,
+    representatives, second point, v)`` is called if given.
     """
     if not t < k < v:
         raise ValueError("need t < k < v")
-    reps, sizes, _ = _orderly_reps(G, v, k, t, good=True, shard=shard, progress=progress)
+    reps, sizes, _ = _orderly_reps(G, v, k, t, good=True, progress=progress)
     return OrbitSet(v=v, t=t, reps=reps, sizes=sizes, group_id=G.fingerprint())
 
 

@@ -310,6 +310,10 @@ class StabilizerChain:
         return rec(0)
 
 
+# the largest group order that element_table enumerates
+ELEMENT_TABLE_CAP = 10**6
+
+
 class PermutationGroup:
     """Permutation group given by generators; immutable after construction.
 
@@ -352,14 +356,14 @@ class PermutationGroup:
             return False
         return self._get_chain().contains(g.raw())
 
-    def element_table(self, cap: int = 10**6) -> np.ndarray:
+    def element_table(self) -> np.ndarray:
         """All elements as one read-only int64 array: row e holds the 0-based
         images of element e, in the chain's deterministic order.  Raises if
-        the order exceeds cap."""
+        the order exceeds ``ELEMENT_TABLE_CAP``."""
         chain = self._get_chain()
         n = chain.order()
-        if n > cap:
-            raise ValueError(f"group order {n} exceeds enumeration cap {cap}")
+        if n > ELEMENT_TABLE_CAP:
+            raise ValueError(f"group order {n} exceeds enumeration cap {ELEMENT_TABLE_CAP}")
         if self._table is None:
             with self._lock:
                 if self._table is None:

@@ -526,11 +526,11 @@ def export_text_from_options(problem):
     return "\n".join(lines).rstrip() + "\n"
 
 
-def orderly_reps_bitmask(G, v, size, t, good, overlap_prune=True, shard=None):
+def orderly_reps_bitmask(G, v, size, t, good, overlap_prune=True):
     """(rep, orbit size) pairs from the orderly search that compares every
     candidate's whole image masks at every node: one (candidates x elements
-    x words) uint64 block per node, with the prunes P1 and P2 and the shard
-    split of `orbitgen`."""
+    x words) uint64 block per node, with the prunes P1 and P2 of
+    `orbitgen`."""
     imgs = np.array(G.element_table())
     n_el = len(imgs)
     words = (v + 63) // 64
@@ -559,8 +559,6 @@ def orderly_reps_bitmask(G, v, size, t, good, overlap_prune=True, shard=None):
 
     def descend(depth, last, masks, smask, prefix):
         cand = np.arange(last + 1, v - (size - depth) + 1, dtype=np.int64)
-        if depth == 1 and shard is not None:
-            cand = cand[cand % shard[1] == shard[0]]
         if cand.size == 0:
             return
         new_masks = masks[None, :, :] | bits[cand]

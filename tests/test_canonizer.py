@@ -2,6 +2,7 @@
 reference in `oracles`, the node counts of its search, and the kernel's
 build."""
 
+import re
 import shutil
 import subprocess
 import sys
@@ -266,6 +267,19 @@ def test_kernel_compiles_without_warnings(source):
         capture_output=True, text=True, check=False,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("source", sorted(_native._PROTOTYPES))
+def test_prototypes_match_c_definitions(source):
+    # ctypes passes what the prototype says, so a C signature change must
+    # come with its prototype
+    text = Path(_native.__file__).with_name(source).read_text()
+    for name, (argtypes, _) in _native._PROTOTYPES[source].items():
+        found = re.findall(rf"^[\w *]*\b{name}\(([^)]*)\)\s*{{", text, re.MULTILINE)
+        assert len(found) == 1, f"{source}: no single definition of {name}"
+        params = found[0].strip()
+        n_params = 0 if params in ("", "void") else len(params.split(","))
+        assert len(argtypes) == n_params, f"{source}: {name} takes {n_params} arguments"
 
 
 def test_kernel_is_not_loaded_at_import():

@@ -299,6 +299,79 @@ def test_tampered_solution_artifacts_rejected(sts13_cfg, name, i, line):
     assert not os.path.exists(cfg.out("classes.txt"))
 
 
+# run.json texts that are not a run record, and entry fields set to values
+# a stage never writes (None: the field is removed)
+MALFORMED_RECORDS = ["{", "[]", '{"stages": []}', '{"stages": {"orbits": 5}}']
+MALFORMED_FIELDS = [
+    pytest.param("orbits", "fingerprint", None, id="no-fingerprint"),
+    pytest.param("orbits", "fingerprint", 5, id="fingerprint-int"),
+    pytest.param("orbits", "artifacts", "torbits.txt", id="artifacts-str"),
+    pytest.param("orbits", "artifacts", [1], id="artifact-int"),
+    pytest.param("orbits", "counts", {"t_orbits": 7}, id="no-good_orbits"),
+    pytest.param("km", "counts", [], id="counts-list"),
+    pytest.param("encode", "seconds", "0.5", id="seconds-str"),
+    pytest.param("solve", "seconds", True, id="seconds-bool"),
+    pytest.param("solve", "counts", {"solutions": 2, "nodes": 3}, id="no-limit_hit"),
+]
+
+
+def _check_malformed_record_rejected(cfg_path, caplog, edit):
+    """Run C13 to the solve, rewrite run.json with edit(record), and check
+    that km, classify and report exit 1 with a message."""
+    for stage in ("orbits", "km", "encode", "solve"):
+        assert main([stage, "--config", cfg_path]) == EXIT_OK
+    path = JobConfig.load(cfg_path).out("run.json")
+    with open(path) as fh:
+        record = json.load(fh)
+    with open(path, "w") as fh:
+        fh.write(edit(record))
+    for stage in ("km", "classify", "report"):
+        caplog.clear()
+        assert main([stage, "--config", cfg_path]) == EXIT_VALIDATION
+        errors = [r for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1 and errors[0].exc_info is None
+        assert "malformed run record" in errors[0].getMessage()
+
+
+@pytest.mark.parametrize("text", MALFORMED_RECORDS)
+def test_malformed_run_record_rejected(sts13_cfg, caplog, text):
+    _check_malformed_record_rejected(sts13_cfg, caplog, lambda record: text)
+
+
+@pytest.mark.parametrize("stage,field,value", MALFORMED_FIELDS)
+def test_malformed_run_record_entry_rejected(sts13_cfg, caplog, stage, field, value):
+    def edit(record):
+        entry = record["stages"][stage]
+        if value is None:
+            del entry[field]
+        else:
+            entry[field] = value
+        return json.dumps(record)
+
+    _check_malformed_record_rejected(sts13_cfg, caplog, edit)
+
+
+def test_duplicate_config_key_rejected(tmp_path, fixtures_dir, caplog):
+    path = write_config(
+        tmp_path / "twice.cfg",
+        v=13,
+        k=3,
+        t=2,
+        group_file=os.path.join(fixtures_dir, "groups", "C13.grp"),
+        normalizer_file=os.path.join(fixtures_dir, "normalizers", "C13.grp"),
+        encoding="b",
+        output_dir=str(tmp_path / "out"),
+    )
+    with open(path, "a") as fh:
+        fh.write("encoding = a\n")
+    with pytest.raises(ValidationError,
+                       match=r"twice\.cfg:8: key 'encoding' given twice, first on line 6"):
+        JobConfig.load(path)
+    assert main(["orbits", "--config", path]) == EXIT_VALIDATION
+    assert "key 'encoding' given twice" in caplog.text
+    assert not os.path.exists(tmp_path / "out")
+
+
 def test_solution_limit_flag(tmp_path, fixtures_dir):
     # the config key solution_limit is the one solution cap; solve has no --limit
     cfgp = write_config(
@@ -351,19 +424,20 @@ def test_capped_solve_then_classify(tmp_path, fixtures_dir, caplog):
 
 
 def test_jobs_flag_is_deterministic(tmp_path, fixtures_dir):
-    out1 = str(tmp_path / "r1")
-    out2 = str(tmp_path / "r2")
     base = dict(
         v=19,
         k=3,
         t=2,
         group_file=os.path.join(fixtures_dir, "groups", "C19.grp"),
     )
-    c1 = JobConfig.load(write_config(tmp_path / "a.cfg", output_dir=out1, **base))
-    c2 = JobConfig.load(write_config(tmp_path / "b.cfg", output_dir=out2, **base))
-    cmd_orbits(c1, jobs=1)
-    cmd_orbits(c2, jobs=2)
-    assert open(c1.out("korbits.txt")).read() == open(c2.out("korbits.txt")).read()
+    outs = []
+    for jobs in ("1", "2"):
+        path = write_config(tmp_path / f"j{jobs}.cfg", output_dir=str(tmp_path / f"r{jobs}"),
+                            **base)
+        assert main(["orbits", "--config", path, "--jobs", jobs]) == EXIT_OK
+        cfg = JobConfig.load(path)
+        outs.append([open(cfg.out(name), "rb").read() for name in ("torbits.txt", "korbits.txt")])
+    assert outs[0] == outs[1]
 
 
 class RecordingExecutor:
@@ -408,16 +482,17 @@ def test_jobs_capped_by_cpus_and_work_items(tmp_path, fixtures_dir, monkeypatch)
     expected = {name: open(one.out(name)).read() for name in names}
     cfg = JobConfig.load(write_config(tmp_path / "many.cfg", output_dir=str(tmp_path / "many"),
                                       **base))
-    for jobs in (3, 1000):  # one shard per worker, at most one worker per CPU
-        cmd_orbits(cfg, jobs=jobs)
+    for jobs in ("3", "1000"):  # orbits runs in one process whatever --jobs says
+        assert main(["orbits", "--config", cfg.path, "--jobs", jobs]) == EXIT_OK
         assert open(cfg.out("korbits.txt")).read() == expected["korbits.txt"]
+    assert RecordingExecutor.made == []
     cmd_km(cfg)
     cmd_encode(cfg)
     cmd_solve(cfg)
     cmd_classify(cfg, jobs=1000)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     cmd_classify(cfg, jobs=1000)  # never more workers than the 8 designs
-    assert RecordingExecutor.made == [3, 4, 4, 8]
+    assert RecordingExecutor.made == [4, 8]
     assert {name: open(cfg.out(name)).read() for name in names} == expected
 
 
@@ -449,24 +524,25 @@ def test_fingerprint_of_earlier_runs_kept(tmp_path, fixtures_dir):
 
 
 def test_normalizer_degree_mismatch_rejected(tmp_path, fixtures_dir):
-    cfgp = write_config(
-        tmp_path / "n.cfg",
-        v=13,
-        k=3,
-        t=2,
-        group_file=os.path.join(fixtures_dir, "groups", "C13.grp"),
-        normalizer_file=os.path.join(fixtures_dir, "normalizers", "C19.grp"),
-        encoding="b",
-        output_dir=str(tmp_path / "run"),
-    )
+    def config(normalizer_file):
+        return write_config(
+            tmp_path / "n.cfg",
+            v=13,
+            k=3,
+            t=2,
+            group_file=os.path.join(fixtures_dir, "groups", "C13.grp"),
+            normalizer_file=normalizer_file,
+            encoding="b",
+            output_dir=str(tmp_path / "run"),
+        )
+
+    cfgp = config(os.path.join(fixtures_dir, "normalizers", "C19.grp"))
     with pytest.raises(ValidationError, match="normalizer degree 19 does not match v=13"):
         JobConfig.load(cfgp)
     assert main(["orbits", "--config", cfgp]) == EXIT_VALIDATION
     assert not os.path.exists(tmp_path / "run")
-    with open(cfgp, "a") as fh:
-        fh.write("normalizer_file = missing.grp\n")
     with pytest.raises(ValidationError, match="normalizer file: .*missing.grp"):
-        JobConfig.load(cfgp)
+        JobConfig.load(config("missing.grp"))
 
 
 def test_encoding_c_through_cli(tmp_path, fixtures_dir):
@@ -639,6 +715,9 @@ def test_orbits_logs_progress_and_nodes(tmp_path, fixtures_dir, caplog, monkeypa
     assert words[:2] == ["second", "point"] and words[3:] == ["of", "91"]
     assert 2 <= int(words[2]) <= 87  # a second point leaves room for four more
     assert "good k-orbits: 2443, 40249 search nodes" in messages
+    with open(os.path.join(tmp_path, "run", "run.json")) as fh:
+        counts = json.load(fh)["stages"]["orbits"]["counts"]
+    assert (counts["good_orbits"], counts["search_nodes"]) == (2443, 40249)
 
 
 def test_missing_compiler_exits_1(sts13_cfg, tmp_path, monkeypatch, caplog):

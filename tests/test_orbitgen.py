@@ -185,11 +185,6 @@ def _check_against_oracle(kind, v, size, t, good, oracle_p2):
     reps, sizes, _ = _orderly_reps(G, v, size, t, good)
     assert reps.dtype == np.min_scalar_type(v) and sizes.dtype == np.int64
     assert _pairs(reps, sizes) == whole
-    parts = []
-    for i in range(3):
-        reps, sizes, _ = _orderly_reps(G, v, size, t, good, shard=(i, 3))
-        parts += _pairs(reps, sizes)
-    assert sorted(parts) == whole
 
 
 def test_overlap_prune_is_sound():
@@ -206,17 +201,6 @@ def test_rerun_identical():
     b = good_k_orbit_reps(G, 19, 3, 2)
     assert _pairs(a.reps, a.sizes) == _pairs(b.reps, b.sizes)
     assert a.group_id == b.group_id
-
-
-def test_sharding_partitions_the_tree():
-    G = cyclic_group(19)
-    s = good_k_orbit_reps(G, 19, 3, 2)
-    whole = _pairs(s.reps, s.sizes)
-    parts = []
-    for i in range(4):
-        s = good_k_orbit_reps(G, 19, 3, 2, shard=(i, 4))
-        parts.extend(_pairs(s.reps, s.sizes))
-    assert sorted(parts) == whole
 
 
 def test_orbit_sizes_divide_group_order():
@@ -274,9 +258,6 @@ def test_parameter_validation():
         t_orbit_reps(cyclic_group(7), 7, 0)
     with pytest.raises(ValueError):
         good_k_orbit_reps(cyclic_group(7), 7, 3, 3)
-    for shard in [(0, 0), (3, 3), (-1, 3)]:
-        with pytest.raises(ValueError, match="shard"):
-            good_k_orbit_reps(cyclic_group(7), 7, 3, 2, shard=shard)
 
 
 def _conjugate(G, sigma):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from kmsteiner import perm
 from kmsteiner.perm import (
     Permutation,
     PermutationGroup,
@@ -148,15 +149,16 @@ def test_orbit_stabilizer_identity():
             assert len(orbit) * stab == G.order()
 
 
-def test_element_table():
+def test_element_table(monkeypatch):
     G = normalizer_of_cyclic(13)
     table = G.element_table()
     assert table.dtype == np.int64 and table.shape == (156, 13)
     assert not table.flags.writeable
     assert G.element_table() is table
     assert {Permutation(row) for row in table.tolist()} == closure_elements(G.generators)
-    with pytest.raises(ValueError, match="exceeds enumeration cap"):
-        G.element_table(cap=100)
+    monkeypatch.setattr(perm, "ELEMENT_TABLE_CAP", 100)
+    with pytest.raises(ValueError, match="group order 156 exceeds enumeration cap 100"):
+        G.element_table()
 
 
 def test_orbit_sizes_divide_group_order():
