@@ -6,12 +6,24 @@ prototypes of its functions declared.  The first call in a process
 builds or reuses the library and later calls return the same object, so
 a kernel is loaded on first use and never at import.
 
-``load(source)`` compiles a C file with ``gcc -O2 -shared -fPIC`` into the
-``__pycache__`` directory beside it, named after the SHA-256 of the
-source, and loads it with ctypes.  A library already built from the same
-source is reused.  The file is written under a temporary name and
-published with ``os.replace``, so concurrent processes never load a
-half-written library.  Without gcc, ``load`` raises ImportError.
+The kernels and their entry points:
+
+- ``_orbits.c``: the orderly orbit search of ``orbitgen``
+  (``kms_orbits_new``/``run``/``free``);
+- ``_xcc.c``: the exact-cover search of ``xcc.solve``
+  (``kms_xcc_new``/``run``/``free``);
+- ``_refine.c``: everything ``designs`` does per design: the canonizer's
+  search ``kms_canon`` and its refinement steps, expansion
+  (``kms_expand``) and the Steiner check (``kms_steiner_count``).
+
+``load(source)`` compiles a C file with ``gcc -O2 -shared -fPIC`` to
+``library_path(source)``: the ``__pycache__`` directory beside it, named
+after the SHA-256 of the source, and loads it with ctypes.  A library
+already built from the same source is reused, whatever flags built it
+(the sanitizer tests place their builds there).  The file is written
+under a temporary name and published with ``os.replace``, so concurrent
+processes never load a half-written library.  Without gcc, ``load``
+raises ImportError.
 """
 
 from __future__ import annotations
@@ -46,6 +58,8 @@ _PROTOTYPES = {
         "kms_target_cell": ((_I, _P), _I),
         "kms_individualize": ((_I, _P, _P, _P, _P, _I, _I, _P), _I),
         "kms_canon": ((_I, _I, _P, _P, _P, _I, _P, _I64, AUT_CALLBACK, _P, _P, _P), _I),
+        "kms_expand": ((_I, _I, _I64, _P, _I64, _P, _P, _P, _P, _I), _I64),
+        "kms_steiner_count": ((_I, _I, _I64, _I, _P, _I, _I64, _P, _P, _I64), _I),
     },
     "_xcc.c": {
         "kms_xcc_new": ((_I, _I, _I64, _P, _P, _P, _P, _P, _I64, _P, _P), _P),
@@ -69,11 +83,17 @@ def kernel(source: str) -> ctypes.CDLL:
     return lib
 
 
-def load(source: Path) -> ctypes.CDLL:
+def library_path(source: Path) -> Path:
+    """Where ``load`` keeps the library built from ``source``."""
     source = Path(source)
     digest = hashlib.sha256(source.read_bytes()).hexdigest()[:16]
-    cache = source.parent / "__pycache__"
-    library = cache / f"{source.stem}.{digest}.so"
+    return source.parent / "__pycache__" / f"{source.stem}.{digest}.so"
+
+
+def load(source: Path) -> ctypes.CDLL:
+    source = Path(source)
+    library = library_path(source)
+    cache = library.parent
     if not library.exists():
         gcc = shutil.which("gcc")
         if gcc is None:

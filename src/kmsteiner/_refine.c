@@ -1,10 +1,12 @@
-/* The canonizer of designs.py: the individualization-refinement search
- * over a design's point/block incidence graph (kms_canon) and the
- * partition refinement it runs at every node (kms_refine,
- * kms_individualize, kms_target_cell).  The Python side builds the graph,
- * checks the known automorphisms and keeps the stabilizer chain of the
- * automorphisms found; the walk over the tree, the leaf certificates, the
- * node budget and the orbit pruning are here.
+/* The work designs.py does per design.  Most of it is the canonizer: the
+ * individualization-refinement search over a design's point/block
+ * incidence graph (kms_canon) and the partition refinement it runs at
+ * every node (kms_refine, kms_individualize, kms_target_cell).  The Python
+ * side builds the graph, checks the known automorphisms and keeps the
+ * stabilizer chain of the automorphisms found; the walk over the tree, the
+ * leaf certificates, the node budget and the orbit pruning are here.  At
+ * the end of the file are the expansion of chosen orbits into a design
+ * (kms_expand) and the Steiner check (kms_steiner_count).
  *
  * A partition of the vertices 0..n-1 is one int32 array of 4n entries:
  *   lab[i]    (i < n)   the vertex at position i,
@@ -456,5 +458,167 @@ int kms_canon(int n, int v, const int32_t *indptr, const int32_t *adj,
     for (int d = 0; d <= n && c.part && c.pgens; d++)
         free(c.part[d]), free(c.pgens[d]);
     free(c.part), free(c.pgens), free(c.pgens_cap), free(c.gens), free(arena);
+    return r;
+}
+
+/* ------------------------------------------------------------------------
+ * Expansion and the Steiner check.  A sorted subset s_0 < ... < s_{k-1} of
+ * the points 0..v-1 is keyed through binom[c*v + x] = C(v-1-x, k-c)
+ * (orbitgen._binomials): its lex rank among the C(v, k) k-subsets is
+ * C(v, k) - 1 - sum_c binom[c*v + s_c].  A design's points are 1-based,
+ * unsigned, of itemsize 1, 2, 4 or 8 bytes (np.min_scalar_type(v)).
+ */
+
+enum { EXPAND_SIZE = -1, EXPAND_DUPLICATE = -2, EXPAND_RANGE = -3, EXPAND_NOMEM = -4 };
+
+static int64_t get_point(const void *pts, int itemsize, size_t i) {
+    switch (itemsize) {
+    case 1: return ((const uint8_t *)pts)[i];
+    case 2: return ((const uint16_t *)pts)[i];
+    case 4: return ((const uint32_t *)pts)[i];
+    default: return (int64_t)((const uint64_t *)pts)[i];
+    }
+}
+
+static void put_point(void *pts, int itemsize, size_t i, int64_t x) {
+    switch (itemsize) {
+    case 1: ((uint8_t *)pts)[i] = (uint8_t)x; break;
+    case 2: ((uint16_t *)pts)[i] = (uint16_t)x; break;
+    case 4: ((uint32_t *)pts)[i] = (uint32_t)x; break;
+    default: ((uint64_t *)pts)[i] = (uint64_t)x;
+    }
+}
+
+/* Sort idx[0..n-1] stably by key[idx[i]], in 8-bit digits of key - lo;
+ * every key lies in lo..lo+span.  tmp holds n entries. */
+static void radix_sort(int64_t n, const int64_t *key, int64_t lo, uint64_t span,
+                       int64_t *idx, int64_t *tmp) {
+    int64_t *src = idx, *dst = tmp;
+    for (int shift = 0; shift < 64 && span >> shift; shift += 8) {
+        int64_t count[257] = {0};
+        for (int64_t i = 0; i < n; i++)
+            count[(((uint64_t)key[src[i]] - (uint64_t)lo) >> shift & 255) + 1]++;
+        for (int d = 0; d < 256; d++)
+            count[d + 1] += count[d];
+        for (int64_t i = 0; i < n; i++)
+            dst[count[((uint64_t)key[src[i]] - (uint64_t)lo) >> shift & 255]++] = src[i];
+        int64_t *swap = src;
+        src = dst, dst = swap;
+    }
+    if (src != idx)
+        memcpy(idx, src, (size_t)n * sizeof *idx);
+}
+
+/* The union of the G-orbits of m chosen k-subsets of the points 0..v-1
+ * (reps, m rows of k 0-based points), G given by its order elements (els,
+ * one row of the v images each).  Image e = g*m + i, of rep i under
+ * element g, is sorted and keyed by its lex rank; an image equal to its
+ * rep counts towards the rep's stabilizer, and order / stabilizer (0 for an
+ * empty stabilizer) must equal sizes[i].  The distinct images, the first
+ * in image order of each key, are written to out in lex order as 1-based
+ * points of itemsize bytes; out holds m * order rows.
+ * Returns the number of blocks written, or EXPAND_RANGE when a rep point
+ * lies outside 0..v-1, EXPAND_SIZE when an orbit size differs,
+ * EXPAND_DUPLICATE when the distinct images do not number the sum of the
+ * sizes, EXPAND_NOMEM when out of memory. */
+int64_t kms_expand(int v, int k, int64_t order, const int64_t *els, int64_t m,
+                   const int32_t *reps, const int64_t *sizes, const int64_t *binom,
+                   void *out, int itemsize) {
+    int64_t n = order * m, total = 0, r;
+    for (int64_t j = 0; j < m * k; j++)
+        if (reps[j] < 0 || reps[j] >= v)
+            return EXPAND_RANGE;
+    if (!n) {
+        for (int64_t i = 0; i < m; i++)
+            if (sizes[i])
+                return EXPAND_SIZE;
+        return 0;
+    }
+    /* img (nk), key, idx, tmp (n each), stab (m) */
+    int32_t *img = malloc((size_t)n * k * sizeof *img);
+    int64_t *key = malloc((3 * (size_t)n + (size_t)m) * sizeof *key);
+    if (!img || !key) {
+        free(img), free(key);
+        return EXPAND_NOMEM;
+    }
+    int64_t *idx = key + n, *tmp = idx + n, *stab = tmp + n, lo = 0, hi = 0;
+    memset(stab, 0, (size_t)m * sizeof *stab);
+    for (int64_t g = 0, e = 0; g < order; g++) {
+        const int64_t *el = els + g * v;
+        for (int64_t i = 0; i < m; i++, e++) {
+            const int32_t *rep = reps + i * k;
+            int32_t *row = img + e * k;
+            int64_t sum = 0;
+            for (int j = 0; j < k; j++) {
+                int32_t x = (int32_t)el[rep[j]];
+                int c = j;
+                for (; c > 0 && row[c - 1] > x; c--)
+                    row[c] = row[c - 1];
+                row[c] = x;
+            }
+            for (int c = 0; c < k; c++)
+                sum += binom[c * v + row[c]];
+            int same = 0;
+            while (same < k && row[same] == rep[same])
+                same++;
+            stab[i] += same == k;
+            key[e] = -sum;  /* the lex rank less C(v, k) - 1 */
+            idx[e] = e;
+            lo = !e || key[e] < lo ? key[e] : lo;
+            hi = !e || key[e] > hi ? key[e] : hi;
+        }
+    }
+    r = 0;
+    for (int64_t i = 0; i < m && !r; i++) {
+        if ((stab[i] ? order / stab[i] : 0) != sizes[i])
+            r = EXPAND_SIZE;
+        total += sizes[i];
+    }
+    if (!r) {
+        radix_sort(n, key, lo, (uint64_t)hi - (uint64_t)lo, idx, tmp);
+        int64_t distinct = 1;
+        for (int64_t j = 1; j < n; j++)
+            distinct += key[idx[j]] != key[idx[j - 1]];
+        r = distinct == total ? total : EXPAND_DUPLICATE;
+    }
+    for (int64_t j = 0, w = 0; r > 0 && j < n; j++) {
+        if (j && key[idx[j]] == key[idx[j - 1]])
+            continue;
+        for (int c = 0; c < k; c++)
+            put_point(out, itemsize, (size_t)(w * k + c), img[idx[j] * k + c] + 1);
+        w++;
+    }
+    free(img), free(key);
+    return r;
+}
+
+/* Count the t-subsets of the b blocks of a design on v points (k points
+ * each, ascending, in 1..v) by lex rank in a table of n_sub = C(v, t) entries; pick
+ * lists the n_pick = C(k, t) t-subsets of a block's k positions.  The
+ * caller runs it only when b * n_pick == n_sub, so the table is no larger
+ * than the subsets counted.  Returns 1 when every count is 1, 0 when not,
+ * -1 when out of memory. */
+int kms_steiner_count(int v, int t, int64_t b, int k, const void *blocks, int itemsize,
+                      int64_t n_pick, const int32_t *pick, const int64_t *binom,
+                      int64_t n_sub) {
+    if (!n_sub)
+        return 1;
+    uint8_t *seen = calloc((size_t)n_sub, 1);
+    if (!seen)
+        return -1;
+    int r = 1;
+    for (int64_t i = 0; i < b && r; i++) {
+        size_t row = (size_t)i * k;
+        for (int64_t p = 0; p < n_pick; p++) {
+            int64_t rank = n_sub - 1;
+            for (int c = 0; c < t; c++)
+                rank -= binom[c * v + get_point(blocks, itemsize, row + pick[p * t + c]) - 1];
+            if (rank < 0 || rank >= n_sub || seen[rank]++) {
+                r = 0;
+                break;
+            }
+        }
+    }
+    free(seen);
     return r;
 }

@@ -3,16 +3,29 @@ isomorphism classification.
 
 A ``Design`` holds its blocks as one read-only (b, k) array in lex order,
 and every function here reads that array; subsets of points are keyed by
-their lex ranks (``orbitgen._pack_keys``).
+their lex ranks (``orbitgen._pack_keys``).  The constructor validates in
+numpy and never loads a kernel.
+
+The work done per design runs in one small C kernel, ``_refine.c``, built
+with gcc on its first use and loaded with ctypes by ``_native``:
+
+- ``expand`` passes the element table and the chosen representatives to
+  ``kms_expand``, which sorts and keys every image, counts each
+  stabilizer, deduplicates by sorting the keys and writes the blocks in
+  lex order;
+- ``verify_steiner`` counts the t-subsets of the blocks in a table of
+  C(v, t) entries with ``kms_steiner_count`` when the blocks hold exactly
+  C(v, t) of them, the only case in which a design can be Steiner; any
+  other design, and one that fails, gets its report from a key sort in
+  numpy;
+- ``canonical_form`` runs the search ``kms_canon``.
 
 Isomorphism means relabeling of points; block order is irrelevant.  The
 canonical form is computed by individualization-refinement on the
 bipartite point/block incidence graph, with the two sides as initial
-colors.  The whole search runs in a small C kernel (``_refine.c``, built
-with gcc on the first canonization and loaded with ctypes by
-``_native``): partition refinement, the walk over the tree, the leaf
-certificates and the automorphism pruning.  The certificate is the
-canonically relabeled block list (each block sorted, blocks sorted,
+colors.  The kernel does partition refinement, the walk over the tree,
+the leaf certificates and the automorphism pruning.  The certificate is
+the canonically relabeled block list (each block sorted, blocks sorted,
 16-bit big-endian labels), taken minimal over the leaves of the search
 tree.  Automorphisms are detected as leaves with a certificate equal to
 the first leaf's and are used to prune candidate choices.  Here stay the
@@ -31,13 +44,14 @@ from __future__ import annotations
 import ctypes
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import comb, factorial
 
 import numpy as np
 
 from . import _native
-from .orbitgen import OrbitSet, _pack_keys
+from .orbitgen import OrbitSet, _binomials, _pack_keys
 from .perm import Permutation, PermutationGroup, StabilizerChain
 
 __all__ = [
@@ -64,8 +78,8 @@ class BudgetExceeded(RuntimeError):
 class Design:
     """A set of blocks on the points {1..v}.
 
-    ``blocks`` is a read-only (b, k) array in dtype ``np.min_scalar_type(v)``,
-    each row ascending and the rows in lex order.  The constructor takes
+    ``blocks`` is a read-only C-ordered (b, k) array in dtype
+    ``np.min_scalar_type(v)``, each row ascending and the rows in lex order.  The constructor takes
     any sequence of blocks or a (b, k) array and raises ValueError when a
     point lies outside 1..v, a point repeats within a block, blocks differ
     in size or a block repeats.  Designs compare by identity; compare
@@ -77,19 +91,21 @@ class Design:
 
     def __post_init__(self):
         message = "blocks must be equal-size sequences of integer points"
-        try:
-            rows = np.array(self.blocks, dtype=np.int64)
-        except ValueError:
-            raise ValueError(message) from None
+        dtype = np.min_scalar_type(self.v)
+        rows = self.blocks
+        if not (isinstance(rows, np.ndarray) and rows.dtype == dtype):
+            try:
+                rows = np.array(rows, dtype=np.int64)
+            except ValueError:
+                raise ValueError(message) from None
         if rows.ndim != 2:
             if rows.size:
                 raise ValueError(message)
             rows = rows.reshape(0, 0)
         # rows strictly increasing, within each row and in lex order across
-        # rows, repeat no point and no block: only the range is left to check
-        if not (_strictly_lex_ordered(rows) and 1 <= rows[:, 0].min()
-                and rows[:, -1].max() <= self.v):
-            rows.sort(axis=1)
+        # rows, in range, repeat no point and no block: nothing left to check
+        if not _strictly_lex_ordered(rows, self.v):
+            rows = np.sort(rows.astype(np.int64), axis=1)
             if rows.shape[1]:
                 rows = rows[np.lexsort(rows.T[::-1])]
             for bad, what in (
@@ -99,7 +115,7 @@ class Design:
             ):
                 if bad.any():
                     raise ValueError(f"block {tuple(rows[bad.argmax()].tolist())} {what}")
-        rows = rows.astype(np.min_scalar_type(self.v))
+        rows = rows.astype(dtype, order="C")  # the kernels read it row by row
         rows.flags.writeable = False
         object.__setattr__(self, "blocks", rows)
 
@@ -112,13 +128,19 @@ class Design:
         return len(self.blocks)
 
 
-def _strictly_lex_ordered(rows: np.ndarray) -> bool:
-    """Whether a non-empty (b, k) array is strictly increasing within each
-    row and its rows strictly increasing in lex order."""
-    if not rows.size or not (rows[:, 1:] > rows[:, :-1]).all():
+def _strictly_lex_ordered(rows: np.ndarray, v: int) -> bool:
+    """Whether a (b, k) array is non-empty, has every point in 1..v, is
+    strictly increasing within each row and has its rows strictly
+    increasing in lex order."""
+    if not rows.size:
         return False
-    step = rows[1:] - rows[:-1]  # the first nonzero entry must be positive
-    return bool((step[np.arange(len(step)), (step != 0).argmax(axis=1)] > 0).all())
+    cols = np.ascontiguousarray(rows.T)
+    if not ((cols[1:] > cols[:-1]).all() and 1 <= cols[0].min() and cols[-1].max() <= v):
+        return False
+    # a row's points as big-endian bytes, one string, compare as the rows do
+    text = np.ascontiguousarray(rows, dtype=np.min_scalar_type(v).newbyteorder(">"))
+    text = text.view(f"S{text.itemsize * text.shape[1]}").ravel()
+    return bool((text[1:] > text[:-1]).all())
 
 
 def expand(orbit_indices, k_orbits: OrbitSet, G: PermutationGroup) -> Design:
@@ -126,23 +148,30 @@ def expand(orbit_indices, k_orbits: OrbitSet, G: PermutationGroup) -> Design:
 
     The orbit of a representative K is its images under every element of
     G, each image Stab(K)-fold, so |G| / #{g : K^g = K} must equal the
-    recorded orbit size.  An orbit index outside 0..len(k_orbits)-1 is a
-    ValueError.
+    recorded orbit size (AssertionError if not).  An orbit index outside
+    0..len(k_orbits)-1, a representative point outside 1..v and a block in
+    two chosen orbits are ValueErrors.  The kernel ``kms_expand`` sorts,
+    keys, counts and deduplicates the images.
     """
     idx = np.array(sorted(orbit_indices), dtype=np.intp)
     if len(idx) and not 0 <= idx[0] <= idx[-1] < len(k_orbits):
         raise ValueError(f"orbit index outside 0..{len(k_orbits) - 1} in {idx.tolist()}")
-    reps0 = k_orbits.reps[idx].astype(np.int64) - 1
+    v, k = k_orbits.v, k_orbits.k
+    reps0 = np.subtract(k_orbits.reps[idx], 1, dtype=np.int32)
+    sizes = k_orbits.sizes[idx]
     els = G.element_table()
-    images = np.sort(els[:, reps0], axis=2)  # (|G|, chosen, k)
-    n_stab = (images == reps0).all(axis=2).sum(axis=0)
-    if (len(els) // n_stab != k_orbits.sizes[idx]).any():
-        raise AssertionError("orbit size mismatch during expansion")
-    # keys are lex ranks, so the distinct blocks come out in lex order
-    _, first = np.unique(_pack_keys(images, k_orbits.v), return_index=True)
-    if len(first) != k_orbits.sizes[idx].sum():
-        raise ValueError("duplicate blocks across chosen orbits")
-    return Design(k_orbits.v, images.reshape(-1, k_orbits.k)[first] + 1)
+    out = np.empty((len(els) * len(idx), k), dtype=np.min_scalar_type(v))
+    b = _native.kernel("_refine.c").kms_expand(
+        v, k, len(els), els.ctypes.data, len(idx), reps0.ctypes.data, sizes.ctypes.data,
+        _binomials(v, k).ctypes.data, out.ctypes.data, out.itemsize,
+    )
+    if b < 0:
+        raise {
+            -1: AssertionError("orbit size mismatch during expansion"),
+            -2: ValueError("duplicate blocks across chosen orbits"),
+            -3: ValueError(f"orbit representative outside 1..{v}"),
+        }.get(b, MemoryError("expansion ran out of memory"))
+    return Design(v, out[:b])
 
 
 @dataclass
@@ -151,23 +180,44 @@ class SteinerReport:
     violations: list  # up to 10 (t_subset, count) entries; count 0 = uncovered
 
 
+@lru_cache(maxsize=16)
+def _picks(k: int, t: int) -> np.ndarray:
+    """The t-subsets of range(k) in lex order, as a read-only (C(k, t), t)
+    int32 array."""
+    pick = np.array(list(combinations(range(k), t)), dtype=np.int32).reshape(comb(k, t), t)
+    pick.flags.writeable = False
+    return pick
+
+
 def verify_steiner(d: Design, t: int) -> SteinerReport:
     """Check that every t-subset of {1..v} is covered exactly once.
 
     The t-subsets of the blocks are keyed by their lex ranks
     (``orbitgen._pack_keys``), which refuses t with C(v, t) >= 2^63
-    (ValueError).  The report lists the subsets covered a wrong number of
-    times in lex order, then the uncovered ones in lex order, at most 10
-    in all.
+    (ValueError).  When the blocks hold exactly C(v, t) t-subsets, the
+    kernel ``kms_steiner_count`` counts them in a table of C(v, t) entries
+    and a design with every count 1 passes at once.  Otherwise the report
+    lists the subsets covered a wrong number of times in lex order, then
+    the uncovered ones in lex order, at most 10 in all.
     """
-    pick = np.array(list(combinations(range(d.k), t)), dtype=np.intp).reshape(comb(d.k, t), t)
+    pick = _picks(d.k, t)
+    n_sub = comb(d.v, t)
+    if d.b * len(pick) == n_sub:
+        ok = _native.kernel("_refine.c").kms_steiner_count(
+            d.v, t, d.b, d.k, d.blocks.ctypes.data, d.blocks.itemsize, len(pick),
+            pick.ctypes.data, _binomials(d.v, t).ctypes.data, n_sub,
+        )
+        if ok < 0:
+            raise MemoryError("the Steiner check ran out of memory")
+        if ok:
+            return SteinerReport(ok=True, violations=[])
     rows = (d.blocks[:, pick] - 1).reshape(d.b * len(pick), t)
     keys = _pack_keys(rows, d.v)
     uniq, counts = np.unique(keys, return_counts=True)
     wrong = np.flatnonzero(counts != 1)[:10]
     at = [int(np.argmax(keys == key)) for key in uniq[wrong]]  # a row holding each wrong key
     violations = list(zip(map(tuple, (rows[at] + 1).tolist()), counts[wrong].tolist()))
-    if len(violations) < 10 and len(uniq) != comb(d.v, t):
+    if len(violations) < 10 and len(uniq) != n_sub:
         present = set(uniq.tolist())
         # combinations() yields the t-subsets in lex order, so its index is the key
         for key, T in enumerate(combinations(range(1, d.v + 1), t)):

@@ -99,7 +99,10 @@ class OrbitSet:
 
 @lru_cache(maxsize=16)
 def _binomials(v: int, k: int) -> np.ndarray:
-    """C(v - 1 - x, k - c) at [c, x] for 0 <= c < k and 0 <= x < v, read-only."""
+    """C(v - 1 - x, k - c) at [c, x] for 0 <= c < k and 0 <= x < v, read-only.
+    Refuses k with C(v, k) - 1 >= 2^63, a lex rank that int64 cannot hold."""
+    if comb(v, k) - 1 >= 1 << 63:
+        raise ValueError("subset too wide to pack")
     table = np.array([[comb(v - 1 - x, k - c) for x in range(v)] for c in range(k)], dtype=np.int64)
     table.flags.writeable = False
     return table
@@ -113,11 +116,8 @@ def _pack_keys(subsets0: np.ndarray, v: int) -> np.ndarray:
     after the reflection x -> v-1-x, which reverses lex order.
     """
     k = subsets0.shape[-1]
-    top = comb(v, k) - 1
-    if top >= 1 << 63:
-        raise ValueError("subset too wide to pack")
     binom = _binomials(v, k)
-    keys = np.full(subsets0.shape[:-1], top, dtype=np.int64)
+    keys = np.full(subsets0.shape[:-1], comb(v, k) - 1, dtype=np.int64)
     for c in range(k):
         keys -= binom[c][subsets0[..., c]]
     return keys

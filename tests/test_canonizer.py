@@ -282,17 +282,24 @@ def test_prototypes_match_c_definitions(source):
         assert len(argtypes) == n_params, f"{source}: {name} takes {n_params} arguments"
 
 
-def test_kernel_is_not_loaded_at_import():
-    code = (
-        "import kmsteiner, kmsteiner.cli\n"
-        "from kmsteiner import designs\n"
-        "designs.Design(7, [(1, 2, 4)])\n"
-        "from kmsteiner import _native\n"
-        "assert not _native._loaded\n"
-        "designs.canonical_form(designs.Design(7, ()))\n"
-        "assert not _native._loaded\n"
-        "designs.canonical_form(designs.Design(7, [(1, 2, 4)]))\n"
-        "assert list(_native._loaded) == ['_refine.c']\n"
-    )
-    src = str(Path(designs.__file__).parent.parent)
-    subprocess.run([sys.executable, "-c", code], check=True, env={"PYTHONPATH": src})
+def test_kernel_is_not_loaded_at_import(child_env):
+    # each of canonization, expansion and the Steiner check loads the
+    # kernel on its first use, and nothing before
+    for first_use in (
+        "designs.canonical_form(fano)",
+        "designs.expand({0}, orbitgen.OrbitSet(7, 2, [(1, 2, 4)], [7], ''), perm.cyclic_group(7))",
+        "designs.verify_steiner(fano, 2).ok",
+    ):
+        code = (
+            "import kmsteiner, kmsteiner.cli\n"
+            "from kmsteiner import designs, orbitgen, perm\n"
+            "fano = designs.Design(7, [(1, 2, 4), (2, 3, 5), (3, 4, 6), (4, 5, 7), (1, 5, 6),"
+            " (2, 6, 7), (1, 3, 7)])\n"
+            "from kmsteiner import _native\n"
+            "assert not _native._loaded\n"
+            "designs.canonical_form(designs.Design(7, ()))\n"
+            "assert not _native._loaded\n"
+            f"assert {first_use}\n"
+            "assert list(_native._loaded) == ['_refine.c']\n"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True, env=child_env)

@@ -5,9 +5,11 @@ import random
 import numpy as np
 import pytest
 
+from kmsteiner import designs
 from kmsteiner.designs import (
     BudgetExceeded,
     Design,
+    SteinerReport,
     canonical_form,
     classify,
     expand,
@@ -73,6 +75,60 @@ def test_expand_duplicate_blocks_rejected():
     ko = OrbitSet(v=7, t=2, reps=[(1, 2, 4)], sizes=[3], group_id=G.fingerprint())
     with pytest.raises(AssertionError, match="orbit size mismatch"):
         expand({0}, ko, G)
+
+
+@pytest.mark.parametrize(
+    "reps,sizes,chosen,error,message",
+    [
+        ([(1, 2, 4)], [7], {0, 1}, ValueError, r"^orbit index outside 0..0 in \[0, 1\]$"),
+        ([(1, 2, 4)], [7], {-1, 0}, ValueError, r"^orbit index outside 0..0 in \[-1, 0\]$"),
+        ([(0, 1, 2)], [7], {0}, ValueError, r"^orbit representative outside 1..7$"),
+        ([(1, 2, 8)], [7], {0}, ValueError, r"^orbit representative outside 1..7$"),
+        # an unsorted rep is never its own sorted image: an empty stabilizer
+        ([(4, 2, 1)], [7], {0}, AssertionError, "^orbit size mismatch during expansion$"),
+        # ... read as orbit size 0, which leaves 7 blocks for a total of 0
+        ([(4, 2, 1)], [0], {0}, ValueError, "^duplicate blocks across chosen orbits$"),
+    ],
+)
+def test_expand_rejects(reps, sizes, chosen, error, message):
+    G = cyclic_group(7)
+    ko = OrbitSet(v=7, t=2, reps=reps, sizes=sizes, group_id=G.fingerprint())
+    with pytest.raises(error, match=message):
+        expand(chosen, ko, G)
+
+
+def test_expand_empty_choice():
+    G = cyclic_group(13)
+    ko = good_k_orbit_reps(G, 13, 3, 2)
+    d = expand(set(), ko, G)
+    assert (d.v, d.b, d.k) == (13, 0, 3)
+    assert d.blocks.shape == (0, 3) and d.blocks.dtype == np.uint8
+    rep = verify_steiner(d, 2)
+    assert not rep.ok and (rep.ok, rep.violations) == verify_steiner_dict(d, 2)
+
+
+@pytest.mark.parametrize(
+    "v,k,solutions", [(15, 3, 2), (21, 3, 12), (27, 3, 16), (37, 4, 4), (21, 5, 1), (73, 4, 2080)]
+)
+def test_expand_every_benchmark_solution_matches_oracles(v, k, solutions):
+    # every solution of the classify-mix instances, and the first 100,000
+    # nodes of search-s2473: the same blocks and dtype as the closure
+    # oracle, and a passing Steiner check as the dict oracle finds it
+    G = cyclic_group(v)
+    ko = good_k_orbit_reps(G, v, k, 2)
+    km = build_km(G, t_orbit_reps(G, v, 2), ko)
+    enc = encode(km, normalizer_classes(normalizer_of_cyclic(v), ko, G), "c")
+    sols = []
+    solve(enc.problem, on_solution=sols.append, node_cap=100_000)
+    assert len(sols) == solutions
+    for i, s in enumerate(sols):
+        chosen = decode_solution(s, enc)
+        d = expand(chosen, ko, G)
+        assert designs_equal(d, expand_by_closure(chosen, ko, G))
+        rep = verify_steiner(d, 2)
+        assert rep.ok and rep.violations == []
+        if i % 20 == 0:
+            assert verify_steiner_dict(d, 2) == (True, [])
 
 
 @pytest.mark.parametrize("v,k,kind,node_cap", [(19, 3, "a", None), (73, 4, "c", 20_000)])
@@ -189,6 +245,53 @@ def test_verify_steiner_edge_cases_match_dict_oracle():
         verify_steiner(Design(200, [range(1, 41)]), 40)
 
 
+def affine_plane(q):
+    """AG(2, q) for a prime q, an S(2, q, q^2): the lines y = mx + c and
+    x = c, the point (x, y) numbered 1 + qx + y."""
+    lines = [[1 + q * x + (m * x + c) % q for x in range(q)] for m in range(q) for c in range(q)]
+    lines += [[1 + q * c + y for y in range(q)] for c in range(q)]
+    return Design(q * q, lines)
+
+
+def boolean_quadruples(n):
+    """The 4-subsets of GF(2)^n summing to 0, an S(3, 4, 2^n), the vector x
+    numbered 1 + x."""
+    return Design(1 << n, [tuple(x + 1 for x in Q) for Q in itertools.combinations(range(1 << n), 4)
+                           if Q[0] ^ Q[1] ^ Q[2] ^ Q[3] == 0])
+
+
+def with_blocks(d, drop, add, rng):
+    """d with drop of its blocks removed and add new k-subsets added."""
+    blocks = sorted(map(tuple, d.blocks.tolist()))
+    rng.shuffle(blocks)
+    kept = set(blocks[drop:])
+    while len(kept) < d.b - drop + add:
+        kept.add(tuple(sorted(rng.sample(range(1, d.v + 1), d.k))))
+    return Design(d.v, sorted(kept))
+
+
+def test_verify_steiner_reports_match_dict_oracle(monkeypatch):
+    # designs with exactly C(v, t) t-subsets are checked in the kernel,
+    # the others and those it fails by the key sort
+    rng = random.Random(73)
+    sts19, plane, sqs8, sqs16 = cyclic_designs(19, 3)[0], affine_plane(17), *map(boolean_quadruples, (3, 4))
+    with monkeypatch.context() as patch:
+        patch.setattr(designs, "_pack_keys", None)  # the kernel alone passes them
+        for d, t in [(sts19, 2), (plane, 2), (sqs8, 3), (sqs16, 3)]:  # plane: 16-bit points
+            assert verify_steiner(d, t) == SteinerReport(True, []) and verify_steiner_dict(d, t)[0]
+    for d, t in [
+        (with_blocks(sts19, 0, 6, rng), 2),  # over-covered
+        (with_blocks(sts19, 5, 0, rng), 2),  # under-covered
+        (with_blocks(plane, 1, 0, rng), 2),
+        (with_blocks(sts19, 6, 6, rng), 2),  # mixed, at the kernel's size
+        (with_blocks(plane, 3, 3, rng), 2),
+        (with_blocks(sqs16, 4, 4, rng), 3),
+    ]:
+        rep = verify_steiner(d, t)
+        assert (rep.ok, rep.violations) == verify_steiner_dict(d, t)
+        assert len(rep.violations) == 10
+
+
 @pytest.mark.parametrize(
     "blocks,message",
     [
@@ -232,8 +335,10 @@ def test_design_ordered_input_matches_sorted_input():
     rng = np.random.default_rng(5)
     for d in cyclic_designs(19, 3)[:4] + [Design(7, [(1, 2, 3)]), Design(300, [(1, 2, 300), (2, 3, 4)])]:
         rows = rng.permuted(d.blocks[rng.permutation(d.b)].astype(np.int64), axis=1)
-        for blocks in (d.blocks, d.blocks.tolist(), rows):
-            assert designs_equal(Design(d.v, blocks), d)
+        for blocks in (d.blocks, d.blocks.tolist(), rows, np.asfortranarray(d.blocks)):
+            copy = Design(d.v, blocks)
+            assert designs_equal(copy, d) and copy.blocks.flags.c_contiguous
+            assert verify_steiner(copy, 2) == verify_steiner(d, 2)
 
 
 def test_replication_number_corollary():

@@ -3,12 +3,10 @@ import random
 import subprocess
 import sys
 from math import comb
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kmsteiner import orbitgen
 from kmsteiner.orbitgen import (
     OrbitSet,
     _min_image_keys,
@@ -353,7 +351,7 @@ def test_good_orbit_counts_match_the_paper(label, fixtures_dir):
     assert [c[:3] for c in calls] == sorted(c[:3] for c in calls)
 
 
-def test_kernel_is_not_loaded_before_the_first_orbit_search():
+def test_kernel_is_not_loaded_before_the_first_orbit_search(child_env):
     code = (
         "import kmsteiner, kmsteiner.cli, kmsteiner.orbitgen\n"
         "from kmsteiner import _native, orbitgen, perm\n"
@@ -361,6 +359,4 @@ def test_kernel_is_not_loaded_before_the_first_orbit_search():
         "assert len(orbitgen.good_k_orbit_reps(perm.cyclic_group(13), 13, 3, 2)) == 16\n"
         "assert list(_native._loaded) == ['_orbits.c']\n"
     )
-    src = str(Path(orbitgen.__file__).parent.parent)
-    env = {"PYTHONPATH": src, "PATH": os.environ.get("PATH", "")}
-    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+    subprocess.run([sys.executable, "-c", code], check=True, env=child_env)

@@ -1,6 +1,5 @@
 import hashlib
 import math
-import os
 import random
 import shutil
 import subprocess
@@ -336,7 +335,7 @@ def test_missing_compiler_is_an_import_error(tmp_path, monkeypatch):
     assert not list((tmp_path / "__pycache__").glob("*"))
 
 
-def test_kernel_is_not_loaded_before_the_first_solve():
+def test_kernel_is_not_loaded_before_the_first_solve(child_env):
     code = (
         "import kmsteiner, kmsteiner.cli\n"
         "from kmsteiner import xcc\n"
@@ -347,6 +346,4 @@ def test_kernel_is_not_loaded_before_the_first_solve():
         "assert xcc.solve(p).solutions == 1\n"
         "assert list(_native._loaded) == ['_xcc.c']\n"
     )
-    src = str(Path(xcc.__file__).parent.parent)
-    env = {"PYTHONPATH": src, "PATH": os.environ.get("PATH", "")}
-    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+    subprocess.run([sys.executable, "-c", code], check=True, env=child_env)
