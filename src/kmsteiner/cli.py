@@ -6,13 +6,16 @@ idempotent.  ``JobConfig.load`` reads each group file once and gives the
 stages G, N and the configuration fingerprint; the solver caps are the
 config keys ``node_cap``, ``time_cap`` and ``solution_limit``.  ``--jobs``
 sets the worker processes of classify (at least 1, at most one per CPU):
-used by classify, accepted by every stage.  Each stage sets its entry in
-``run.json`` in the output directory: the configuration fingerprint, the
-artifacts it wrote, its counts and its seconds.  A stage checks the
-entries of the stages whose artifacts it reads, so artifacts from
-different configurations cannot be mixed, and ``report`` reads its
+used by classify, accepted by every stage.  The stages hand each other
+``.npy`` arrays, and solve builds the problem from them with
+``symbreak.encode``.  Each stage sets its entry in ``run.json`` in the
+output directory: the configuration fingerprint, the artifacts it wrote
+with the sha256 of each array, its counts and its seconds.  A stage
+checks the entries of the stages whose artifacts it reads, so artifacts
+from different configurations cannot be mixed, and ``report`` reads its
 tables from the record.  Apart from the ``seconds`` fields, the record
 and every artifact are byte-identical across reruns.  ``kmsteiner xcc
+export`` writes the configured problem as XCC text, and ``kmsteiner xcc
 solve FILE`` solves a problem file on its own.
 """
 
@@ -27,6 +30,8 @@ import sys
 import time
 from dataclasses import MISSING, dataclass, fields
 from math import comb
+
+import numpy as np
 
 from . import designs as designs_mod
 from . import km as km_mod
@@ -189,7 +194,8 @@ def _entry_ok(stage: str, e) -> bool:
     the counts that are read from it."""
     return (
         isinstance(e, dict) and isinstance(e.get("fingerprint"), str)
-        and isinstance(e.get("artifacts"), list) and all(isinstance(a, str) for a in e["artifacts"])
+        and isinstance(e.get("artifacts"), dict)
+        and all(d is None or isinstance(d, str) for d in e["artifacts"].values())
         and isinstance(e.get("counts"), dict)
         and _READ_COUNTS.get(stage, set()) <= e["counts"].keys()
         and type(e.get("seconds")) in (int, float)  # a bool is not seconds
@@ -214,13 +220,14 @@ def _read_record(cfg: JobConfig) -> dict:
     return record
 
 
-def _record_stage(cfg: JobConfig, stage: str, t0: float, artifacts, **counts) -> None:
+def _record_stage(cfg: JobConfig, stage: str, t0: float, files: dict, **counts) -> None:
     """Set the entry of a stage that started at perf_counter ``t0`` in the
-    run record; the file is replaced whole."""
+    run record; ``files`` maps each artifact the stage wrote to its sha256
+    (an array) or None.  The file is replaced whole."""
     record = _read_record(cfg)
     record["stages"][stage] = {
         "fingerprint": cfg.fingerprint,
-        "artifacts": artifacts,
+        "artifacts": files,
         "counts": counts,
         "seconds": round(time.perf_counter() - t0, 3),
     }
@@ -250,12 +257,91 @@ def _check_record(cfg: JobConfig, stages) -> dict:
     return entries
 
 
+# -- array artifacts ------------------------------------------------------------
+# Each stage writes its arrays with np.save and records each file's sha256;
+# a reader checks the digest, loads with allow_pickle=False, then checks
+# the dtype, C order, shape and range, so a tampered artifact exits 1.
+
+
+def _sha256(path: str) -> str:
+    """The file's sha256, a block at a time (3.10 has no hashlib.file_digest)."""
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while block := fh.read(1 << 20):
+            h.update(block)
+    return h.hexdigest()
+
+
+def _save(cfg: JobConfig, **arrays) -> dict:
+    """Write each array to ``<name>.npy``; returns file name -> sha256."""
+    for name, arr in arrays.items():
+        np.save(cfg.out(name + ".npy"), arr, allow_pickle=False)
+    return {name + ".npy": _sha256(cfg.out(name + ".npy")) for name in arrays}
+
+
+def _load(cfg: JobConfig, entry: dict, name: str, dtype=None, shape: tuple = ()):
+    """What file ``name`` holds, which must have the sha256 that the
+    stage's ``entry`` records and, given a dtype, be a C-ordered array of
+    this dtype and shape (None: any length)."""
+    path = cfg.out(name)
+    if _sha256(path) != entry["artifacts"].get(name):
+        raise ValidationError(f"{name}: sha256 does not match the run record")
+    try:
+        arr = np.load(path, allow_pickle=False)
+    except (ValueError, EOFError) as exc:
+        raise ValidationError(f"{name}: {exc}") from None
+    if dtype is not None:
+        orbitgen._check_array(name, arr, dtype, shape)
+    return arr
+
+
+def _load_orbits(cfg: JobConfig, entries: dict, which: str) -> orbitgen.OrbitSet:
+    """The t-orbits (which "t") or good k-orbits ("k") of the orbits stage."""
+    entry, size = entries["orbits"], cfg.t if which == "t" else cfg.k
+    reps = _load(cfg, entry, f"{which}_reps.npy")
+    sizes = _load(cfg, entry, f"{which}_sizes.npy")
+    try:
+        orbitgen.check_orbit_arrays(cfg.v, size, reps, sizes)
+    except ValueError as exc:
+        raise ValidationError(f"{which}_reps.npy, {which}_sizes.npy: {exc}") from None
+    return orbitgen.OrbitSet(cfg.v, cfg.t, reps, sizes, cfg.G.fingerprint())
+
+
+def _load_classes(cfg: JobConfig, entries: dict, n: int) -> symbreak.NormalizerClasses:
+    """The normalizer classes of the encode stage over n good k-orbits:
+    ascending representatives, each in the class its position names."""
+    reps = _load(cfg, entries["encode"], "class_reps.npy", np.int64, (None,))
+    class_of = _load(cfg, entries["encode"], "class_of.npy", np.int64, (n,))
+    if len(reps) and (reps[0] < 0 or reps[-1] >= n or np.any(reps[1:] <= reps[:-1])):
+        raise ValidationError(f"class_reps.npy: not ascending orbit indices below {n}")
+    if (len(class_of) and (class_of.min() < 0 or class_of.max() >= len(reps))
+            or not np.array_equal(class_of[reps], np.arange(len(reps)))):
+        raise ValidationError("class_of.npy: class ids disagree with class_reps.npy")
+    return symbreak.NormalizerClasses(class_of=class_of, reps=reps.tolist())
+
+
+def _problem(cfg: JobConfig, entries: dict) -> xcc.XCCProblem:
+    """The configured encoding's exact-cover problem, built from the
+    arrays of the orbits, km and encode stages: KM row ids below the
+    number of t-orbits, a column per good k-orbit."""
+    tro, kset = _load_orbits(cfg, entries, "t"), _load_orbits(cfg, entries, "k")
+    indptr = _load(cfg, entries["km"], "km_indptr.npy", np.int64, (len(kset) + 1,))
+    rows = _load(cfg, entries["km"], "km_rows.npy", np.int32, (None,))
+    if indptr[0] != 0 or np.any(indptr[1:] < indptr[:-1]) or indptr[-1] != len(rows):
+        raise ValidationError("km_indptr.npy: not the column pointers of km_rows.npy")
+    if len(rows) and (rows.min() < 0 or rows.max() >= len(tro)):
+        raise ValidationError(f"km_rows.npy: a row id outside 0..{len(tro) - 1}")
+    km = km_mod.KMInstance(t_orbits=tro, k_orbits=kset, col_indptr=indptr, col_rows=rows)
+    classes = _load_classes(cfg, entries, len(kset)) if cfg.encoding in ("b", "c") else None
+    return symbreak.encode(km, classes, cfg.encoding).problem
+
+
 # -- stages -------------------------------------------------------------------
 
 
 def cmd_orbits(cfg: JobConfig) -> None:
-    os.makedirs(cfg.output_dir, exist_ok=True)
     t0 = time.perf_counter()
+    os.makedirs(cfg.output_dir, exist_ok=True)
     tro = orbitgen.t_orbit_reps(cfg.G, cfg.v, cfg.t)
     log.info("t-orbits: %d", len(tro))
     report = _ProgressLog("%d nodes, %.0f nodes/s, %d representatives, second point %d of %d")
@@ -269,77 +355,47 @@ def cmd_orbits(cfg: JobConfig) -> None:
 
     ko = orbitgen.good_k_orbit_reps(cfg.G, cfg.v, cfg.k, cfg.t, progress=progress)
     log.info("good k-orbits: %d, %d search nodes", len(ko), nodes)
-    glabel = os.path.basename(cfg.group_file)
-    orbitgen.write_orbit_file(cfg.out("torbits.txt"), cfg.v, cfg.k, cfg.t, tro, glabel)
-    orbitgen.write_orbit_file(cfg.out("korbits.txt"), cfg.v, cfg.k, cfg.t, ko, glabel)
-    _record_stage(cfg, "orbits", t0, ["torbits.txt", "korbits.txt"],
+    files = _save(cfg, t_reps=tro.reps, t_sizes=tro.sizes, k_reps=ko.reps, k_sizes=ko.sizes)
+    _record_stage(cfg, "orbits", t0, files,
                   t_orbits=len(tro), good_orbits=len(ko), search_nodes=nodes)
 
 
-def _read_orbits(cfg: JobConfig, name: str, size: int) -> orbitgen.OrbitSet:
-    """An orbit set read back from its file, checked against the config."""
-    v, k, t, _, reps, sizes = orbitgen.read_orbit_file(cfg.out(name), size)
-    if (v, k, t) != (cfg.v, cfg.k, cfg.t):
-        raise ValidationError("orbit file parameters disagree with config")
-    return orbitgen.OrbitSet(v, t, reps, sizes, cfg.G.fingerprint())
-
-
-def _load_km(cfg: JobConfig, tro, kset) -> km_mod.KMInstance:
-    """The matrix from km.txt, checked against the loaded orbit files."""
-    m, n, v, k, t, sizes, indptr, rows = km_mod.read_km_file(cfg.out("km.txt"))
-    if (m, n, v, k, t) != (len(tro), len(kset), cfg.v, cfg.k, cfg.t):
-        raise ValidationError(
-            f"km.txt header {m} {n} {v} {k} {t} disagrees with the orbit files "
-            f"{len(tro)} {len(kset)} {cfg.v} {cfg.k} {cfg.t}"
-        )
-    if sizes != kset.sizes.tolist():
-        raise ValidationError("km.txt column sizes disagree with korbits.txt")
-    return km_mod.KMInstance(t_orbits=tro, k_orbits=kset, col_indptr=indptr, col_rows=rows)
-
-
 def cmd_km(cfg: JobConfig) -> None:
-    _check_record(cfg, ["orbits"])
-    tro = _read_orbits(cfg, "torbits.txt", cfg.t)
-    kset = _read_orbits(cfg, "korbits.txt", cfg.k)
     t0 = time.perf_counter()
-    km = km_mod.build_km(cfg.G, tro, kset)
-    km_mod.write_km_file(cfg.out("km.txt"), km)
+    entries = _check_record(cfg, ["orbits"])
+    km = km_mod.build_km(cfg.G, _load_orbits(cfg, entries, "t"), _load_orbits(cfg, entries, "k"))
     log.info("KM matrix: %d x %d", *km.shape)
     m, n = km.shape
-    _record_stage(cfg, "km", t0, ["km.txt"], rows=m, columns=n, entries=len(km.col_rows))
+    files = _save(cfg, km_indptr=km.col_indptr, km_rows=km.col_rows)
+    _record_stage(cfg, "km", t0, files, rows=m, columns=n, entries=len(km.col_rows))
 
 
 def cmd_encode(cfg: JobConfig) -> None:
-    _check_record(cfg, ["orbits", "km"])
-    tro = _read_orbits(cfg, "torbits.txt", cfg.t)
-    kset = _read_orbits(cfg, "korbits.txt", cfg.k)
+    """The normalizer classes of encodings b and c; solve builds the problem."""
     t0 = time.perf_counter()
-    km = _load_km(cfg, tro, kset)
-    classes = None
+    entries = _check_record(cfg, ["orbits", "km"])
+    tro, kset = _load_orbits(cfg, entries, "t"), _load_orbits(cfg, entries, "k")
+    counts = {"primary": len(tro), "secondary": 0, "options": len(kset)}
+    files = {}
     if cfg.encoding in ("b", "c"):
         t1 = time.perf_counter()
         classes = symbreak.normalizer_classes(cfg.N, kset, cfg.G)
-        log.info("normalizer classes: %d in %.1f s", classes.n_classes, time.perf_counter() - t1)
-    enc = symbreak.encode(km, classes, cfg.encoding)
-    with open(cfg.out("xcc.txt"), "w", encoding="utf-8") as fh:
-        fh.write(xcc.export_text(enc.problem))
-    symbreak.write_copy_map(cfg.out("copymap.txt"), enc.copy_map)
-    counts = {
-        "primary": len(enc.problem.primary),
-        "secondary": len(enc.problem.secondary),
-        "options": enc.problem.n_options,
-    }
-    log.info("encoding %s: %d+%d items, %d options", cfg.encoding, *counts.values())
-    if classes is not None:
-        counts["classes"] = classes.n_classes
-    _record_stage(cfg, "encode", t0, ["xcc.txt", "copymap.txt"], **counts)
+        nc = classes.n_classes
+        log.info("normalizer classes: %d in %.1f s", nc, time.perf_counter() - t1)
+        files = _save(cfg, class_reps=np.asarray(classes.reps, dtype=np.int64),
+                      class_of=np.asarray(classes.class_of, dtype=np.int64))
+        # symbreak.encode adds the item Nhit and a copy option per class,
+        # and for c a secondary item per class but the last
+        counts = {"primary": len(tro) + 1, "options": len(kset) + nc, "classes": nc,
+                  "secondary": max(nc - 1, 0) if cfg.encoding == "c" else 0}
+    log.info("encoding %s: %d+%d items, %d options", cfg.encoding,
+             counts["primary"], counts["secondary"], counts["options"])
+    _record_stage(cfg, "encode", t0, files, **counts)
 
 
 def cmd_solve(cfg: JobConfig) -> None:
-    _check_record(cfg, ["encode"])
     t0 = time.perf_counter()
-    with open(cfg.out("xcc.txt"), "r", encoding="utf-8") as fh:
-        problem = xcc.import_text(fh.read())
+    problem = _problem(cfg, _check_record(cfg, ["orbits", "km", "encode"]))
     log.info("solving %s", problem)
     sols: list = []
     report = _ProgressLog("%d nodes, %.0f nodes/s, depth %d, root branch %d of %d")
@@ -359,10 +415,21 @@ def cmd_solve(cfg: JobConfig) -> None:
     log.info(
         "solutions=%d nodes=%d seconds=%.3f", stats.solutions, stats.nodes, stats.elapsed
     )
-    _record_stage(cfg, "solve", t0, ["solutions.txt"], solutions=stats.solutions,
+    _record_stage(cfg, "solve", t0, {"solutions.txt": None}, solutions=stats.solutions,
                   nodes=stats.nodes, limit_hit=stats.limit_hit)
     if stats.limit_hit:
         raise ResourceCapHit("solver stopped at a node, time or solution cap")
+
+
+def cmd_xcc_export(cfg: JobConfig, path: str | None = None) -> None:
+    """Write the configured encoding's problem as XCC text to path, or to
+    stdout, one line at a time."""
+    problem = _problem(cfg, _check_record(cfg, ["orbits", "km", "encode"]))
+    if path is None:
+        sys.stdout.writelines(xcc.export_lines(problem))
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(xcc.export_lines(problem))
 
 
 PROGRESS_SECONDS = 10.0
@@ -384,13 +451,15 @@ class _ProgressLog:
 
 
 def cmd_classify(cfg: JobConfig, jobs: int = 1) -> None:
-    stages = _check_record(cfg, ["orbits", "encode", "solve"])
-    kset = _read_orbits(cfg, "korbits.txt", cfg.k)
     t0 = time.perf_counter()
+    stages = _check_record(cfg, ["orbits", "encode", "solve"])
+    kset = _load_orbits(cfg, stages, "k")
+    n = len(kset)
+    # option n + q is the copy option of class representative q
+    reps = _load_classes(cfg, stages, n).reps if cfg.encoding in ("b", "c") else []
     if stages["solve"]["counts"]["limit_hit"]:
         log.warning("the solve stopped at a cap: its solutions, and so the classes, "
                     "may be incomplete")
-    copy_map = symbreak.read_copy_map(cfg.out("copymap.txt"))
     solutions = []
     with open(cfg.out("solutions.txt"), "r", encoding="utf-8") as fh:
         for line in fh:
@@ -398,7 +467,9 @@ def cmd_classify(cfg: JobConfig, jobs: int = 1) -> None:
                 solutions.append(tuple(int(x) for x in line.split()))
     all_designs = []
     for opt_ids in solutions:
-        orbit_ids = {copy_map.get(o, o) for o in opt_ids}
+        if not all(0 <= o < n + len(reps) for o in opt_ids):
+            raise ValidationError(f"solution {opt_ids} has an option outside 0..{n + len(reps) - 1}")
+        orbit_ids = {reps[o - n] if o >= n else o for o in opt_ids}
         d = designs_mod.expand(orbit_ids, kset, cfg.G)
         rep = designs_mod.verify_steiner(d, cfg.t)
         if not rep.ok:
@@ -427,7 +498,7 @@ def cmd_classify(cfg: JobConfig, jobs: int = 1) -> None:
     canon_nodes = sum(cl.nodes for cl in classes)
     log.info("%d solutions -> %d isomorphism classes, %d canonization nodes",
              len(solutions), len(classes), canon_nodes)
-    _record_stage(cfg, "classify", t0, ["classes.txt", "designs.gap", "designs"],
+    _record_stage(cfg, "classify", t0, dict.fromkeys(["classes.txt", "designs.gap", "designs"]),
                   solutions=len(solutions), classes=len(classes), canon_nodes=canon_nodes)
 
 
@@ -504,9 +575,12 @@ def main(argv=None) -> int:
     rp = sub.add_parser("report")
     rp.add_argument("--config", action="append", required=True,
                     help="config of a completed run; repeat for more rows")
-    xp = sub.add_parser("xcc", help="solve an exact-cover problem file")
-    xp.add_argument("action", choices=["solve"])
-    xp.add_argument("file")
+    xp = sub.add_parser("xcc", help="exact-cover problems as XCC text")
+    xsub = xp.add_subparsers(dest="action", required=True)
+    xsub.add_parser("solve", help="solve a problem file").add_argument("file")
+    xe = xsub.add_parser("export", help="write the configured encoding's problem")
+    xe.add_argument("--config", required=True)
+    xe.add_argument("file", nargs="?", help="the file to write; stdout if omitted")
     args = parser.parse_args(argv)
     logging.basicConfig(
         stream=sys.stderr, level=logging.INFO, format="%(name)s: %(message)s"
@@ -515,11 +589,14 @@ def main(argv=None) -> int:
         if args.command == "report":
             cmd_report(args.config, sys.stdout)
             return EXIT_OK
-        if args.command == "xcc":
+        if args.command == "xcc" and args.action == "solve":
             with open(args.file, "r", encoding="utf-8") as fh:
                 problem = xcc.import_text(fh.read())
             stats = xcc.solve(problem)
             print(f"solutions={stats.solutions} nodes={stats.nodes} seconds={stats.elapsed:.3f}")
+            return EXIT_OK
+        if args.command == "xcc":
+            cmd_xcc_export(JobConfig.load(args.config), args.file)
             return EXIT_OK
         if args.jobs < 1:
             raise ValidationError(f"--jobs must be at least 1, not {args.jobs}")

@@ -26,8 +26,6 @@ __all__ = [
     "KMError",
     "KMInstance",
     "build_km",
-    "write_km_file",
-    "read_km_file",
 ]
 
 # columns whose t-subsets are gathered at once
@@ -108,49 +106,3 @@ def build_km(G: PermutationGroup, t_orbits: OrbitSet, k_orbits: OrbitSet) -> KMI
         col_indptr=np.cumsum(np.concatenate([[0], *lens]), dtype=np.int64),
         col_rows=rows[:end],
     )
-
-
-# ---------------------------------------------------------------------------
-# KM file format: header "m n v k t", then one line per column:
-# "j size_j : i1 i2 ..." with sorted row indices
-
-
-def write_km_file(path, km: KMInstance) -> None:
-    m, n = km.shape
-    ks = km.k_orbits
-    indptr, rows = km.col_indptr.tolist(), km.col_rows.tolist()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{m} {n} {ks.v} {ks.k} {ks.t}\n")
-        for j, size_j in enumerate(ks.sizes.tolist()):
-            cols = " ".join(map(str, rows[indptr[j] : indptr[j + 1]]))
-            fh.write(f"{j} {size_j} : {cols}\n")
-
-
-def read_km_file(path):
-    """Returns (m, n, v, k, t, sizes, indptr, rows) from a KM file, with
-    indptr and rows in the form ``KMInstance.col_indptr``/``col_rows``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        head = fh.readline().split()
-        if len(head) != 5:
-            raise ValueError(f"{path}: malformed KM header")
-        m, n, v, k, t = (int(x) for x in head)
-        sizes, lens, rows = [], [], []
-        for line in fh:
-            toks = line.split()
-            if not toks:
-                continue
-            if len(toks) < 3 or toks[2] != ":":
-                raise ValueError(f"{path}: malformed column line {line!r}")
-            j = int(toks[0])
-            if j != len(sizes):
-                raise ValueError(f"{path}: column {j} out of order")
-            sizes.append(int(toks[1]))
-            col = [int(x) for x in toks[3:]]
-            if col != sorted(col) or any(not 0 <= i < m for i in col):
-                raise ValueError(f"{path}: bad row indices in column {j}")
-            lens.append(len(col))
-            rows.extend(col)
-    if len(sizes) != n:
-        raise ValueError(f"{path}: expected {n} columns, found {len(sizes)}")
-    indptr = np.cumsum([0] + lens, dtype=np.int64)
-    return m, n, v, k, t, sizes, indptr, np.array(rows, dtype=np.int32)

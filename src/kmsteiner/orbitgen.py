@@ -60,10 +60,9 @@ from .perm import PermutationGroup
 
 __all__ = [
     "OrbitSet",
+    "check_orbit_arrays",
     "t_orbit_reps",
     "good_k_orbit_reps",
-    "read_orbit_file",
-    "write_orbit_file",
 ]
 
 
@@ -95,6 +94,34 @@ class OrbitSet:
 
     def __len__(self) -> int:
         return len(self.sizes)
+
+
+def _check_array(name: str, arr, dtype, shape: tuple) -> None:
+    """Raise ValueError unless arr is a C-ordered ndarray of this dtype and
+    shape (None: any length); the message starts with ``name``."""
+    dtype = np.dtype(dtype)
+    if not (isinstance(arr, np.ndarray) and arr.dtype == dtype and arr.ndim == len(shape)
+            and all(s is None or s == a for s, a in zip(shape, arr.shape))
+            and arr.flags.c_contiguous):
+        got = f"{arr.dtype} array of shape {arr.shape}" if isinstance(arr, np.ndarray) else "no array"
+        raise ValueError(f"{name}: {got}, expected a C-ordered {dtype} array of shape {shape}")
+
+
+def check_orbit_arrays(v: int, size: int, reps, sizes) -> None:
+    """Raise ValueError unless reps and sizes are an ``OrbitSet``'s arrays
+    of size-subsets of 1..v: rows of ascending points in strict lex order,
+    and orbit sizes of at least 1."""
+    _check_array("reps", reps, np.min_scalar_type(v), (None, size))
+    _check_array("sizes", sizes, np.int64, (len(reps),))
+    # compared in the reps' own dtype: a difference could wrap
+    bad = (reps[:, 0] < 1) | (reps[:, -1] > v) | (reps[:, 1:] <= reps[:, :-1]).any(axis=1)
+    bad = np.flatnonzero(bad | (sizes < 1))
+    if len(bad):
+        raise ValueError(f"orbit {bad[0]} is not {size} ascending points of 1..{v} "
+                         "with an orbit size of at least 1")
+    keys = _pack_keys(reps - 1, v)
+    if np.any(keys[1:] <= keys[:-1]):
+        raise ValueError("representatives not in strict lex order")
 
 
 @lru_cache(maxsize=16)
@@ -244,55 +271,3 @@ def good_k_orbit_reps(
         raise ValueError("need t < k < v")
     reps, sizes, _ = _orderly_reps(G, v, k, t, good=True, progress=progress)
     return OrbitSet(v=v, t=t, reps=reps, sizes=sizes, group_id=G.fingerprint())
-
-
-# ---------------------------------------------------------------------------
-# orbit file format: header "v k t group=<file> count=<n>", then one rep per
-# line as space-separated points followed by "size=<orbit_size>"
-
-
-def write_orbit_file(path, v, k, t, orbits: OrbitSet, group_label) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{v} {k} {t} group={group_label} count={len(orbits)}\n")
-        for rep, size in zip(orbits.reps.tolist(), orbits.sizes.tolist()):
-            fh.write(f"{' '.join(map(str, rep))} size={size}\n")
-
-
-def read_orbit_file(path, size: int):
-    """Returns (v, k, t, group_label, reps, sizes), the arrays as an
-    ``OrbitSet`` holds them, from a file of representatives with ``size``
-    points each: t for t-orbits, k for good k-orbits.
-
-    Every representative must be ``size`` ascending points of 1..v, and
-    every orbit size at least 1.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 5:
-            raise ValueError(f"{path}: malformed orbit file header")
-        v, k, t = int(header[0]), int(header[1]), int(header[2])
-        if not header[3].startswith("group=") or not header[4].startswith("count="):
-            raise ValueError(f"{path}: malformed orbit file header")
-        group_label = header[3][len("group=") :]
-        count = int(header[4][len("count=") :])
-        points, sizes = [], []
-        for i, line in enumerate(fh, start=2):
-            toks = line.split()
-            if not toks:
-                continue
-            if len(toks) != size + 1 or not toks[-1].startswith("size="):
-                raise ValueError(f"{path}: line {i} is not {size} points and a size field")
-            points.append([int(x) for x in toks[:-1]])
-            sizes.append(int(toks[-1][len("size=") :]))
-    if len(sizes) != count:
-        raise ValueError(f"{path}: header count {count} != {len(sizes)} reps")
-    reps = np.array(points, dtype=np.int64).reshape(count, size)
-    sizes = np.array(sizes, dtype=np.int64)
-    bad = (reps[:, 0] < 1) | (reps[:, -1] > v) | (np.diff(reps, axis=1) <= 0).any(axis=1)
-    bad = np.flatnonzero(bad | (sizes < 1))
-    if len(bad):
-        raise ValueError(
-            f"{path}: representative {bad[0] + 1} is not {size} ascending points "
-            f"of 1..{v} with an orbit size of at least 1"
-        )
-    return v, k, t, group_label, reps.astype(np.min_scalar_type(v)), sizes

@@ -38,8 +38,6 @@ __all__ = [
     "normalizer_classes",
     "encode",
     "decode_solution",
-    "write_copy_map",
-    "read_copy_map",
 ]
 
 
@@ -144,7 +142,8 @@ def encode(
     prim_rows = np.r_[rows, copy_rows]
     copy_map = {n + q: int(r) for q, r in enumerate(reps)}
     if kind == "b":
-        return Encoding(kind, XCCProblem.from_arrays(primary, [], prim_ptr, prim_rows), copy_map)
+        return Encoding(
+            kind, XCCProblem.from_arrays(primary, [], prim_ptr, prim_rows, copy=False), copy_map)
     # c: option j carries s_{class(j)}:1, and the copy-option of a class-c
     # representative carries s_0..s_{c-1}:0 then s_c:1, i.e. items 0..len-1
     # with color 1 on item c only; the last class has no item.
@@ -159,6 +158,7 @@ def encode(
         np.cumsum(np.r_[0, has_item, copy_lens]),
         np.r_[class_of[has_item], copy_items],
         np.r_[has_item[has_item], copy_items == np.repeat(rep_class, copy_lens)],
+        copy=False,
     )
     return Encoding(kind, problem, copy_map)
 
@@ -168,27 +168,4 @@ def decode_solution(sol: Solution, enc: Encoding) -> set:
     out = set()
     for oid in sol.option_ids:
         out.add(enc.copy_map.get(oid, oid))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# copy map persistence: "copy <option_id> = orbit <j>" lines
-
-
-def write_copy_map(path, copy_map: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for oid in sorted(copy_map):
-            fh.write(f"copy {oid} = orbit {copy_map[oid]}\n")
-
-
-def read_copy_map(path) -> dict:
-    out: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for ln, line in enumerate(fh, start=1):
-            toks = line.split()
-            if not toks:
-                continue
-            if len(toks) != 5 or toks[0] != "copy" or toks[2] != "=" or toks[3] != "orbit":
-                raise ValueError(f"{path}: malformed copy map line {ln}")
-            out[int(toks[1])] = int(toks[4])
     return out

@@ -45,6 +45,7 @@ __all__ = [
     "solve",
     "solve_all",
     "verify_solution",
+    "export_lines",
     "export_text",
     "import_text",
 ]
@@ -95,17 +96,19 @@ class XCCProblem:
 
     @classmethod
     def from_arrays(cls, primary, secondary, prim_indptr, prim_items,
-                    sec_indptr=None, sec_items=(), sec_colors=()) -> "XCCProblem":
+                    sec_indptr=None, sec_items=(), sec_colors=(), copy=True) -> "XCCProblem":
         """A problem from CSR arrays; without ``sec_indptr`` no option has
-        a secondary item."""
+        a secondary item.  With ``copy=False`` an int32 ``prim_items``,
+        the largest array, is kept, not copied, and made read-only: the
+        caller hands it over and must not change it."""
         if sec_indptr is None:
             sec_indptr = np.zeros(len(prim_indptr), dtype=np.int64)
         self = cls.__new__(cls)
         self._build(primary, secondary, prim_indptr, prim_items,
-                    sec_indptr, sec_items, sec_colors)
+                    sec_indptr, sec_items, sec_colors, copy=copy)
         return self
 
-    def _build(self, primary, secondary, *arrays) -> None:
+    def _build(self, primary, secondary, *arrays, copy=True) -> None:
         self.primary = [_check_name(n) for n in primary]
         self.secondary = [_check_name(n) for n in secondary]
         if len(set(self.primary) | set(self.secondary)) != len(self.primary) + len(
@@ -126,11 +129,12 @@ class XCCProblem:
             raise ValueError("secondary item id out of range")
         if np.any(colors < 0):
             raise ValueError("colors must be non-negative")
-        # one copy of each array, straight into its stored dtype; the item
-        # ids are in range, so the cast to int32 cannot wrap
+        # one copy of each array at most, straight into its stored dtype;
+        # the item ids are in range, so the cast to int32 cannot wrap
         self.prim_indptr, self.sec_indptr, colors = (
             np.array(a, dtype=np.int64) for a in (prim_ptr, sec_ptr, colors))
-        (self.prim_items,) = _sort_within(self.prim_indptr, np.array(prim, dtype=np.int32))
+        prim = (np.array if copy else np.asarray)(prim, dtype=np.int32)
+        (self.prim_items,) = _sort_within(self.prim_indptr, prim)
         self.sec_items, self.sec_colors = _sort_within(
             self.sec_indptr, np.array(sec, dtype=np.int32), colors)
         for a in self._arrays():
@@ -301,21 +305,35 @@ def verify_solution(problem: XCCProblem, option_ids) -> bool:
 # one option per line with tokens "item" (primary) or "item:color" (secondary)
 
 
-def export_text(problem: XCCProblem) -> str:
+# options per chunk of export_lines
+_EXPORT_CHUNK = 4096
+
+
+def export_lines(problem: XCCProblem):
+    """The problem's XCC text, one line (ending in a newline) at a time;
+    the tokens of one chunk of options are made at a time, never all."""
     primary, secondary = problem.primary, problem.secondary
-    # one token per CSR entry; option o's tokens are two slices of these lists
-    prim = [primary[i] for i in problem.prim_items.tolist()]
-    sec = [
-        f"{secondary[s]}:{c}"
-        for s, c in zip(problem.sec_items.tolist(), problem.sec_colors.tolist())
-    ]
-    pp, sp = problem.prim_indptr.tolist(), problem.sec_indptr.tolist()
-    lines = [" ".join(primary) + " | " + " ".join(secondary)]
-    lines += [
-        " ".join(prim[pp[o] : pp[o + 1]] + sec[sp[o] : sp[o + 1]])
-        for o in range(problem.n_options)
-    ]
-    return "\n".join(lines).rstrip() + "\n"
+    head = " ".join(primary) + " | " + " ".join(secondary)
+    n = problem.n_options
+    yield (head if n else head.rstrip()) + "\n"
+    pp, sp = problem.prim_indptr, problem.sec_indptr
+    for lo in range(0, n, _EXPORT_CHUNK):
+        hi = min(lo + _EXPORT_CHUNK, n)
+        # one token per CSR entry of the chunk; option o's tokens are two slices
+        p0, p1, s0, s1 = int(pp[lo]), int(pp[hi]), int(sp[lo]), int(sp[hi])
+        prim = [primary[i] for i in problem.prim_items[p0:p1].tolist()]
+        sec = [
+            f"{secondary[s]}:{c}"
+            for s, c in zip(problem.sec_items[s0:s1].tolist(), problem.sec_colors[s0:s1].tolist())
+        ]
+        cp, cs = (pp[lo : hi + 1] - p0).tolist(), (sp[lo : hi + 1] - s0).tolist()
+        for o in range(hi - lo):
+            yield " ".join(prim[cp[o] : cp[o + 1]] + sec[cs[o] : cs[o + 1]]) + "\n"
+
+
+def export_text(problem: XCCProblem) -> str:
+    """The problem's XCC text as one string: the lines of ``export_lines``."""
+    return "".join(export_lines(problem))
 
 
 def import_text(text: str) -> XCCProblem:

@@ -12,17 +12,11 @@ import time
 from contextlib import contextmanager
 from itertools import combinations
 
-import numpy as np
 import pytest
 
 from kmsteiner.designs import canonical_form, classify, expand, verify_steiner
-from kmsteiner.km import build_km, read_km_file, write_km_file
-from kmsteiner.orbitgen import (
-    good_k_orbit_reps,
-    read_orbit_file,
-    t_orbit_reps,
-    write_orbit_file,
-)
+from kmsteiner.km import build_km
+from kmsteiner.orbitgen import good_k_orbit_reps, t_orbit_reps
 from kmsteiner.order84 import (
     EXPECTED_NORMALIZER_ORDER,
     TABLE_BENCH,
@@ -41,8 +35,6 @@ from kmsteiner.symbreak import (
     decode_solution,
     encode,
     normalizer_classes,
-    read_copy_map,
-    write_copy_map,
 )
 from kmsteiner.xcc import XCCProblem, export_text, import_text, solve, solve_all
 
@@ -235,19 +227,9 @@ def test_criterion_6_identity_suite(tmp_path):
             p.images for p in G.generators
         ]
         ko = good_k_orbit_reps(G, 13, 3, 2)
-        opath = tmp_path / "o.txt"
-        write_orbit_file(opath, 13, 3, 2, ko, "g.grp")
-        assert np.array_equal(read_orbit_file(opath, 3)[4], ko.reps)
         km = build_km(G, t_orbit_reps(G, 13, 2), ko)
-        kpath = tmp_path / "km.txt"
-        write_km_file(kpath, km)
-        indptr, rows = read_km_file(kpath)[6:]
-        assert np.array_equal(indptr, km.col_indptr) and np.array_equal(rows, km.col_rows)
         p = XCCProblem(["A", "B"], ["X"], [((0,), ((0, 1),)), ((1,), ())])
         assert import_text(export_text(p)) == p
-        cpath = tmp_path / "cm.txt"
-        write_copy_map(cpath, {5: 2})
-        assert read_copy_map(cpath) == {5: 2}
         from kmsteiner.designs import read_design_file, write_design_file
 
         enc = encode(km, None, "a")

@@ -1,9 +1,12 @@
+import hashlib
 import json
 import os
 import shutil
 import subprocess
 import sys
+import time
 
+import numpy as np
 import pytest
 
 from kmsteiner import cli
@@ -60,6 +63,25 @@ def run_pipeline(cfg_path):
     return cfg
 
 
+# every array artifact of an encoding-b run, with the stage that writes it
+# and a stage that reads it
+ARRAYS = {
+    "t_reps.npy": ("orbits", "km"),
+    "t_sizes.npy": ("orbits", "km"),
+    "k_reps.npy": ("orbits", "km"),
+    "k_sizes.npy": ("orbits", "km"),
+    "km_indptr.npy": ("km", "solve"),
+    "km_rows.npy": ("km", "solve"),
+    "class_reps.npy": ("encode", "solve"),
+    "class_of.npy": ("encode", "classify"),
+}
+
+
+def run_stages(cfg_path, stages):
+    for stage in stages:
+        assert main([stage, "--config", cfg_path]) == EXIT_OK
+
+
 def test_admissibility_conditions():
     assert check_admissible(13, 3, 2) == []
     assert check_admissible(91, 6, 2) == []
@@ -82,11 +104,7 @@ def test_full_pipeline_sts13(sts13_cfg):
 def test_rerun_is_byte_identical(sts13_cfg):
     cfg = run_pipeline(sts13_cfg)
     artifacts = [
-        "torbits.txt",
-        "korbits.txt",
-        "km.txt",
-        "xcc.txt",
-        "copymap.txt",
+        *ARRAYS,
         "solutions.txt",
         "classes.txt",
         "designs.gap",
@@ -234,47 +252,149 @@ def test_non_normalizing_group_rejected(tmp_path, fixtures_dir):
     assert main(["encode", "--config", cfgp]) == EXIT_VALIDATION
 
 
+def replace_array(cfg, name, arr, allow_pickle=False):
+    """Write arr as the artifact name and record its sha256, as if the
+    stage that writes it had."""
+    np.save(cfg.out(name), arr, allow_pickle=allow_pickle)
+    with open(cfg.out("run.json")) as fh:
+        record = json.load(fh)
+    with open(cfg.out(name), "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    record["stages"][ARRAYS[name][0]]["artifacts"][name] = digest
+    with open(cfg.out("run.json"), "w") as fh:
+        json.dump(record, fh)
+
+
+@pytest.mark.parametrize("name", ARRAYS)
+def test_flipped_byte_in_array_rejected(sts13_cfg, caplog, name):
+    cfg = JobConfig.load(sts13_cfg)
+    run_stages(sts13_cfg, ["orbits", "km", "encode", "solve"])
+    with open(cfg.out(name), "r+b") as fh:
+        fh.seek(-1, os.SEEK_END)
+        last = fh.read(1)
+        fh.seek(-1, os.SEEK_END)
+        fh.write(bytes([last[0] ^ 1]))
+    caplog.clear()
+    assert main([ARRAYS[name][1], "--config", sts13_cfg]) == EXIT_VALIDATION
+    assert f"{name}: sha256 does not match the run record" in caplog.text
+
+
+def _swap_rows(a):
+    a = a.copy()
+    a[[0, 1]] = a[[1, 0]]
+    return a
+
+
+def _set(a, index, value):
+    a = a.copy()
+    a[index] = value
+    return a
+
+
+def expect_one_error(caplog, message):
+    errors = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and errors[0].exc_info is None
+    assert message in errors[0].getMessage()
+
+
+# (artifact, the recorded array -> a tampered one, the error); each is saved
+# with its digest recorded, and the stage that reads it must exit 1
+SHAPE = "expected a C-ordered"
+REP = "not 3 ascending points of 1..13 with an orbit size of at least 1"
+PTR = "not the column pointers of km_rows.npy"
+TAMPERED = [
+    pytest.param("k_reps.npy", lambda a: a.astype(np.int64), SHAPE, id="k-reps-int64"),
+    pytest.param("k_reps.npy", lambda a: a.astype(">u2"), SHAPE, id="k-reps-big-endian"),
+    pytest.param("k_reps.npy", np.asfortranarray, SHAPE, id="k-reps-fortran-order"),
+    pytest.param("k_reps.npy", lambda a: np.array(1, dtype=a.dtype), SHAPE, id="k-reps-scalar"),
+    pytest.param("k_reps.npy", lambda a: _set(a, (1, 1), a[1, 2]), REP, id="k-reps-repeat"),
+    pytest.param("k_reps.npy", _swap_rows, "not in strict lex order", id="k-reps-row-order"),
+    pytest.param("k_sizes.npy", lambda a: a[1:].copy(), SHAPE, id="k-sizes-short"),
+    pytest.param("t_reps.npy", lambda a: _set(a, (1, 1), 14),
+                 "not 2 ascending points of 1..13", id="t-reps-point-14"),
+    pytest.param("km_rows.npy", lambda a: _set(a, 0, -1), "row id outside 0..5",
+                 id="km-rows-negative"),
+    pytest.param("km_indptr.npy", lambda a: _set(a, 0, 1), PTR, id="km-indptr-start"),
+    pytest.param("km_indptr.npy", lambda a: _set(a, -1, a[-1] - 1), PTR, id="km-indptr-end"),
+    pytest.param("km_indptr.npy", lambda a: _set(a, 1, a[2] + 1), PTR, id="km-indptr-descent"),
+    pytest.param("class_reps.npy", lambda a: _set(a, 1, 16), "not ascending orbit indices below 16",
+                 id="class-reps-range"),
+    pytest.param("class_reps.npy", _swap_rows, "not ascending orbit indices below 16",
+                 id="class-reps-order"),
+    pytest.param("class_of.npy", lambda a: _set(a, 0, 1), "class ids disagree", id="class-of-rep"),
+    pytest.param("class_of.npy", lambda a: _set(a, 5, 2), "class ids disagree", id="class-of-range"),
+]
+
+
+@pytest.mark.parametrize("name,tamper,message", TAMPERED)
+def test_tampered_array_with_its_digest_rejected(sts13_cfg, caplog, name, tamper, message):
+    cfg = JobConfig.load(sts13_cfg)
+    run_stages(sts13_cfg, ["orbits", "km", "encode", "solve"])
+    replace_array(cfg, name, tamper(np.load(cfg.out(name))))
+    caplog.clear()
+    assert main([ARRAYS[name][1], "--config", sts13_cfg]) == EXIT_VALIDATION
+    expect_one_error(caplog, message)
+
+
+# an orbit row of the orbits stage replaced, with its digest recorded; each
+# id gives the row as the text orbit files korbits.txt and torbits.txt
+# wrote it, "points size=<orbit size>", before the stages passed arrays
+@pytest.mark.parametrize(
+    "name,tamper,message",
+    [
+        pytest.param("k_reps.npy", lambda a: a[:, :2].copy(), SHAPE,
+                     id="korbits.txt-1 2 size=13"),  # 2-point reps for 3-point reps
+        pytest.param("k_reps.npy", lambda a: _set(a, (1, 0), 0), REP,
+                     id="korbits.txt-0 1 2 size=13"),
+        pytest.param("k_reps.npy", lambda a: _set(a, (1, 2), 14), REP,
+                     id="korbits.txt-1 2 14 size=13"),
+        pytest.param("k_sizes.npy", lambda a: _set(a, 1, 0), REP, id="korbits.txt-1 2 4 size=0"),
+        pytest.param("k_reps.npy", lambda a: _set(a.astype(np.float64), (1, 2), 1e20), SHAPE,
+                     id="korbits.txt-1 2 99999999999999999999 size=13"),
+        pytest.param("t_reps.npy", lambda a: np.hstack([a, a[:, -1:] + 1]), SHAPE,
+                     id="torbits.txt-1 2 3 size=13"),
+        pytest.param("k_sizes.npy", lambda a: _set(a, 3, 20), "non-integer entry",
+                     id="korbits.txt-1 2 5 size=26"),  # a KM entry that is not an integer
+    ],
+)
+def test_tampered_orbit_file_rejected(sts13_cfg, caplog, name, tamper, message):
+    cfg = JobConfig.load(sts13_cfg)
+    cmd_orbits(cfg)
+    replace_array(cfg, name, tamper(np.load(cfg.out(name))))
+    caplog.clear()
+    assert main(["km", "--config", sts13_cfg]) == EXIT_VALIDATION
+    expect_one_error(caplog, message)
+    assert not os.path.exists(cfg.out("km_rows.npy"))
+
+
 @pytest.mark.parametrize(
     "edit",
     [
-        lambda head: head.replace(" 13 3 2", " 14 3 2"),  # v
-        lambda head: f"{int(head.split()[0]) + 1} " + head.split(" ", 1)[1],  # m
+        # a column fewer than the good k-orbits
+        lambda: ("km_indptr.npy", lambda a: a[:-1], "km_indptr.npy: int64 array of shape (16,)"),
+        # a row id of a seventh t-orbit, where there are six
+        lambda: ("km_rows.npy", lambda a: _set(a, 0, 6), "km_rows.npy: a row id outside 0..5"),
     ],
 )
-def test_km_file_disagreeing_with_orbits_rejected(sts13_cfg, edit):
+def test_km_file_disagreeing_with_orbits_rejected(sts13_cfg, caplog, edit):
+    name, tamper, message = edit()
     cfg = JobConfig.load(sts13_cfg)
-    cmd_orbits(cfg)
-    cmd_km(cfg)
-    with open(cfg.out("km.txt")) as fh:
-        head, rest = fh.readline(), fh.read()
-    with open(cfg.out("km.txt"), "w") as fh:
-        fh.write(edit(head) + rest)
-    assert main(["encode", "--config", sts13_cfg]) == EXIT_VALIDATION
-    assert not os.path.exists(cfg.out("xcc.txt"))
+    run_stages(sts13_cfg, ["orbits", "km", "encode"])
+    replace_array(cfg, name, tamper(np.load(cfg.out(name))))
+    caplog.clear()
+    assert main(["solve", "--config", sts13_cfg]) == EXIT_VALIDATION
+    expect_one_error(caplog, message)
+    assert not os.path.exists(cfg.out("solutions.txt"))
 
 
-@pytest.mark.parametrize(
-    "name,line",
-    [
-        ("korbits.txt", "1 2 size=13"),  # a 2-point rep among 3-point reps
-        ("korbits.txt", "0 1 2 size=13"),
-        ("korbits.txt", "1 2 14 size=13"),
-        ("korbits.txt", "1 2 4 size=0"),
-        ("korbits.txt", "1 2 99999999999999999999 size=13"),
-        ("torbits.txt", "1 2 3 size=13"),
-        ("korbits.txt", "1 2 5 size=26"),  # a KM entry that is not an integer
-    ],
-)
-def test_tampered_orbit_file_rejected(sts13_cfg, name, line):
+@pytest.mark.parametrize("name", ["k_reps.npy", "km_rows.npy", "class_of.npy"])
+def test_pickled_array_with_its_digest_rejected(sts13_cfg, caplog, name):
     cfg = JobConfig.load(sts13_cfg)
-    cmd_orbits(cfg)
-    with open(cfg.out(name)) as fh:
-        lines = fh.read().splitlines()
-    lines[1] = line
-    with open(cfg.out(name), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    assert main(["km", "--config", sts13_cfg]) == EXIT_VALIDATION
-    assert not os.path.exists(cfg.out("km.txt"))
+    run_stages(sts13_cfg, ["orbits", "km", "encode", "solve"])
+    replace_array(cfg, name, np.array([1, "x", None], dtype=object), allow_pickle=True)
+    caplog.clear()
+    assert main([ARRAYS[name][1], "--config", sts13_cfg]) == EXIT_VALIDATION
+    assert "allow_pickle=False" in caplog.text
 
 
 @pytest.mark.parametrize(
@@ -282,8 +402,7 @@ def test_tampered_orbit_file_rejected(sts13_cfg, name, line):
     [
         ("solutions.txt", 0, "-6 1"),  # a negative orbit index
         ("solutions.txt", 0, "1 99"),  # an option the problem does not have
-        ("copymap.txt", 1, "copy 17 = orbit 500"),
-        ("copymap.txt", 1, "copy 16 = orbit 500"),  # copy option 17 unmapped
+        ("solutions.txt", 0, "1 18"),  # one past the last copy option
     ],
 )
 def test_tampered_solution_artifacts_rejected(sts13_cfg, name, i, line):
@@ -307,6 +426,7 @@ MALFORMED_FIELDS = [
     pytest.param("orbits", "fingerprint", 5, id="fingerprint-int"),
     pytest.param("orbits", "artifacts", "torbits.txt", id="artifacts-str"),
     pytest.param("orbits", "artifacts", [1], id="artifact-int"),
+    pytest.param("orbits", "artifacts", {"k_reps.npy": 5}, id="digest-int"),
     pytest.param("orbits", "counts", {"t_orbits": 7}, id="no-good_orbits"),
     pytest.param("km", "counts", [], id="counts-list"),
     pytest.param("encode", "seconds", "0.5", id="seconds-str"),
@@ -436,7 +556,7 @@ def test_jobs_flag_is_deterministic(tmp_path, fixtures_dir):
                             **base)
         assert main(["orbits", "--config", path, "--jobs", jobs]) == EXIT_OK
         cfg = JobConfig.load(path)
-        outs.append([open(cfg.out(name), "rb").read() for name in ("torbits.txt", "korbits.txt")])
+        outs.append([open(cfg.out(name), "rb").read() for name in list(ARRAYS)[:4]])
     assert outs[0] == outs[1]
 
 
@@ -478,13 +598,13 @@ def test_jobs_capped_by_cpus_and_work_items(tmp_path, fixtures_dir, monkeypatch)
     )
     one = run_pipeline(write_config(tmp_path / "one.cfg", output_dir=str(tmp_path / "one"), **base))
     assert RecordingExecutor.made == []
-    names = ["korbits.txt", "classes.txt", "designs.gap"]
-    expected = {name: open(one.out(name)).read() for name in names}
+    names = ["k_reps.npy", "classes.txt", "designs.gap"]
+    expected = {name: open(one.out(name), "rb").read() for name in names}
     cfg = JobConfig.load(write_config(tmp_path / "many.cfg", output_dir=str(tmp_path / "many"),
                                       **base))
     for jobs in ("3", "1000"):  # orbits runs in one process whatever --jobs says
         assert main(["orbits", "--config", cfg.path, "--jobs", jobs]) == EXIT_OK
-        assert open(cfg.out("korbits.txt")).read() == expected["korbits.txt"]
+        assert open(cfg.out("k_reps.npy"), "rb").read() == expected["k_reps.npy"]
     assert RecordingExecutor.made == []
     cmd_km(cfg)
     cmd_encode(cfg)
@@ -493,7 +613,7 @@ def test_jobs_capped_by_cpus_and_work_items(tmp_path, fixtures_dir, monkeypatch)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     cmd_classify(cfg, jobs=1000)  # never more workers than the 8 designs
     assert RecordingExecutor.made == [4, 8]
-    assert {name: open(cfg.out(name)).read() for name in names} == expected
+    assert {name: open(cfg.out(name), "rb").read() for name in names} == expected
 
 
 def test_jobs_below_one_rejected(sts13_cfg, caplog):
@@ -609,6 +729,71 @@ def test_report_tables(sts13_cfg):
     bench_row = lines[lines.index("") + 2].split()
     assert bench_row[:2] == ["C13", "b"]
     float(bench_row[-1])  # solve seconds from the run record, not "-"
+
+
+@pytest.fixture
+def c19c_cfg(tmp_path, fixtures_dir):
+    return write_config(
+        tmp_path / "c19.cfg",
+        v=19,
+        k=3,
+        t=2,
+        group_file=os.path.join(fixtures_dir, "groups", "C19.grp"),
+        normalizer_file=os.path.join(fixtures_dir, "normalizers", "C19.grp"),
+        encoding="c",
+        output_dir=str(tmp_path / "run"),
+    )
+
+
+def _library_problem(cfg):
+    from kmsteiner import build_km, encode, good_k_orbit_reps, normalizer_classes, t_orbit_reps
+
+    ko = good_k_orbit_reps(cfg.G, cfg.v, cfg.k, cfg.t)
+    km = build_km(cfg.G, t_orbit_reps(cfg.G, cfg.v, cfg.t), ko)
+    return encode(km, normalizer_classes(cfg.N, ko, cfg.G), cfg.encoding).problem
+
+
+def test_solve_rebuilds_the_library_problem(c19c_cfg):
+    cfg = JobConfig.load(c19c_cfg)
+    run_stages(c19c_cfg, ["orbits", "km", "encode"])
+    stages = cli._check_record(cfg, ["orbits", "km", "encode"])
+    problem = cli._problem(cfg, stages)
+    assert problem == _library_problem(cfg)
+    counts = stages["encode"]["counts"]
+    assert (counts["primary"], counts["secondary"], counts["options"]) == (
+        len(problem.primary), len(problem.secondary), problem.n_options)
+
+
+def test_xcc_export(c19c_cfg, tmp_path, capsys):
+    from kmsteiner.xcc import export_text
+
+    cfg = JobConfig.load(c19c_cfg)
+    assert main(["xcc", "export", "--config", c19c_cfg]) == EXIT_VALIDATION  # nothing encoded yet
+    run_stages(c19c_cfg, ["orbits", "km", "encode"])
+    text = export_text(_library_problem(cfg))
+    capsys.readouterr()
+    assert main(["xcc", "export", "--config", c19c_cfg]) == EXIT_OK
+    assert capsys.readouterr().out == text
+    path = tmp_path / "c19c.xcc"
+    assert main(["xcc", "export", "--config", c19c_cfg, str(path)]) == EXIT_OK
+    assert path.read_text() == text
+    assert main(["xcc", "solve", str(path)]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("solutions=8 nodes=")
+
+
+@pytest.mark.parametrize("stage", ["km", "encode", "classify"])
+def test_stage_seconds_include_reading_inputs(sts13_cfg, monkeypatch, stage):
+    run_stages(sts13_cfg, ["orbits", "km", "encode", "solve", "classify"])
+    load = cli._load_orbits
+
+    def slow_load(*args):
+        time.sleep(0.2)
+        return load(*args)
+
+    monkeypatch.setattr(cli, "_load_orbits", slow_load)
+    assert main([stage, "--config", sts13_cfg]) == EXIT_OK
+    with open(JobConfig.load(sts13_cfg).out("run.json")) as fh:
+        assert json.load(fh)["stages"][stage]["seconds"] >= 0.2
 
 
 def test_xcc_passthrough(tmp_path):

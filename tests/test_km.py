@@ -5,7 +5,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from kmsteiner.km import KMError, build_km, read_km_file, write_km_file
+from kmsteiner.km import KMError, KMInstance, build_km
 from kmsteiner.orbitgen import OrbitSet, good_k_orbit_reps, t_orbit_reps
 from kmsteiner.perm import PermutationGroup, cyclic_group, read_group_file
 
@@ -176,14 +176,16 @@ def test_block_count_identity_for_solutions():
 def test_km_file_round_trip(tmp_path):
     G = cyclic_group(13)
     km = build_km(G, t_orbit_reps(G, 13, 2), good_k_orbit_reps(G, 13, 3, 2))
-    path = os.path.join(tmp_path, "km.txt")
-    write_km_file(path, km)
-    m, n, v, k, t, sizes, indptr, rows = read_km_file(path)
-    assert (m, n, v, k, t) == (6, 16, 13, 3, 2)
-    assert sizes == km.k_orbits.sizes.tolist()
+    paths = {name: os.path.join(tmp_path, f"km_{name}.npy") for name in ("indptr", "rows")}
+    np.save(paths["indptr"], km.col_indptr, allow_pickle=False)
+    np.save(paths["rows"], km.col_rows, allow_pickle=False)
+    indptr, rows = (np.load(paths[name], allow_pickle=False) for name in ("indptr", "rows"))
+    assert km.shape == (6, 16)
     assert indptr.dtype == km.col_indptr.dtype and np.array_equal(indptr, km.col_indptr)
     assert rows.dtype == km.col_rows.dtype and np.array_equal(rows, km.col_rows)
-    with open(path, "a") as fh:
-        fh.write("16 1\n")  # column line without its ":" separator
-    with pytest.raises(ValueError, match="malformed column line"):
-        read_km_file(path)
+    again = KMInstance(km.t_orbits, km.k_orbits, indptr, rows)
+    assert [again.column(j) for j in range(16)] == [km.column(j) for j in range(16)]
+    # the arrays are read without unpickling: an object array is refused
+    np.save(paths["rows"], km.col_rows.astype(object), allow_pickle=True)
+    with pytest.raises(ValueError, match="allow_pickle=False"):
+        np.load(paths["rows"], allow_pickle=False)

@@ -11,10 +11,9 @@ from kmsteiner.orbitgen import (
     OrbitSet,
     _min_image_keys,
     _orderly_reps,
+    check_orbit_arrays,
     good_k_orbit_reps,
-    read_orbit_file,
     t_orbit_reps,
-    write_orbit_file,
 )
 from kmsteiner.order84 import TABLE_GROUPS
 from kmsteiner.perm import (
@@ -215,40 +214,64 @@ def test_subset_orbit_count_burnside():
     assert subset_orbit_count(cyclic_group(91), 6) == 7324878
 
 
+def save_and_load(path, arr):
+    np.save(path, arr, allow_pickle=False)
+    return np.load(path, allow_pickle=False)
+
+
 def test_orbit_file_round_trip(tmp_path):
     G = cyclic_group(13)
     s = good_k_orbit_reps(G, 13, 3, 2)
-    path = os.path.join(tmp_path, "orbits.txt")
-    write_orbit_file(path, 13, 3, 2, s, "C13.grp")
-    v, k, t, label, reps, sizes = read_orbit_file(path, 3)
-    assert (v, k, t, label) == (13, 3, 2, "C13.grp")
+    reps = save_and_load(os.path.join(tmp_path, "reps.npy"), s.reps)
+    sizes = save_and_load(os.path.join(tmp_path, "sizes.npy"), s.sizes)
+    check_orbit_arrays(13, 3, reps, sizes)
     assert reps.dtype == s.reps.dtype and np.array_equal(reps, s.reps)
     assert sizes.dtype == s.sizes.dtype and np.array_equal(sizes, s.sizes)
     # byte-identical on re-write
-    path2 = os.path.join(tmp_path, "orbits2.txt")
-    write_orbit_file(path2, v, k, t, OrbitSet(v, t, reps, sizes, s.group_id), label)
-    assert open(path).read() == open(path2).read()
+    again = OrbitSet(13, 2, reps, sizes, s.group_id)
+    for name, arr in (("reps", again.reps), ("sizes", again.sizes)):
+        np.save(os.path.join(tmp_path, f"{name}2.npy"), arr, allow_pickle=False)
+        assert (open(os.path.join(tmp_path, f"{name}.npy"), "rb").read()
+                == open(os.path.join(tmp_path, f"{name}2.npy"), "rb").read())
 
 
-def test_orbit_file_count_mismatch(tmp_path):
-    path = os.path.join(tmp_path, "bad.txt")
-    with open(path, "w") as fh:
-        fh.write("7 3 2 group=x count=2\n1 2 4 size=7\n")
-    with pytest.raises(ValueError):
-        read_orbit_file(path, 3)
+def test_orbit_file_count_mismatch():
+    reps = np.array([[1, 2, 4], [1, 2, 5]], dtype=np.uint8)
+    with pytest.raises(ValueError, match="sizes: int64 array of shape"):
+        check_orbit_arrays(7, 3, reps, np.array([7], dtype=np.int64))
 
 
+def _set(a, index, value):
+    a = a.copy()
+    a[index] = value
+    return a
+
+
+# the orbits 1 2 4 and 1 2 5 of 3-subsets of 1..7, each of size 7, with the
+# second one changed; each id gives the changed orbit as text, its points
+# and "size=<orbit size>"
 @pytest.mark.parametrize(
-    "line",
-    ["1 2 size=7", "1 2 4 5 size=7", "0 2 4 size=7", "1 2 8 size=7", "1 4 2 size=7",
-     "1 2 2 size=7", "1 2 4 size=0", "1 2 4 7", "1 2 x size=7", "1 2 99999999999999999999 size=7"],
+    "tamper",
+    [
+        pytest.param(lambda r, s: (r[:, :2].copy(), s), id="1 2 size=7"),
+        pytest.param(lambda r, s: (np.hstack([r, r[:, -1:] + 1]), s), id="1 2 4 5 size=7"),
+        pytest.param(lambda r, s: (_set(r, (1, 0), 0), s), id="0 2 4 size=7"),
+        pytest.param(lambda r, s: (_set(r, (1, 2), 8), s), id="1 2 8 size=7"),
+        pytest.param(lambda r, s: (_set(r, 1, [1, 4, 2]), s), id="1 4 2 size=7"),
+        pytest.param(lambda r, s: (_set(r, (1, 2), 2), s), id="1 2 2 size=7"),
+        pytest.param(lambda r, s: (_set(r, 1, [1, 2, 4]), _set(s, 1, 0)), id="1 2 4 size=0"),
+        pytest.param(lambda r, s: (_set(r, 1, [1, 2, 4]), s[:1]), id="1 2 4 7"),  # no size
+        pytest.param(lambda r, s: (_set(r.astype(np.float64), (1, 2), np.nan), s),
+                     id="1 2 x size=7"),
+        pytest.param(lambda r, s: (_set(r.astype(np.int64), (1, 2), 1 << 62), s),
+                     id="1 2 99999999999999999999 size=7"),
+    ],
 )
-def test_orbit_file_bad_rep_rejected(tmp_path, line):
-    path = os.path.join(tmp_path, "bad.txt")
-    with open(path, "w") as fh:
-        fh.write(f"7 3 2 group=x count=2\n1 2 4 size=7\n{line}\n")
-    with pytest.raises((ValueError, OverflowError)):
-        read_orbit_file(path, 3)
+def test_orbit_file_bad_rep_rejected(tamper):
+    reps = np.array([[1, 2, 4], [1, 2, 5]], dtype=np.uint8)
+    check_orbit_arrays(7, 3, reps, np.array([7, 7], dtype=np.int64))
+    with pytest.raises(ValueError):
+        check_orbit_arrays(7, 3, *tamper(reps, np.array([7, 7], dtype=np.int64)))
 
 
 def test_parameter_validation():

@@ -8,11 +8,10 @@ from kmsteiner.km import build_km
 from kmsteiner.orbitgen import OrbitSet, good_k_orbit_reps, t_orbit_reps
 from kmsteiner.perm import cyclic_group, normalizer_of_cyclic, read_group_file
 from kmsteiner.symbreak import (
+    NormalizerClasses,
     decode_solution,
     encode,
     normalizer_classes,
-    read_copy_map,
-    write_copy_map,
 )
 from kmsteiner.xcc import solve, solve_all
 
@@ -245,9 +244,18 @@ def test_encodings_agree_up_to_isomorphism(v):
 
 
 def test_copy_map_round_trip(tmp_path):
-    cm = {16: 0, 17: 4}
-    path = os.path.join(tmp_path, "copymap.txt")
-    write_copy_map(path, cm)
-    assert read_copy_map(path) == cm
-    with open(path) as fh:
-        assert fh.readline() == "copy 16 = orbit 0\n"
+    G, N, ko, km = pipeline_parts(13)
+    classes = normalizer_classes(N, ko, G)
+    loaded = []
+    for name, arr in (("class_reps", np.asarray(classes.reps, dtype=np.int64)),
+                      ("class_of", classes.class_of)):
+        path = os.path.join(tmp_path, f"{name}.npy")
+        np.save(path, arr, allow_pickle=False)
+        loaded.append(np.load(path, allow_pickle=False))
+    reps, class_of = loaded
+    assert reps.tolist() == classes.reps and np.array_equal(class_of, classes.class_of)
+    again = NormalizerClasses(class_of=class_of, reps=reps.tolist())
+    for kind in ("b", "c"):
+        cm = encode(km, again, kind).copy_map
+        assert cm == encode(km, classes, kind).copy_map == {16: 0, 17: 1}
+        assert all(type(x) is int for x in [*cm, *cm.values()])

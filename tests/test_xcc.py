@@ -104,6 +104,17 @@ def test_problem_validation():
         XCCProblem.from_arrays(["A"], [], [0, 1], [1])  # item id out of range
 
 
+def test_from_arrays_copies_unless_handed_over():
+    ptr, items = np.array([0, 2, 3], dtype=np.int64), np.array([1, 0, 1], dtype=np.int32)
+    kept = XCCProblem.from_arrays(["A", "B"], [], ptr, items)
+    assert not np.shares_memory(kept.prim_items, items) and items.flags.writeable
+    taken = XCCProblem.from_arrays(["A", "B"], [], ptr, items.copy(), copy=False)
+    assert taken == kept and taken.prim_items.tolist() == [0, 1, 1]  # sorted within options
+    rows = np.array([0, 1, 1], dtype=np.int32)  # already sorted: kept as it is
+    taken = XCCProblem.from_arrays(["A", "B"], [], ptr, rows, copy=False)
+    assert taken.prim_items is rows and not rows.flags.writeable
+
+
 def random_problem(rng):
     n_p = rng.randint(1, 6)
     n_s = rng.randint(0, 4)
@@ -165,7 +176,7 @@ def test_round_trip_randomized():
         assert export_text(p2) == text
 
 
-def test_export_text_matches_option_view():
+def test_export_text_matches_option_view(monkeypatch):
     G, N = cyclic_group(37), normalizer_of_cyclic(37)
     ko = good_k_orbit_reps(G, 37, 4, 2)
     km = build_km(G, t_orbit_reps(G, 37, 2), ko)
@@ -173,6 +184,16 @@ def test_export_text_matches_option_view():
     text = export_text(p)
     assert text.encode() == export_text_from_options(p).encode()
     assert import_text(text) == p
+    for chunk in (1, 7, p.n_options):  # lines are made a chunk of options at a time
+        monkeypatch.setattr(xcc, "_EXPORT_CHUNK", chunk)
+        lines = list(xcc.export_lines(p))
+        assert len(lines) == p.n_options + 1 and "".join(lines) == text
+
+
+def test_export_without_options():
+    for p, head in ((XCCProblem(["A", "B"]), "A B |"), (XCCProblem(["A"], ["X"]), "A | X")):
+        assert export_text(p) == export_text_from_options(p) == head + "\n"
+        assert import_text(export_text(p)) == p
 
 
 @pytest.mark.parametrize("n_prim", [1, 45, 64, 120])
