@@ -35,7 +35,7 @@ def run(v):
     km = build_km(G, tro, ko)
     classes = normalizer_classes(N, ko, G)
     print(f"normalizer classes of triple orbits: {classes.n_classes} "
-          f"(representatives {classes.reps})")
+          f"(representatives {classes.reps.tolist()})")
 
     for kind in "abc":
         enc = encode(km, classes if kind != "a" else None, kind)

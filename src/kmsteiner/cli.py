@@ -7,10 +7,11 @@ stages G, N and the configuration fingerprint; the solver caps are the
 config keys ``node_cap``, ``time_cap`` and ``solution_limit``.  ``--jobs``
 sets the worker processes of classify (at least 1, at most one per CPU):
 used by classify, accepted by every stage.  The stages hand each other
-``.npy`` arrays, and solve builds the problem from them with
-``symbreak.encode``.  Each stage sets its entry in ``run.json`` in the
-output directory: the configuration fingerprint, the artifacts it wrote
-with the sha256 of each array, its counts and its seconds.  A stage
+``.npy`` arrays, which ``km.KMInstance`` and ``symbreak.NormalizerClasses``
+check; the option layout of an encoding is ``symbreak``'s alone.  Each
+stage sets its entry in ``run.json`` in the output directory: the
+configuration fingerprint, the artifacts it wrote with the sha256 of each
+array, its counts and its seconds.  A stage
 checks the entries of the stages whose artifacts it reads, so artifacts
 from different configurations cannot be mixed, and ``report`` reads its
 tables from the record.  Apart from the ``seconds`` fields, the record
@@ -136,7 +137,10 @@ class JobConfig:
         base = os.path.dirname(os.path.abspath(path))
         for key, val in raw.items():
             kind = KEY_TYPES[key]
-            raw[key] = os.path.join(base, val) if kind == "path" else kind(val)
+            try:
+                raw[key] = os.path.join(base, val) if kind == "path" else kind(val)
+            except ValueError as exc:
+                raise ValidationError(f"{path}:{first[key]}: key {key!r}: {exc}") from None
         cfg = cls(**raw, path=os.path.abspath(path))
 
         violations = check_admissible(cfg.v, cfg.k, cfg.t)
@@ -184,20 +188,23 @@ def _read_group(path: str, what: str, v: int, digest) -> PermutationGroup:
 RECORD = "run.json"
 
 
-# the counts that classify and report read from a stage's entry
-_READ_COUNTS = {"orbits": {"good_orbits"}, "encode": {"primary", "secondary", "options"},
-                "solve": {"solutions", "nodes", "limit_hit"}, "classify": {"classes"}}
+# the counts that classify and report read from a stage's entry; an
+# encoding-a run has no normalizer classes
+_READ_COUNTS = {"orbits": {"good_orbits"}, "encode": {"classes"},
+                "solve": {"primary", "secondary", "options", "solutions", "nodes", "limit_hit"},
+                "classify": {"classes"}}
 
 
-def _entry_ok(stage: str, e) -> bool:
+def _entry_ok(stage: str, e, encoding: str) -> bool:
     """Whether a stage's entry has the fields ``_record_stage`` writes and
     the counts that are read from it."""
+    read = _READ_COUNTS.get(stage, set()) if (stage, encoding) != ("encode", "a") else set()
     return (
         isinstance(e, dict) and isinstance(e.get("fingerprint"), str)
         and isinstance(e.get("artifacts"), dict)
         and all(d is None or isinstance(d, str) for d in e["artifacts"].values())
         and isinstance(e.get("counts"), dict)
-        and _READ_COUNTS.get(stage, set()) <= e["counts"].keys()
+        and read <= e["counts"].keys()
         and type(e.get("seconds")) in (int, float)  # a bool is not seconds
     )
 
@@ -215,7 +222,7 @@ def _read_record(cfg: JobConfig) -> dict:
     if not isinstance(stages, dict):
         raise ValidationError(f"{path}: malformed run record")
     for stage, entry in stages.items():
-        if not _entry_ok(stage, entry):
+        if not _entry_ok(stage, entry, cfg.encoding):
             raise ValidationError(f"{path}: malformed run record, stage {stage!r}")
     return record
 
@@ -295,44 +302,42 @@ def _load(cfg: JobConfig, entry: dict, name: str, dtype=None, shape: tuple = ())
     return arr
 
 
+def _checked(files: str, make, *args):
+    """make(*args), with a ValueError it raises led by the files it checks."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise ValidationError(f"{files}: {exc}") from None
+
+
 def _load_orbits(cfg: JobConfig, entries: dict, which: str) -> orbitgen.OrbitSet:
     """The t-orbits (which "t") or good k-orbits ("k") of the orbits stage."""
     entry, size = entries["orbits"], cfg.t if which == "t" else cfg.k
     reps = _load(cfg, entry, f"{which}_reps.npy")
     sizes = _load(cfg, entry, f"{which}_sizes.npy")
-    try:
-        orbitgen.check_orbit_arrays(cfg.v, size, reps, sizes)
-    except ValueError as exc:
-        raise ValidationError(f"{which}_reps.npy, {which}_sizes.npy: {exc}") from None
+    _checked(f"{which}_reps.npy, {which}_sizes.npy",
+             orbitgen.check_orbit_arrays, cfg.v, size, reps, sizes)
     return orbitgen.OrbitSet(cfg.v, cfg.t, reps, sizes, cfg.G.fingerprint())
 
 
-def _load_classes(cfg: JobConfig, entries: dict, n: int) -> symbreak.NormalizerClasses:
-    """The normalizer classes of the encode stage over n good k-orbits:
-    ascending representatives, each in the class its position names."""
+def _load_classes(cfg: JobConfig, entries: dict, n: int) -> symbreak.NormalizerClasses | None:
+    """The normalizer classes of the encode stage over n good k-orbits;
+    None for encoding a."""
+    if cfg.encoding == "a":
+        return None
     reps = _load(cfg, entries["encode"], "class_reps.npy", np.int64, (None,))
     class_of = _load(cfg, entries["encode"], "class_of.npy", np.int64, (n,))
-    if len(reps) and (reps[0] < 0 or reps[-1] >= n or np.any(reps[1:] <= reps[:-1])):
-        raise ValidationError(f"class_reps.npy: not ascending orbit indices below {n}")
-    if (len(class_of) and (class_of.min() < 0 or class_of.max() >= len(reps))
-            or not np.array_equal(class_of[reps], np.arange(len(reps)))):
-        raise ValidationError("class_of.npy: class ids disagree with class_reps.npy")
-    return symbreak.NormalizerClasses(class_of=class_of, reps=reps.tolist())
+    return _checked("class_reps.npy, class_of.npy", symbreak.NormalizerClasses, class_of, reps)
 
 
 def _problem(cfg: JobConfig, entries: dict) -> xcc.XCCProblem:
     """The configured encoding's exact-cover problem, built from the
-    arrays of the orbits, km and encode stages: KM row ids below the
-    number of t-orbits, a column per good k-orbit."""
+    arrays of the orbits, km and encode stages."""
     tro, kset = _load_orbits(cfg, entries, "t"), _load_orbits(cfg, entries, "k")
     indptr = _load(cfg, entries["km"], "km_indptr.npy", np.int64, (len(kset) + 1,))
     rows = _load(cfg, entries["km"], "km_rows.npy", np.int32, (None,))
-    if indptr[0] != 0 or np.any(indptr[1:] < indptr[:-1]) or indptr[-1] != len(rows):
-        raise ValidationError("km_indptr.npy: not the column pointers of km_rows.npy")
-    if len(rows) and (rows.min() < 0 or rows.max() >= len(tro)):
-        raise ValidationError(f"km_rows.npy: a row id outside 0..{len(tro) - 1}")
-    km = km_mod.KMInstance(t_orbits=tro, k_orbits=kset, col_indptr=indptr, col_rows=rows)
-    classes = _load_classes(cfg, entries, len(kset)) if cfg.encoding in ("b", "c") else None
+    km = _checked("km_indptr.npy, km_rows.npy", km_mod.KMInstance, tro, kset, indptr, rows)
+    classes = _load_classes(cfg, entries, len(kset))
     return symbreak.encode(km, classes, cfg.encoding).problem
 
 
@@ -374,22 +379,14 @@ def cmd_encode(cfg: JobConfig) -> None:
     """The normalizer classes of encodings b and c; solve builds the problem."""
     t0 = time.perf_counter()
     entries = _check_record(cfg, ["orbits", "km"])
-    tro, kset = _load_orbits(cfg, entries, "t"), _load_orbits(cfg, entries, "k")
-    counts = {"primary": len(tro), "secondary": 0, "options": len(kset)}
-    files = {}
+    files, counts = {}, {}
     if cfg.encoding in ("b", "c"):
+        kset = _load_orbits(cfg, entries, "k")
         t1 = time.perf_counter()
         classes = symbreak.normalizer_classes(cfg.N, kset, cfg.G)
-        nc = classes.n_classes
-        log.info("normalizer classes: %d in %.1f s", nc, time.perf_counter() - t1)
-        files = _save(cfg, class_reps=np.asarray(classes.reps, dtype=np.int64),
-                      class_of=np.asarray(classes.class_of, dtype=np.int64))
-        # symbreak.encode adds the item Nhit and a copy option per class,
-        # and for c a secondary item per class but the last
-        counts = {"primary": len(tro) + 1, "options": len(kset) + nc, "classes": nc,
-                  "secondary": max(nc - 1, 0) if cfg.encoding == "c" else 0}
-    log.info("encoding %s: %d+%d items, %d options", cfg.encoding,
-             counts["primary"], counts["secondary"], counts["options"])
+        log.info("normalizer classes: %d in %.1f s", classes.n_classes, time.perf_counter() - t1)
+        files = _save(cfg, class_reps=classes.reps, class_of=classes.class_of)
+        counts = {"classes": classes.n_classes}
     _record_stage(cfg, "encode", t0, files, **counts)
 
 
@@ -400,23 +397,17 @@ def cmd_solve(cfg: JobConfig) -> None:
     sols: list = []
     report = _ProgressLog("%d nodes, %.0f nodes/s, depth %d, root branch %d of %d")
     start = time.perf_counter()
-    stats = xcc.solve(
-        problem,
-        limit=cfg.solution_limit,
-        on_solution=sols.append,
-        node_cap=cfg.node_cap,
-        time_cap=cfg.time_cap,
-        progress=lambda nodes, *where: report(
-            nodes, nodes / (time.perf_counter() - start), *where),
-    )
+    stats = xcc.solve(problem, limit=cfg.solution_limit, on_solution=sols.append,
+                      node_cap=cfg.node_cap, time_cap=cfg.time_cap,
+                      progress=lambda nodes, *where: report(
+                          nodes, nodes / (time.perf_counter() - start), *where))
     with open(cfg.out("solutions.txt"), "w", encoding="utf-8") as fh:
         for s in sols:
             fh.write(" ".join(str(o) for o in s.option_ids) + "\n")
-    log.info(
-        "solutions=%d nodes=%d seconds=%.3f", stats.solutions, stats.nodes, stats.elapsed
-    )
-    _record_stage(cfg, "solve", t0, {"solutions.txt": None}, solutions=stats.solutions,
-                  nodes=stats.nodes, limit_hit=stats.limit_hit)
+    log.info("solutions=%d nodes=%d seconds=%.3f", stats.solutions, stats.nodes, stats.elapsed)
+    _record_stage(cfg, "solve", t0, {"solutions.txt": None}, primary=len(problem.primary),
+                  secondary=len(problem.secondary), options=problem.n_options,
+                  solutions=stats.solutions, nodes=stats.nodes, limit_hit=stats.limit_hit)
     if stats.limit_hit:
         raise ResourceCapHit("solver stopped at a node, time or solution cap")
 
@@ -454,9 +445,7 @@ def cmd_classify(cfg: JobConfig, jobs: int = 1) -> None:
     t0 = time.perf_counter()
     stages = _check_record(cfg, ["orbits", "encode", "solve"])
     kset = _load_orbits(cfg, stages, "k")
-    n = len(kset)
-    # option n + q is the copy option of class representative q
-    reps = _load_classes(cfg, stages, n).reps if cfg.encoding in ("b", "c") else []
+    classes = _load_classes(cfg, stages, len(kset))
     if stages["solve"]["counts"]["limit_hit"]:
         log.warning("the solve stopped at a cap: its solutions, and so the classes, "
                     "may be incomplete")
@@ -467,10 +456,7 @@ def cmd_classify(cfg: JobConfig, jobs: int = 1) -> None:
                 solutions.append(tuple(int(x) for x in line.split()))
     all_designs = []
     for opt_ids in solutions:
-        if not all(0 <= o < n + len(reps) for o in opt_ids):
-            raise ValidationError(f"solution {opt_ids} has an option outside 0..{n + len(reps) - 1}")
-        orbit_ids = {reps[o - n] if o >= n else o for o in opt_ids}
-        d = designs_mod.expand(orbit_ids, kset, cfg.G)
+        d = designs_mod.expand(symbreak.decode_options(opt_ids, len(kset), classes), kset, cfg.G)
         rep = designs_mod.verify_steiner(d, cfg.t)
         if not rep.ok:
             raise ValidationError(f"solution {opt_ids} is not a Steiner design: {rep.violations[:3]}")
@@ -484,17 +470,11 @@ def cmd_classify(cfg: JobConfig, jobs: int = 1) -> None:
     with open(cfg.out("classes.txt"), "w", encoding="utf-8") as fh:
         for i, cl in enumerate(classes, start=1):
             designs_mod.write_design_file(
-                cfg.out(os.path.join("designs", f"design_{i:02d}.txt")),
-                cl.representative,
-            )
+                cfg.out(os.path.join("designs", f"design_{i:02d}.txt")), cl.representative)
             cert = hashlib.sha256(cl.certificate).hexdigest()[:16]
-            fh.write(
-                f"class {i} aut_order={cl.aut_order} multiplicity={cl.multiplicity} "
-                f"certificate={cert}\n"
-            )
-    designs_mod.write_gap_designs(
-        cfg.out("designs.gap"), [cl.representative for cl in classes]
-    )
+            fh.write(f"class {i} aut_order={cl.aut_order} multiplicity={cl.multiplicity} "
+                     f"certificate={cert}\n")
+    designs_mod.write_gap_designs(cfg.out("designs.gap"), [cl.representative for cl in classes])
     canon_nodes = sum(cl.nodes for cl in classes)
     log.info("%d solutions -> %d isomorphism classes, %d canonization nodes",
              len(solutions), len(classes), canon_nodes)
@@ -506,51 +486,30 @@ def cmd_report(cfg_paths, out_stream=None) -> str:
     """Summary and benchmark tables over one or more completed runs, read
     from their run records; "-" marks a stage not yet run, and "+" after
     the solution and design counts a solve stopped at a cap."""
-    rows = []
+    summary, bench, seen = [], [], set()
     for path in cfg_paths:
         cfg = JobConfig.load(path)
         label = cfg.label or os.path.splitext(os.path.basename(cfg.group_file))[0]
         stages = _read_record(cfg)["stages"]
-
-        capped = "+" if "solve" in stages and stages["solve"]["counts"]["limit_hit"] else ""
+        solved = stages["solve"]["counts"] if "solve" in stages else None
+        capped = "+" if solved and solved["limit_hit"] else ""
 
         def count(stage, key, mark=""):
             return str(stages[stage]["counts"][key]) + mark if stage in stages else "-"
 
-        n_order = str(cfg.N.order()) if cfg.N is not None else "-"
-        enc = stages["encode"]["counts"] if "encode" in stages else {}
-        rows.append(
-            {
-                "group": label,
-                "method": cfg.encoding,
-                "orbits": count("orbits", "good_orbits"),
-                "normalizer": n_order,
-                "nreps": str(enc["classes"]) if enc.get("classes") else "-",
-                "designs": count("classify", "classes", capped),
-                "items": f"{enc['primary']}+{enc['secondary']}" if enc else "-",
-                "options": count("encode", "options"),
-                "solutions": count("solve", "solutions", capped),
-                "nodes": count("solve", "nodes"),
-                "seconds": f"{stages['solve']['seconds']:.3f}" if "solve" in stages else "-",
-            }
-        )
-    lines = ["group        orbits      |N|     |Ncal|  designs"]
-    seen = set()
-    for r in rows:
-        if r["group"] in seen:
-            continue
-        seen.add(r["group"])
-        lines.append(
-            f"{r['group']:<12} {r['orbits']:>9} {r['normalizer']:>8} "
-            f"{r['nreps']:>8} {r['designs']:>8}"
-        )
-    lines.append("")
-    lines.append("group        method  items        options     sols      nodes    seconds")
-    for r in rows:
-        lines.append(
-            f"{r['group']:<12} {r['method']:<7} {r['items']:<12} {r['options']:>9} "
-            f"{r['solutions']:>8} {r['nodes']:>10} {r['seconds']:>10}"
-        )
+        if label not in seen:
+            seen.add(label)
+            n_order = str(cfg.N.order()) if cfg.N is not None else "-"
+            nreps = count("encode", "classes") if cfg.encoding != "a" else "-"
+            summary.append(f"{label:<12} {count('orbits', 'good_orbits'):>9} {n_order:>8} "
+                           f"{nreps:>8} {count('classify', 'classes', capped):>8}")
+        items = f"{solved['primary']}+{solved['secondary']}" if solved else "-"
+        seconds = f"{stages['solve']['seconds']:.3f}" if solved else "-"
+        bench.append(f"{label:<12} {cfg.encoding:<7} {items:<12} {count('solve', 'options'):>9} "
+                     f"{count('solve', 'solutions', capped):>8} {count('solve', 'nodes'):>10} "
+                     f"{seconds:>10}")
+    lines = ["group        orbits      |N|     |Ncal|  designs", *summary, "",
+             "group        method  items        options     sols      nodes    seconds", *bench]
     text = "\n".join(lines) + "\n"
     if out_stream is not None:
         out_stream.write(text)
@@ -601,16 +560,11 @@ def main(argv=None) -> int:
         if args.jobs < 1:
             raise ValidationError(f"--jobs must be at least 1, not {args.jobs}")
         cfg = JobConfig.load(args.config)
-        if args.command == "orbits":
-            cmd_orbits(cfg)
-        elif args.command == "km":
-            cmd_km(cfg)
-        elif args.command == "encode":
-            cmd_encode(cfg)
-        elif args.command == "solve":
-            cmd_solve(cfg)
-        elif args.command == "classify":
+        stages = {"orbits": cmd_orbits, "km": cmd_km, "encode": cmd_encode, "solve": cmd_solve}
+        if args.command == "classify":
             cmd_classify(cfg, jobs=args.jobs)
+        else:
+            stages[args.command](cfg)
         return EXIT_OK
     except (ResourceCapHit, designs_mod.BudgetExceeded) as exc:
         log.error("%s", exc)

@@ -38,10 +38,22 @@ class KMError(RuntimeError):
 
 @dataclass
 class KMInstance:
+    """The m x n matrix over m t-orbits and n good k-orbits: column j has
+    the sorted row ids ``col_rows[col_indptr[j]:col_indptr[j + 1]]``.
+    Construction refuses a ``col_indptr`` that is not n + 1 pointers rising
+    from 0 to ``len(col_rows)``, and a row id outside 0..m-1."""
+
     t_orbits: OrbitSet
     k_orbits: OrbitSet
-    col_indptr: np.ndarray  # int64, len n+1
-    col_rows: np.ndarray  # int32, sorted row indices per column slice
+    col_indptr: np.ndarray  # int64
+    col_rows: np.ndarray  # int32
+
+    def __post_init__(self):
+        (m, n), ptr, rows = self.shape, self.col_indptr, self.col_rows
+        if len(ptr) != n + 1 or ptr[0] != 0 or ptr[-1] != len(rows) or np.any(ptr[1:] < ptr[:-1]):
+            raise ValueError(f"column pointers not rising from 0 to {len(rows)} over {n} columns")
+        if len(rows) and (rows.min() < 0 or rows.max() >= m):
+            raise ValueError(f"a row id outside 0..{m - 1}")
 
     @property
     def shape(self) -> tuple:

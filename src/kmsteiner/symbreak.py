@@ -11,14 +11,17 @@ Jonauskyte, Pfeiffer and Waldecker, "Minimal and canonical images",
 J. Algebra 521, 2019).  Three encodings of the Kramer-Mesner instance
 are emitted:
 
-  a) plain exact cover, one option per good orbit;
-  b) as a), plus an extra primary item and one copy-option per class
-     representative covering it, forcing every solution to contain a
-     representative;
-  c) as b), plus colored secondary items, one per class except the last:
-     options of class i carry the class item with color 1, and the
-     copy-option of representative j carries the items of all earlier
-     classes with color 0, discarding those classes once j is fixed.
+  a) plain exact cover: option j < n is column j of the KM matrix;
+  b) as a), plus an extra primary item Nhit and copy-option n + q, the
+     column of class representative q and Nhit, forcing every solution
+     to contain a representative;
+  c) as b), plus colored secondary items s_0..s_{nc-2}, one per class
+     except the last: options of class c carry s_c with color 1, and the
+     copy-option of the class-c representative carries s_0..s_{c-1} with
+     color 0, discarding those classes once it is fixed, and its own s_c
+     with color 1.
+
+``decode_options`` is the one reader of this layout.
 """
 
 from __future__ import annotations
@@ -37,14 +40,34 @@ __all__ = [
     "Encoding",
     "normalizer_classes",
     "encode",
+    "decode_options",
     "decode_solution",
 ]
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class NormalizerClasses:
-    class_of: np.ndarray  # k-orbit index -> class id
-    reps: list  # one k-orbit index per class; ascending, defines class order
+    """The N-classes of the good k-orbits, as read-only int64 arrays:
+    ``class_of[j]`` is the class of orbit j, and ``reps[c]`` the smallest
+    orbit of class c.  Construction refuses ``reps`` that are not ascending
+    orbit indices below ``len(class_of)``, and ``class_of`` that does not
+    map ``reps`` to 0..n_classes-1 and every orbit into that range."""
+
+    class_of: np.ndarray
+    reps: np.ndarray  # ascending, defines the class order
+
+    def __post_init__(self):
+        for name in ("class_of", "reps"):
+            arr = np.asarray(getattr(self, name), dtype=np.int64)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        reps, class_of = self.reps, self.class_of
+        n, nc = class_of.size, reps.size
+        if reps.ndim != 1 or nc and (reps[0] < 0 or reps[-1] >= n or np.any(reps[1:] <= reps[:-1])):
+            raise ValueError(f"class representatives not ascending orbit indices below {n}")
+        if (class_of.ndim != 1 or n and (class_of.min() < 0 or class_of.max() >= nc)
+                or not np.array_equal(class_of[reps], np.arange(nc))):
+            raise ValueError("class ids disagree with the class representatives")
 
     @property
     def n_classes(self) -> int:
@@ -98,14 +121,17 @@ def normalizer_classes(
         if np.array_equal(lead, prev):
             break
     reps, class_of = np.unique(lead, return_inverse=True)
-    return NormalizerClasses(class_of=class_of, reps=reps.tolist())
+    return NormalizerClasses(class_of=class_of, reps=reps)
 
 
 @dataclass
 class Encoding:
-    kind: str
+    """An encoding's exact-cover problem, in the layout of the module
+    docstring, and the classes whose copy-options it holds (None for
+    encoding a), from which ``decode_solution`` reads its options."""
+
     problem: XCCProblem
-    copy_map: dict  # copy-option id -> original k-orbit index
+    classes: NormalizerClasses | None
 
 
 def _ranks(lens: np.ndarray) -> np.ndarray:
@@ -116,11 +142,8 @@ def _ranks(lens: np.ndarray) -> np.ndarray:
 def encode(
     km: KMInstance, classes: NormalizerClasses | None, kind: str
 ) -> Encoding:
-    """Emit the chosen encoding of a Kramer-Mesner instance as XCC.
-
-    Option j < n is column j; for b and c, option n + q is the
-    copy-option of the q-th class representative.
-    """
+    """Emit the chosen encoding of a Kramer-Mesner instance as XCC, in the
+    layout of the module docstring."""
     if kind not in ("a", "b", "c"):
         raise ValueError(f"unknown encoding kind {kind!r}")
     if kind in ("b", "c") and classes is None:
@@ -129,9 +152,9 @@ def encode(
     indptr, rows = km.col_indptr, km.col_rows
     primary = [f"r{i}" for i in range(m)]
     if kind == "a":
-        return Encoding(kind, XCCProblem.from_arrays(primary, [], indptr, rows), {})
+        return Encoding(XCCProblem.from_arrays(primary, [], indptr, rows), None)
     # copy-option q: the rows of column reps[q], then Nhit (row m)
-    reps = np.asarray(classes.reps, dtype=np.int64)
+    reps = classes.reps
     lens = np.diff(indptr)[reps]
     owner, rank = np.repeat(np.arange(len(reps)), lens), _ranks(lens)
     copy_ptr = np.cumsum(np.r_[0, lens + 1])
@@ -140,17 +163,15 @@ def encode(
     primary.append("Nhit")
     prim_ptr = np.r_[indptr, indptr[-1] + copy_ptr[1:]]
     prim_rows = np.r_[rows, copy_rows]
-    copy_map = {n + q: int(r) for q, r in enumerate(reps)}
     if kind == "b":
-        return Encoding(
-            kind, XCCProblem.from_arrays(primary, [], prim_ptr, prim_rows, copy=False), copy_map)
-    # c: option j carries s_{class(j)}:1, and the copy-option of a class-c
-    # representative carries s_0..s_{c-1}:0 then s_c:1, i.e. items 0..len-1
-    # with color 1 on item c only; the last class has no item.
+        problem = XCCProblem.from_arrays(primary, [], prim_ptr, prim_rows, copy=False)
+        return Encoding(problem, classes)
+    # c: the copy-option of the class-c representative carries items
+    # 0..len-1, with color 1 on item c only
     last = classes.n_classes - 1
-    class_of = np.asarray(classes.class_of, dtype=np.int64)
+    class_of = classes.class_of
     has_item = class_of < last
-    rep_class = class_of[reps]
+    rep_class = np.arange(last + 1)  # class_of[reps]
     copy_lens = rep_class + (rep_class < last)
     copy_items = _ranks(copy_lens)
     problem = XCCProblem.from_arrays(
@@ -160,12 +181,24 @@ def encode(
         np.r_[has_item[has_item], copy_items == np.repeat(rep_class, copy_lens)],
         copy=False,
     )
-    return Encoding(kind, problem, copy_map)
+    return Encoding(problem, classes)
+
+
+def decode_options(option_ids, n: int, classes: NormalizerClasses | None) -> set:
+    """The k-orbit indices of an encoding's options over n KM columns,
+    deduplicated; raises ValueError on an option outside 0..n+n_classes-1
+    (0..n-1 without classes)."""
+    reps = classes.reps if classes is not None else ()
+    top = n + len(reps)
+    out = set()
+    for o in option_ids:
+        if not 0 <= o < top:
+            raise ValueError(f"solution {tuple(option_ids)} has an option outside 0..{top - 1}")
+        out.add(o if o < n else reps.item(o - n))
+    return out
 
 
 def decode_solution(sol: Solution, enc: Encoding) -> set:
-    """Replace copy-options by their original k-orbit indices, deduplicated."""
-    out = set()
-    for oid in sol.option_ids:
-        out.add(enc.copy_map.get(oid, oid))
-    return out
+    """``decode_options`` of a solution of the encoding."""
+    nc = enc.classes.n_classes if enc.classes is not None else 0
+    return decode_options(sol.option_ids, enc.problem.n_options - nc, enc.classes)

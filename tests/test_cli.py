@@ -301,7 +301,9 @@ def expect_one_error(caplog, message):
 # with its digest recorded, and the stage that reads it must exit 1
 SHAPE = "expected a C-ordered"
 REP = "not 3 ascending points of 1..13 with an orbit size of at least 1"
-PTR = "not the column pointers of km_rows.npy"
+REPS = "class_reps.npy, class_of.npy: class representatives not ascending orbit indices below 16"
+CLASS_OF = "class_reps.npy, class_of.npy: class ids disagree with the class representatives"
+PTR = "km_indptr.npy, km_rows.npy: column pointers not rising from 0 to 48 over 16 columns"
 TAMPERED = [
     pytest.param("k_reps.npy", lambda a: a.astype(np.int64), SHAPE, id="k-reps-int64"),
     pytest.param("k_reps.npy", lambda a: a.astype(">u2"), SHAPE, id="k-reps-big-endian"),
@@ -312,18 +314,19 @@ TAMPERED = [
     pytest.param("k_sizes.npy", lambda a: a[1:].copy(), SHAPE, id="k-sizes-short"),
     pytest.param("t_reps.npy", lambda a: _set(a, (1, 1), 14),
                  "not 2 ascending points of 1..13", id="t-reps-point-14"),
-    pytest.param("km_rows.npy", lambda a: _set(a, 0, -1), "row id outside 0..5",
-                 id="km-rows-negative"),
+    pytest.param("km_rows.npy", lambda a: _set(a, 0, -1),
+                 "km_indptr.npy, km_rows.npy: a row id outside 0..5", id="km-rows-negative"),
     pytest.param("km_indptr.npy", lambda a: _set(a, 0, 1), PTR, id="km-indptr-start"),
     pytest.param("km_indptr.npy", lambda a: _set(a, -1, a[-1] - 1), PTR, id="km-indptr-end"),
     pytest.param("km_indptr.npy", lambda a: _set(a, 1, a[2] + 1), PTR, id="km-indptr-descent"),
-    pytest.param("class_reps.npy", lambda a: _set(a, 1, 16), "not ascending orbit indices below 16",
-                 id="class-reps-range"),
-    pytest.param("class_reps.npy", _swap_rows, "not ascending orbit indices below 16",
-                 id="class-reps-order"),
-    pytest.param("class_of.npy", lambda a: _set(a, 0, 1), "class ids disagree", id="class-of-rep"),
-    pytest.param("class_of.npy", lambda a: _set(a, 5, 2), "class ids disagree", id="class-of-range"),
+    pytest.param("class_reps.npy", lambda a: _set(a, 1, 16), REPS, id="class-reps-range"),
+    pytest.param("class_reps.npy", _swap_rows, REPS, id="class-reps-order"),
+    pytest.param("class_of.npy", lambda a: _set(a, 0, 1), CLASS_OF, id="class-of-rep"),
+    pytest.param("class_of.npy", lambda a: _set(a, 5, 2), CLASS_OF, id="class-of-range"),
 ]
+
+# an output of each stage that reads an array
+OUTPUT = {"km": "km_rows.npy", "solve": "solutions.txt", "classify": "classes.txt"}
 
 
 @pytest.mark.parametrize("name,tamper,message", TAMPERED)
@@ -331,9 +334,18 @@ def test_tampered_array_with_its_digest_rejected(sts13_cfg, caplog, name, tamper
     cfg = JobConfig.load(sts13_cfg)
     run_stages(sts13_cfg, ["orbits", "km", "encode", "solve"])
     replace_array(cfg, name, tamper(np.load(cfg.out(name))))
+    stage = ARRAYS[name][1]
+    if os.path.exists(cfg.out(OUTPUT[stage])):
+        os.remove(cfg.out(OUTPUT[stage]))
+    with open(cfg.out("run.json"), "rb") as fh:
+        record = fh.read()
     caplog.clear()
-    assert main([ARRAYS[name][1], "--config", sts13_cfg]) == EXIT_VALIDATION
+    assert main([stage, "--config", sts13_cfg]) == EXIT_VALIDATION
     expect_one_error(caplog, message)
+    assert name in caplog.text
+    assert not os.path.exists(cfg.out(OUTPUT[stage]))
+    with open(cfg.out("run.json"), "rb") as fh:
+        assert fh.read() == record
 
 
 # an orbit row of the orbits stage replaced, with its digest recorded; each
@@ -731,6 +743,62 @@ def test_report_tables(sts13_cfg):
     float(bench_row[-1])  # solve seconds from the run record, not "-"
 
 
+def test_report_shows_no_classes_as_0(tmp_path):
+    # G = N = S_7 is 2-transitive: no good triple orbit, so no classes
+    group = tmp_path / "S7.grp"
+    group.write_text("degree 7\n(1,2)\n(1,2,3,4,5,6,7)\n")
+    cfgp = write_config(tmp_path / "s7.cfg", v=7, k=3, t=2, group_file=group,
+                        normalizer_file=group, encoding="c", output_dir=tmp_path / "run")
+    run_stages(cfgp, ["orbits", "km", "encode", "solve", "classify"])
+    lines = cmd_report([cfgp]).splitlines()
+    assert lines[1].split() == ["S7", "0", "5040", "0", "0"]
+    assert lines[4].split()[:5] == ["S7", "c", "2+0", "0", "0"]
+
+
+def test_report_marks_stages_not_run(sts13_cfg, tmp_path, fixtures_dir):
+    # "-" for a stage not yet run, and for the classes of encoding a
+    run_stages(sts13_cfg, ["orbits", "km", "encode"])
+    lines = cmd_report([sts13_cfg]).splitlines()
+    assert lines[1].split() == ["C13", "16", "156", "2", "-"]
+    assert lines[4].split() == ["C13", "b", "-", "-", "-", "-", "-"]
+    cfgp = write_config(tmp_path / "a.cfg", v=13, k=3, t=2, encoding="a",
+                        group_file=os.path.join(fixtures_dir, "groups", "C13.grp"),
+                        output_dir=tmp_path / "run_a")
+    run_stages(cfgp, ["orbits", "km", "encode", "solve"])
+    lines = cmd_report([cfgp]).splitlines()
+    assert lines[1].split() == ["C13", "16", "-", "-", "-"]
+    assert lines[4].split()[:5] == ["C13", "a", "6+0", "16", "4"]
+
+
+def test_classify_and_report_read_only_the_listed_counts(tmp_path, fixtures_dir):
+    # every stage entry stripped to the counts _READ_COUNTS names: classify
+    # and report still succeed, with the same output
+    cfgp = write_config(tmp_path / "c13.cfg", v=13, k=3, t=2, encoding="c",
+                        group_file=os.path.join(fixtures_dir, "groups", "C13.grp"),
+                        normalizer_file=os.path.join(fixtures_dir, "normalizers", "C13.grp"),
+                        output_dir=tmp_path / "run")
+    cfg = run_pipeline(cfgp)
+    report = cmd_report([cfgp])
+    classes = open(cfg.out("classes.txt")).read()
+
+    def strip():
+        with open(cfg.out("run.json")) as fh:
+            record = json.load(fh)
+        for stage, entry in record["stages"].items():
+            keep = cli._READ_COUNTS.get(stage, set())
+            entry["counts"] = {k: v for k, v in entry["counts"].items() if k in keep}
+        with open(cfg.out("run.json"), "w") as fh:
+            json.dump(record, fh)
+
+    strip()
+    assert main(["report", "--config", cfgp]) == EXIT_OK
+    assert cmd_report([cfgp]) == report
+    assert main(["classify", "--config", cfgp]) == EXIT_OK
+    assert open(cfg.out("classes.txt")).read() == classes
+    strip()
+    assert cmd_report([cfgp]) == report
+
+
 @pytest.fixture
 def c19c_cfg(tmp_path, fixtures_dir):
     return write_config(
@@ -754,12 +822,14 @@ def _library_problem(cfg):
 
 
 def test_solve_rebuilds_the_library_problem(c19c_cfg):
+    # solve records the counts of the problem it built, the library's
     cfg = JobConfig.load(c19c_cfg)
-    run_stages(c19c_cfg, ["orbits", "km", "encode"])
-    stages = cli._check_record(cfg, ["orbits", "km", "encode"])
+    run_stages(c19c_cfg, ["orbits", "km", "encode", "solve"])
+    stages = cli._check_record(cfg, ["orbits", "km", "encode", "solve"])
     problem = cli._problem(cfg, stages)
     assert problem == _library_problem(cfg)
-    counts = stages["encode"]["counts"]
+    assert stages["encode"]["counts"] == {"classes": 3}
+    counts = stages["solve"]["counts"]
     assert (counts["primary"], counts["secondary"], counts["options"]) == (
         len(problem.primary), len(problem.secondary), problem.n_options)
 
@@ -929,6 +999,31 @@ def test_missing_compiler_exits_1(sts13_cfg, tmp_path, monkeypatch, caplog):
             f"building the C kernel {source} needs gcc, found none on PATH"
         )
     assert not (kernels / "__pycache__").exists()
+
+
+@pytest.mark.parametrize("key, value, error", [
+    pytest.param("v", "thirteen", "invalid literal for int() with base 10: 'thirteen'",
+                 id="v-word"),
+    pytest.param("v", "", "invalid literal for int() with base 10: ''", id="v-empty"),
+    pytest.param("node_cap", "1e3", "invalid literal for int() with base 10: '1e3'",
+                 id="node_cap-float"),
+    pytest.param("time_cap", "soon", "could not convert string to float: 'soon'",
+                 id="time_cap-word"),
+])
+def test_bad_value_in_config_names_its_line(tmp_path, fixtures_dir, caplog, key, value, error):
+    keys = dict(v=13, k=3, t=2, group_file=os.path.join(fixtures_dir, "groups", "C13.grp"),
+                output_dir=tmp_path / "out", node_cap=5, time_cap=1.5)
+    keys[key] = value
+    path = write_config(tmp_path / "bad.cfg", **keys)
+    line = list(keys).index(key) + 1
+    message = f"{path}:{line}: key {key!r}: {error}"
+    with pytest.raises(ValidationError) as exc:
+        JobConfig.load(path)
+    assert str(exc.value) == message
+    caplog.clear()
+    assert main(["orbits", "--config", path]) == EXIT_VALIDATION
+    assert caplog.records[-1].getMessage() == message
+    assert not os.path.exists(tmp_path / "out")
 
 
 @pytest.mark.parametrize("missing", ["v", "k", "t", "group_file", "output_dir"])

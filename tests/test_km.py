@@ -189,3 +189,31 @@ def test_km_file_round_trip(tmp_path):
     np.save(paths["rows"], km.col_rows.astype(object), allow_pickle=True)
     with pytest.raises(ValueError, match="allow_pickle=False"):
         np.load(paths["rows"], allow_pickle=False)
+
+
+def _set(a, index, value):
+    a = a.copy()
+    a[index] = value
+    return a
+
+
+# C13: 6 t-orbits, 16 columns; each array -> a tampered one, and the error
+@pytest.mark.parametrize(
+    "indptr, rows, message",
+    [
+        (lambda p: p[:-1], None, "column pointers not rising from 0 to 48 over 16 columns"),
+        (lambda p: _set(p, 0, 1), None, "column pointers not rising"),
+        (lambda p: _set(p, -1, 47), None, "column pointers not rising"),
+        (lambda p: _set(p, 1, p[2] + 1), None, "column pointers not rising"),
+        (None, lambda r: _set(r, 0, -1), r"a row id outside 0\.\.5"),
+        (None, lambda r: _set(r, 5, 6), r"a row id outside 0\.\.5"),
+    ],
+)
+def test_km_instance_refuses_inconsistent_arrays(indptr, rows, message):
+    G = cyclic_group(13)
+    km = build_km(G, t_orbit_reps(G, 13, 2), good_k_orbit_reps(G, 13, 3, 2))
+    assert len(km.col_rows) == 48
+    ptr = indptr(km.col_indptr) if indptr else km.col_indptr
+    ids = rows(km.col_rows) if rows else km.col_rows
+    with pytest.raises(ValueError, match=message):
+        KMInstance(km.t_orbits, km.k_orbits, ptr, ids)

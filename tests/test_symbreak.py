@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -6,9 +7,16 @@ import pytest
 from kmsteiner.designs import classify, expand, verify_steiner
 from kmsteiner.km import build_km
 from kmsteiner.orbitgen import OrbitSet, good_k_orbit_reps, t_orbit_reps
-from kmsteiner.perm import cyclic_group, normalizer_of_cyclic, read_group_file
+from kmsteiner.perm import (
+    PermutationGroup,
+    cyclic_group,
+    normalizer_of_cyclic,
+    parse_permutation,
+    read_group_file,
+)
 from kmsteiner.symbreak import (
     NormalizerClasses,
+    decode_options,
     decode_solution,
     encode,
     normalizer_classes,
@@ -27,17 +35,23 @@ def pipeline_parts(v, k=3, t=2):
     return G, N, ko, km
 
 
+def copy_options(enc, n):
+    """Each copy-option id of an encoding over n columns -> the orbit that
+    the decoder maps it to."""
+    return {o: decode_options([o], n, enc.classes).pop() for o in range(n, enc.problem.n_options)}
+
+
 def test_classes_under_own_group_are_singletons():
     G, _, ko, _ = pipeline_parts(13)
     cls = normalizer_classes(G, ko, G)
     assert cls.n_classes == len(ko.reps)
-    assert cls.reps == list(range(len(ko.reps)))
+    assert cls.reps.tolist() == list(range(len(ko.reps)))
 
 
 def test_classes_structure():
     G, N, ko, _ = pipeline_parts(13)
     cls = normalizer_classes(N, ko, G)
-    assert cls.reps == sorted(cls.reps)
+    assert cls.reps.tolist() == sorted(cls.reps.tolist())
     for c, rep in enumerate(cls.reps):
         assert cls.class_of[rep] == c
     # every orbit belongs to exactly one class led by its smallest member
@@ -91,7 +105,7 @@ def test_classes_match_all_elements_oracle(name, fixtures_dir):
         N = read_group_file(os.path.join(fixtures_dir, "normalizers", name + ".grp"))
         ko = good_k_orbit_reps(G, 91, 6, 2)
     cls = normalizer_classes(N, ko, G)
-    assert (cls.class_of.tolist(), cls.reps) == normalizer_classes_by_keys(N, ko, G)
+    assert (cls.class_of.tolist(), cls.reps.tolist()) == normalizer_classes_by_keys(N, ko, G)
 
 
 def test_missing_image_orbit_is_n_closure_violation():
@@ -120,7 +134,7 @@ def test_encoding_shapes():
     n = len(ko.reps)
     a = encode(km, None, "a")
     assert len(a.problem.primary) == km.shape[0]
-    assert not a.problem.secondary and not a.copy_map
+    assert not a.problem.secondary and a.classes is None
     assert a.problem.n_options == n
     assert [a.problem.options[j][0] for j in range(n)] == [
         km.column(j) for j in range(n)
@@ -129,13 +143,14 @@ def test_encoding_shapes():
     assert len(b.problem.primary) == km.shape[0] + 1
     assert not b.problem.secondary
     assert b.problem.n_options == n + cls.n_classes
-    assert len(b.copy_map) == cls.n_classes
+    assert copy_options(b, n) == {16: 0, 17: 1}
     c = encode(km, cls, "c")
     assert len(c.problem.secondary) == cls.n_classes - 1
     assert c.problem.n_options == b.problem.n_options
     # copies cover the extra primary item
     nhit = km.shape[0]
-    for oid, orig in c.copy_map.items():
+    assert copy_options(c, n) == {16: 0, 17: 1}
+    for oid, orig in copy_options(c, n).items():
         prim, _ = c.problem.options[oid]
         assert nhit in prim
         assert set(prim) - {nhit} == set(km.column(orig))
@@ -170,7 +185,7 @@ def test_kind_c_color_layout():
             assert sec == ((cid, 1),)
         else:
             assert sec == ()
-    for oid, orig in c.copy_map.items():
+    for oid, orig in copy_options(c, len(ko)).items():
         _, sec = c.problem.options[oid]
         cid = int(cls.class_of[orig])
         expected = [(i, 0) for i in range(cid)]
@@ -206,8 +221,10 @@ def test_every_bc_solution_contains_a_copy():
         enc = encode(km, cls, kind)
         sols, _ = solve_all(enc.problem)
         assert sols
+        copies = copy_options(enc, len(ko))
+        assert copies == {16: 0, 17: 1}
         for s in sols:
-            assert any(oid in enc.copy_map for oid in s.option_ids)
+            assert any(oid in copies for oid in s.option_ids)
 
 
 def test_decode_solution():
@@ -222,6 +239,25 @@ def test_decode_solution():
     sols_a, _ = solve_all(a.problem)
     for s in sols_a:
         assert decode_solution(s, a) == set(s.option_ids)
+
+
+@pytest.mark.parametrize("ids, orbits", [((3, 16, 5, 3), {0, 3, 5}), ((17,), {1}), ((), set())])
+def test_decode_options(ids, orbits):
+    # C13: 16 good orbits in 2 classes led by orbits 0 and 1
+    G, N, ko, _ = pipeline_parts(13)
+    cls = normalizer_classes(N, ko, G)
+    got = decode_options(ids, len(ko), cls)
+    assert got == orbits and all(type(j) is int for j in got)
+
+
+@pytest.mark.parametrize("ids, classes, top", [((1, 18), True, 17), ((-1,), True, 17),
+                                               ((16,), False, 15), ((0, 99), False, 15)])
+def test_decode_options_refuses_an_unknown_option(ids, classes, top):
+    G, N, ko, _ = pipeline_parts(13)
+    cls = normalizer_classes(N, ko, G) if classes else None
+    message = re.escape(f"solution {ids} has an option outside 0..{top}") + "$"
+    with pytest.raises(ValueError, match=message):
+        decode_options(ids, len(ko), cls)
 
 
 @pytest.mark.parametrize("v", [13, 19])
@@ -244,18 +280,65 @@ def test_encodings_agree_up_to_isomorphism(v):
 
 
 def test_copy_map_round_trip(tmp_path):
+    # the classes saved and loaded as the encode stage does give the same
+    # copy-options and the same decoding
     G, N, ko, km = pipeline_parts(13)
     classes = normalizer_classes(N, ko, G)
     loaded = []
-    for name, arr in (("class_reps", np.asarray(classes.reps, dtype=np.int64)),
-                      ("class_of", classes.class_of)):
+    for name, arr in (("class_reps", classes.reps), ("class_of", classes.class_of)):
         path = os.path.join(tmp_path, f"{name}.npy")
         np.save(path, arr, allow_pickle=False)
         loaded.append(np.load(path, allow_pickle=False))
     reps, class_of = loaded
-    assert reps.tolist() == classes.reps and np.array_equal(class_of, classes.class_of)
-    again = NormalizerClasses(class_of=class_of, reps=reps.tolist())
+    assert np.array_equal(reps, classes.reps) and np.array_equal(class_of, classes.class_of)
+    again = NormalizerClasses(class_of=class_of, reps=reps)
     for kind in ("b", "c"):
-        cm = encode(km, again, kind).copy_map
-        assert cm == encode(km, classes, kind).copy_map == {16: 0, 17: 1}
+        enc = encode(km, again, kind)
+        assert enc.problem == encode(km, classes, kind).problem
+        cm = copy_options(enc, len(ko))
+        assert cm == {16: 0, 17: 1}
         assert all(type(x) is int for x in [*cm, *cm.values()])
+
+
+def test_classes_are_read_only_int64():
+    G, N, ko, _ = pipeline_parts(13)
+    cls = NormalizerClasses(class_of=[0, 1, 0, 1], reps=[0, 1])
+    for arr in (cls.class_of, cls.reps):
+        assert arr.dtype == np.int64 and not arr.flags.writeable
+    cls = normalizer_classes(N, ko, G)
+    for arr in (cls.class_of, cls.reps):
+        assert arr.dtype == np.int64 and not arr.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "class_of, reps, message",
+    [
+        ([0, 0, 1], [0, 3], "not ascending orbit indices below 3"),
+        ([0, 0, 1], [-1, 2], "not ascending orbit indices below 3"),
+        ([0, 1, 1], [1, 0], "not ascending orbit indices below 3"),
+        ([0, 1, 1], [0, 0], "not ascending orbit indices below 3"),
+        ([0, 1, 1], [[0, 1]], "not ascending orbit indices below 3"),
+        ([], [0], "not ascending orbit indices below 0"),
+        ([1, 0, 1], [0, 1], "class ids disagree"),  # representative 0 in class 1
+        ([0, 1, 2], [0, 1], "class ids disagree"),  # class 2 of 2
+        ([0, -1, 1], [0, 2], "class ids disagree"),
+        ([[0, 1]], [0, 1], "class ids disagree"),
+    ],
+)
+def test_classes_refuse_inconsistent_arrays(class_of, reps, message):
+    with pytest.raises(ValueError, match=message):
+        NormalizerClasses(class_of=class_of, reps=reps)
+
+
+def test_no_good_orbits_no_classes():
+    # S_7 is 2-transitive, so every triple orbit repeats a pair: no good
+    # orbits, no classes, and encoding c has no secondary item and no option
+    G = PermutationGroup([parse_permutation("(1,2)", 7), parse_permutation("(1,2,3,4,5,6,7)", 7)])
+    ko = good_k_orbit_reps(G, 7, 3, 2)
+    km = build_km(G, t_orbit_reps(G, 7, 2), ko)
+    cls = normalizer_classes(G, ko, G)
+    assert (len(ko), km.shape, cls.n_classes) == (0, (1, 0), 0)
+    enc = encode(km, cls, "c")
+    assert (len(enc.problem.primary), enc.problem.secondary, enc.problem.n_options) == (2, [], 0)
+    assert solve(enc.problem).solutions == 0
+    assert decode_options((), 0, cls) == set()
