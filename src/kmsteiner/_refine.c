@@ -4,7 +4,9 @@
  * every node (kms_refine, kms_individualize, kms_target_cell).  The Python
  * side builds the graph, checks the known automorphisms and keeps the
  * stabilizer chain of the automorphisms found; the walk over the tree, the
- * leaf certificates, the node budget and the orbit pruning are here.  At
+ * leaf certificates, the node budget and the orbit pruning are here.  A
+ * leaf is a node whose points are all singletons, and every automorphism
+ * found at a leaf prunes, whether or not it grows the known group.  At
  * the end of the file are the expansion of chosen orbits into a design
  * (kms_expand) and the Steiner check (kms_steiner_count).
  *
@@ -26,15 +28,12 @@
 #include <stdlib.h>
 #include <string.h>
 
-/* Refine to a fixpoint against the queued cells.  queue holds qlen cell
- * starts.  A FIFO worklist: each splitter cell counts, for every vertex,
- * its neighbours in the splitter; every touched cell, in position order,
- * splits into fragments of equal count, in ascending count order, with
- * members keeping their relative order.  If the split cell was queued,
- * every fragment after the first is queued; otherwise every fragment but
- * the first largest one.  Returns 0, or -1 if qlen exceeds n. */
-int kms_refine(int n, const int32_t *indptr, const int32_t *adj, int32_t *part,
-               const int32_t *queue, int qlen, int32_t *work) {
+/* kms_refine, which passes stop = 0.  With stop > 0, positions 0..stop-1
+ * must hold whole cells: once they are all singletons, refinement ends
+ * before the next splitter, clearing the queued flags of the splitters
+ * left, and returns 1. */
+static int refine(int n, int stop, const int32_t *indptr, const int32_t *adj, int32_t *part,
+                  const int32_t *queue, int qlen, int32_t *work) {
     int32_t *lab = part, *pos = part + n, *start = part + 2 * n, *end = part + 3 * n;
     uint64_t *marked = (uint64_t *)work;      /* bit set: touched cell starts */
     int32_t *cnt = work + 2 * (n / 64 + 1);   /* neighbours in the splitter */
@@ -43,15 +42,22 @@ int kms_refine(int n, const int32_t *indptr, const int32_t *adj, int32_t *part,
     int32_t *touched = cnt + 3 * n;           /* vertices with cnt > 0 */
     int32_t *tmp = cnt + 4 * n;               /* members of one cell */
     int32_t *fifo = cnt + 5 * n;              /* 2n: initial + at most n pushes */
-    int head = 0, tail = 0;
+    int head = 0, tail = 0, cells = 0;  /* cells within positions 0..stop-1 */
 
     if (qlen > n)
         return -1;
+    for (int s = 0; s < stop; s = end[s])
+        cells++;
     for (int i = 0; i < qlen; i++) {
         queued[queue[i]] = 1;
         fifo[tail++] = queue[i];
     }
     while (head < tail) {
+        if (stop && cells == stop) {
+            while (head < tail)
+                queued[fifo[head++]] = 0;
+            return 1;
+        }
         int ws = fifo[head++];
         if (!queued[ws])
             continue;
@@ -113,6 +119,7 @@ int kms_refine(int n, const int32_t *indptr, const int32_t *adj, int32_t *part,
                         largest = fs;
                         largest_size = fe - fs;
                     }
+                    cells += fs > cs && cs < stop;
                     fs = fe;
                 }
                 int was_queued = queued[cs];
@@ -129,7 +136,19 @@ int kms_refine(int n, const int32_t *indptr, const int32_t *adj, int32_t *part,
         for (int i = 0; i < n_touched; i++)
             cnt[touched[i]] = 0;
     }
-    return 0;
+    return stop && cells == stop;
+}
+
+/* Refine to a fixpoint against the queued cells.  queue holds qlen cell
+ * starts.  A FIFO worklist: each splitter cell counts, for every vertex,
+ * its neighbours in the splitter; every touched cell, in position order,
+ * splits into fragments of equal count, in ascending count order, with
+ * members keeping their relative order.  If the split cell was queued,
+ * every fragment after the first is queued; otherwise every fragment but
+ * the first largest one.  Returns 0, or -1 if qlen exceeds n. */
+int kms_refine(int n, const int32_t *indptr, const int32_t *adj, int32_t *part,
+               const int32_t *queue, int qlen, int32_t *work) {
+    return refine(n, 0, indptr, adj, part, queue, qlen, work);
 }
 
 /* Start of the first smallest non-singleton cell, or -1 if every cell is
@@ -147,11 +166,10 @@ int kms_target_cell(int n, const int32_t *part) {
     return best;
 }
 
-/* Copy src to dst, split vertex y off the front of its cell ts (the other
- * members keep their order), refine against both fragments and return the
- * target cell of the result (kms_target_cell). */
-int kms_individualize(int n, const int32_t *indptr, const int32_t *adj,
-                      const int32_t *src, int32_t *dst, int ts, int y, int32_t *work) {
+/* kms_individualize, with refine's stop: returns -1 when positions
+ * 0..stop-1 end as singletons. */
+static int individualize(int n, int stop, const int32_t *indptr, const int32_t *adj,
+                         const int32_t *src, int32_t *dst, int ts, int y, int32_t *work) {
     int32_t *lab = dst, *pos = dst + n, *start = dst + 2 * n, *end = dst + 3 * n;
     memcpy(dst, src, 4 * (size_t)n * sizeof(int32_t));
     int py = pos[y], te = end[ts];
@@ -165,8 +183,17 @@ int kms_individualize(int n, const int32_t *indptr, const int32_t *adj,
     for (int i = ts + 1; i < te; i++)
         start[i] = ts + 1;
     int32_t queue[2] = {ts, ts + 1};
-    kms_refine(n, indptr, adj, dst, queue, 2, work);
+    if (refine(n, stop, indptr, adj, dst, queue, 2, work))
+        return -1;
     return kms_target_cell(n, dst);
+}
+
+/* Copy src to dst, split vertex y off the front of its cell ts (the other
+ * members keep their order), refine against both fragments and return the
+ * target cell of the result (kms_target_cell). */
+int kms_individualize(int n, const int32_t *indptr, const int32_t *adj,
+                      const int32_t *src, int32_t *dst, int ts, int y, int32_t *work) {
+    return individualize(n, 0, indptr, adj, src, dst, ts, y, work);
 }
 
 /* ------------------------------------------------------------------------
@@ -176,8 +203,11 @@ int kms_individualize(int n, const int32_t *indptr, const int32_t *adj,
  * since refinement never moves a vertex out of its cell.
  *
  * A node is counted when it is entered; the root is the partition
- * {points, blocks} refined.  A node with a discrete partition is a leaf.
- * Otherwise it branches on its target cell (kms_target_cell), trying the
+ * {points, blocks} refined.  A node whose points are all singletons is a
+ * leaf: the search's individualization stops refining there, as a leaf
+ * reads only the points' positions and the blocks' rows, and refining on
+ * would only make the blocks discrete (distinct blocks differ in a point).
+ * Otherwise a node branches on its target cell (kms_target_cell), trying the
  * members in cell order, and skips a member y after the first when y lies
  * in the explored orbit: the closure of the members before y under the
  * known automorphisms that fix every vertex individualized on the path.
@@ -190,10 +220,12 @@ int kms_individualize(int n, const int32_t *indptr, const int32_t *adj,
  * leaf whose certificate equals the first leaf's gives an automorphism:
  * the point at position i goes to the first leaf's point at position i,
  * and the block of the j-th row to the first leaf's block of the j-th row.
- * It is dropped when it sifts to the identity through the stabilizer chain
- * of the automorphisms kept so far.  Otherwise it is passed to the
- * callback, which returns 1 to keep it as a generator (after pointing the
- * chain at the grown group), 0 to drop it and -1 to stop the search.
+ * It is dropped when it fixes every point.  When it does not sift to the
+ * identity through the stabilizer chain, it is passed to the callback,
+ * which adds it to the chain, points the chain at the grown group and
+ * returns 0, or returns -1 to stop the search.  Either way it joins the
+ * generators that prune: one inside the known group may fix a path that
+ * none of the known generators fixes.
  */
 
 typedef int (*kms_aut_cb)(const int32_t *perm);
@@ -320,12 +352,14 @@ static int leaf(Canon *c, const int32_t *part) {
         c->perm[part[i]] = c->first_lab[i];
     for (int j = 0; j < b; j++)
         c->perm[v + c->order[j]] = v + c->first_order[j];
-    if (in_group(c))
+    int moved = 0;
+    while (moved < v && c->perm[moved] == moved)
+        moved++;
+    if (moved == v)
         return 0;
-    int keep = c->cb(c->perm);
-    if (keep < 0)
+    if (!in_group(c) && c->cb(c->perm) < 0)
         return CANON_STOPPED;
-    return keep ? add_gen(c) : 0;
+    return add_gen(c);
 }
 
 /* Indices of the generators fixing path[0..depth-1], into pgens[depth]. */
@@ -396,7 +430,7 @@ static int search(Canon *c, int depth, int ts) {
             if (orbit[y])
                 continue;
         }
-        int cts = kms_individualize(n, c->indptr, c->adj, part, c->part[depth + 1], ts, y, c->work);
+        int cts = individualize(n, c->v, c->indptr, c->adj, part, c->part[depth + 1], ts, y, c->work);
         c->path[depth] = y;
         int r = search(c, depth + 1, cts);
         if (r)
@@ -410,7 +444,7 @@ static int search(Canon *c, int depth, int ts) {
 /* Canonical certificate of the design whose incidence graph has n vertices,
  * v of them points.  gens holds n_gens known automorphisms as vertex
  * permutations, chain the stabilizer chain of the group they generate; the
- * callback's kept automorphisms are added to gens.
+ * search prunes with these and with the automorphisms it finds.
  * Writes the least certificate (2bk bytes) to best and the nodes visited
  * to *nodes.  Returns 0, 1 when the node count passes budget (nothing in
  * best is then final), 2 when the callback stopped the search, -1 when

@@ -346,6 +346,7 @@ def _problem(cfg: JobConfig, entries: dict) -> xcc.XCCProblem:
 
 def cmd_orbits(cfg: JobConfig) -> None:
     t0 = time.perf_counter()
+    _read_record(cfg)  # a malformed record fails before the search and its writes
     os.makedirs(cfg.output_dir, exist_ok=True)
     tro = orbitgen.t_orbit_reps(cfg.G, cfg.v, cfg.t)
     log.info("t-orbits: %d", len(tro))

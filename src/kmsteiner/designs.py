@@ -27,14 +27,15 @@ colors.  The kernel does partition refinement, the walk over the tree,
 the leaf certificates and the automorphism pruning.  The certificate is
 the canonically relabeled block list (each block sorted, blocks sorted,
 16-bit big-endian labels), taken minimal over the leaves of the search
-tree.  Automorphisms are detected as leaves with a certificate equal to
-the first leaf's and are used to prune candidate choices.  Here stay the
-CSR graph, the check of the known automorphisms and the
-``StabilizerChain`` of the group found: the kernel sifts each leaf
-automorphism through the chain's tables and calls back only when it
-grows the group.  The group is returned via its order, with the number
-of search nodes.  A design without blocks has the empty certificate and
-aut order v!.
+tree; a leaf is a node whose points are all singletons, where the search
+stops refining.  Automorphisms are detected as leaves with a certificate
+equal to the first leaf's, and every one found prunes candidate choices,
+whether or not it grows the known group.  Here stay the CSR graph, the
+check of the known automorphisms and the ``StabilizerChain`` of the group
+found: the kernel sifts each leaf automorphism through the chain's tables
+and calls back only when it grows the group.  The group is returned via
+its order, with the number of search nodes.  A design without blocks has
+the empty certificate and aut order v!.
 Canonization refuses v >= 2^16 (certificate labels are 16-bit) and k with
 C(v, k) >= 2^63, which has no 63-bit lex rank.
 """
@@ -297,9 +298,8 @@ class _Canonizer:
 
     def _on_aut(self, addr) -> int:
         """The search's callback for a leaf automorphism at addr outside the
-        chain's group: replay it on the block set, then 1 if it grows the
-        group, 0 if not, and -1, keeping the exception for run, if anything
-        raised."""
+        chain's group: replay it on the block set and add it to the chain,
+        then 0, or -1, keeping the exception for run, if anything raised."""
         try:
             vp = np.ctypeslib.as_array((ctypes.c_int32 * self.n).from_address(addr))
             pts = vp[: self.v]
@@ -307,9 +307,9 @@ class _Canonizer:
             if replay is None or not np.array_equal(replay, vp):
                 raise AssertionError("leaf map does not preserve the block set")
             if not self.chain.add(tuple(pts.tolist())):
-                return 0
+                raise AssertionError("the kernel's sift disagrees with the stabilizer chain")
             self._export_chain()
-            return 1
+            return 0
         except BaseException as exc:
             self.error = exc
             return -1

@@ -719,8 +719,9 @@ class PythonCanonizer:
                 self.adj_lists[p].append(self.v + i)
         self.node_budget = node_budget
         self.nodes = 0
-        self.aut_gens = []  # full vertex permutations (tuples)
-        self._aut_epoch = 0
+        # vertex permutations (tuples) that prune: the seeds that grow the
+        # chain and every non-identity leaf automorphism
+        self.aut_gens = []
         self._chain = StabilizerChain([], self.v)
         for g in known_autos:
             if g.degree != self.v:
@@ -728,7 +729,8 @@ class PythonCanonizer:
             vp = self._extend_point_perm(np.array(g.raw()))
             if vp is None:
                 raise ValueError("permutation is not an automorphism of the design")
-            self._add_aut(vp)
+            if self._chain.add(vp[: self.v]):
+                self.aut_gens.append(vp)
         self.first_cert = None
         self.first_pt_label = None
         self.best_cert = None
@@ -743,11 +745,6 @@ class PythonCanonizer:
         if (self.keys[tgt] != img).any():
             return None
         return tuple(pt_perm.tolist() + (self.v + tgt).tolist())
-
-    def _add_aut(self, vertex_perm):
-        if self._chain.add(vertex_perm[: self.v]):
-            self.aut_gens.append(vertex_perm)
-            self._aut_epoch += 1
 
     # -- partitions
 
@@ -788,7 +785,9 @@ class PythonCanonizer:
             vp = self._extend_point_perm(inv_first[pt_label])
             if vp is None:  # replay check: must fix the block set
                 raise AssertionError("leaf map does not preserve the block set")
-            self._add_aut(vp)
+            if vp[: self.v] != tuple(range(self.v)):
+                self._chain.add(vp[: self.v])  # grows the group, or not
+                self.aut_gens.append(vp)  # prunes either way
 
     # -- search
 
@@ -806,9 +805,9 @@ class PythonCanonizer:
         orbit_epoch = -1
         for y in part.cell_at(ts):
             if explored:
-                if orbit_epoch != self._aut_epoch:
+                if orbit_epoch != len(self.aut_gens):
                     explored_orbit = self._grow_closure(set(), explored, prefix)
-                    orbit_epoch = self._aut_epoch
+                    orbit_epoch = len(self.aut_gens)
                 if y in explored_orbit:
                     explored.append(y)
                     continue
@@ -817,7 +816,7 @@ class PythonCanonizer:
             self.search(child, cts, prefix)
             prefix.pop()
             explored.append(y)
-            if orbit_epoch == self._aut_epoch:
+            if orbit_epoch == len(self.aut_gens):
                 explored_orbit = self._grow_closure(explored_orbit, [y], prefix)
 
     # -- aut orbit pruning

@@ -483,6 +483,27 @@ def test_malformed_run_record_entry_rejected(sts13_cfg, caplog, stage, field, va
     _check_malformed_record_rejected(sts13_cfg, caplog, edit)
 
 
+def test_orbits_rejects_malformed_record_before_its_search(sts13_cfg, caplog):
+    for stage in ("orbits", "km", "encode", "solve"):
+        assert main([stage, "--config", sts13_cfg]) == EXIT_OK
+    cfg = JobConfig.load(sts13_cfg)
+    with open(cfg.out("run.json")) as fh:
+        record = json.load(fh)
+    del record["stages"]["solve"]["counts"]["nodes"]
+    with open(cfg.out("run.json"), "w") as fh:
+        json.dump(record, fh)
+    with open(cfg.out("k_reps.npy"), "rb") as fh:
+        k_reps = fh.read()
+    caplog.clear()
+    with caplog.at_level("INFO", logger="kmsteiner"):
+        assert main(["orbits", "--config", sts13_cfg]) == EXIT_VALIDATION
+    errors = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and "malformed run record, stage 'solve'" in errors[0].getMessage()
+    assert not [r for r in caplog.records if "orbits:" in r.getMessage()]  # no search logged
+    with open(cfg.out("k_reps.npy"), "rb") as fh:
+        assert fh.read() == k_reps
+
+
 def test_duplicate_config_key_rejected(tmp_path, fixtures_dir, caplog):
     path = write_config(
         tmp_path / "twice.cfg",
