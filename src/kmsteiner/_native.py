@@ -49,7 +49,7 @@ class Chain(ctypes.Structure):
 # per kernel source: function -> (argument types, return type)
 _PROTOTYPES = {
     "_orbits.c": {
-        "kms_orbits_new": ((_I, _I, _I, _I, _I, _P, _P), _P),
+        "kms_orbits_new": ((_I, _I, _I, _I, _P, _P), _P),
         "kms_orbits_run": ((_P, _P, _P, _I64), _I),
         "kms_orbits_free": ((_P,), None),
     },

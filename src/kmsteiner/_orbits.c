@@ -28,7 +28,7 @@ enum { ENTER, EXPAND, NEXT, FINISHED };
 #define TICK_NODES ((int64_t)1 << 16)
 
 typedef struct {
-    int v, size, t, good, n_el, words;
+    int v, size, t, n_el, words;
     const int64_t *img;  /* img[g * v + x] = g(x) */
     int32_t *inv;        /* inv[g * v + y] = g^-1(y) */
     uint64_t *below;     /* row g * (v + 1) + j: {x : g(x) < j}, row v: {x : g(x) < x} */
@@ -70,9 +70,9 @@ void kms_orbits_free(State *s) {
 
 /* A search at the root, or NULL if memory runs out.  img holds the n_el
  * elements of G as 0-based images of 0..v-1; img and info (3 entries)
- * must outlive the state.  Needs 1 <= size. */
-State *kms_orbits_new(int v, int size, int t, int good, int n_el, const int64_t *img,
-                      int64_t *info) {
+ * must outlive the state.  Needs 1 <= size; at size == t P2 never
+ * prunes, so the search gives every t-orbit. */
+State *kms_orbits_new(int v, int size, int t, int n_el, const int64_t *img, int64_t *info) {
     State *s = calloc(1, sizeof(State));
     if (!s)
         return NULL;
@@ -81,7 +81,6 @@ State *kms_orbits_new(int v, int size, int t, int good, int n_el, const int64_t 
     s->v = v;
     s->size = size;
     s->t = t;
-    s->good = good;
     s->n_el = n_el;
     s->words = words;
     s->img = img;
@@ -187,7 +186,7 @@ static void expand(State *s, int d) {
     /* P2: |S' meet S'^g| = inter + c, c = [p in S^g] + [p in SF]: for p
      * outside S, g(p) in S and g(p) = p exclude each other */
     int top = 2 * (d + 1) - s->size - 1;  /* prunes t <= |S' meet S'^g| <= top */
-    if (!s->good || top < s->t)
+    if (top < s->t)
         return;
     for (int g = 0; g < n_el; g++) {
         int c_lo = s->t - inter[g], c_hi = top - inter[g];

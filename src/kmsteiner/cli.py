@@ -7,17 +7,18 @@ stages G, N and the configuration fingerprint; the solver caps are the
 config keys ``node_cap``, ``time_cap`` and ``solution_limit``.  ``--jobs``
 sets the worker processes of classify (at least 1, at most one per CPU):
 used by classify, accepted by every stage.  The stages hand each other
-``.npy`` arrays, which ``km.KMInstance`` and ``symbreak.NormalizerClasses``
-check; the option layout of an encoding is ``symbreak``'s alone.  Each
-stage sets its entry in ``run.json`` in the output directory: the
-configuration fingerprint, the artifacts it wrote with the sha256 of each
-array, its counts and its seconds.  A stage
-checks the entries of the stages whose artifacts it reads, so artifacts
-from different configurations cannot be mixed, and ``report`` reads its
-tables from the record.  Apart from the ``seconds`` fields, the record
-and every artifact are byte-identical across reruns.  ``kmsteiner xcc
-export`` writes the configured problem as XCC text, and ``kmsteiner xcc
-solve FILE`` solves a problem file on its own.
+``.npy`` arrays: the cli checks their file format, and
+``orbitgen.OrbitSet``, ``km.KMInstance`` and
+``symbreak.NormalizerClasses`` check their values; the option layout of
+an encoding is ``symbreak``'s alone.  Each stage sets its entry in
+``run.json`` in the output directory: the configuration fingerprint, the
+artifacts it wrote with the sha256 of each array, its counts and its
+seconds.  A stage checks the entries of the stages whose artifacts it
+reads, so artifacts from different configurations cannot be mixed, and
+``report`` reads its tables from the record.  Apart from the ``seconds``
+fields, the record and every artifact are byte-identical across reruns.
+``kmsteiner xcc export`` writes the configured problem as XCC text, and
+``kmsteiner xcc solve FILE`` solves a problem file on its own.
 """
 
 from __future__ import annotations
@@ -267,7 +268,8 @@ def _check_record(cfg: JobConfig, stages) -> dict:
 # -- array artifacts ------------------------------------------------------------
 # Each stage writes its arrays with np.save and records each file's sha256;
 # a reader checks the digest, loads with allow_pickle=False, then checks
-# the dtype, C order, shape and range, so a tampered artifact exits 1.
+# the dtype, C order and shape, and the array type it builds checks the
+# values, so a tampered artifact exits 1.
 
 
 def _sha256(path: str) -> str:
@@ -286,10 +288,10 @@ def _save(cfg: JobConfig, **arrays) -> dict:
     return {name + ".npy": _sha256(cfg.out(name + ".npy")) for name in arrays}
 
 
-def _load(cfg: JobConfig, entry: dict, name: str, dtype=None, shape: tuple = ()):
-    """What file ``name`` holds, which must have the sha256 that the
-    stage's ``entry`` records and, given a dtype, be a C-ordered array of
-    this dtype and shape (None: any length)."""
+def _load(cfg: JobConfig, entry: dict, name: str, dtype, shape: tuple) -> np.ndarray:
+    """The array in file ``name``, which must have the sha256 that the
+    stage's ``entry`` records and be a C-ordered array of this dtype and
+    shape (None: any length)."""
     path = cfg.out(name)
     if _sha256(path) != entry["artifacts"].get(name):
         raise ValidationError(f"{name}: sha256 does not match the run record")
@@ -297,8 +299,12 @@ def _load(cfg: JobConfig, entry: dict, name: str, dtype=None, shape: tuple = ())
         arr = np.load(path, allow_pickle=False)
     except (ValueError, EOFError) as exc:
         raise ValidationError(f"{name}: {exc}") from None
-    if dtype is not None:
-        orbitgen._check_array(name, arr, dtype, shape)
+    dtype = np.dtype(dtype)
+    if not (isinstance(arr, np.ndarray) and arr.dtype == dtype and arr.ndim == len(shape)
+            and all(s is None or s == a for s, a in zip(shape, arr.shape))
+            and arr.flags.c_contiguous):
+        got = f"{arr.dtype} array of shape {arr.shape}" if isinstance(arr, np.ndarray) else "no array"
+        raise ValidationError(f"{name}: {got}, expected a C-ordered {dtype} array of shape {shape}")
     return arr
 
 
@@ -313,11 +319,10 @@ def _checked(files: str, make, *args):
 def _load_orbits(cfg: JobConfig, entries: dict, which: str) -> orbitgen.OrbitSet:
     """The t-orbits (which "t") or good k-orbits ("k") of the orbits stage."""
     entry, size = entries["orbits"], cfg.t if which == "t" else cfg.k
-    reps = _load(cfg, entry, f"{which}_reps.npy")
-    sizes = _load(cfg, entry, f"{which}_sizes.npy")
-    _checked(f"{which}_reps.npy, {which}_sizes.npy",
-             orbitgen.check_orbit_arrays, cfg.v, size, reps, sizes)
-    return orbitgen.OrbitSet(cfg.v, cfg.t, reps, sizes, cfg.G.fingerprint())
+    reps = _load(cfg, entry, f"{which}_reps.npy", np.min_scalar_type(cfg.v), (None, size))
+    sizes = _load(cfg, entry, f"{which}_sizes.npy", np.int64, (len(reps),))
+    return _checked(f"{which}_reps.npy, {which}_sizes.npy", orbitgen.OrbitSet,
+                    cfg.v, cfg.t, reps, sizes, cfg.G.fingerprint())
 
 
 def _load_classes(cfg: JobConfig, entries: dict, n: int) -> symbreak.NormalizerClasses | None:
@@ -462,25 +467,25 @@ def cmd_classify(cfg: JobConfig, jobs: int = 1) -> None:
         if not rep.ok:
             raise ValidationError(f"solution {opt_ids} is not a Steiner design: {rep.violations[:3]}")
         all_designs.append(d)
-    classes = designs_mod.classify(all_designs, known_autos=cfg.G.generators, jobs=jobs,
-                                   progress=_ProgressLog("canonized design %d of %d, %d nodes"))
+    iso = designs_mod.classify(all_designs, known_autos=cfg.G.generators, jobs=jobs,
+                               progress=_ProgressLog("canonized design %d of %d, %d nodes"))
     os.makedirs(cfg.out("designs"), exist_ok=True)
     for name in os.listdir(cfg.out("designs")):
         if name.startswith("design_") and name.endswith(".txt"):
             os.remove(cfg.out(os.path.join("designs", name)))
     with open(cfg.out("classes.txt"), "w", encoding="utf-8") as fh:
-        for i, cl in enumerate(classes, start=1):
+        for i, cl in enumerate(iso, start=1):
             designs_mod.write_design_file(
                 cfg.out(os.path.join("designs", f"design_{i:02d}.txt")), cl.representative)
             cert = hashlib.sha256(cl.certificate).hexdigest()[:16]
             fh.write(f"class {i} aut_order={cl.aut_order} multiplicity={cl.multiplicity} "
                      f"certificate={cert}\n")
-    designs_mod.write_gap_designs(cfg.out("designs.gap"), [cl.representative for cl in classes])
-    canon_nodes = sum(cl.nodes for cl in classes)
+    designs_mod.write_gap_designs(cfg.out("designs.gap"), [cl.representative for cl in iso])
+    canon_nodes = sum(cl.nodes for cl in iso)
     log.info("%d solutions -> %d isomorphism classes, %d canonization nodes",
-             len(solutions), len(classes), canon_nodes)
+             len(solutions), len(iso), canon_nodes)
     _record_stage(cfg, "classify", t0, dict.fromkeys(["classes.txt", "designs.gap", "designs"]),
-                  solutions=len(solutions), classes=len(classes), canon_nodes=canon_nodes)
+                  solutions=len(solutions), classes=len(iso), canon_nodes=canon_nodes)
 
 
 def cmd_report(cfg_paths, out_stream=None) -> str:

@@ -45,15 +45,15 @@ from __future__ import annotations
 import ctypes
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations
 from math import comb, factorial
 
 import numpy as np
 
 from . import _native
-from .orbitgen import OrbitSet, _binomials, _pack_keys
-from .perm import Permutation, PermutationGroup, StabilizerChain
+from .orbitgen import OrbitSet, _binomials, _pack_keys, _strictly_lex_ordered
+from .perm import PermutationGroup, StabilizerChain
 
 __all__ = [
     "Design",
@@ -127,21 +127,6 @@ class Design:
     @property
     def b(self) -> int:
         return len(self.blocks)
-
-
-def _strictly_lex_ordered(rows: np.ndarray, v: int) -> bool:
-    """Whether a (b, k) array is non-empty, has every point in 1..v, is
-    strictly increasing within each row and has its rows strictly
-    increasing in lex order."""
-    if not rows.size:
-        return False
-    cols = np.ascontiguousarray(rows.T)
-    if not ((cols[1:] > cols[:-1]).all() and 1 <= cols[0].min() and cols[-1].max() <= v):
-        return False
-    # a row's points as big-endian bytes, one string, compare as the rows do
-    text = np.ascontiguousarray(rows, dtype=np.min_scalar_type(v).newbyteorder(">"))
-    text = text.view(f"S{text.itemsize * text.shape[1]}").ravel()
-    return bool((text[1:] > text[:-1]).all())
 
 
 def expand(orbit_indices, k_orbits: OrbitSet, G: PermutationGroup) -> Design:
@@ -364,12 +349,6 @@ def _design_from_cert(cert: bytes, v: int, k: int) -> Design:
     return Design(v, np.frombuffer(cert, dtype=">u2").reshape(-1, k) + 1 if cert else ())
 
 
-def _canonical_form_job(args) -> CanonicalForm:
-    v, blocks, budget, auto_images = args
-    autos = [Permutation(img) for img in auto_images]
-    return canonical_form(Design(v, blocks), node_budget=budget, known_autos=autos)
-
-
 def classify(
     designs, node_budget: int = 10**7, known_autos=(), jobs: int = 1, progress=None
 ) -> list:
@@ -388,22 +367,14 @@ def classify(
     for d in designs:
         if d.v != v or d.k != k:
             raise ValueError("designs must share (v, k)")
+    job = partial(canonical_form, node_budget=node_budget, known_autos=known_autos)
     workers = min(jobs, os.cpu_count() or 1, len(designs))
+    pool = None
     if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import ProcessPoolExecutor  # imported only when used
 
-        work = [
-            (d.v, d.blocks, node_budget, [g.raw() for g in known_autos])
-            for d in designs
-        ]
         pool = ProcessPoolExecutor(max_workers=workers)
-        forms = pool.map(_canonical_form_job, work, chunksize=1)
-    else:
-        pool = None
-        forms = (
-            canonical_form(d, node_budget=node_budget, known_autos=known_autos)
-            for d in designs
-        )
+    forms = map(job, designs) if pool is None else pool.map(job, designs, chunksize=1)
     buckets: dict = {}
     nodes = 0
     try:

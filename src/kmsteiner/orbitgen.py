@@ -8,10 +8,11 @@ orbits, generated by a depth-first search over increasing point sequences
      maps S to a lexicographically smaller sorted set.  If a full subset K
      is lex-minimal then so is every prefix, so no representative is lost.
 
-  P2 (overlap): while generating *good* orbits, abandon S if some element g
-     has |S meet S^g| >= t and |S union S^g| > k.  Any completion K would
-     share a t-subset with K^g without K^g = K being possible, so no good
-     completion exists.
+  P2 (overlap): abandon S if some element g has |S meet S^g| >= t and
+     |S union S^g| > k.  Any completion K would share a t-subset with K^g
+     without K^g = K being possible, so no good completion exists.  With
+     k = t it never prunes, as a t-subset meeting its image in t points is
+     that image, so the same search gives every t-orbit.
 
 Every node keeps a small state per group element g, with point sets held
 as bitmasks: SG = S^g; SF = g^-1(S) together with the fixed points of g;
@@ -60,7 +61,6 @@ from .perm import PermutationGroup
 
 __all__ = [
     "OrbitSet",
-    "check_orbit_arrays",
     "t_orbit_reps",
     "good_k_orbit_reps",
 ]
@@ -72,8 +72,12 @@ class OrbitSet:
 
     ``reps[i]`` is the lex-minimal sorted representative of orbit i as
     1-based points, in dtype ``np.min_scalar_type(v)``; ``sizes[i]`` is the
-    orbit size, int64.  Both arrays are read-only.  ``t`` is the design's
-    t, so a set of t-orbits has k == t.
+    orbit size, int64.  Both arrays are read-only; one that already has
+    its dtype and C order is kept, not copied.  ``t`` is the design's t, so
+    a set of t-orbits has k == t.  Construction takes integer arrays or
+    sequences and refuses any other input, a row that is not k >= 1
+    ascending points of 1..v, an orbit size below 1, a size count other
+    than the row count, and rows not in strict lex order.
     """
 
     v: int
@@ -83,8 +87,25 @@ class OrbitSet:
     group_id: str
 
     def __post_init__(self):
-        for name, dtype in (("reps", np.min_scalar_type(self.v)), ("sizes", np.int64)):
-            arr = np.asarray(getattr(self, name), dtype=dtype)
+        v, reps, sizes = self.v, np.asarray(self.reps), np.asarray(self.sizes)
+        if reps.dtype.kind not in "iu" or sizes.dtype.kind not in "iu":
+            raise ValueError("orbit representatives and sizes must be integers")
+        if reps.ndim != 2 or not reps.shape[1] or sizes.shape != reps.shape[:1]:
+            raise ValueError(f"representatives of shape {reps.shape} and sizes of shape "
+                             f"{sizes.shape}, expected (n, k) with k >= 1 and (n,)")
+        # checked in the input's own dtype, before a cast that could wrap;
+        # the rows are searched for the first bad orbit only on failure
+        int64_max = np.iinfo(np.int64).max
+        if len(reps) and not (_strictly_lex_ordered(reps, v) and 1 <= sizes.min()
+                              and sizes.max() <= int64_max):
+            bad = (reps[:, 0] < 1) | (reps[:, -1] > v) | (reps[:, 1:] <= reps[:, :-1]).any(axis=1)
+            bad = np.flatnonzero(bad | (sizes < 1) | (sizes > int64_max))
+            if len(bad):
+                raise ValueError(f"orbit {bad[0]} is not {reps.shape[1]} ascending points of "
+                                 f"1..{v} with an orbit size of at least 1")
+            raise ValueError("representatives not in strict lex order")
+        for name, arr in (("reps", np.ascontiguousarray(reps, np.min_scalar_type(v))),
+                          ("sizes", np.ascontiguousarray(sizes, np.int64))):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -96,32 +117,19 @@ class OrbitSet:
         return len(self.sizes)
 
 
-def _check_array(name: str, arr, dtype, shape: tuple) -> None:
-    """Raise ValueError unless arr is a C-ordered ndarray of this dtype and
-    shape (None: any length); the message starts with ``name``."""
-    dtype = np.dtype(dtype)
-    if not (isinstance(arr, np.ndarray) and arr.dtype == dtype and arr.ndim == len(shape)
-            and all(s is None or s == a for s, a in zip(shape, arr.shape))
-            and arr.flags.c_contiguous):
-        got = f"{arr.dtype} array of shape {arr.shape}" if isinstance(arr, np.ndarray) else "no array"
-        raise ValueError(f"{name}: {got}, expected a C-ordered {dtype} array of shape {shape}")
-
-
-def check_orbit_arrays(v: int, size: int, reps, sizes) -> None:
-    """Raise ValueError unless reps and sizes are an ``OrbitSet``'s arrays
-    of size-subsets of 1..v: rows of ascending points in strict lex order,
-    and orbit sizes of at least 1."""
-    _check_array("reps", reps, np.min_scalar_type(v), (None, size))
-    _check_array("sizes", sizes, np.int64, (len(reps),))
-    # compared in the reps' own dtype: a difference could wrap
-    bad = (reps[:, 0] < 1) | (reps[:, -1] > v) | (reps[:, 1:] <= reps[:, :-1]).any(axis=1)
-    bad = np.flatnonzero(bad | (sizes < 1))
-    if len(bad):
-        raise ValueError(f"orbit {bad[0]} is not {size} ascending points of 1..{v} "
-                         "with an orbit size of at least 1")
-    keys = _pack_keys(reps - 1, v)
-    if np.any(keys[1:] <= keys[:-1]):
-        raise ValueError("representatives not in strict lex order")
+def _strictly_lex_ordered(rows: np.ndarray, v: int) -> bool:
+    """Whether a (b, k) integer array is non-empty, has every point in
+    1..v, is strictly increasing within each row and has its rows strictly
+    increasing in lex order."""
+    if not rows.size:
+        return False
+    cols = np.ascontiguousarray(rows.T)
+    if not ((cols[1:] > cols[:-1]).all() and 1 <= cols[0].min() and cols[-1].max() <= v):
+        return False
+    # a row's points as big-endian bytes, one string, compare as the rows do
+    text = np.ascontiguousarray(rows, dtype=np.min_scalar_type(v).newbyteorder(">"))
+    text = text.view(f"S{text.itemsize * text.shape[1]}").ravel()
+    return bool((text[1:] > text[:-1]).all())
 
 
 @lru_cache(maxsize=16)
@@ -202,12 +210,13 @@ def _orderly_reps(
     v: int,
     size: int,
     t: int,
-    good: bool,
     progress=None,
 ):
-    """Run the orderly search in the kernel ``_orbits.c``; returns the
-    representatives as an (n, size) array of 1-based points in lex order,
-    their orbit sizes, and the number of search nodes.
+    """Run the orderly search in the kernel ``_orbits.c``, prunes P1 and P2
+    both on: the good orbits of size-subsets for size > t, and every
+    t-orbit for size == t.  Returns the representatives as an (n, size)
+    array of 1-based points in lex order, their orbit sizes, and the
+    number of search nodes.
 
     Every 2^16 nodes, at every chunk of _REP_ROWS representatives and at
     the end, ``progress(nodes, representatives, second point, v)`` is
@@ -223,8 +232,7 @@ def _orderly_reps(
     dtype = np.min_scalar_type(v)
     out_reps = [np.zeros((0, size), dtype=dtype)]
     out_sizes = [np.zeros(0, dtype=np.int64)]
-    state = lib.kms_orbits_new(v, size, t, int(good), len(img), img.ctypes.data,
-                               info.ctypes.data)
+    state = lib.kms_orbits_new(v, size, t, len(img), img.ctypes.data, info.ctypes.data)
     if not state:
         raise MemoryError("orbit kernel: out of memory")
     found = 0
@@ -248,7 +256,7 @@ def t_orbit_reps(G: PermutationGroup, v: int, t: int) -> OrbitSet:
     """All G-orbits on t-subsets, in lex order of representative."""
     if not 1 <= t < v:
         raise ValueError("need 1 <= t < v")
-    reps, sizes, _ = _orderly_reps(G, v, t, t, good=False)
+    reps, sizes, _ = _orderly_reps(G, v, t, t)
     total = int(sizes.sum())
     if total != comb(v, t):
         raise AssertionError(f"orbit sizes sum to {total}, expected C({v},{t})")
@@ -269,5 +277,5 @@ def good_k_orbit_reps(
     """
     if not t < k < v:
         raise ValueError("need t < k < v")
-    reps, sizes, _ = _orderly_reps(G, v, k, t, good=True, progress=progress)
+    reps, sizes, _ = _orderly_reps(G, v, k, t, progress=progress)
     return OrbitSet(v=v, t=t, reps=reps, sizes=sizes, group_id=G.fingerprint())

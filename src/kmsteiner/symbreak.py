@@ -164,8 +164,7 @@ def encode(
     prim_ptr = np.r_[indptr, indptr[-1] + copy_ptr[1:]]
     prim_rows = np.r_[rows, copy_rows]
     if kind == "b":
-        problem = XCCProblem.from_arrays(primary, [], prim_ptr, prim_rows, copy=False)
-        return Encoding(problem, classes)
+        return Encoding(XCCProblem.from_arrays(primary, [], prim_ptr, prim_rows), classes)
     # c: the copy-option of the class-c representative carries items
     # 0..len-1, with color 1 on item c only
     last = classes.n_classes - 1
@@ -179,7 +178,6 @@ def encode(
         np.cumsum(np.r_[0, has_item, copy_lens]),
         np.r_[class_of[has_item], copy_items],
         np.r_[has_item[has_item], copy_items == np.repeat(rep_class, copy_lens)],
-        copy=False,
     )
     return Encoding(problem, classes)
 

@@ -96,19 +96,20 @@ class XCCProblem:
 
     @classmethod
     def from_arrays(cls, primary, secondary, prim_indptr, prim_items,
-                    sec_indptr=None, sec_items=(), sec_colors=(), copy=True) -> "XCCProblem":
+                    sec_indptr=None, sec_items=(), sec_colors=()) -> "XCCProblem":
         """A problem from CSR arrays; without ``sec_indptr`` no option has
-        a secondary item.  With ``copy=False`` an int32 ``prim_items``,
-        the largest array, is kept, not copied, and made read-only: the
-        caller hands it over and must not change it."""
+        a secondary item.  An array that already has its stored dtype
+        (int64 pointers and colors, int32 item ids) and C order, and needs
+        no sorting within its options, is kept, not copied, and made
+        read-only: the caller hands it over and must not change it."""
         if sec_indptr is None:
             sec_indptr = np.zeros(len(prim_indptr), dtype=np.int64)
         self = cls.__new__(cls)
         self._build(primary, secondary, prim_indptr, prim_items,
-                    sec_indptr, sec_items, sec_colors, copy=copy)
+                    sec_indptr, sec_items, sec_colors)
         return self
 
-    def _build(self, primary, secondary, *arrays, copy=True) -> None:
+    def _build(self, primary, secondary, *arrays) -> None:
         self.primary = [_check_name(n) for n in primary]
         self.secondary = [_check_name(n) for n in secondary]
         if len(set(self.primary) | set(self.secondary)) != len(self.primary) + len(
@@ -129,14 +130,13 @@ class XCCProblem:
             raise ValueError("secondary item id out of range")
         if np.any(colors < 0):
             raise ValueError("colors must be non-negative")
-        # one copy of each array at most, straight into its stored dtype;
-        # the item ids are in range, so the cast to int32 cannot wrap
+        # a copy only where the stored dtype or C order differs; the item
+        # ids are in range, so the cast to int32 cannot wrap
         self.prim_indptr, self.sec_indptr, colors = (
-            np.array(a, dtype=np.int64) for a in (prim_ptr, sec_ptr, colors))
-        prim = (np.array if copy else np.asarray)(prim, dtype=np.int32)
+            np.ascontiguousarray(a, np.int64) for a in (prim_ptr, sec_ptr, colors))
+        prim, sec = (np.ascontiguousarray(a, np.int32) for a in (prim, sec))
         (self.prim_items,) = _sort_within(self.prim_indptr, prim)
-        self.sec_items, self.sec_colors = _sort_within(
-            self.sec_indptr, np.array(sec, dtype=np.int32), colors)
+        self.sec_items, self.sec_colors = _sort_within(self.sec_indptr, sec, colors)
         for a in self._arrays():
             a.setflags(write=False)
 

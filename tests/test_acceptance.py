@@ -322,6 +322,21 @@ def solve_reporting(cid, problem):
 
 
 @pytest.mark.paper
+@pytest.mark.parametrize("label", TABLE_GROUPS)
+def test_paper_table_ncal_column(label, fixtures_dir):
+    # the |Ncal| column of the paper's group table, with the fixture groups
+    # and normalizers; criterion 9 keeps its own copy of these asserts
+    exp_orb, exp_ncal, _ = TABLE_GROUPS[label]
+    name = f"G{int(label[1:]):02d}.grp"
+    G = read_group_file(os.path.join(fixtures_dir, "groups", name))
+    N = read_group_file(os.path.join(fixtures_dir, "normalizers", name))
+    assert N.order() == EXPECTED_NORMALIZER_ORDER[label]
+    ko = good_k_orbit_reps(G, 91, 6, 2)
+    assert len(ko) == exp_orb
+    assert normalizer_classes(N, ko, G).n_classes == exp_ncal
+
+
+@pytest.mark.paper
 def test_criterion_8_cyclic_s26_91():
     with criterion(8, "cyclic S(2,6,91): 1774964 good orbits, 120/8 solutions, 4 classes"):
         t0 = time.perf_counter()

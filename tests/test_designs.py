@@ -66,35 +66,56 @@ def test_expand_trivial_group():
 
 
 def test_expand_duplicate_blocks_rejected():
-    G = PermutationGroup.trivial(4)
-    ko = OrbitSet(v=4, t=2, reps=[(1, 2, 3), (1, 2, 3)], sizes=[1, 1], group_id=G.fingerprint())
+    # two distinct representatives of one C7 orbit
+    G = cyclic_group(7)
+    ko = OrbitSet(v=7, t=2, reps=[(1, 2, 4), (2, 3, 5)], sizes=[7, 7], group_id=G.fingerprint())
     with pytest.raises(ValueError, match="duplicate blocks across chosen orbits"):
         expand({0, 1}, ko, G)
     # an orbit of 7 blocks recorded with size 3
-    G = cyclic_group(7)
     ko = OrbitSet(v=7, t=2, reps=[(1, 2, 4)], sizes=[3], group_id=G.fingerprint())
     with pytest.raises(AssertionError, match="orbit size mismatch"):
         expand({0}, ko, G)
 
 
-@pytest.mark.parametrize(
-    "reps,sizes,chosen,error,message",
-    [
-        ([(1, 2, 4)], [7], {0, 1}, ValueError, r"^orbit index outside 0..0 in \[0, 1\]$"),
-        ([(1, 2, 4)], [7], {-1, 0}, ValueError, r"^orbit index outside 0..0 in \[-1, 0\]$"),
-        ([(0, 1, 2)], [7], {0}, ValueError, r"^orbit representative outside 1..7$"),
-        ([(1, 2, 8)], [7], {0}, ValueError, r"^orbit representative outside 1..7$"),
-        # an unsorted rep is never its own sorted image: an empty stabilizer
-        ([(4, 2, 1)], [7], {0}, AssertionError, "^orbit size mismatch during expansion$"),
-        # ... read as orbit size 0, which leaves 7 blocks for a total of 0
-        ([(4, 2, 1)], [0], {0}, ValueError, "^duplicate blocks across chosen orbits$"),
-    ],
-)
+def _orbit_set_unchecked(reps, sizes, G):
+    """An OrbitSet of 3-subsets of 1..7 whose arrays skip the constructor's
+    checks, to reach the guards that keep the kernel of expand within its
+    memory."""
+    ko = object.__new__(OrbitSet)
+    for name, value in (("v", 7), ("t", 2), ("reps", np.array(reps, dtype=np.uint8)),
+                        ("sizes", np.array(sizes, dtype=np.int64)), ("group_id", G.fingerprint())):
+        object.__setattr__(ko, name, value)
+    return ko
+
+
+# (reps, sizes, chosen orbits, the error of expand); OrbitSet refuses the
+# reps and sizes of the guarded cases
+EXPAND_INDEX = [
+    ([(1, 2, 4)], [7], {0, 1}, ValueError, r"^orbit index outside 0..0 in \[0, 1\]$"),
+    ([(1, 2, 4)], [7], {-1, 0}, ValueError, r"^orbit index outside 0..0 in \[-1, 0\]$"),
+]
+EXPAND_GUARDED = [
+    ([(0, 1, 2)], [7], {0}, ValueError, r"^orbit representative outside 1..7$"),
+    ([(1, 2, 8)], [7], {0}, ValueError, r"^orbit representative outside 1..7$"),
+    # an unsorted rep is never its own sorted image: an empty stabilizer
+    ([(4, 2, 1)], [7], {0}, AssertionError, "^orbit size mismatch during expansion$"),
+    # ... read as orbit size 0, which leaves 7 blocks for a total of 0
+    ([(4, 2, 1)], [0], {0}, ValueError, "^duplicate blocks across chosen orbits$"),
+]
+
+
+@pytest.mark.parametrize("reps,sizes,chosen,error,message", EXPAND_INDEX + EXPAND_GUARDED)
 def test_expand_rejects(reps, sizes, chosen, error, message):
     G = cyclic_group(7)
-    ko = OrbitSet(v=7, t=2, reps=reps, sizes=sizes, group_id=G.fingerprint())
     with pytest.raises(error, match=message):
-        expand(chosen, ko, G)
+        expand(chosen, _orbit_set_unchecked(reps, sizes, G), G)
+
+
+@pytest.mark.parametrize("reps,sizes", [case[:2] for case in EXPAND_GUARDED])
+def test_orbit_set_refuses_what_the_expand_kernel_guards(reps, sizes):
+    message = "^orbit 0 is not 3 ascending points of 1..7 with an orbit size of at least 1$"
+    with pytest.raises(ValueError, match=message):
+        OrbitSet(v=7, t=2, reps=reps, sizes=sizes, group_id="")
 
 
 def test_expand_empty_choice():

@@ -103,11 +103,11 @@ def test_bad_orbit_rejected():
 
 
 def test_non_integer_entry_rejected():
-    # a wrong orbit size: the orbit of {1,2,3} under C13 has 13 blocks, not 5
+    # a wrong orbit size: the orbit of {2,3,4} under C13 has 13 blocks, not 5
     G = cyclic_group(13)
     tro = t_orbit_reps(G, 13, 2)
     ko = good_k_orbit_reps(G, 13, 3, 2)
-    reps = [ko.reps[0].tolist(), [1, 2, 3]]
+    reps = [ko.reps[0].tolist(), [2, 3, 4]]  # after it in lex order
     bad = OrbitSet(v=13, t=2, reps=reps, sizes=[ko.sizes[0], 5], group_id=G.fingerprint())
     message = r"^non-integer entry at row 0, column 1: 2\*5/13$"
     with pytest.raises(KMError, match=message):
@@ -141,11 +141,10 @@ def test_incomplete_t_orbits_rejected():
     ko = good_k_orbit_reps(G, 13, 3, 2)
     with pytest.raises(ValueError, match="do not partition the C\\(13,2\\) t-subsets"):
         build_km(G, partial, ko)
-    # a t-orbit counted twice
+    # a t-orbit counted twice: OrbitSet refuses it
     rows = [0, 0, 1, 2, 3, 4, 5]
-    twice = OrbitSet(13, 2, tro.reps[rows], tro.sizes[rows], tro.group_id)
-    with pytest.raises(ValueError, match="do not partition"):
-        build_km(G, twice, ko)
+    with pytest.raises(ValueError, match="representatives not in strict lex order"):
+        OrbitSet(13, 2, tro.reps[rows], tro.sizes[rows], tro.group_id)
 
 
 def test_group_mismatch_rejected():
@@ -185,6 +184,8 @@ def test_km_file_round_trip(tmp_path):
     assert rows.dtype == km.col_rows.dtype and np.array_equal(rows, km.col_rows)
     again = KMInstance(km.t_orbits, km.k_orbits, indptr, rows)
     assert [again.column(j) for j in range(16)] == [km.column(j) for j in range(16)]
+    # kept, not copied, and made read-only
+    assert again.col_indptr is indptr and again.col_rows is rows and not rows.flags.writeable
     # the arrays are read without unpickling: an object array is refused
     np.save(paths["rows"], km.col_rows.astype(object), allow_pickle=True)
     with pytest.raises(ValueError, match="allow_pickle=False"):

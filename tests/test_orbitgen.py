@@ -7,11 +7,11 @@ from math import comb
 import numpy as np
 import pytest
 
+from kmsteiner.km import build_km
 from kmsteiner.orbitgen import (
     OrbitSet,
     _min_image_keys,
     _orderly_reps,
-    check_orbit_arrays,
     good_k_orbit_reps,
     t_orbit_reps,
 )
@@ -23,6 +23,8 @@ from kmsteiner.perm import (
     parse_permutation,
     read_group_file,
 )
+from kmsteiner.symbreak import encode, normalizer_classes
+from kmsteiner.xcc import solve
 
 from oracles import (
     canonical_keys,
@@ -176,10 +178,12 @@ def test_matches_bitmask_oracle_past_256_points(kind, v, size, t, good):
 
 
 def _check_against_oracle(kind, v, size, t, good, oracle_p2):
+    # good is the oracle's alone: the library's prune P2 is always on, and
+    # never prunes at size == t
     seed = v * 100 + size * 10 + t
     G = _seeded_group(kind, v, seed)
     whole = orderly_reps_bitmask(G, v, size, t, good, oracle_p2)
-    reps, sizes, _ = _orderly_reps(G, v, size, t, good)
+    reps, sizes, _ = _orderly_reps(G, v, size, t)
     assert reps.dtype == np.min_scalar_type(v) and sizes.dtype == np.int64
     assert _pairs(reps, sizes) == whole
 
@@ -224,11 +228,11 @@ def test_orbit_file_round_trip(tmp_path):
     s = good_k_orbit_reps(G, 13, 3, 2)
     reps = save_and_load(os.path.join(tmp_path, "reps.npy"), s.reps)
     sizes = save_and_load(os.path.join(tmp_path, "sizes.npy"), s.sizes)
-    check_orbit_arrays(13, 3, reps, sizes)
     assert reps.dtype == s.reps.dtype and np.array_equal(reps, s.reps)
     assert sizes.dtype == s.sizes.dtype and np.array_equal(sizes, s.sizes)
-    # byte-identical on re-write
+    # kept, not copied, and made read-only; byte-identical on re-write
     again = OrbitSet(13, 2, reps, sizes, s.group_id)
+    assert again.reps is reps and again.sizes is sizes and not reps.flags.writeable
     for name, arr in (("reps", again.reps), ("sizes", again.sizes)):
         np.save(os.path.join(tmp_path, f"{name}2.npy"), arr, allow_pickle=False)
         assert (open(os.path.join(tmp_path, f"{name}.npy"), "rb").read()
@@ -237,8 +241,8 @@ def test_orbit_file_round_trip(tmp_path):
 
 def test_orbit_file_count_mismatch():
     reps = np.array([[1, 2, 4], [1, 2, 5]], dtype=np.uint8)
-    with pytest.raises(ValueError, match="sizes: int64 array of shape"):
-        check_orbit_arrays(7, 3, reps, np.array([7], dtype=np.int64))
+    with pytest.raises(ValueError, match=r"sizes of shape \(1,\)"):
+        OrbitSet(7, 2, reps, np.array([7], dtype=np.int64), "")
 
 
 def _set(a, index, value):
@@ -249,12 +253,12 @@ def _set(a, index, value):
 
 # the orbits 1 2 4 and 1 2 5 of 3-subsets of 1..7, each of size 7, with the
 # second one changed; each id gives the changed orbit as text, its points
-# and "size=<orbit size>"
+# and "size=<orbit size>".  A row of the wrong width is the file format's
+# to refuse (test_cli's tampered orbit files); here 1 2 and 1 2 repeat.
 @pytest.mark.parametrize(
     "tamper",
     [
         pytest.param(lambda r, s: (r[:, :2].copy(), s), id="1 2 size=7"),
-        pytest.param(lambda r, s: (np.hstack([r, r[:, -1:] + 1]), s), id="1 2 4 5 size=7"),
         pytest.param(lambda r, s: (_set(r, (1, 0), 0), s), id="0 2 4 size=7"),
         pytest.param(lambda r, s: (_set(r, (1, 2), 8), s), id="1 2 8 size=7"),
         pytest.param(lambda r, s: (_set(r, 1, [1, 4, 2]), s), id="1 4 2 size=7"),
@@ -269,9 +273,29 @@ def _set(a, index, value):
 )
 def test_orbit_file_bad_rep_rejected(tamper):
     reps = np.array([[1, 2, 4], [1, 2, 5]], dtype=np.uint8)
-    check_orbit_arrays(7, 3, reps, np.array([7, 7], dtype=np.int64))
+    OrbitSet(7, 2, reps, np.array([7, 7], dtype=np.int64), "")
     with pytest.raises(ValueError):
-        check_orbit_arrays(7, 3, *tamper(reps, np.array([7, 7], dtype=np.int64)))
+        OrbitSet(7, 2, *tamper(reps, np.array([7, 7], dtype=np.int64)), "")
+
+
+@pytest.mark.parametrize(
+    "reps,sizes,message",
+    [
+        # 260 would wrap to 4 in uint8, the dtype of v = 7
+        ([[1, 2, 260]], [7], "orbit 0 is not 3 ascending points of 1..7"),
+        ([[1, 2, -252]], [7], "orbit 0 is not 3 ascending points of 1..7"),
+        # 2^63 would wrap to -2^63 in int64
+        ([[1, 2, 4]], np.array([1 << 63], dtype=np.uint64), "orbit 0 is not 3 ascending"),
+        ([[1, 2, 4]], [1 << 64], "must be integers"),  # an object array
+        ([[1, 2, 4.0]], [7], "must be integers"),
+        ([[1, 2, 4]], [True], "must be integers"),
+    ],
+)
+def test_orbit_set_checks_values_before_its_cast(reps, sizes, message):
+    with pytest.raises(ValueError, match=message):
+        OrbitSet(v=7, t=2, reps=reps, sizes=sizes, group_id="")
+    s = OrbitSet(v=7, t=2, reps=[[1, 2, 4], [1, 2, 5]], sizes=[7, 7], group_id="")
+    assert s.reps.dtype == np.uint8 and s.reps.tolist() == [[1, 2, 4], [1, 2, 5]]
 
 
 def test_parameter_validation():
@@ -349,8 +373,14 @@ def _order84_group(label, fixtures_dir):
 
 @pytest.mark.parametrize("label", ["G8", "G14"])
 def test_orderly_reps_node_count(label, fixtures_dir):
-    _, sizes, nodes = _orderly_reps(_order84_group(label, fixtures_dir), 91, 6, 2, True)
+    _, sizes, nodes = _orderly_reps(_order84_group(label, fixtures_dir), 91, 6, 2)
     assert (len(sizes), nodes) == (TABLE_GROUPS[label][0], SEARCH_NODES[label])
+
+
+# groups of order 84 with no published design whose normalizer classes and
+# encoding-b search take under a second; each of the other seven has KM rows
+# that no good orbit covers
+SOLVED_TO_ZERO = ("G7", "G8", "G12", "G14")
 
 
 @pytest.mark.parametrize("label", [*TABLE_GROUPS, "C91"])
@@ -372,6 +402,20 @@ def test_good_orbit_counts_match_the_paper(label, fixtures_dir):
     # a call every 2^16 nodes, counts never falling
     assert {n for n, *_ in calls if n % (1 << 16) == 0} == set(range(1 << 16, nodes + 1, 1 << 16))
     assert [c[:3] for c in calls] == sorted(c[:3] for c in calls)
+    if label == "C91" or TABLE_GROUPS[label][2]:
+        return
+    # the paper's 0 designs, with its |Ncal| where the search runs
+    km = build_km(G, t_orbit_reps(G, 91, 2), ko)
+    if label in SOLVED_TO_ZERO:
+        N = read_group_file(os.path.join(fixtures_dir, "normalizers", f"G{int(label[1:]):02d}.grp"))
+        classes = normalizer_classes(N, ko, G)
+        assert classes.n_classes == TABLE_GROUPS[label][1]
+        assert solve(encode(km, classes, "b").problem).solutions == 0
+    else:
+        # rows 0-2 are the three 2-orbits on the point orbit {1..7}; no good
+        # orbit covers them, so no design exists
+        assert km.t_orbits.reps[:3].max() <= 7 and km.t_orbits.reps[3:].max() > 7
+        assert np.bincount(km.col_rows, minlength=km.shape[0])[:3].tolist() == [0, 0, 0]
 
 
 def test_kernel_is_not_loaded_before_the_first_orbit_search(child_env):

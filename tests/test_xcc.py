@@ -105,14 +105,23 @@ def test_problem_validation():
 
 
 def test_from_arrays_copies_unless_handed_over():
+    # an array in its stored dtype and C order, needing no sort, is handed
+    # over: kept and made read-only; any other is copied
     ptr, items = np.array([0, 2, 3], dtype=np.int64), np.array([1, 0, 1], dtype=np.int32)
-    kept = XCCProblem.from_arrays(["A", "B"], [], ptr, items)
-    assert not np.shares_memory(kept.prim_items, items) and items.flags.writeable
-    taken = XCCProblem.from_arrays(["A", "B"], [], ptr, items.copy(), copy=False)
-    assert taken == kept and taken.prim_items.tolist() == [0, 1, 1]  # sorted within options
-    rows = np.array([0, 1, 1], dtype=np.int32)  # already sorted: kept as it is
-    taken = XCCProblem.from_arrays(["A", "B"], [], ptr, rows, copy=False)
-    assert taken.prim_items is rows and not rows.flags.writeable
+    sorted_copy = XCCProblem.from_arrays(["A", "B"], [], ptr, items)
+    assert not np.shares_memory(sorted_copy.prim_items, items) and items.flags.writeable
+    assert sorted_copy.prim_items.tolist() == [0, 1, 1]  # sorted within options
+    assert sorted_copy.prim_indptr is ptr and not ptr.flags.writeable
+    rows = np.array([0, 1, 1], dtype=np.int32)
+    for other in (rows.astype(np.int64), rows.tolist(), np.repeat(rows, 2)[::2]):
+        cast = XCCProblem.from_arrays(["A", "B"], [], ptr, other)
+        assert cast == sorted_copy and cast.prim_items.dtype == np.int32
+        assert not np.shares_memory(cast.prim_items, other)
+    taken = XCCProblem.from_arrays(["A", "B"], [], ptr, rows)
+    assert taken == sorted_copy and taken.prim_items is rows and not rows.flags.writeable
+    colors = np.array([0, 2], dtype=np.int64)
+    sec = XCCProblem.from_arrays(["A"], ["s"], [0, 1, 2], [0, 0], [0, 1, 2], [0, 0], colors)
+    assert sec.sec_colors is colors and sec.sec_items.dtype == np.int32
 
 
 def random_problem(rng):
