@@ -226,6 +226,21 @@ int kms_individualize(int n, const int32_t *indptr, const int32_t *adj,
  * returns 0, or returns -1 to stop the search.  Either way it joins the
  * generators that prune: one inside the known group may fix a path that
  * none of the known generators fixes.
+ *
+ * In a Steiner 2-design, refinement after one point is individualized
+ * leaves the other points alike, so the children of the root apply a
+ * vertex invariant (McKay & Piperno, "Practical graph isomorphism, II",
+ * 2014).  A quadrilateral is four blocks, any two meeting in exactly one
+ * point, with the six meeting points distinct; it contains its blocks and
+ * those points.  At a child of the root whose individualized vertex y is
+ * a point and which is not a leaf, q(u) counts the quadrilaterals holding
+ * both y and u.  Every non-singleton cell, in position order, splits into
+ * fragments of equal q in ascending q, members keeping their order; the
+ * starts of the fragments of every split cell are queued in position order
+ * and the partition refined with stop = v as above.  The invariant runs
+ * only on linear designs, where no pair of points lies in two blocks: the
+ * block through a pair is then one lookup in the sorted pair keys, and
+ * any other design runs the search without it.
  */
 
 typedef int (*kms_aut_cb)(const int32_t *perm);
@@ -240,6 +255,12 @@ typedef struct {
 } KmsChain;
 
 enum { CANON_DONE = 0, CANON_BUDGET = 1, CANON_STOPPED = 2, CANON_NOMEM = -1 };
+
+/* A member u of a cell at position at, with its quadrilateral count q. */
+typedef struct {
+    int64_t q;
+    int32_t at, u;
+} QuadEntry;
 
 typedef struct {
     int n, v, b, k;
@@ -257,6 +278,14 @@ typedef struct {
     int32_t *rows, *order, *order_tmp, *count, *perm, *sift, *first_lab, *first_order;
     uint8_t *cert, *first, *best;
     int have_first;
+    /* the quadrilateral invariant, for linear designs only (else pairs is
+     * NULL): the n_pairs keys (x * v + z) * b + i of the pairs x < z of
+     * points of block i, sorted; then q (n), the sort entries of one cell
+     * (n), fragment starts (n) and, as (a, b, block) triples, the at most
+     * (k - 1)^2 blocks meeting two blocks through y off y */
+    int64_t *pairs, n_pairs, *q;
+    QuadEntry *sorted;
+    int32_t *frags, *meets;
 } Canon;
 
 /* Labels, rows and certificate of a discrete partition: rows[i*k..] are
@@ -402,6 +431,149 @@ static void grow(Canon *c, uint8_t *orbit, int y, const int32_t *gens, int n_gen
     }
 }
 
+static int cmp_int64(const void *x, const void *z) {
+    int64_t a = *(const int64_t *)x, b = *(const int64_t *)z;
+    return (a > b) - (a < b);
+}
+
+static int cmp_quad_entry(const void *x, const void *z) {
+    const QuadEntry *a = x, *b = z;
+    return a->q != b->q ? (a->q > b->q) - (a->q < b->q) : a->at - b->at;
+}
+
+/* Sort the pair keys of the blocks and, when no pair lies in two blocks,
+ * set up the invariant's arrays.  Returns 0, or CANON_NOMEM; a design that
+ * is not linear leaves pairs NULL. */
+static int quad_init(Canon *c) {
+    int v = c->v, b = c->b, k = c->k;
+    int64_t m = 0;
+    c->n_pairs = (int64_t)b * k * (k - 1) / 2;
+    if (!(c->pairs = malloc(((size_t)c->n_pairs + 1) * sizeof(int64_t))))
+        return CANON_NOMEM;
+    for (int i = 0; i < b; i++) {
+        const int32_t *pts = c->adj + c->indptr[v + i];
+        for (int s = 0; s < k; s++)
+            for (int t = s + 1; t < k; t++)
+                c->pairs[m++] = ((int64_t)pts[s] * v + pts[t]) * b + i;
+    }
+    qsort(c->pairs, (size_t)m, sizeof(int64_t), cmp_int64);
+    for (int64_t j = 1; j < m; j++)
+        if (c->pairs[j] / b == c->pairs[j - 1] / b) {
+            free(c->pairs);
+            c->pairs = NULL;
+            return 0;
+        }
+    size_t n = (size_t)c->n;
+    if (!(c->q = malloc(n * (sizeof(int64_t) + sizeof(QuadEntry) + sizeof(int32_t))
+                        + 3 * (size_t)(k - 1) * (k - 1) * sizeof(int32_t))))
+        return CANON_NOMEM;
+    c->sorted = (QuadEntry *)(c->q + n);
+    c->frags = (int32_t *)(c->sorted + n);
+    c->meets = c->frags + n;
+    return 0;
+}
+
+/* The block (0..b-1) through the distinct points x and z, or -1. */
+static int pair_block(const Canon *c, int x, int z) {
+    int64_t key = (x < z ? (int64_t)x * c->v + z : (int64_t)z * c->v + x) * c->b;
+    int64_t lo = 0, hi = c->n_pairs;
+    while (lo < hi) {
+        int64_t mid = lo + (hi - lo) / 2;
+        if (c->pairs[mid] < key)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return lo < c->n_pairs && c->pairs[lo] - key < c->b ? (int)(c->pairs[lo] - key) : -1;
+}
+
+/* The point that the blocks (vertices) b1 and b2 share, or -1. */
+static int meet(const Canon *c, int b1, int b2) {
+    const int32_t *p = c->adj + c->indptr[b1], *r = c->adj + c->indptr[b2];
+    for (int i = 0, j = 0; i < c->k && j < c->k;) {
+        if (p[i] == r[j])
+            return p[i];
+        if (p[i] < r[j])
+            i++;
+        else
+            j++;
+    }
+    return -1;
+}
+
+/* q(u) for every vertex u: the quadrilaterals holding the point y and u.
+ * In a linear design, y is the meeting point of exactly two blocks of a
+ * quadrilateral, B1 and B2.  Each of the other two meets them off y, in a
+ * and b, so it is the block through a and b; two such blocks with distinct
+ * a and distinct b complete a quadrilateral when they meet, and then all
+ * six meeting points are distinct. */
+static void count_quads(Canon *c, int y) {
+    const int32_t *indptr = c->indptr, *adj = c->adj;
+    int64_t *q = c->q;
+    int k = c->k;
+    memset(q, 0, (size_t)c->n * sizeof *q);
+    for (int i = indptr[y]; i < indptr[y + 1]; i++)
+        for (int j = i + 1; j < indptr[y + 1]; j++) {
+            int b1 = adj[i], b2 = adj[j], m = 0;
+            const int32_t *p1 = adj + indptr[b1], *p2 = adj + indptr[b2];
+            for (int s = 0; s < k; s++)
+                for (int t = 0; t < k; t++) {
+                    int blk = p1[s] == y || p2[t] == y ? -1 : pair_block(c, p1[s], p2[t]);
+                    if (blk >= 0) {
+                        int32_t *x = c->meets + 3 * m++;
+                        x[0] = p1[s], x[1] = p2[t], x[2] = c->v + blk;
+                    }
+                }
+            for (int s = 0; s < m; s++)
+                for (int t = s + 1; t < m; t++) {
+                    const int32_t *x = c->meets + 3 * s, *z = c->meets + 3 * t;
+                    int e = x[0] == z[0] || x[1] == z[1] ? -1 : meet(c, x[2], z[2]);
+                    if (e < 0)
+                        continue;
+                    q[b1]++, q[b2]++, q[x[2]]++, q[z[2]]++;
+                    q[y]++, q[x[0]]++, q[x[1]]++, q[z[0]]++, q[z[1]]++, q[e]++;
+                }
+        }
+}
+
+/* Split every non-singleton cell of part by q(y, .) (count_quads), refine
+ * against the fragments of the cells split and return the target cell, or
+ * -1 when the points end as singletons. */
+static int quad_split(Canon *c, int32_t *part, int y) {
+    int n = c->n, qlen = 0;
+    int32_t *lab = part, *pos = part + n, *start = part + 2 * n, *end = part + 3 * n;
+    count_quads(c, y);
+    for (int cs = 0, ce; cs < n; cs = ce) {
+        ce = end[cs];
+        int same = 1;
+        for (int i = cs + 1; i < ce && same; i++)
+            same = c->q[lab[i]] == c->q[lab[cs]];
+        if (same)
+            continue;
+        for (int i = cs; i < ce; i++)
+            c->sorted[i - cs] = (QuadEntry){c->q[lab[i]], i, lab[i]};
+        qsort(c->sorted, (size_t)(ce - cs), sizeof *c->sorted, cmp_quad_entry);
+        int first = qlen;
+        for (int i = cs; i < ce; i++) {
+            const QuadEntry *e = c->sorted + (i - cs);
+            lab[i] = e->u;
+            pos[e->u] = i;
+            if (i == cs || e->q != e[-1].q)
+                c->frags[qlen++] = i;
+        }
+        for (int f = first; f < qlen; f++) {
+            int fe = f + 1 < qlen ? c->frags[f + 1] : ce;
+            for (int p = c->frags[f]; p < fe; p++) {
+                start[p] = c->frags[f];
+                end[p] = fe;
+            }
+        }
+    }
+    if (refine(n, c->v, c->indptr, c->adj, part, c->frags, qlen, c->work))
+        return -1;
+    return kms_target_cell(n, part);
+}
+
 #define LEVEL_BYTES(n) (4 * (size_t)(n) * sizeof(int32_t) + (size_t)(n))
 
 static int search(Canon *c, int depth, int ts) {
@@ -431,6 +603,8 @@ static int search(Canon *c, int depth, int ts) {
                 continue;
         }
         int cts = individualize(n, c->v, c->indptr, c->adj, part, c->part[depth + 1], ts, y, c->work);
+        if (!depth && c->pairs && y < c->v && cts >= 0)
+            cts = quad_split(c, c->part[1], y);
         c->path[depth] = y;
         int r = search(c, depth + 1, cts);
         if (r)
@@ -486,12 +660,15 @@ int kms_canon(int n, int v, const int32_t *indptr, const int32_t *adj,
         }
         int32_t queue[2] = {0, v};
         kms_refine(n, indptr, adj, part, queue, 2, work);
-        r = search(&c, 0, kms_target_cell(n, part));
+        r = quad_init(&c);
+        if (!r)
+            r = search(&c, 0, kms_target_cell(n, part));
     }
     *nodes = c.nodes;
     for (int d = 0; d <= n && c.part && c.pgens; d++)
         free(c.part[d]), free(c.pgens[d]);
     free(c.part), free(c.pgens), free(c.pgens_cap), free(c.gens), free(arena);
+    free(c.pairs), free(c.q);
     return r;
 }
 

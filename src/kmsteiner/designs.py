@@ -30,7 +30,16 @@ the canonically relabeled block list (each block sorted, blocks sorted,
 tree; a leaf is a node whose points are all singletons, where the search
 stops refining.  Automorphisms are detected as leaves with a certificate
 equal to the first leaf's, and every one found prunes candidate choices,
-whether or not it grows the known group.  Here stay the CSR graph, the
+whether or not it grows the known group.  In a Steiner 2-design,
+refinement after one point is individualized leaves the other points
+alike, so each child of the root that individualized a point and is not
+a leaf splits its cells by a vertex invariant: the number of
+quadrilaterals (four blocks, any two meeting in exactly one point, the
+six meeting points distinct) holding both that point and the vertex,
+then refines again.  The invariant runs only on linear designs, where no
+pair of points lies in two blocks, as the kernel decides from the
+design's own blocks; any other design, such as a 3-design, runs the
+search without it.  Here stay the CSR graph, the
 check of the known automorphisms and the ``StabilizerChain`` of the group
 found: the kernel sifts each leaf automorphism through the chain's tables
 and calls back only when it grows the group.  The group is returned via

@@ -123,13 +123,19 @@ def _strictly_lex_ordered(rows: np.ndarray, v: int) -> bool:
     increasing in lex order."""
     if not rows.size:
         return False
+    dtype = np.min_scalar_type(v)
     cols = np.ascontiguousarray(rows.T)
-    if not ((cols[1:] > cols[:-1]).all() and 1 <= cols[0].min() and cols[-1].max() <= v):
+    # rows already in dtype are unsigned, so the cast below keeps them, and
+    # once they are in lex order their least first point is rows[0, 0]
+    if not ((cols[1:] > cols[:-1]).all() and cols[-1].max() <= v
+            and (rows.dtype == dtype or 1 <= cols[0].min())):
         return False
-    # a row's points as big-endian bytes, one string, compare as the rows do
-    text = np.ascontiguousarray(rows, dtype=np.min_scalar_type(v).newbyteorder(">"))
-    text = text.view(f"S{text.itemsize * text.shape[1]}").ravel()
-    return bool((text[1:] > text[:-1]).all())
+    # a row's points as big-endian bytes compare as the rows do: as one
+    # unsigned integer where they fill 1, 2, 4 or 8 bytes, else as a string
+    text = np.ascontiguousarray(rows, dtype=dtype.newbyteorder(">"))
+    width = text.itemsize * text.shape[1]
+    text = text.view(f">u{width}" if width in (1, 2, 4, 8) else f"S{width}").ravel()
+    return bool((text[1:] > text[:-1]).all() and rows[0, 0] >= 1)
 
 
 @lru_cache(maxsize=16)
@@ -150,11 +156,17 @@ def _pack_keys(subsets0: np.ndarray, v: int) -> np.ndarray:
     The subset s_0 < ... < s_{k-1} has colex rank sum_c C(v-1-s_c, k-c)
     after the reflection x -> v-1-x, which reverses lex order.
     """
-    k = subsets0.shape[-1]
+    return _pack_columns(np.moveaxis(subsets0, -1, 0), v, subsets0.shape[:-1])
+
+
+def _pack_columns(cols, v: int, shape) -> np.ndarray:
+    """``_pack_keys`` of the subsets of the given shape whose c-th points
+    are the array cols[c]."""
+    k = len(cols)
     binom = _binomials(v, k)
-    keys = np.full(subsets0.shape[:-1], comb(v, k) - 1, dtype=np.int64)
+    keys = np.full(shape, comb(v, k) - 1, dtype=np.int64)
     for c in range(k):
-        keys -= binom[c][subsets0[..., c]]
+        keys -= binom[c][cols[c]]
     return keys
 
 
@@ -169,8 +181,9 @@ def _min_image_keys(subsets0: np.ndarray, G: PermutationGroup) -> np.ndarray:
     The least image of S starts with m, the least orbit minimum of its
     points, so only the elements sending some x in S with orbit minimum m
     to m can give it: |G_x| elements for each such x, not all of G.
-    Their images are sorted and keyed in chunks of about _CHUNK_ROWS
-    candidates, and each subset keeps the least.
+    Their images are keyed in chunks of about _CHUNK_ROWS candidates, one
+    array per point column, sorted across the columns by a network of
+    np.minimum/np.maximum, and each subset keeps the least.
     """
     els = G.element_table()
     n = len(subsets0)
@@ -192,8 +205,12 @@ def _min_image_keys(subsets0: np.ndarray, G: PermutationGroup) -> np.ndarray:
         cnt = stab[x]
         # g_of[start[x] + j] for j < |G_x|, the elements sending x to m
         g = g_of[np.repeat(start[x] - np.cumsum(cnt) + cnt, cnt) + np.arange(cnt.sum())]
-        imgs = np.sort(np.take(els, g[:, None] * G.degree + np.repeat(part, rows, axis=0)), axis=1)
-        keys[lo:hi] = np.minimum.reduceat(_pack_keys(imgs, G.degree), np.cumsum(rows) - rows)
+        g *= G.degree
+        cols = [np.take(els, g + np.repeat(part[:, c], rows)) for c in range(part.shape[1])]
+        for i in range(1, len(cols)):  # insertion network: the columns ascend
+            for j in range(i, 0, -1):
+                cols[j - 1], cols[j] = np.minimum(cols[j - 1], cols[j]), np.maximum(cols[j - 1], cols[j])
+        keys[lo:hi] = np.minimum.reduceat(_pack_columns(cols, G.degree, g.shape), np.cumsum(rows) - rows)
     return keys
 
 

@@ -14,6 +14,7 @@ the C exact-cover kernel.
 """
 
 import time
+from collections import Counter
 from itertools import combinations, permutations
 from math import comb
 
@@ -717,6 +718,11 @@ class PythonCanonizer:
         for i, blk in enumerate(self.adj_lists[self.v :]):
             for p in blk:
                 self.adj_lists[p].append(self.v + i)
+        # the quadrilateral invariant runs on linear designs only: no pair
+        # of points in two blocks
+        pairs = Counter(pair for blk in self.adj_lists[self.v :] for pair in combinations(blk, 2))
+        self.linear = all(count == 1 for count in pairs.values())
+        self.block_sets = {self.v + i: set(blk) for i, blk in enumerate(self.adj_lists[self.v :])}
         self.node_budget = node_budget
         self.nodes = 0
         # vertex permutations (tuples) that prune: the seeds that grow the
@@ -759,6 +765,41 @@ class PythonCanonizer:
         starts = child.split(ts, [[y], [u for u in child.cell_at(ts) if u != y]])
         refine(self.adj_lists, child, starts)
         return child, child.target_cell()
+
+    def _quad_counts(self, y):
+        """q[u] for every vertex u: the quadrilaterals holding the point y
+        and u, found from their definition: four blocks, any two meeting in
+        exactly one point, the six meeting points distinct.  Exactly two of
+        the blocks hold y."""
+        q = [0] * self.n
+        for b1, b2 in combinations(self.adj_lists[y], 2):
+            s1, s2 = self.block_sets[b1], self.block_sets[b2]
+            others = [w for w, s in self.block_sets.items()
+                      if w not in (b1, b2) and len(s & s1) == len(s & s2) == 1]
+            for quad in combinations(others, 2):
+                quad = (b1, b2) + quad
+                meets = [self.block_sets[x] & self.block_sets[z] for x, z in combinations(quad, 2)]
+                points = set().union(*meets)
+                if all(len(m) == 1 for m in meets) and len(points) == 6:
+                    for u in quad + tuple(points):
+                        q[u] += 1
+        return q
+
+    def _quad_split(self, part, y):
+        """Split every non-singleton cell of part by the quadrilateral
+        counts of y, in ascending count, refine against the fragments of the
+        cells split and return the target cell."""
+        q = self._quad_counts(y)
+        queue = []
+        s = 0
+        while s < self.n:
+            cell, end = part.cell_at(s), part.end[s]
+            values = sorted({q[u] for u in cell})
+            if len(values) > 1:
+                queue += part.split(s, [[u for u in cell if q[u] == x] for x in values])
+            s = end
+        refine(self.adj_lists, part, queue)
+        return part.target_cell()
 
     # -- leaves
 
@@ -812,6 +853,8 @@ class PythonCanonizer:
                     explored.append(y)
                     continue
             child, cts = self._individualize(part, ts, y)
+            if self.linear and not prefix and y < self.v and cts >= 0:
+                cts = self._quad_split(child, y)
             prefix.append(y)
             self.search(child, cts, prefix)
             prefix.pop()

@@ -2,10 +2,12 @@
 reference in `oracles`, the node counts of its search, and the kernel's
 build."""
 
+import hashlib
 import re
 import shutil
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +23,7 @@ from kmsteiner.perm import Permutation, StabilizerChain, cyclic_group, normalize
 from kmsteiner.symbreak import decode_solution, encode, normalizer_classes
 from kmsteiner.xcc import solve_all
 
-from oracles import Partition, PythonCanonizer, orbit_of_subset
+from oracles import Partition, PythonCanonizer, designs_isomorphic_bruteforce, orbit_of_subset
 
 KERNEL_SOURCE = Path(designs.__file__).with_name("_refine.c")
 
@@ -175,10 +177,12 @@ def _classify_mix_designs(v, k):
 # classify-mix, in solution order, with G's generators as known automorphisms
 CLASSIFY_MIX_NODES = {
     (15, 3): [(20160, 76), (60, 70)],
-    (21, 3): [(504, 626), (21, 212), (21, 212), (21, 212), (1008, 488), (126, 160),
-              (882, 78), (882, 78), (42, 203), (126, 76), (42, 214), (42, 214)],
-    (27, 3): [(27, 353)] * 16,
-    (37, 4): [(37, 914), (37, 914), (111, 382), (37, 914)],
+    (21, 3): [(504, 20), (21, 212), (21, 212), (21, 212), (1008, 32), (126, 7),
+              (882, 80), (882, 78), (42, 4), (126, 7), (42, 4), (42, 4)],
+    # the two without Pasch configurations leave the quadrilateral invariant
+    # nothing to split
+    (27, 3): [(27, 2)] * 3 + [(27, 353)] + [(27, 2)] * 5 + [(27, 353)] + [(27, 2)] * 6,
+    (37, 4): [(37, 2), (37, 2), (111, 4), (37, 2)],
     (21, 5): [(120960, 325)],
 }
 
@@ -192,7 +196,7 @@ def test_canonization_nodes_pinned():
         classes = classify(found, known_autos=G.generators)
         assert sum(c.nodes for c in classes) == sum(nodes for _, nodes in expected)
         total += sum(cf.nodes for cf in forms)
-    assert total == 12016
+    assert total == 2087
 
 
 def pg42():
@@ -253,6 +257,95 @@ def test_classify_mix_certificates_match_reference(v, k, picks):
     for i in picks:
         ref = PythonCanonizer(found[i], known_autos=G.generators).canonical_form()
         assert canonical_form(found[i], known_autos=G.generators) == ref
+
+
+@pytest.mark.parametrize("v, k, i, quads", [(27, 3, 0, True), (27, 3, 3, False), (37, 4, 0, True)])
+def test_quadrilateral_invariant_matches_reference(v, k, i, quads):
+    """Node for node, with G seeded and on a relabeled copy unseeded: a
+    cyclic STS(27) with Pasch configurations (the quadrilaterals of a
+    triple system), one without, where the invariant splits nothing, and
+    an S(2,4,37)."""
+    G, found = _classify_mix_designs(v, k)
+    d = found[i]
+    oracle = PythonCanonizer(d)
+    assert oracle.linear and (oracle._quad_counts(0)[0] > 0) == quads  # through point 1
+    relabeled = Design(v, np.random.default_rng(v).permutation(v)[d.blocks - 1] + 1)
+    for design, autos in ((d, G.generators), (relabeled, ())):
+        ref = PythonCanonizer(design, known_autos=autos).canonical_form()
+        cz = designs._Canonizer(design, autos)
+        assert cz.run(10**7) == ref and clean_work(cz)
+    assert ref.certificate == canonical_form(d).certificate
+
+
+def test_relabelings_get_equal_certificates():
+    """Every classify-mix design and two random relabelings of it get one
+    certificate."""
+    rng = np.random.default_rng(5)
+    for v, k in CLASSIFY_MIX_NODES:
+        _, found = _classify_mix_designs(v, k)
+        for d in found:
+            cert = canonical_form(d).certificate
+            for _ in range(2):
+                relabeled = Design(v, rng.permutation(v)[d.blocks - 1] + 1)
+                assert canonical_form(relabeled).certificate == cert
+
+
+def test_certificates_agree_with_bruteforce_isomorphism():
+    """The two STS(13): the cyclic one, and the one a Pasch trade makes of
+    it.  Certificates of relabelings are equal exactly when brute force
+    finds an isomorphism."""
+    cyclic = SMALL_DESIGNS["sts13"]
+    pasch = {(1, 2, 5), (1, 3, 8), (2, 8, 10), (3, 5, 10)}
+    traded = Design(13, sorted(set(map(tuple, cyclic.blocks.tolist())) - pasch
+                               | {(1, 2, 8), (1, 3, 5), (2, 5, 10), (3, 8, 10)}))
+    assert designs.verify_steiner(traded, 2).ok and canonical_form(traded).aut_order == 6
+    rng = np.random.default_rng(13)
+    for d in (cyclic, traded):
+        relabeled = Design(13, rng.permutation(13)[d.blocks - 1] + 1)
+        for other in (cyclic, traded):
+            same = canonical_form(relabeled).certificate == canonical_form(other).certificate
+            assert same == (other is d)
+        assert designs_isomorphic_bruteforce(d, relabeled)
+    assert not designs_isomorphic_bruteforce(traded, cyclic)
+
+
+def s348():
+    """S(3,4,8): the planes {a, b, c, d}, a ^ b ^ c ^ d = 0, of GF(2)^3,
+    vector x as point x + 1."""
+    return Design(8, [tuple(x + 1 for x in q) for q in combinations(range(8), 4)
+                      if q[0] ^ q[1] ^ q[2] ^ q[3] == 0])
+
+
+def complement(d):
+    inside = np.zeros((d.b, d.v + 1), dtype=bool)
+    inside[np.arange(d.b)[:, None], d.blocks] = True
+    return Design(d.v, [np.flatnonzero(~row[1:]) + 1 for row in inside])
+
+
+# (aut order, nodes, certificate SHA-256 prefix) of each design and of two
+# relabelings, as the search without the quadrilateral invariant gives them
+NON_LINEAR_FORMS = {
+    "s348": [(1344, 78, "44ab6eb295b046b4")] * 3,
+    "fano": [(168, 46, "1b3c9d1cf7c720b1")] * 2 + [(168, 43, "1b3c9d1cf7c720b1")],
+    "sts13": [(39, 133, "88bbde0ba91f7d31"), (39, 146, "88bbde0ba91f7d31"),
+              (39, 120, "88bbde0ba91f7d31")],
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_LINEAR_FORMS))
+def test_non_linear_designs_search_without_the_invariant(name):
+    """S(3,4,8), a 3-design, and the block complements of two triple
+    systems have pairs of points in several blocks: their search, nodes and
+    certificates are those of the search without the invariant."""
+    d = s348() if name == "s348" else complement(SMALL_DESIGNS[name])
+    assert not PythonCanonizer(d).linear
+    rng = np.random.default_rng(8)
+    forms = []
+    for i in range(3):
+        x = d if i == 0 else Design(d.v, rng.permutation(d.v)[d.blocks - 1] + 1)
+        cf = canonical_form(x)
+        forms.append((cf.aut_order, cf.nodes, hashlib.sha256(cf.certificate).hexdigest()[:16]))
+    assert forms == NON_LINEAR_FORMS[name]
 
 
 def test_classify_jobs_agree_and_report_progress():

@@ -745,9 +745,9 @@ def test_classify_records_canon_nodes_and_logs_progress(tmp_path, fixtures_dir, 
             return json.load(fh)["stages"]["classify"]["counts"]["canon_nodes"]
 
     assert progress[-1] == f"canonized design 8 of 8, {canon_nodes()} nodes"
-    assert canon_nodes() == 1004
+    assert canon_nodes() == 155
     cmd_classify(cfg, jobs=2)
-    assert canon_nodes() == 1004
+    assert canon_nodes() == 155
 
 
 def test_report_tables(sts13_cfg):
