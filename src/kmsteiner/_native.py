@@ -38,12 +38,8 @@ from pathlib import Path
 
 _I, _I64, _P = ctypes.c_int, ctypes.c_int64, ctypes.c_void_p
 
-# kms_canon's callback, int (*)(const int32_t *perm), and its KmsChain
+# kms_canon's callback, int (*)(const int32_t *perm)
 AUT_CALLBACK = ctypes.CFUNCTYPE(_I, _P)
-
-
-class Chain(ctypes.Structure):
-    _fields_ = [("levels", _I), ("base", _P), ("trans", _P), ("inv", _P)]
 
 
 # per kernel source: function -> (argument types, return type)
@@ -57,7 +53,7 @@ _PROTOTYPES = {
         "kms_refine": ((_I, _P, _P, _P, _P, _I, _P), _I),
         "kms_target_cell": ((_I, _P), _I),
         "kms_individualize": ((_I, _P, _P, _P, _P, _I, _I, _P), _I),
-        "kms_canon": ((_I, _I, _P, _P, _P, _I, _P, _I64, AUT_CALLBACK, _P, _P, _P), _I),
+        "kms_canon": ((_I, _I, _P, _P, _P, _I, _I64, AUT_CALLBACK, _P, _P, _P), _I),
         "kms_expand": ((_I, _I, _I64, _P, _I64, _P, _P, _P, _P, _I), _I64),
         "kms_steiner_count": ((_I, _I, _I64, _I, _P, _I, _I64, _P, _P, _I64), _I),
     },

@@ -3,10 +3,11 @@
  * incidence graph (kms_canon) and the partition refinement it runs at
  * every node (kms_refine, kms_individualize, kms_target_cell).  The Python
  * side builds the graph, checks the known automorphisms and keeps the
- * stabilizer chain of the automorphisms found; the walk over the tree, the
- * leaf certificates, the node budget and the orbit pruning are here.  A
- * leaf is a node whose points are all singletons, and every automorphism
- * found at a leaf prunes, whether or not it grows the known group.  At
+ * stabilizer chain of the automorphisms the search passes to it; the walk
+ * over the tree, the leaf certificates, the node budget and the orbit
+ * pruning are here.  A leaf is a node whose points are all singletons,
+ * and every automorphism found at a leaf is passed on and prunes, whether
+ * or not it grows the known group.  At
  * the end of the file are the expansion of chosen orbits into a design
  * (kms_expand) and the Steiner check (kms_steiner_count).
  *
@@ -220,12 +221,11 @@ int kms_individualize(int n, const int32_t *indptr, const int32_t *adj,
  * leaf whose certificate equals the first leaf's gives an automorphism:
  * the point at position i goes to the first leaf's point at position i,
  * and the block of the j-th row to the first leaf's block of the j-th row.
- * It is dropped when it fixes every point.  When it does not sift to the
- * identity through the stabilizer chain, it is passed to the callback,
- * which adds it to the chain, points the chain at the grown group and
- * returns 0, or returns -1 to stop the search.  Either way it joins the
- * generators that prune: one inside the known group may fix a path that
- * none of the known generators fixes.
+ * It is dropped when it fixes every point.  Otherwise it is passed to the
+ * callback, which returns 0, or -1 to stop the search, and then joins the
+ * generators that prune, whether or not it grows the known group: one
+ * inside that group may fix a path that none of the known generators
+ * fixes.
  *
  * In a Steiner 2-design, refinement after one point is individualized
  * leaves the other points alike, so the children of the root apply a
@@ -245,15 +245,6 @@ int kms_individualize(int n, const int32_t *indptr, const int32_t *adj,
 
 typedef int (*kms_aut_cb)(const int32_t *perm);
 
-/* A stabilizer chain of a group on the points: base[0..levels-1]; at level
- * j, trans[j*v + p] is the row of inv (v entries each) holding the inverse
- * of the transversal element that maps base[j] to p, or -1 when p is not
- * in the orbit of base[j] under the stabilizer of base[0..j-1]. */
-typedef struct {
-    int levels;
-    const int32_t *base, *trans, *inv;
-} KmsChain;
-
 enum { CANON_DONE = 0, CANON_BUDGET = 1, CANON_STOPPED = 2, CANON_NOMEM = -1 };
 
 /* A member u of a cell at position at, with its quadrilateral count q. */
@@ -268,14 +259,13 @@ typedef struct {
     int32_t *work;
     int64_t budget, nodes;
     kms_aut_cb cb;
-    const KmsChain *chain;
     int32_t **part;          /* per depth: the partition (4n), then n orbit flags */
     int32_t **pgens;         /* per depth: generators fixing the path */
     int *pgens_cap;
     int32_t *path, *queue;   /* n each */
     int32_t *gens;           /* n_gens vertex permutations of n entries */
     int n_gens, gens_cap;
-    int32_t *rows, *order, *order_tmp, *count, *perm, *sift, *first_lab, *first_order;
+    int32_t *rows, *order, *order_tmp, *count, *perm, *first_lab, *first_order;
     uint8_t *cert, *first, *best;
     int have_first;
     /* the quadrilateral invariant, for linear designs only (else pairs is
@@ -341,26 +331,6 @@ static int add_gen(Canon *c) {
     return 0;
 }
 
-/* Whether the points part of perm lies in the chain's group. */
-static int in_group(Canon *c) {
-    const KmsChain *ch = c->chain;
-    int v = c->v;
-    int32_t *g = c->sift;
-    memcpy(g, c->perm, (size_t)v * sizeof(int32_t));
-    for (int j = 0; j < ch->levels; j++) {
-        int row = ch->trans[(size_t)j * v + g[ch->base[j]]];
-        if (row < 0)
-            return 0;
-        const int32_t *u = ch->inv + (size_t)row * v;
-        for (int x = 0; x < v; x++)
-            g[x] = u[g[x]];
-    }
-    for (int x = 0; x < v; x++)
-        if (g[x] != x)
-            return 0;
-    return 1;
-}
-
 static int leaf(Canon *c, const int32_t *part) {
     int n = c->n, v = c->v, b = c->b;
     size_t bytes = 2 * (size_t)b * c->k;
@@ -386,7 +356,7 @@ static int leaf(Canon *c, const int32_t *part) {
         moved++;
     if (moved == v)
         return 0;
-    if (!in_group(c) && c->cb(c->perm) < 0)
+    if (c->cb(c->perm) < 0)
         return CANON_STOPPED;
     return add_gen(c);
 }
@@ -617,32 +587,30 @@ static int search(Canon *c, int depth, int ts) {
 
 /* Canonical certificate of the design whose incidence graph has n vertices,
  * v of them points.  gens holds n_gens known automorphisms as vertex
- * permutations, chain the stabilizer chain of the group they generate; the
- * search prunes with these and with the automorphisms it finds.
+ * permutations; the search prunes with these and with the automorphisms
+ * it finds, each of which it passes to cb.
  * Writes the least certificate (2bk bytes) to best and the nodes visited
  * to *nodes.  Returns 0, 1 when the node count passes budget (nothing in
  * best is then final), 2 when the callback stopped the search, -1 when
  * out of memory. */
 int kms_canon(int n, int v, const int32_t *indptr, const int32_t *adj,
-              const int32_t *gens, int n_gens, const KmsChain *chain,
-              int64_t budget, kms_aut_cb cb,
+              const int32_t *gens, int n_gens, int64_t budget, kms_aut_cb cb,
               uint8_t *best, int64_t *nodes, int32_t *work) {
     Canon c = {0};
     int b = n - v, k = indptr[v + 1] - indptr[v], r = CANON_NOMEM;
     size_t bytes = 2 * (size_t)b * k;
     c.n = n, c.v = v, c.b = b, c.k = k;
     c.indptr = indptr, c.adj = adj, c.work = work, c.budget = budget, c.cb = cb, c.best = best;
-    c.chain = chain;
-    /* path, queue, perm, first_lab (n each), sift (v), count (v + 1),
-     * rows (bk), order, order_tmp, first_order (b each), cert, first */
-    int32_t *arena = malloc((4 * (size_t)n + 2 * (size_t)v + 1 + (size_t)b * k + 3 * (size_t)b)
+    /* path, queue, perm, first_lab (n each), count (v + 1), rows (bk),
+     * order, order_tmp, first_order (b each), cert, first */
+    int32_t *arena = malloc((4 * (size_t)n + (size_t)v + 1 + (size_t)b * k + 3 * (size_t)b)
                             * sizeof(int32_t) + 2 * bytes);
     c.part = calloc((size_t)n + 1, sizeof *c.part);
     c.pgens = calloc((size_t)n + 1, sizeof *c.pgens);
     c.pgens_cap = calloc((size_t)n + 1, sizeof *c.pgens_cap);
     if (arena && c.part && c.pgens && c.pgens_cap && (c.part[0] = malloc(LEVEL_BYTES(n)))) {
         c.path = arena, c.queue = c.path + n, c.perm = c.queue + n, c.first_lab = c.perm + n;
-        c.sift = c.first_lab + n, c.count = c.sift + v, c.rows = c.count + v + 1;
+        c.count = c.first_lab + n, c.rows = c.count + v + 1;
         c.order = c.rows + (size_t)b * k, c.order_tmp = c.order + b, c.first_order = c.order_tmp + b;
         c.cert = (uint8_t *)(c.first_order + b), c.first = c.cert + bytes;
         r = 0;

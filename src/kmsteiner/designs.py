@@ -39,12 +39,12 @@ six meeting points distinct) holding both that point and the vertex,
 then refines again.  The invariant runs only on linear designs, where no
 pair of points lies in two blocks, as the kernel decides from the
 design's own blocks; any other design, such as a 3-design, runs the
-search without it.  Here stay the CSR graph, the
-check of the known automorphisms and the ``StabilizerChain`` of the group
-found: the kernel sifts each leaf automorphism through the chain's tables
-and calls back only when it grows the group.  The group is returned via
-its order, with the number of search nodes.  A design without blocks has
-the empty certificate and aut order v!.
+search without it.  Here stay the CSR graph, the check of the known
+automorphisms and the one ``StabilizerChain`` of the group found: the
+kernel calls back with every leaf automorphism, and one outside the
+chain's group is replayed on the block set and added to the chain.  The
+group is returned via its order, with the number of search nodes.  A
+design without blocks has the empty certificate and aut order v!.
 Canonization refuses v >= 2^16 (certificate labels are 16-bit) and k with
 C(v, k) >= 2^63, which has no 63-bit lex rank.
 """
@@ -236,7 +236,8 @@ class CanonicalForm:
 
 class _Canonizer:
     """One canonization: the design's incidence graph in CSR form for the
-    C search, and the stabilizer chain of the automorphisms it finds."""
+    C search, and the stabilizer chain of the automorphisms it finds.  Only
+    the known automorphisms that grow the chain seed the search."""
 
     def __init__(self, design: Design, known_autos):
         if design.v >= 1 << 16:
@@ -262,24 +263,7 @@ class _Canonizer:
             if self.chain.add(tuple(vp[: self.v].tolist())):
                 seeds.append(vp)
         self.seeds = np.array(seeds, dtype=np.int32).reshape(len(seeds), self.n)
-        self.chain_c = _native.Chain()
-        self._export_chain()
         self.error = None  # an exception raised in _on_aut
-
-    def _export_chain(self) -> None:
-        """Point chain_c at tables of the stabilizer chain, for the kernel's
-        sift; the tables stay alive in _tables."""
-        base, trans = self.chain.base, self.chain.trans
-        table = np.full((len(base), self.v), -1, dtype=np.int32)
-        offset = 0
-        for j, t in enumerate(trans):
-            table[j, list(t)] = np.arange(offset, offset + len(t))
-            offset += len(t)
-        elements = np.array([u for t in trans for u in t.values()]).reshape(offset, self.v)
-        self._tables = (np.array(base, dtype=np.int32), table,
-                        np.argsort(elements, axis=1).astype(np.int32))
-        self.chain_c.levels = len(base)
-        self.chain_c.base, self.chain_c.trans, self.chain_c.inv = (a.ctypes.data for a in self._tables)
 
     def _vertex_perm(self, pt_perm: np.ndarray):
         """The vertex permutation of a 0-based point permutation, or None
@@ -291,18 +275,20 @@ class _Canonizer:
         return np.r_[pt_perm, self.v + tgt]
 
     def _on_aut(self, addr) -> int:
-        """The search's callback for a leaf automorphism at addr outside the
-        chain's group: replay it on the block set and add it to the chain,
-        then 0, or -1, keeping the exception for run, if anything raised."""
+        """The search's callback for a leaf automorphism at addr: one
+        already in the chain's group is a product of verified automorphisms;
+        any other is replayed on the block set and added to the chain.
+        Returns 0, or -1, keeping the exception for run, if anything raised."""
         try:
             vp = np.ctypeslib.as_array((ctypes.c_int32 * self.n).from_address(addr))
             pts = vp[: self.v]
+            g = tuple(pts.tolist())
+            if self.chain.contains(g):
+                return 0
             replay = self._vertex_perm(pts)
             if replay is None or not np.array_equal(replay, vp):
                 raise AssertionError("leaf map does not preserve the block set")
-            if not self.chain.add(tuple(pts.tolist())):
-                raise AssertionError("the kernel's sift disagrees with the stabilizer chain")
-            self._export_chain()
+            self.chain.add(g)
             return 0
         except BaseException as exc:
             self.error = exc
@@ -314,8 +300,7 @@ class _Canonizer:
         nodes = ctypes.c_int64()
         status = kernel.kms_canon(
             self.n, self.v, self.indptr.ctypes.data, self.adj.ctypes.data,
-            self.seeds.ctypes.data, len(self.seeds), ctypes.byref(self.chain_c),
-            min(node_budget, (1 << 63) - 1),
+            self.seeds.ctypes.data, len(self.seeds), min(node_budget, (1 << 63) - 1),
             _native.AUT_CALLBACK(self._on_aut), best.ctypes.data, ctypes.byref(nodes),
             self.work.ctypes.data,
         )

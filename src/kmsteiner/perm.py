@@ -468,21 +468,30 @@ def read_group_file(path) -> PermutationGroup:
 
 
 def parse_group(text_lines, path) -> PermutationGroup:
-    """The group of a group file given as its lines; path names it in errors."""
-    lines = []
-    for raw in text_lines:
+    """The group of a group file given as its lines; every error names path
+    and the line, counted from 1 over all lines."""
+    lines = []  # (line number, text) of the lines left without comments
+    for ln, raw in enumerate(text_lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
-            lines.append(line)
+            lines.append((ln, line))
     if not lines:
         raise ValueError(f"{path}: empty group file")
-    head = lines[0].split()
+    ln, head = lines[0][0], lines[0][1].split()
     if len(head) != 2 or head[0] != "degree":
-        raise ValueError(f"{path}: first line must be 'degree v'")
-    v = int(head[1])
+        raise ValueError(f"{path}:{ln}: first line must be 'degree v'")
+    try:
+        v = int(head[1])
+    except ValueError:
+        v = 0
     if v < 1:
-        raise ValueError(f"{path}: bad degree {v}")
-    gens = [parse_permutation(s, v) for s in lines[1:]]
+        raise ValueError(f"{path}:{ln}: bad degree {head[1]}")
+    gens = []
+    for ln, line in lines[1:]:
+        try:
+            gens.append(parse_permutation(line, v))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{ln}: {exc}") from None
     if not gens:
         gens = [Permutation.identity(v)]
     return PermutationGroup(gens, v)

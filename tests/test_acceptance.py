@@ -337,6 +337,36 @@ def test_paper_table_ncal_column(label, fixtures_dir):
 
 
 @pytest.mark.paper
+def test_paper_table_design_column(fixtures_dir):
+    # the designs column of the paper's group table: the four groups with
+    # designs, solved under encoding b with the fixture groups and
+    # normalizers, give 23 designs with |Aut| = 84 and one with 1092
+    t0 = time.perf_counter()
+    certs = set()
+    aut_orders = []
+    for label in TABLE_BENCH:
+        name = f"G{int(label[1:]):02d}.grp"
+        G = read_group_file(os.path.join(fixtures_dir, "groups", name))
+        N = read_group_file(os.path.join(fixtures_dir, "normalizers", name))
+        ko = good_k_orbit_reps(G, 91, 6, 2)
+        enc = encode(build_km(G, t_orbit_reps(G, 91, 2), ko), normalizer_classes(N, ko, G), "b")
+        sols, stats = solve_reporting("design column", enc.problem)
+        assert stats.solutions == TABLE_BENCH[label]["b"], label
+        designs = [expand(decode_solution(s, enc), ko, G) for s in sols]
+        for d in designs:
+            assert verify_steiner(d, 2).ok
+        classes = classify(designs, known_autos=G.generators,
+                           progress=Progress("design column").classify)
+        assert len(classes) == TABLE_GROUPS[label][2], label
+        certs |= {c.certificate for c in classes}
+        aut_orders += [c.aut_order for c in classes]
+        t0 = stage("design column", t0,
+                   f"{label}: {stats.solutions} solutions, {len(classes)} classes")
+    assert sorted(aut_orders) == [84] * 23 + [1092]
+    assert len(certs) == 24
+
+
+@pytest.mark.paper
 def test_criterion_8_cyclic_s26_91():
     with criterion(8, "cyclic S(2,6,91): 1774964 good orbits, 120/8 solutions, 4 classes"):
         t0 = time.perf_counter()

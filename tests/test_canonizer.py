@@ -100,10 +100,16 @@ def test_kernel_refines_like_reference(relabeled, rng):
 def test_kernel_search_matches_reference(relabeled, seeded):
     d, shift = relabeled
     autos = [shift] if seeded else []
-    ref = PythonCanonizer(d, known_autos=autos).canonical_form()
+    oracle = PythonCanonizer(d, known_autos=autos)
+    ref = oracle.canonical_form()
     cz = designs._Canonizer(d, autos)
+    calls = []
+    on_aut = cz._on_aut
+    cz._on_aut = lambda addr: calls.append(addr) or on_aut(addr)
     cf = cz.run(10**7)
     assert (cf.certificate, cf.aut_order, cf.nodes) == (ref.certificate, ref.aut_order, ref.nodes)
+    # the kernel passes on every leaf automorphism that moves a point
+    assert len(calls) == len(oracle.aut_gens) - len(cz.seeds)
     assert cf.aut_order == {7: 168, 13: 39, 15: 20160, 21: 120960}[d.v]
     assert clean_work(cz)
     # the budget: both stop when they enter node budget + 1
@@ -136,12 +142,12 @@ def test_callback_exception_reaches_the_caller(monkeypatch):
     assert clean_work(cz)
 
 
-def test_sift_disagreeing_with_the_chain_is_an_error(monkeypatch):
-    # the kernel calls back only for an automorphism its sift puts outside
-    # the chain's group, so the chain must grow
-    monkeypatch.setattr(StabilizerChain, "add", lambda self, g: False)
-    cz = designs._Canonizer(SMALL_DESIGNS["sts13"], ())
-    with pytest.raises(AssertionError, match="sift disagrees"):
+def test_leaf_map_failing_the_replay_is_an_error(monkeypatch):
+    # every leaf automorphism outside the chain's group is replayed on the
+    # block set before it joins the chain
+    monkeypatch.setattr(designs._Canonizer, "_vertex_perm", lambda self, pt_perm: None)
+    cz = designs._Canonizer(SMALL_DESIGNS["sts13"], ())  # unseeded: no seed to replay
+    with pytest.raises(AssertionError, match="does not preserve the block set"):
         cz.run(10**7)
     assert clean_work(cz)
 

@@ -197,12 +197,23 @@ def test_group_file_round_trip(tmp_path):
     assert open(path).read() == open(path2).read()
 
 
-def test_group_file_errors(tmp_path):
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("order 5\n(1,2)\n", 1, "first line must be 'degree v'"),
+        ("# a comment\n\ndegree x\n(1,2)\n", 3, "bad degree x"),
+        ("degree 0\n", 1, "bad degree 0"),
+        ("degree 5\n# a comment\n(1,2)\n\n(1,2\n", 5, "unparseable permutation text '(1,2'"),
+        ("degree 5\n(1,2)  # a comment\n(1,9)\n", 3, "point 9 out of range 1..5"),
+    ],
+)
+def test_group_file_errors(tmp_path, text, line, message):
     bad = os.path.join(tmp_path, "bad.grp")
     with open(bad, "w") as fh:
-        fh.write("order 5\n(1,2)\n")
-    with pytest.raises(ValueError):
+        fh.write(text)
+    with pytest.raises(ValueError) as info:
         read_group_file(bad)
+    assert str(info.value) == f"{bad}:{line}: {message}"
 
 
 def test_fingerprint_deterministic():
