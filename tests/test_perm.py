@@ -197,17 +197,25 @@ def test_group_file_round_trip(tmp_path):
     assert open(path).read() == open(path2).read()
 
 
+def test_group_file_errors(tmp_path):
+    bad = os.path.join(tmp_path, "bad.grp")
+    with open(bad, "w") as fh:
+        fh.write("order 5\n(1,2)\n")
+    with pytest.raises(ValueError) as info:
+        read_group_file(bad)
+    assert str(info.value) == f"{bad}:1: first line must be 'degree v'"
+
+
 @pytest.mark.parametrize(
     "text, line, message",
     [
-        ("order 5\n(1,2)\n", 1, "first line must be 'degree v'"),
         ("# a comment\n\ndegree x\n(1,2)\n", 3, "bad degree x"),
         ("degree 0\n", 1, "bad degree 0"),
         ("degree 5\n# a comment\n(1,2)\n\n(1,2\n", 5, "unparseable permutation text '(1,2'"),
         ("degree 5\n(1,2)  # a comment\n(1,9)\n", 3, "point 9 out of range 1..5"),
     ],
 )
-def test_group_file_errors(tmp_path, text, line, message):
+def test_group_file_error_names_its_line(tmp_path, text, line, message):
     bad = os.path.join(tmp_path, "bad.grp")
     with open(bad, "w") as fh:
         fh.write(text)
