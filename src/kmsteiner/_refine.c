@@ -29,12 +29,19 @@
 #include <stdlib.h>
 #include <string.h>
 
-/* kms_refine, which passes stop = 0.  With stop > 0, positions 0..stop-1
- * must hold whole cells: once they are all singletons, refinement ends
- * before the next splitter, clearing the queued flags of the splitters
- * left, and returns 1. */
-static int refine(int n, int stop, const int32_t *indptr, const int32_t *adj, int32_t *part,
-                  const int32_t *queue, int qlen, int32_t *work) {
+/* Refine against the queued cells; queue holds qlen cell starts.  A FIFO
+ * worklist: each splitter cell counts, for every vertex, its neighbours in
+ * the splitter; every touched cell, in position order, splits into
+ * fragments of equal count, in ascending count order, with members keeping
+ * their relative order.  If the split cell was queued, every fragment after
+ * the first is queued; otherwise every fragment but the first largest one.
+ * Positions 0..stop-1 must hold whole cells: once they are all singletons,
+ * refinement ends before the next splitter, clearing the queued flags of
+ * the splitters left.  Returns 1 when those positions end as singletons, 0
+ * at a fixpoint that leaves one of their cells whole, -1 if qlen exceeds
+ * n. */
+int kms_refine(int n, int stop, const int32_t *indptr, const int32_t *adj, int32_t *part,
+               const int32_t *queue, int qlen, int32_t *work) {
     int32_t *lab = part, *pos = part + n, *start = part + 2 * n, *end = part + 3 * n;
     uint64_t *marked = (uint64_t *)work;      /* bit set: touched cell starts */
     int32_t *cnt = work + 2 * (n / 64 + 1);   /* neighbours in the splitter */
@@ -54,7 +61,7 @@ static int refine(int n, int stop, const int32_t *indptr, const int32_t *adj, in
         fifo[tail++] = queue[i];
     }
     while (head < tail) {
-        if (stop && cells == stop) {
+        if (cells == stop) {
             while (head < tail)
                 queued[fifo[head++]] = 0;
             return 1;
@@ -137,19 +144,7 @@ static int refine(int n, int stop, const int32_t *indptr, const int32_t *adj, in
         for (int i = 0; i < n_touched; i++)
             cnt[touched[i]] = 0;
     }
-    return stop && cells == stop;
-}
-
-/* Refine to a fixpoint against the queued cells.  queue holds qlen cell
- * starts.  A FIFO worklist: each splitter cell counts, for every vertex,
- * its neighbours in the splitter; every touched cell, in position order,
- * splits into fragments of equal count, in ascending count order, with
- * members keeping their relative order.  If the split cell was queued,
- * every fragment after the first is queued; otherwise every fragment but
- * the first largest one.  Returns 0, or -1 if qlen exceeds n. */
-int kms_refine(int n, const int32_t *indptr, const int32_t *adj, int32_t *part,
-               const int32_t *queue, int qlen, int32_t *work) {
-    return refine(n, 0, indptr, adj, part, queue, qlen, work);
+    return cells == stop;
 }
 
 /* Start of the first smallest non-singleton cell, or -1 if every cell is
@@ -167,10 +162,12 @@ int kms_target_cell(int n, const int32_t *part) {
     return best;
 }
 
-/* kms_individualize, with refine's stop: returns -1 when positions
- * 0..stop-1 end as singletons. */
-static int individualize(int n, int stop, const int32_t *indptr, const int32_t *adj,
-                         const int32_t *src, int32_t *dst, int ts, int y, int32_t *work) {
+/* Copy src to dst, split vertex y off the front of its cell ts (the other
+ * members keep their order), refine against both fragments with stop
+ * (kms_refine) and return the target cell of the result (kms_target_cell),
+ * or -1 when positions 0..stop-1 end as singletons. */
+int kms_individualize(int n, int stop, const int32_t *indptr, const int32_t *adj,
+                      const int32_t *src, int32_t *dst, int ts, int y, int32_t *work) {
     int32_t *lab = dst, *pos = dst + n, *start = dst + 2 * n, *end = dst + 3 * n;
     memcpy(dst, src, 4 * (size_t)n * sizeof(int32_t));
     int py = pos[y], te = end[ts];
@@ -184,17 +181,9 @@ static int individualize(int n, int stop, const int32_t *indptr, const int32_t *
     for (int i = ts + 1; i < te; i++)
         start[i] = ts + 1;
     int32_t queue[2] = {ts, ts + 1};
-    if (refine(n, stop, indptr, adj, dst, queue, 2, work))
+    if (kms_refine(n, stop, indptr, adj, dst, queue, 2, work))
         return -1;
     return kms_target_cell(n, dst);
-}
-
-/* Copy src to dst, split vertex y off the front of its cell ts (the other
- * members keep their order), refine against both fragments and return the
- * target cell of the result (kms_target_cell). */
-int kms_individualize(int n, const int32_t *indptr, const int32_t *adj,
-                      const int32_t *src, int32_t *dst, int ts, int y, int32_t *work) {
-    return individualize(n, 0, indptr, adj, src, dst, ts, y, work);
 }
 
 /* ------------------------------------------------------------------------
@@ -204,10 +193,11 @@ int kms_individualize(int n, const int32_t *indptr, const int32_t *adj,
  * since refinement never moves a vertex out of its cell.
  *
  * A node is counted when it is entered; the root is the partition
- * {points, blocks} refined.  A node whose points are all singletons is a
- * leaf: the search's individualization stops refining there, as a leaf
- * reads only the points' positions and the blocks' rows, and refining on
- * would only make the blocks discrete (distinct blocks differ in a point).
+ * {points, blocks} refined.  Every refinement of the search, the root's
+ * included, passes stop = v: a node whose points are all singletons is a
+ * leaf, which reads only the points' positions and the blocks' rows, and
+ * refining on would only make the blocks discrete (distinct blocks differ
+ * in a point).
  * Otherwise a node branches on its target cell (kms_target_cell), trying the
  * members in cell order, and skips a member y after the first when y lies
  * in the explored orbit: the closure of the members before y under the
@@ -539,7 +529,7 @@ static int quad_split(Canon *c, int32_t *part, int y) {
             }
         }
     }
-    if (refine(n, c->v, c->indptr, c->adj, part, c->frags, qlen, c->work))
+    if (kms_refine(n, c->v, c->indptr, c->adj, part, c->frags, qlen, c->work))
         return -1;
     return kms_target_cell(n, part);
 }
@@ -572,7 +562,7 @@ static int search(Canon *c, int depth, int ts) {
             if (orbit[y])
                 continue;
         }
-        int cts = individualize(n, c->v, c->indptr, c->adj, part, c->part[depth + 1], ts, y, c->work);
+        int cts = kms_individualize(n, c->v, c->indptr, c->adj, part, c->part[depth + 1], ts, y, c->work);
         if (!depth && c->pairs && y < c->v && cts >= 0)
             cts = quad_split(c, c->part[1], y);
         c->path[depth] = y;
@@ -627,10 +617,10 @@ int kms_canon(int n, int v, const int32_t *indptr, const int32_t *adj,
             part[3 * n + i] = i < v ? v : n;
         }
         int32_t queue[2] = {0, v};
-        kms_refine(n, indptr, adj, part, queue, 2, work);
+        int ts = kms_refine(n, v, indptr, adj, part, queue, 2, work) ? -1 : kms_target_cell(n, part);
         r = quad_init(&c);
         if (!r)
-            r = search(&c, 0, kms_target_cell(n, part));
+            r = search(&c, 0, ts);
     }
     *nodes = c.nodes;
     for (int d = 0; d <= n && c.part && c.pgens; d++)

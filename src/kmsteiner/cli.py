@@ -1,24 +1,26 @@
 """Pipeline orchestration: stage commands, plain-text configs, persisted
 artifacts, one run record per output directory, and report tables.
 
-Stages (orbits -> km -> encode -> solve -> classify) are resumable and
-idempotent.  ``JobConfig.load`` reads each group file once and gives the
-stages G, N and the configuration fingerprint; the solver caps are the
-config keys ``node_cap``, ``time_cap`` and ``solution_limit``.  ``--jobs``
-sets the worker processes of classify (at least 1, at most one per CPU):
-used by classify, accepted by every stage.  The stages hand each other
-``.npy`` arrays: the cli checks their file format, and
-``orbitgen.OrbitSet``, ``km.KMInstance`` and
+Stages (``STAGES``: orbits -> km -> encode -> solve -> classify) are
+resumable and idempotent.  ``JobConfig.load`` reads each group file once
+and gives the stages G, N and the configuration fingerprint; the solver
+caps are the config keys ``node_cap``, ``time_cap`` and
+``solution_limit``.  ``--jobs`` sets the worker processes of classify (at
+least 1, at most one per CPU): used by classify, accepted by every stage.
+The stages hand each other ``.npy`` arrays: the cli checks their file
+format, and ``orbitgen.OrbitSet``, ``km.KMInstance`` and
 ``symbreak.NormalizerClasses`` check their values; the option layout of
 an encoding is ``symbreak``'s alone.  Each stage sets its entry in
 ``run.json`` in the output directory: the configuration fingerprint, the
 artifacts it wrote with the sha256 of each array, its counts and its
-seconds.  A stage checks the entries of the stages whose artifacts it
-reads, so artifacts from different configurations cannot be mixed, and
-``report`` reads its tables from the record.  Apart from the ``seconds``
-fields, the record and every artifact are byte-identical across reruns.
-``kmsteiner xcc export`` writes the configured problem as XCC text, and
-``kmsteiner xcc solve FILE`` solves a problem file on its own.
+seconds.  A stage checks the entries of every stage before it, so
+artifacts from different configurations cannot be mixed, and drops the
+entries of every stage after it, so a stage's entry holds only while the
+stages before it are unchanged.  ``report`` reads its tables from the
+record.  Apart from the ``seconds`` fields, the record and every artifact
+are byte-identical across reruns.  ``kmsteiner xcc export`` writes the
+configured problem as XCC text, and ``kmsteiner xcc solve FILE`` solves a
+problem file on its own.
 """
 
 from __future__ import annotations
@@ -188,6 +190,9 @@ def _read_group(path: str, what: str, v: int, digest) -> PermutationGroup:
 
 RECORD = "run.json"
 
+# the stages in the order they run; each reads the artifacts of those before it
+STAGES = ("orbits", "km", "encode", "solve", "classify")
+
 
 # the counts that classify and report read from a stage's entry; an
 # encoding-a run has no normalizer classes
@@ -230,9 +235,12 @@ def _read_record(cfg: JobConfig) -> dict:
 
 def _record_stage(cfg: JobConfig, stage: str, t0: float, files: dict, **counts) -> None:
     """Set the entry of a stage that started at perf_counter ``t0`` in the
-    run record; ``files`` maps each artifact the stage wrote to its sha256
-    (an array) or None.  The file is replaced whole."""
+    run record and drop the entries of the stages after it, which read
+    what it replaced; ``files`` maps each artifact the stage wrote to its
+    sha256 (an array) or None.  The file is replaced whole."""
     record = _read_record(cfg)
+    for later in STAGES[STAGES.index(stage) + 1 :]:
+        record["stages"].pop(later, None)
     record["stages"][stage] = {
         "fingerprint": cfg.fingerprint,
         "artifacts": files,
@@ -246,18 +254,18 @@ def _record_stage(cfg: JobConfig, stage: str, t0: float, files: dict, **counts) 
     os.replace(tmp, cfg.out(RECORD))
 
 
-def _check_record(cfg: JobConfig, stages) -> dict:
-    """The recorded stages; each of stages must be recorded under this
-    config, with its artifacts present."""
+def _check_record(cfg: JobConfig, stage: str) -> dict:
+    """The recorded stages; every stage before ``stage`` must be recorded
+    under this config, with its artifacts present."""
     entries = _read_record(cfg)["stages"]
     fp = cfg.fingerprint
-    for stage in stages:
-        if stage not in entries:
-            raise ValidationError(f"stage {stage} not recorded in {cfg.output_dir}; run it first")
-        entry = entries[stage]
+    for before in STAGES[: STAGES.index(stage)]:
+        if before not in entries:
+            raise ValidationError(f"stage {before} not recorded in {cfg.output_dir}; run it first")
+        entry = entries[before]
         if entry["fingerprint"] != fp:
             raise ValidationError(
-                f"parameter hash mismatch for {stage}: record {entry['fingerprint']}, config {fp}"
+                f"parameter hash mismatch for {before}: record {entry['fingerprint']}, config {fp}"
             )
         for art in entry["artifacts"]:
             if not os.path.exists(cfg.out(art)):
@@ -330,9 +338,8 @@ def _load_classes(cfg: JobConfig, entries: dict, n: int) -> symbreak.NormalizerC
     None for encoding a."""
     if cfg.encoding == "a":
         return None
-    reps = _load(cfg, entries["encode"], "class_reps.npy", np.int64, (None,))
     class_of = _load(cfg, entries["encode"], "class_of.npy", np.int64, (n,))
-    return _checked("class_reps.npy, class_of.npy", symbreak.NormalizerClasses, class_of, reps)
+    return _checked("class_of.npy", symbreak.NormalizerClasses, class_of)
 
 
 def _problem(cfg: JobConfig, entries: dict) -> xcc.XCCProblem:
@@ -373,7 +380,7 @@ def cmd_orbits(cfg: JobConfig) -> None:
 
 def cmd_km(cfg: JobConfig) -> None:
     t0 = time.perf_counter()
-    entries = _check_record(cfg, ["orbits"])
+    entries = _check_record(cfg, "km")
     km = km_mod.build_km(cfg.G, _load_orbits(cfg, entries, "t"), _load_orbits(cfg, entries, "k"))
     log.info("KM matrix: %d x %d", *km.shape)
     m, n = km.shape
@@ -384,21 +391,21 @@ def cmd_km(cfg: JobConfig) -> None:
 def cmd_encode(cfg: JobConfig) -> None:
     """The normalizer classes of encodings b and c; solve builds the problem."""
     t0 = time.perf_counter()
-    entries = _check_record(cfg, ["orbits", "km"])
+    entries = _check_record(cfg, "encode")
     files, counts = {}, {}
     if cfg.encoding in ("b", "c"):
         kset = _load_orbits(cfg, entries, "k")
         t1 = time.perf_counter()
         classes = symbreak.normalizer_classes(cfg.N, kset, cfg.G)
         log.info("normalizer classes: %d in %.1f s", classes.n_classes, time.perf_counter() - t1)
-        files = _save(cfg, class_reps=classes.reps, class_of=classes.class_of)
+        files = _save(cfg, class_of=classes.class_of)
         counts = {"classes": classes.n_classes}
     _record_stage(cfg, "encode", t0, files, **counts)
 
 
 def cmd_solve(cfg: JobConfig) -> None:
     t0 = time.perf_counter()
-    problem = _problem(cfg, _check_record(cfg, ["orbits", "km", "encode"]))
+    problem = _problem(cfg, _check_record(cfg, "solve"))
     log.info("solving %s", problem)
     sols: list = []
     report = _ProgressLog("%d nodes, %.0f nodes/s, depth %d, root branch %d of %d")
@@ -421,7 +428,7 @@ def cmd_solve(cfg: JobConfig) -> None:
 def cmd_xcc_export(cfg: JobConfig, path: str | None = None) -> None:
     """Write the configured encoding's problem as XCC text to path, or to
     stdout, one line at a time."""
-    problem = _problem(cfg, _check_record(cfg, ["orbits", "km", "encode"]))
+    problem = _problem(cfg, _check_record(cfg, "solve"))
     if path is None:
         sys.stdout.writelines(xcc.export_lines(problem))
         return
@@ -449,7 +456,7 @@ class _ProgressLog:
 
 def cmd_classify(cfg: JobConfig, jobs: int = 1) -> None:
     t0 = time.perf_counter()
-    stages = _check_record(cfg, ["orbits", "encode", "solve"])
+    stages = _check_record(cfg, "classify")
     kset = _load_orbits(cfg, stages, "k")
     classes = _load_classes(cfg, stages, len(kset))
     if stages["solve"]["counts"]["limit_hit"]:
@@ -531,7 +538,7 @@ def main(argv=None) -> int:
         description="Steiner design construction with prescribed automorphism groups",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("orbits", "km", "encode", "solve", "classify"):
+    for name in STAGES:
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True)
         sp.add_argument("--jobs", type=int, default=1,
@@ -556,7 +563,7 @@ def main(argv=None) -> int:
             return EXIT_OK
         if args.command == "xcc" and args.action == "solve":
             with open(args.file, "r", encoding="utf-8") as fh:
-                problem = xcc.import_text(fh.read())
+                problem = xcc.import_text(fh.read(), args.file)
             stats = xcc.solve(problem)
             print(f"solutions={stats.solutions} nodes={stats.nodes} seconds={stats.elapsed:.3f}")
             return EXIT_OK
@@ -566,11 +573,11 @@ def main(argv=None) -> int:
         if args.jobs < 1:
             raise ValidationError(f"--jobs must be at least 1, not {args.jobs}")
         cfg = JobConfig.load(args.config)
-        stages = {"orbits": cmd_orbits, "km": cmd_km, "encode": cmd_encode, "solve": cmd_solve}
+        stage = globals()[f"cmd_{args.command}"]
         if args.command == "classify":
-            cmd_classify(cfg, jobs=args.jobs)
+            stage(cfg, jobs=args.jobs)
         else:
-            stages[args.command](cfg)
+            stage(cfg)
         return EXIT_OK
     except (ResourceCapHit, designs_mod.BudgetExceeded) as exc:
         log.error("%s", exc)

@@ -27,13 +27,14 @@ colors.  The kernel does partition refinement, the walk over the tree,
 the leaf certificates and the automorphism pruning.  The certificate is
 the canonically relabeled block list (each block sorted, blocks sorted,
 16-bit big-endian labels), taken minimal over the leaves of the search
-tree; a leaf is a node whose points are all singletons, where the search
-stops refining.  Automorphisms are detected as leaves with a certificate
-equal to the first leaf's, and every one found prunes candidate choices,
-whether or not it grows the known group.  In a Steiner 2-design,
-refinement after one point is individualized leaves the other points
-alike, so each child of the root that individualized a point and is not
-a leaf splits its cells by a vertex invariant: the number of
+tree.  Every refinement, the root's included, stops once the points are
+all singletons, and such a node is a leaf.  Automorphisms are detected
+as leaves with a certificate equal to the first leaf's, and every one
+found prunes candidate choices, whether or not it grows the known
+group.  In a Steiner 2-design, refinement after one point is
+individualized leaves the other points alike, so each child of the root
+that individualized a point and is not a leaf splits its cells by a
+vertex invariant: the number of
 quadrilaterals (four blocks, any two meeting in exactly one point, the
 six meeting points distinct) holding both that point and the vertex,
 then refines again.  The invariant runs only on linear designs, where no
@@ -403,25 +404,40 @@ def write_design_file(path, d: Design) -> None:
 
 
 def read_design_file(path) -> Design:
+    """The design in a file of ``write_design_file``'s format.  An error
+    names path and, where one line is at fault, the line, counted from 1."""
     with open(path, "r", encoding="utf-8") as fh:
         head = fh.readline().split()
         try:
             fields = dict(tok.split("=") for tok in head)
             v, b, k = int(fields["v"]), int(fields["b"]), int(fields["k"])
         except (ValueError, KeyError):
-            raise ValueError(f"{path}: malformed design header") from None
+            raise ValueError(f"{path}:1: malformed design header") from None
         blocks = []
-        for line in fh:
+        first = {}  # block, sorted -> the line that gives it
+        for ln, line in enumerate(fh, start=2):
             toks = line.split()
             if not toks:
                 continue
-            blk = tuple(int(x) for x in toks)
-            if len(blk) != k:
-                raise ValueError(f"{path}: block {blk} has size != {k}")
+            try:
+                blk = tuple(int(x) for x in toks)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{ln}: {exc}") from None
+            key = tuple(sorted(blk))
+            for bad, what in ((len(blk) != k, f"has size != {k}"),
+                              (key[0] < 1 or key[-1] > v, f"has a point outside 1..{v}"),
+                              (len(set(key)) < len(key), "repeats a point"),
+                              (key in first, f"repeats line {first.get(key)}")):
+                if bad:
+                    raise ValueError(f"{path}:{ln}: block {blk} {what}")
+            first[key] = ln
             blocks.append(blk)
     if len(blocks) != b:
         raise ValueError(f"{path}: expected {b} blocks, found {len(blocks)}")
-    return Design(v, np.reshape(blocks, (b, k)))
+    try:
+        return Design(v, np.reshape(blocks, (b, k)))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_gap_designs(path, designs) -> None:

@@ -2,14 +2,15 @@
 
 The normalizer N of the prescribed group G permutes the good k-orbits;
 orbits in the same N-class lead to isomorphic designs, so the choice of a
-"first" orbit can be restricted to one representative per class.  The
-orbit of a representative's N-image is found by the image's lex-least
-image under G, for which only the elements of G sending a point of the
-subset to the least orbit minimum among its points are tried: at most
-k·|G_m| of them instead of |G| (``orbitgen._min_image_keys``; Jefferson,
-Jonauskyte, Pfeiffer and Waldecker, "Minimal and canonical images",
-J. Algebra 521, 2019).  Three encodings of the Kramer-Mesner instance
-are emitted:
+"first" orbit can be restricted to one representative per class, its
+smallest orbit.  The classes are stored as one array of class ids, from
+which ``NormalizerClasses`` derives the representatives.  The orbit of a
+representative's N-image is found by the image's lex-least image under
+G, for which only the elements of G sending a point of the subset to the
+least orbit minimum among its points are tried: at most k·|G_m| of them
+instead of |G| (``orbitgen._min_image_keys``; Jefferson, Jonauskyte,
+Pfeiffer and Waldecker, "Minimal and canonical images", J. Algebra 521,
+2019).  Three encodings of the Kramer-Mesner instance are emitted:
 
   a) plain exact cover: option j < n is column j of the KM matrix;
   b) as a), plus an extra primary item Nhit and copy-option n + q, the
@@ -26,7 +27,7 @@ are emitted:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,31 +49,32 @@ __all__ = [
 @dataclass(frozen=True, eq=False)
 class NormalizerClasses:
     """The N-classes of the good k-orbits, as read-only int64 arrays:
-    ``class_of[j]`` is the class of orbit j, and ``reps[c]`` the smallest
-    orbit of class c.  Construction refuses ``reps`` that are not ascending
-    orbit indices below ``len(class_of)``, and ``class_of`` that does not
-    map ``reps`` to 0..n_classes-1 and every orbit into that range."""
+    ``class_of[j]`` is the class of orbit j, and ``reps[c]``, derived from
+    it, the smallest orbit of class c.  Construction refuses a
+    ``class_of`` that is not 1-D, holds an id outside 0..len(class_of)-1
+    or does not number its classes 0, 1, ... in the order of their
+    smallest orbits."""
 
     class_of: np.ndarray
-    reps: np.ndarray  # ascending, defines the class order
+    reps: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        for name in ("class_of", "reps"):
-            arr = np.asarray(getattr(self, name), dtype=np.int64)
+        class_of = np.asarray(self.class_of, dtype=np.int64)
+        # numbered in the order of their smallest orbits, the ids raise the
+        # largest id so far by one at the smallest orbit of each class and
+        # nowhere else
+        steps = np.diff(np.maximum.accumulate(class_of.ravel()), prepend=-1)
+        if class_of.ndim != 1 or class_of.size and (class_of.min() < 0 or steps.max() > 1):
+            raise ValueError("class ids are not a 1-D array numbering the classes 0, 1, ... "
+                             "in the order of their smallest orbits")
+        reps = np.flatnonzero(steps).astype(np.int64)
+        for name, arr in (("class_of", class_of), ("reps", reps)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        reps, class_of = self.reps, self.class_of
-        n, nc = class_of.size, reps.size
-        if reps.ndim != 1 or nc and (reps[0] < 0 or reps[-1] >= n or np.any(reps[1:] <= reps[:-1])):
-            raise ValueError(f"class representatives not ascending orbit indices below {n}")
-        if (class_of.ndim != 1 or n and (class_of.min() < 0 or class_of.max() >= nc)
-                or not np.array_equal(class_of[reps], np.arange(nc))):
-            raise ValueError("class ids disagree with the class representatives")
 
     @property
     def n_classes(self) -> int:
         return len(self.reps)
-
 
 def normalizer_classes(
     N: PermutationGroup, k_orbits: OrbitSet, G: PermutationGroup
@@ -120,8 +122,7 @@ def normalizer_classes(
         lead = lead[lead]
         if np.array_equal(lead, prev):
             break
-    reps, class_of = np.unique(lead, return_inverse=True)
-    return NormalizerClasses(class_of=class_of, reps=reps)
+    return NormalizerClasses(np.unique(lead, return_inverse=True)[1])
 
 
 @dataclass

@@ -336,16 +336,20 @@ def export_text(problem: XCCProblem) -> str:
     return "".join(export_lines(problem))
 
 
-def import_text(text: str) -> XCCProblem:
+def import_text(text: str, path: str = "<string>") -> XCCProblem:
+    """The problem in XCC text.  An error names path, the file the text
+    came from, and, where one line is at fault, the line, counted from 1."""
     lines = text.splitlines()
     if not lines:
-        raise ValueError("empty problem text")
-    head = lines[0]
-    if "|" not in head:
-        raise ValueError("header line must contain '|'")
-    left, _, right = head.partition("|")
-    primary = left.split()
-    secondary = right.split()
+        raise ValueError(f"{path}: empty problem text")
+    left, bar, right = lines[0].partition("|")
+    primary, secondary = left.split(), right.split()
+    try:
+        if not bar:
+            raise ValueError("header line must contain '|'")
+        XCCProblem.from_arrays(primary, secondary, [0], [])  # checks the item names
+    except ValueError as exc:
+        raise ValueError(f"{path}:1: {exc}") from None
     prim_id = {n: i for i, n in enumerate(primary)}
     sec_id = {n: i for i, n in enumerate(secondary)}
     prim_ptr, prim = [0], []
@@ -354,27 +358,32 @@ def import_text(text: str) -> XCCProblem:
         toks = line.split()
         if not toks:
             continue
+        where = f"{path}:{ln}"
+        names = set()
         for tok in toks:
+            name, colon, color = tok.partition(":")
+            if name in names:
+                raise ValueError(f"{where}: item {name!r} repeated within the option")
+            names.add(name)
             if tok in prim_id:
                 prim.append(prim_id[tok])
                 continue
-            name, colon, color = tok.partition(":")
             if not colon:
                 if tok in sec_id:
-                    raise ValueError(f"line {ln}: secondary item {tok!r} needs a color")
-                raise ValueError(f"line {ln}: unknown item {tok!r}")
+                    raise ValueError(f"{where}: secondary item {tok!r} needs a color")
+                raise ValueError(f"{where}: unknown item {tok!r}")
             if name not in sec_id:
-                raise ValueError(f"line {ln}: unknown secondary item {name!r}")
+                raise ValueError(f"{where}: unknown secondary item {name!r}")
             try:
                 c = int(color)
             except ValueError:
-                raise ValueError(f"line {ln}: malformed color {color!r}") from None
+                raise ValueError(f"{where}: malformed color {color!r}") from None
             if not 0 <= c < 1 << 63:
-                raise ValueError(f"line {ln}: malformed color {color!r}")
+                raise ValueError(f"{where}: malformed color {color!r}")
             sec.append(sec_id[name])
             colors.append(c)
         if len(prim) == prim_ptr[-1]:
-            raise ValueError(f"line {ln}: option covers no primary item")
+            raise ValueError(f"{where}: option covers no primary item")
         prim_ptr.append(len(prim))
         sec_ptr.append(len(sec))
     return XCCProblem.from_arrays(primary, secondary, prim_ptr, prim, sec_ptr, sec, colors)

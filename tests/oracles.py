@@ -655,19 +655,26 @@ class Partition:
         return best
 
 
-def refine(adj, part, queue):
-    """Refine to a fixpoint against the queued cells (the reference for
-    ``_refine.c``).
+def refine(adj, part, queue, stop):
+    """Refine against the queued cells (the reference for ``kms_refine``
+    in ``_refine.c``); True when positions 0..stop-1 end as singletons.
 
     Worklist refinement: when a cell splits, fragments other than the
     first largest are enqueued (all but the first if the cell itself was
     still queued).  Fragment order follows the neighbor counts, so the
-    result is deterministic and isomorphism-invariant.
+    result is deterministic and isomorphism-invariant.  Positions
+    0..stop-1 hold whole cells; once they are all singletons, refinement
+    ends before the next splitter and clears the queue.
     """
     cnt = [0] * len(adj)
     queued = set(queue)
+    cells = len({part.start[i] for i in range(stop)})  # within 0..stop-1
     qi = 0
     while qi < len(queue):
+        if cells == stop:
+            queued.clear()
+            del queue[qi:]
+            break
         ws = queue[qi]
         qi += 1
         if ws not in queued:
@@ -688,6 +695,8 @@ def refine(adj, part, queue):
                 continue
             ordered = [groups[val] for val in sorted(groups)]
             starts = part.split(cs, ordered)
+            if cs < stop:
+                cells += len(ordered) - 1
             if cs in queued:
                 fresh = starts[1:]  # cs itself stays queued
             else:
@@ -699,12 +708,14 @@ def refine(adj, part, queue):
                     queue.append(s)
         for x in touched:
             cnt[x] = 0
+    return cells == stop
 
 
 class PythonCanonizer:
     """The reference for the canonizer's C search (``kms_canon`` in
     ``_refine.c``): the same tree, certificates and automorphisms, with
-    partitions held as `Partition`s and refined by `refine`."""
+    partitions held as `Partition`s and refined by `refine` with stop = v,
+    so a node whose points are singletons is a leaf."""
 
     def __init__(self, design, node_budget=10**7, known_autos=()):
         if design.v >= 1 << 16:
@@ -756,15 +767,15 @@ class PythonCanonizer:
 
     def _root(self):
         part = Partition([list(range(self.v)), list(range(self.v, self.n))])
-        refine(self.adj_lists, part, [0, self.v])
-        return part, part.target_cell()
+        leaf = refine(self.adj_lists, part, [0, self.v], self.v)
+        return part, -1 if leaf else part.target_cell()
 
     def _individualize(self, part, ts, y):
         child = part.copy()
         # remaining members keep their relative order
         starts = child.split(ts, [[y], [u for u in child.cell_at(ts) if u != y]])
-        refine(self.adj_lists, child, starts)
-        return child, child.target_cell()
+        leaf = refine(self.adj_lists, child, starts, self.v)
+        return child, -1 if leaf else child.target_cell()
 
     def _quad_counts(self, y):
         """q[u] for every vertex u: the quadrilaterals holding the point y
@@ -788,7 +799,7 @@ class PythonCanonizer:
     def _quad_split(self, part, y):
         """Split every non-singleton cell of part by the quadrilateral
         counts of y, in ascending count, refine against the fragments of the
-        cells split and return the target cell."""
+        cells split and return the target cell, -1 at a leaf."""
         q = self._quad_counts(y)
         queue = []
         s = 0
@@ -798,8 +809,7 @@ class PythonCanonizer:
             if len(values) > 1:
                 queue += part.split(s, [[u for u in cell if q[u] == x] for x in values])
             s = end
-        refine(self.adj_lists, part, queue)
-        return part.target_cell()
+        return -1 if refine(self.adj_lists, part, queue, self.v) else part.target_cell()
 
     # -- leaves
 

@@ -72,13 +72,14 @@ def test_kernel_refines_like_reference(relabeled, rng):
     d, _ = relabeled
     cz = designs._Canonizer(d, ())  # its graph arrays feed both sides
     n, kernel = cz.n, _native.kernel("_refine.c")
-    graph = (n, cz.indptr.ctypes.data, cz.adj.ctypes.data)
+    graph = (n, d.v, cz.indptr.ctypes.data, cz.adj.ctypes.data)  # stop = v, as in the search
     oracle = PythonCanonizer(d)
     ref, ts = oracle._root()
     part = Partition([list(range(d.v)), list(range(d.v, n))]).array()  # the root, unrefined
     queue = np.array([0, d.v], dtype=np.int32)
-    kernel.kms_refine(*graph, part.ctypes.data, queue.ctypes.data, 2, cz.work.ctypes.data)
-    assert np.array_equal(part, ref.array()) and kernel.kms_target_cell(n, part.ctypes.data) == ts
+    leaf = kernel.kms_refine(*graph, part.ctypes.data, queue.ctypes.data, 2, cz.work.ctypes.data)
+    assert np.array_equal(part, ref.array()) and leaf == (ts < 0)
+    assert kernel.kms_target_cell(n, part.ctypes.data) == ref.target_cell()
     while ts >= 0:
         # any non-singleton cell, not only the target cell
         cells = [s for s in sorted(set(ref.start)) if ref.end[s] - s > 1]
@@ -91,7 +92,7 @@ def test_kernel_refines_like_reference(relabeled, rng):
         )
         part = child
         assert np.array_equal(part, ref.array()) and kts == ts
-        assert kernel.kms_target_cell(n, part.ctypes.data) == ts
+        assert kernel.kms_target_cell(n, part.ctypes.data) == ref.target_cell()
     assert clean_work(cz)
 
 
@@ -365,6 +366,16 @@ def test_classify_jobs_agree_and_report_progress():
     assert calls[-1][2] == sum(c.nodes for c in one) == sum(n for _, n in CLASSIFY_MIX_NODES[21, 3])
 
 
+def test_root_refinement_can_end_at_a_leaf():
+    """The first design with k = 3 and v <= 8 in a brute-force search whose
+    root refinement already makes every point a singleton: the root is a
+    leaf, the only node, and the search starts there."""
+    d = Design(6, [(1, 2, 3), (1, 2, 4), (1, 3, 5), (2, 5, 6)])
+    cf = canonical_form(d)
+    assert (cf.aut_order, cf.nodes) == (1, 1)
+    assert cf == PythonCanonizer(d).canonical_form()
+
+
 def test_empty_design():
     cf = canonical_form(Design(7, ()))
     assert (cf.certificate, cf.aut_order, cf.nodes) == (b"", 5040, 0)
@@ -402,10 +413,13 @@ def test_changed_source_builds_a_new_library(tmp_path):
 
 @pytest.mark.skipif(shutil.which("gcc") is None, reason="needs gcc")
 @pytest.mark.parametrize("source", sorted(_native._PROTOTYPES))
-def test_kernel_compiles_without_warnings(source):
+def test_kernel_compiles_without_warnings(source, tmp_path):
+    # a full -O2 build: some warnings, such as -Wmaybe-uninitialized, need
+    # the optimizer's analysis
     path = Path(_native.__file__).with_name(source)
     proc = subprocess.run(
-        ["gcc", "-fsyntax-only", "-Wall", "-Wextra", "-Werror", str(path)],
+        ["gcc", "-O2", "-Wall", "-Wextra", "-Werror", "-shared", "-fPIC",
+         "-o", str(tmp_path / "kernel.so"), str(path)],
         capture_output=True, text=True, check=False,
     )
     assert proc.returncode == 0, proc.stderr

@@ -72,7 +72,6 @@ ARRAYS = {
     "k_sizes.npy": ("orbits", "km"),
     "km_indptr.npy": ("km", "solve"),
     "km_rows.npy": ("km", "solve"),
-    "class_reps.npy": ("encode", "solve"),
     "class_of.npy": ("encode", "classify"),
 }
 
@@ -124,6 +123,17 @@ def test_rerun_is_byte_identical(sts13_cfg):
         stages = json.load(fh)["stages"]
     assert sorted(stages) == ["classify", "encode", "km", "orbits", "solve"]
     assert all(isinstance(e["seconds"], float) for e in stages.values())
+
+
+def test_rerun_stage_drops_the_entries_after_it(sts13_cfg, caplog):
+    cfg = run_pipeline(sts13_cfg)
+    assert main(["km", "--config", sts13_cfg]) == EXIT_OK
+    with open(cfg.out("run.json")) as fh:
+        assert sorted(json.load(fh)["stages"]) == ["km", "orbits"]
+    caplog.clear()
+    assert main(["solve", "--config", sts13_cfg]) == EXIT_VALIDATION
+    expect_one_error(caplog, "stage encode not recorded")
+    assert cmd_report([sts13_cfg]).splitlines()[1].split()[-2:] == ["-", "-"]
 
 
 def test_stage_order_enforced(tmp_path, fixtures_dir):
@@ -301,8 +311,8 @@ def expect_one_error(caplog, message):
 # with its digest recorded, and the stage that reads it must exit 1
 SHAPE = "expected a C-ordered"
 REP = "not 3 ascending points of 1..13 with an orbit size of at least 1"
-REPS = "class_reps.npy, class_of.npy: class representatives not ascending orbit indices below 16"
-CLASS_OF = "class_reps.npy, class_of.npy: class ids disagree with the class representatives"
+CLASS_OF = ("class_of.npy: class ids are not a 1-D array numbering the classes 0, 1, ... "
+            "in the order of their smallest orbits")
 PTR = "km_indptr.npy, km_rows.npy: column pointers not rising from 0 to 48 over 16 columns"
 TAMPERED = [
     pytest.param("k_reps.npy", lambda a: a.astype(np.int64), SHAPE, id="k-reps-int64"),
@@ -319,10 +329,8 @@ TAMPERED = [
     pytest.param("km_indptr.npy", lambda a: _set(a, 0, 1), PTR, id="km-indptr-start"),
     pytest.param("km_indptr.npy", lambda a: _set(a, -1, a[-1] - 1), PTR, id="km-indptr-end"),
     pytest.param("km_indptr.npy", lambda a: _set(a, 1, a[2] + 1), PTR, id="km-indptr-descent"),
-    pytest.param("class_reps.npy", lambda a: _set(a, 1, 16), REPS, id="class-reps-range"),
-    pytest.param("class_reps.npy", _swap_rows, REPS, id="class-reps-order"),
     pytest.param("class_of.npy", lambda a: _set(a, 0, 1), CLASS_OF, id="class-of-rep"),
-    pytest.param("class_of.npy", lambda a: _set(a, 5, 2), CLASS_OF, id="class-of-range"),
+    pytest.param("class_of.npy", lambda a: _set(a, 5, 16), CLASS_OF, id="class-of-range"),
 ]
 
 # an output of each stage that reads an array
@@ -566,6 +574,12 @@ def test_capped_solve_then_classify(tmp_path, fixtures_dir, caplog):
     with open(cfgp, "a") as fh:
         fh.write("solution_limit = 1\n")
     assert main(["solve", "--config", cfgp]) == EXIT_RESOURCE
+    # the classification read the earlier solutions, so its entry is gone
+    lines = cmd_report([cfgp]).splitlines()
+    assert lines[1].split()[-1] == "-"  # designs
+    assert lines[-1].split()[4] == "1+"  # sols
+    with open(cfg.out("run.json")) as fh:
+        assert sorted(json.load(fh)["stages"]) == ["encode", "km", "orbits", "solve"]
     caplog.clear()
     assert main(["classify", "--config", cfgp]) == EXIT_OK
     assert "stopped at a cap" in caplog.text
@@ -846,7 +860,7 @@ def test_solve_rebuilds_the_library_problem(c19c_cfg):
     # solve records the counts of the problem it built, the library's
     cfg = JobConfig.load(c19c_cfg)
     run_stages(c19c_cfg, ["orbits", "km", "encode", "solve"])
-    stages = cli._check_record(cfg, ["orbits", "km", "encode", "solve"])
+    stages = cli._check_record(cfg, "classify")
     problem = cli._problem(cfg, stages)
     assert problem == _library_problem(cfg)
     assert stages["encode"]["counts"] == {"classes": 3}
@@ -885,6 +899,22 @@ def test_stage_seconds_include_reading_inputs(sts13_cfg, monkeypatch, stage):
     assert main([stage, "--config", sts13_cfg]) == EXIT_OK
     with open(JobConfig.load(sts13_cfg).out("run.json")) as fh:
         assert json.load(fh)["stages"][stage]["seconds"] >= 0.2
+
+
+@pytest.mark.parametrize(
+    "text, where, message",
+    [
+        ("A | X\nA X:x\n", ":2", "malformed color 'x'"),
+        ("A | X\nA\nA X:1 A\n", ":3", "item 'A' repeated within the option"),
+        ("A A | X\nA\n", ":1", "duplicate item name"),
+        ("", "", "empty problem text"),
+    ],
+)
+def test_xcc_file_errors_name_file_and_line(tmp_path, caplog, text, where, message):
+    path = tmp_path / "p.xcc"
+    path.write_text(text)
+    assert main(["xcc", "solve", str(path)]) == EXIT_VALIDATION
+    expect_one_error(caplog, f"{path}{where}: {message}")
 
 
 def test_xcc_passthrough(tmp_path):

@@ -472,6 +472,26 @@ def test_design_file_round_trip(tmp_path):
         assert fh.readline() == "v=7 b=7 k=3\n"
 
 
+@pytest.mark.parametrize(
+    "text, where, message",
+    [
+        ("v=7 k=3\n1 2 3\n", ":1", "malformed design header"),
+        ("v=7 b=2 k=3\n1 2 x\n1 3 5\n", ":2", "invalid literal for int() with base 10: 'x'"),
+        ("v=7 b=2 k=3\n1 2 4\n1 5 9\n", ":3", "block (1, 5, 9) has a point outside 1..7"),
+        ("v=7 b=1 k=3\n2 1 2\n", ":2", "block (2, 1, 2) repeats a point"),
+        ("v=7 b=2 k=3\n1 2 3\n\n3 2 1\n", ":4", "block (3, 2, 1) repeats line 2"),
+        ("v=7 b=2 k=3\n1 2\n1 3 5\n", ":2", "block (1, 2) has size != 3"),
+        ("v=7 b=3 k=3\n1 2 3\n", "", "expected 3 blocks, found 1"),  # no one line at fault
+    ],
+)
+def test_design_file_errors_name_file_and_line(tmp_path, text, where, message):
+    path = tmp_path / "d.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError) as err:
+        read_design_file(path)
+    assert str(err.value) == f"{path}{where}: {message}"
+
+
 def test_gap_file_shape(tmp_path):
     path = os.path.join(tmp_path, "designs.gap")
     write_gap_designs(path, [fano()])

@@ -284,14 +284,11 @@ def test_copy_map_round_trip(tmp_path):
     # copy-options and the same decoding
     G, N, ko, km = pipeline_parts(13)
     classes = normalizer_classes(N, ko, G)
-    loaded = []
-    for name, arr in (("class_reps", classes.reps), ("class_of", classes.class_of)):
-        path = os.path.join(tmp_path, f"{name}.npy")
-        np.save(path, arr, allow_pickle=False)
-        loaded.append(np.load(path, allow_pickle=False))
-    reps, class_of = loaded
-    assert np.array_equal(reps, classes.reps) and np.array_equal(class_of, classes.class_of)
-    again = NormalizerClasses(class_of=class_of, reps=reps)
+    path = os.path.join(tmp_path, "class_of.npy")
+    np.save(path, classes.class_of, allow_pickle=False)
+    again = NormalizerClasses(np.load(path, allow_pickle=False))
+    assert np.array_equal(again.class_of, classes.class_of)
+    assert np.array_equal(again.reps, classes.reps)
     for kind in ("b", "c"):
         enc = encode(km, again, kind)
         assert enc.problem == encode(km, classes, kind).problem
@@ -302,7 +299,7 @@ def test_copy_map_round_trip(tmp_path):
 
 def test_classes_are_read_only_int64():
     G, N, ko, _ = pipeline_parts(13)
-    cls = NormalizerClasses(class_of=[0, 1, 0, 1], reps=[0, 1])
+    cls = NormalizerClasses(class_of=[0, 1, 0, 1])
     for arr in (cls.class_of, cls.reps):
         assert arr.dtype == np.int64 and not arr.flags.writeable
     cls = normalizer_classes(N, ko, G)
@@ -311,23 +308,29 @@ def test_classes_are_read_only_int64():
 
 
 @pytest.mark.parametrize(
-    "class_of, reps, message",
+    "class_of",
     [
-        ([0, 0, 1], [0, 3], "not ascending orbit indices below 3"),
-        ([0, 0, 1], [-1, 2], "not ascending orbit indices below 3"),
-        ([0, 1, 1], [1, 0], "not ascending orbit indices below 3"),
-        ([0, 1, 1], [0, 0], "not ascending orbit indices below 3"),
-        ([0, 1, 1], [[0, 1]], "not ascending orbit indices below 3"),
-        ([], [0], "not ascending orbit indices below 0"),
-        ([1, 0, 1], [0, 1], "class ids disagree"),  # representative 0 in class 1
-        ([0, 1, 2], [0, 1], "class ids disagree"),  # class 2 of 2
-        ([0, -1, 1], [0, 2], "class ids disagree"),
-        ([[0, 1]], [0, 1], "class ids disagree"),
+        [1, 0, 0, 1],  # class 1 before class 0
+        [0, 2, 1],
+        [0, 1, 3],  # an id past n - 1
+        [0, -1, 1],
+        [[0, 1]],
+        [[0], [1]],
+        0,
     ],
 )
-def test_classes_refuse_inconsistent_arrays(class_of, reps, message):
-    with pytest.raises(ValueError, match=message):
-        NormalizerClasses(class_of=class_of, reps=reps)
+def test_classes_refuse_ids_out_of_order(class_of):
+    with pytest.raises(ValueError, match="not a 1-D array numbering the classes 0, 1, ..."):
+        NormalizerClasses(class_of)
+
+
+@pytest.mark.parametrize("v, k", [(13, 3), (19, 3), (37, 4)])
+def test_derived_reps_are_the_first_orbit_of_each_class(v, k):
+    G, N, ko, _ = pipeline_parts(v, k)
+    cls = normalizer_classes(N, ko, G)
+    class_of = cls.class_of.tolist()
+    assert cls.reps.tolist() == [class_of.index(c) for c in range(max(class_of) + 1)]
+    assert cls.n_classes > 1
 
 
 def test_no_good_orbits_no_classes():

@@ -255,20 +255,19 @@ def test_multiword_search_pinned():
 
 
 def test_import_errors():
-    with pytest.raises(ValueError):
-        import_text("A B | X\nA Q\n")  # unknown item
-    with pytest.raises(ValueError):
-        import_text("A | X\nA X:red\n")  # malformed color
-    with pytest.raises(ValueError):
-        import_text("A | X\nX:1\n")  # option with no primary item
-    with pytest.raises(ValueError):
-        import_text("A | X\nA X\n")  # secondary without color
-    with pytest.raises(ValueError):
-        import_text("A B\nA\n")  # missing separator
-    with pytest.raises(ValueError):
-        import_text("A | X\nA X:1 A\n")  # repeated item
-    with pytest.raises(ValueError):
-        import_text("A | X\nA X:99999999999999999999\n")  # color beyond 64 bits
+    # each names the line at fault, counted from 1, after the file name
+    for text, message in [
+        ("A B | X\nA Q\n", ":2: unknown item 'Q'"),
+        ("A | X\nA X:red\n", ":2: malformed color 'red'"),
+        ("A | X\nX:1\n", ":2: option covers no primary item"),
+        ("A | X\nA X\n", ":2: secondary item 'X' needs a color"),
+        ("A B\nA\n", ":1: header line must contain '|'"),
+        ("A | X\nA X:1 A\n", ":2: item 'A' repeated within the option"),
+        ("A | X\nA X:99999999999999999999\n", ":2: malformed color '99999999999999999999'"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            import_text(text)
+        assert str(err.value) == "<string>" + message
 
 
 def test_replay_verifier_rejects_bad_sets():
