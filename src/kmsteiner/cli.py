@@ -12,15 +12,17 @@ format, and ``orbitgen.OrbitSet``, ``km.KMInstance`` and
 ``symbreak.NormalizerClasses`` check their values; the option layout of
 an encoding is ``symbreak``'s alone.  Each stage sets its entry in
 ``run.json`` in the output directory: the configuration fingerprint, the
-artifacts it wrote with the sha256 of each array, its counts and its
-seconds.  A stage checks the entries of every stage before it, so
-artifacts from different configurations cannot be mixed, and drops the
-entries of every stage after it, so a stage's entry holds only while the
-stages before it are unchanged.  ``report`` reads its tables from the
-record.  Apart from the ``seconds`` fields, the record and every artifact
-are byte-identical across reruns.  ``kmsteiner xcc export`` writes the
-configured problem as XCC text, and ``kmsteiner xcc solve FILE`` solves a
-problem file on its own.
+outputs it wrote (``OUTPUTS``) with the sha256 of each array, its counts
+and its seconds.  A stage checks the entries of every stage before it, so
+artifacts from different configurations cannot be mixed, and a count it
+loads against the one recorded; it drops the entries of every stage after
+it and deletes their outputs, so a stage's entry holds only while the
+stages before it are unchanged and the directory holds only what the
+record lists.  ``report`` reads its tables from the record.  Apart from
+the ``seconds`` fields, the record and every artifact are byte-identical
+across reruns.  ``kmsteiner xcc export`` writes the configured problem as
+XCC text, and ``kmsteiner xcc solve FILE`` solves a problem file on its
+own.
 """
 
 from __future__ import annotations
@@ -193,21 +195,33 @@ RECORD = "run.json"
 # the stages in the order they run; each reads the artifacts of those before it
 STAGES = ("orbits", "km", "encode", "solve", "classify")
 
-
-# the counts that classify and report read from a stage's entry; an
-# encoding-a run has no normalizer classes
-_READ_COUNTS = {"orbits": {"good_orbits"}, "encode": {"classes"},
-                "solve": {"primary", "secondary", "options", "solutions", "nodes", "limit_hit"},
-                "classify": {"classes"}}
+# each stage's outputs in the output directory, and the counts of its entry
+# that later stages and report read; encoding a writes no class_of.npy and
+# records no classes, and in designs/ only the design_*.txt files are the
+# classify stage's
+OUTPUTS = {
+    "orbits": (("t_reps.npy", "t_sizes.npy", "k_reps.npy", "k_sizes.npy"),
+               {"t_orbits", "good_orbits"}),
+    "km": (("km_indptr.npy", "km_rows.npy"), set()),
+    "encode": (("class_of.npy",), {"classes"}),
+    "solve": (("solutions.txt",),
+              {"primary", "secondary", "options", "solutions", "nodes", "limit_hit"}),
+    "classify": (("classes.txt", "designs.gap", "designs"), {"classes"}),
+}
 
 
 def _entry_ok(stage: str, e, encoding: str) -> bool:
-    """Whether a stage's entry has the fields ``_record_stage`` writes and
-    the counts that are read from it."""
-    read = _READ_COUNTS.get(stage, set()) if (stage, encoding) != ("encode", "a") else set()
+    """Whether a stage's entry has the fields ``_record_stage`` writes,
+    artifacts from the stage's outputs only, and the counts that are read
+    from it."""
+    if stage not in OUTPUTS:
+        return False
+    names, read = OUTPUTS[stage]
+    read = read if (stage, encoding) != ("encode", "a") else set()
     return (
         isinstance(e, dict) and isinstance(e.get("fingerprint"), str)
         and isinstance(e.get("artifacts"), dict)
+        and e["artifacts"].keys() <= set(names)
         and all(d is None or isinstance(d, str) for d in e["artifacts"].values())
         and isinstance(e.get("counts"), dict)
         and read <= e["counts"].keys()
@@ -233,17 +247,20 @@ def _read_record(cfg: JobConfig) -> dict:
     return record
 
 
-def _record_stage(cfg: JobConfig, stage: str, t0: float, files: dict, **counts) -> None:
+def _record_stage(cfg: JobConfig, stage: str, t0: float, **counts) -> None:
     """Set the entry of a stage that started at perf_counter ``t0`` in the
-    run record and drop the entries of the stages after it, which read
-    what it replaced; ``files`` maps each artifact the stage wrote to its
-    sha256 (an array) or None.  The file is replaced whole."""
+    run record, with those of its outputs that exist and the sha256 of
+    each array, then drop the entries of the stages after it, which read
+    what it replaced, and delete their outputs.  The record is replaced
+    whole before any output is deleted."""
     record = _read_record(cfg)
-    for later in STAGES[STAGES.index(stage) + 1 :]:
-        record["stages"].pop(later, None)
+    later = STAGES[STAGES.index(stage) + 1 :]
+    for dropped in later:
+        record["stages"].pop(dropped, None)
     record["stages"][stage] = {
         "fingerprint": cfg.fingerprint,
-        "artifacts": files,
+        "artifacts": {name: _sha256(cfg.out(name)) if name.endswith(".npy") else None
+                      for name in OUTPUTS[stage][0] if os.path.exists(cfg.out(name))},
         "counts": counts,
         "seconds": round(time.perf_counter() - t0, 3),
     }
@@ -252,6 +269,20 @@ def _record_stage(cfg: JobConfig, stage: str, t0: float, files: dict, **counts) 
         json.dump(record, fh, indent=2, sort_keys=True)
         fh.write("\n")
     os.replace(tmp, cfg.out(RECORD))
+    _clear(cfg, later)
+
+
+def _clear(cfg: JobConfig, stages) -> None:
+    """Delete the outputs of these stages that exist."""
+    for stage in stages:
+        for name in OUTPUTS[stage][0]:
+            path = cfg.out(name)
+            if name == "designs":
+                for f in os.listdir(path) if os.path.isdir(path) else ():
+                    if f.startswith("design_") and f.endswith(".txt"):
+                        os.remove(os.path.join(path, f))
+            elif os.path.exists(path):
+                os.remove(path)
 
 
 def _check_record(cfg: JobConfig, stage: str) -> dict:
@@ -289,11 +320,10 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def _save(cfg: JobConfig, **arrays) -> dict:
-    """Write each array to ``<name>.npy``; returns file name -> sha256."""
+def _save(cfg: JobConfig, **arrays) -> None:
+    """Write each array to ``<name>.npy``."""
     for name, arr in arrays.items():
         np.save(cfg.out(name + ".npy"), arr, allow_pickle=False)
-    return {name + ".npy": _sha256(cfg.out(name + ".npy")) for name in arrays}
 
 
 def _load(cfg: JobConfig, entry: dict, name: str, dtype, shape: tuple) -> np.ndarray:
@@ -324,13 +354,23 @@ def _checked(files: str, make, *args):
         raise ValidationError(f"{files}: {exc}") from None
 
 
+def _check_count(files: str, entries: dict, stage: str, key: str, got: int) -> None:
+    """The count ``got`` loaded from files must be the one the stage recorded."""
+    recorded = entries[stage]["counts"][key]
+    if got != recorded:
+        raise ValidationError(f"{files}: {got} {key}, but the run record has {recorded}")
+
+
 def _load_orbits(cfg: JobConfig, entries: dict, which: str) -> orbitgen.OrbitSet:
     """The t-orbits (which "t") or good k-orbits ("k") of the orbits stage."""
     entry, size = entries["orbits"], cfg.t if which == "t" else cfg.k
     reps = _load(cfg, entry, f"{which}_reps.npy", np.min_scalar_type(cfg.v), (None, size))
     sizes = _load(cfg, entry, f"{which}_sizes.npy", np.int64, (len(reps),))
-    return _checked(f"{which}_reps.npy, {which}_sizes.npy", orbitgen.OrbitSet,
-                    cfg.v, cfg.t, reps, sizes, cfg.G.fingerprint())
+    files = f"{which}_reps.npy, {which}_sizes.npy"
+    orbits = _checked(files, orbitgen.OrbitSet, cfg.v, cfg.t, reps, sizes, cfg.G.fingerprint())
+    _check_count(files, entries, "orbits", "t_orbits" if which == "t" else "good_orbits",
+                 len(orbits))
+    return orbits
 
 
 def _load_classes(cfg: JobConfig, entries: dict, n: int) -> symbreak.NormalizerClasses | None:
@@ -339,7 +379,9 @@ def _load_classes(cfg: JobConfig, entries: dict, n: int) -> symbreak.NormalizerC
     if cfg.encoding == "a":
         return None
     class_of = _load(cfg, entries["encode"], "class_of.npy", np.int64, (n,))
-    return _checked("class_of.npy", symbreak.NormalizerClasses, class_of)
+    classes = _checked("class_of.npy", symbreak.NormalizerClasses, class_of)
+    _check_count("class_of.npy", entries, "encode", "classes", classes.n_classes)
+    return classes
 
 
 def _problem(cfg: JobConfig, entries: dict) -> xcc.XCCProblem:
@@ -373,9 +415,8 @@ def cmd_orbits(cfg: JobConfig) -> None:
 
     ko = orbitgen.good_k_orbit_reps(cfg.G, cfg.v, cfg.k, cfg.t, progress=progress)
     log.info("good k-orbits: %d, %d search nodes", len(ko), nodes)
-    files = _save(cfg, t_reps=tro.reps, t_sizes=tro.sizes, k_reps=ko.reps, k_sizes=ko.sizes)
-    _record_stage(cfg, "orbits", t0, files,
-                  t_orbits=len(tro), good_orbits=len(ko), search_nodes=nodes)
+    _save(cfg, t_reps=tro.reps, t_sizes=tro.sizes, k_reps=ko.reps, k_sizes=ko.sizes)
+    _record_stage(cfg, "orbits", t0, t_orbits=len(tro), good_orbits=len(ko), search_nodes=nodes)
 
 
 def cmd_km(cfg: JobConfig) -> None:
@@ -384,23 +425,23 @@ def cmd_km(cfg: JobConfig) -> None:
     km = km_mod.build_km(cfg.G, _load_orbits(cfg, entries, "t"), _load_orbits(cfg, entries, "k"))
     log.info("KM matrix: %d x %d", *km.shape)
     m, n = km.shape
-    files = _save(cfg, km_indptr=km.col_indptr, km_rows=km.col_rows)
-    _record_stage(cfg, "km", t0, files, rows=m, columns=n, entries=len(km.col_rows))
+    _save(cfg, km_indptr=km.col_indptr, km_rows=km.col_rows)
+    _record_stage(cfg, "km", t0, rows=m, columns=n, entries=len(km.col_rows))
 
 
 def cmd_encode(cfg: JobConfig) -> None:
     """The normalizer classes of encodings b and c; solve builds the problem."""
     t0 = time.perf_counter()
     entries = _check_record(cfg, "encode")
-    files, counts = {}, {}
+    counts = {}
     if cfg.encoding in ("b", "c"):
         kset = _load_orbits(cfg, entries, "k")
         t1 = time.perf_counter()
         classes = symbreak.normalizer_classes(cfg.N, kset, cfg.G)
         log.info("normalizer classes: %d in %.1f s", classes.n_classes, time.perf_counter() - t1)
-        files = _save(cfg, class_of=classes.class_of)
+        _save(cfg, class_of=classes.class_of)
         counts = {"classes": classes.n_classes}
-    _record_stage(cfg, "encode", t0, files, **counts)
+    _record_stage(cfg, "encode", t0, **counts)
 
 
 def cmd_solve(cfg: JobConfig) -> None:
@@ -418,7 +459,7 @@ def cmd_solve(cfg: JobConfig) -> None:
         for s in sols:
             fh.write(" ".join(str(o) for o in s.option_ids) + "\n")
     log.info("solutions=%d nodes=%d seconds=%.3f", stats.solutions, stats.nodes, stats.elapsed)
-    _record_stage(cfg, "solve", t0, {"solutions.txt": None}, primary=len(problem.primary),
+    _record_stage(cfg, "solve", t0, primary=len(problem.primary),
                   secondary=len(problem.secondary), options=problem.n_options,
                   solutions=stats.solutions, nodes=stats.nodes, limit_hit=stats.limit_hit)
     if stats.limit_hit:
@@ -467,6 +508,7 @@ def cmd_classify(cfg: JobConfig, jobs: int = 1) -> None:
         for line in fh:
             if line.strip():
                 solutions.append(tuple(int(x) for x in line.split()))
+    _check_count("solutions.txt", stages, "solve", "solutions", len(solutions))
     all_designs = []
     for opt_ids in solutions:
         d = designs_mod.expand(symbreak.decode_options(opt_ids, len(kset), classes), kset, cfg.G)
@@ -476,10 +518,8 @@ def cmd_classify(cfg: JobConfig, jobs: int = 1) -> None:
         all_designs.append(d)
     iso = designs_mod.classify(all_designs, known_autos=cfg.G.generators, jobs=jobs,
                                progress=_ProgressLog("canonized design %d of %d, %d nodes"))
+    _clear(cfg, ["classify"])
     os.makedirs(cfg.out("designs"), exist_ok=True)
-    for name in os.listdir(cfg.out("designs")):
-        if name.startswith("design_") and name.endswith(".txt"):
-            os.remove(cfg.out(os.path.join("designs", name)))
     with open(cfg.out("classes.txt"), "w", encoding="utf-8") as fh:
         for i, cl in enumerate(iso, start=1):
             designs_mod.write_design_file(
@@ -491,8 +531,8 @@ def cmd_classify(cfg: JobConfig, jobs: int = 1) -> None:
     canon_nodes = sum(cl.nodes for cl in iso)
     log.info("%d solutions -> %d isomorphism classes, %d canonization nodes",
              len(solutions), len(iso), canon_nodes)
-    _record_stage(cfg, "classify", t0, dict.fromkeys(["classes.txt", "designs.gap", "designs"]),
-                  solutions=len(solutions), classes=len(iso), canon_nodes=canon_nodes)
+    _record_stage(cfg, "classify", t0, solutions=len(solutions), classes=len(iso),
+                  canon_nodes=canon_nodes)
 
 
 def cmd_report(cfg_paths, out_stream=None) -> str:

@@ -413,6 +413,8 @@ def read_design_file(path) -> Design:
             v, b, k = int(fields["v"]), int(fields["b"]), int(fields["k"])
         except (ValueError, KeyError):
             raise ValueError(f"{path}:1: malformed design header") from None
+        if min(v, b, k) < 1:
+            raise ValueError(f"{path}:1: v, b and k must be at least 1, got v={v} b={b} k={k}")
         blocks = []
         first = {}  # block, sorted -> the line that gives it
         for ln, line in enumerate(fh, start=2):

@@ -407,6 +407,34 @@ def test_km_file_disagreeing_with_orbits_rejected(sts13_cfg, caplog, edit):
     assert not os.path.exists(cfg.out("solutions.txt"))
 
 
+# arrays rewritten with their digests recorded so that a count the loader
+# finds differs from the one the writing stage recorded, and the stage that
+# loads them
+@pytest.mark.parametrize(
+    "names,tamper,stage,message",
+    [
+        pytest.param(("class_of.npy",), lambda a: _set(a, 5, 2), "solve",
+                     "class_of.npy: 3 classes, but the run record has 2", id="classes"),
+        pytest.param(("k_reps.npy", "k_sizes.npy"), lambda a: a[:-1].copy(), "km",
+                     "k_reps.npy, k_sizes.npy: 15 good_orbits, but the run record has 16",
+                     id="good_orbits"),
+        pytest.param(("t_reps.npy", "t_sizes.npy"), lambda a: a[:-1].copy(), "km",
+                     "t_reps.npy, t_sizes.npy: 5 t_orbits, but the run record has 6",
+                     id="t_orbits"),
+    ],
+)
+def test_loaded_count_disagreeing_with_record_rejected(sts13_cfg, caplog, names, tamper,
+                                                       stage, message):
+    cfg = JobConfig.load(sts13_cfg)
+    run_stages(sts13_cfg, cli.STAGES[: cli.STAGES.index(stage)])
+    for name in names:
+        replace_array(cfg, name, tamper(np.load(cfg.out(name))))
+    caplog.clear()
+    assert main([stage, "--config", sts13_cfg]) == EXIT_VALIDATION
+    expect_one_error(caplog, message)
+    assert not os.path.exists(cfg.out(OUTPUT[stage]))
+
+
 @pytest.mark.parametrize("name", ["k_reps.npy", "km_rows.npy", "class_of.npy"])
 def test_pickled_array_with_its_digest_rejected(sts13_cfg, caplog, name):
     cfg = JobConfig.load(sts13_cfg)
@@ -423,6 +451,7 @@ def test_pickled_array_with_its_digest_rejected(sts13_cfg, caplog, name):
         ("solutions.txt", 0, "-6 1"),  # a negative orbit index
         ("solutions.txt", 0, "1 99"),  # an option the problem does not have
         ("solutions.txt", 0, "1 18"),  # one past the last copy option
+        ("solutions.txt", 0, ""),  # a solution fewer than the solve recorded
     ],
 )
 def test_tampered_solution_artifacts_rejected(sts13_cfg, name, i, line):
@@ -440,13 +469,16 @@ def test_tampered_solution_artifacts_rejected(sts13_cfg, name, i, line):
 
 # run.json texts that are not a run record, and entry fields set to values
 # a stage never writes (None: the field is removed)
-MALFORMED_RECORDS = ["{", "[]", '{"stages": []}', '{"stages": {"orbits": 5}}']
+MALFORMED_RECORDS = ["{", "[]", '{"stages": []}', '{"stages": {"orbits": 5}}',
+                     '{"stages": {"sieve": {"fingerprint": "", "artifacts": {}, "counts": {}, '
+                     '"seconds": 0}}}']
 MALFORMED_FIELDS = [
     pytest.param("orbits", "fingerprint", None, id="no-fingerprint"),
     pytest.param("orbits", "fingerprint", 5, id="fingerprint-int"),
     pytest.param("orbits", "artifacts", "torbits.txt", id="artifacts-str"),
     pytest.param("orbits", "artifacts", [1], id="artifact-int"),
     pytest.param("orbits", "artifacts", {"k_reps.npy": 5}, id="digest-int"),
+    pytest.param("orbits", "artifacts", {"../run.json": None}, id="artifact-outside-row"),
     pytest.param("orbits", "counts", {"t_orbits": 7}, id="no-good_orbits"),
     pytest.param("km", "counts", [], id="counts-list"),
     pytest.param("encode", "seconds", "0.5", id="seconds-str"),
@@ -580,6 +612,9 @@ def test_capped_solve_then_classify(tmp_path, fixtures_dir, caplog):
     assert lines[-1].split()[4] == "1+"  # sols
     with open(cfg.out("run.json")) as fh:
         assert sorted(json.load(fh)["stages"]) == ["encode", "km", "orbits", "solve"]
+    # and so are its outputs
+    assert not os.path.exists(cfg.out("classes.txt")) and not os.path.exists(cfg.out("designs.gap"))
+    assert os.listdir(cfg.out("designs")) == []
     caplog.clear()
     assert main(["classify", "--config", cfgp]) == EXIT_OK
     assert "stopped at a cap" in caplog.text
@@ -588,6 +623,36 @@ def test_capped_solve_then_classify(tmp_path, fixtures_dir, caplog):
     lines = cmd_report([cfgp]).splitlines()
     assert lines[1].split()[-1] == "1+"  # designs
     assert lines[-1].split()[4] == "1+"  # sols
+
+
+def _recorded(cfg):
+    """run.json and the artifacts that the entries of its record list."""
+    with open(cfg.out("run.json")) as fh:
+        entries = json.load(fh)["stages"].values()
+    return {"run.json"}.union(*(e["artifacts"] for e in entries))
+
+
+def _found(cfg):
+    """The top-level name of every file in the output directory."""
+    return {os.path.relpath(os.path.join(root, f), cfg.output_dir).split(os.sep)[0]
+            for root, _, files in os.walk(cfg.output_dir) for f in files}
+
+
+def test_rerun_stage_leaves_only_recorded_outputs(c19c_cfg):
+    # a clean encoding-c run writes every output of the table, each listed
+    # by its own stage's entry
+    cfg = run_pipeline(c19c_cfg)
+    assert tuple(cli.OUTPUTS) == cli.STAGES
+    with open(cfg.out("run.json")) as fh:
+        stages = json.load(fh)["stages"]
+    assert {s: set(e["artifacts"]) for s, e in stages.items()} == {
+        s: set(names) for s, (names, _) in cli.OUTPUTS.items()}
+    assert _found(cfg) == _recorded(cfg)
+    # a rerun stage deletes the outputs of the entries it drops
+    for stage in reversed(cli.STAGES):
+        assert main([stage, "--config", c19c_cfg]) == EXIT_OK
+        assert _found(cfg) == _recorded(cfg)
+    assert _found(cfg) == {"run.json", *cli.OUTPUTS["orbits"][0]}
 
 
 def test_jobs_flag_is_deterministic(tmp_path, fixtures_dir):
@@ -806,7 +871,7 @@ def test_report_marks_stages_not_run(sts13_cfg, tmp_path, fixtures_dir):
 
 
 def test_classify_and_report_read_only_the_listed_counts(tmp_path, fixtures_dir):
-    # every stage entry stripped to the counts _READ_COUNTS names: classify
+    # every stage entry stripped to the counts cli.OUTPUTS names: classify
     # and report still succeed, with the same output
     cfgp = write_config(tmp_path / "c13.cfg", v=13, k=3, t=2, encoding="c",
                         group_file=os.path.join(fixtures_dir, "groups", "C13.grp"),
@@ -820,7 +885,7 @@ def test_classify_and_report_read_only_the_listed_counts(tmp_path, fixtures_dir)
         with open(cfg.out("run.json")) as fh:
             record = json.load(fh)
         for stage, entry in record["stages"].items():
-            keep = cli._READ_COUNTS.get(stage, set())
+            keep = cli.OUTPUTS[stage][1]
             entry["counts"] = {k: v for k, v in entry["counts"].items() if k in keep}
         with open(cfg.out("run.json"), "w") as fh:
             json.dump(record, fh)

@@ -476,6 +476,9 @@ def test_design_file_round_trip(tmp_path):
     "text, where, message",
     [
         ("v=7 k=3\n1 2 3\n", ":1", "malformed design header"),
+        ("v=0 b=0 k=0\n", ":1", "v, b and k must be at least 1, got v=0 b=0 k=0"),
+        ("v=7 b=0 k=0\n", ":1", "v, b and k must be at least 1, got v=7 b=0 k=0"),
+        ("v=7 b=0 k=-1\n", ":1", "v, b and k must be at least 1, got v=7 b=0 k=-1"),
         ("v=7 b=2 k=3\n1 2 x\n1 3 5\n", ":2", "invalid literal for int() with base 10: 'x'"),
         ("v=7 b=2 k=3\n1 2 4\n1 5 9\n", ":3", "block (1, 5, 9) has a point outside 1..7"),
         ("v=7 b=1 k=3\n2 1 2\n", ":2", "block (2, 1, 2) repeats a point"),
