@@ -54,7 +54,7 @@ _PROTOTYPES = {
         "kms_target_cell": ((_I, _P), _I),
         "kms_individualize": ((_I, _I, _P, _P, _P, _P, _I, _I, _P), _I),
         "kms_canon": ((_I, _I, _P, _P, _P, _I, _I64, AUT_CALLBACK, _P, _P, _P), _I),
-        "kms_expand": ((_I, _I, _I64, _P, _I64, _P, _P, _P, _P, _I), _I64),
+        "kms_expand": ((_I, _I, _I64, _P, _P, _I, _P, _I64, _P, _P, _P), _I64),
         "kms_steiner_count": ((_I, _I, _I64, _I, _P, _I, _I64, _P, _P, _I64), _I),
     },
     "_xcc.c": {

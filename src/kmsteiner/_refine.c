@@ -9,7 +9,8 @@
  * and every automorphism found at a leaf is passed on and prunes, whether
  * or not it grows the known group.  At
  * the end of the file are the expansion of chosen orbits into a design
- * (kms_expand) and the Steiner check (kms_steiner_count).
+ * (kms_expand), which reads an OrbitSet's reps and sizes through the
+ * chosen indices, and the Steiner check (kms_steiner_count).
  *
  * A partition of the vertices 0..n-1 is one int32 array of 4n entries:
  *   lab[i]    (i < n)   the vertex at position i,
@@ -633,139 +634,150 @@ int kms_canon(int n, int v, const int32_t *indptr, const int32_t *adj,
 /* ------------------------------------------------------------------------
  * Expansion and the Steiner check.  A sorted subset s_0 < ... < s_{k-1} of
  * the points 0..v-1 is keyed through binom[c*v + x] = C(v-1-x, k-c)
- * (orbitgen._binomials): its lex rank among the C(v, k) k-subsets is
- * C(v, k) - 1 - sum_c binom[c*v + s_c].  A design's points are 1-based,
- * unsigned, of itemsize 1, 2, 4 or 8 bytes (np.min_scalar_type(v)).
+ * (orbitgen._binomials): the sum S = sum_c binom[c*v + s_c] runs over
+ * 0..C(v, k)-1 and the subset's lex rank among the C(v, k) k-subsets is
+ * C(v, k) - 1 - S.  A design's points are 1-based, unsigned, of itemsize
+ * 1, 2, 4 or 8 bytes (np.min_scalar_type(v)); both kernels read them as
+ * 0-based int64 (load_points).
  */
 
 enum { EXPAND_SIZE = -1, EXPAND_DUPLICATE = -2, EXPAND_RANGE = -3, EXPAND_NOMEM = -4 };
 
-static int64_t get_point(const void *pts, int itemsize, size_t i) {
+/* dst[j] = pts[j] - 1 for j < n, in one loop per itemsize; a point 0
+ * becomes -1. */
+static void load_points(const void *pts, int itemsize, int64_t n, int64_t *dst) {
+#define LOAD(T)                                                                  \
+    for (int64_t j = 0; j < n; j++)                                              \
+        dst[j] = (int64_t)((uint64_t)((const T *)pts)[j] - 1)
     switch (itemsize) {
-    case 1: return ((const uint8_t *)pts)[i];
-    case 2: return ((const uint16_t *)pts)[i];
-    case 4: return ((const uint32_t *)pts)[i];
-    default: return (int64_t)((const uint64_t *)pts)[i];
+    case 1: LOAD(uint8_t); break;
+    case 2: LOAD(uint16_t); break;
+    case 4: LOAD(uint32_t); break;
+    default: LOAD(uint64_t);
     }
-}
-
-static void put_point(void *pts, int itemsize, size_t i, int64_t x) {
-    switch (itemsize) {
-    case 1: ((uint8_t *)pts)[i] = (uint8_t)x; break;
-    case 2: ((uint16_t *)pts)[i] = (uint16_t)x; break;
-    case 4: ((uint32_t *)pts)[i] = (uint32_t)x; break;
-    default: ((uint64_t *)pts)[i] = (uint64_t)x;
-    }
+#undef LOAD
 }
 
 /* Sort idx[0..n-1] stably by key[idx[i]], in 8-bit digits of key - lo;
- * every key lies in lo..lo+span.  tmp holds n entries. */
-static void radix_sort(int64_t n, const int64_t *key, int64_t lo, uint64_t span,
-                       int64_t *idx, int64_t *tmp) {
-    int64_t *src = idx, *dst = tmp;
+ * every key lies in lo..lo+span.  tmp holds n entries.  Returns idx or
+ * tmp, whichever holds the sorted entries. */
+static int64_t *radix_sort(int64_t n, const int64_t *key, int64_t lo, uint64_t span,
+                           int64_t *idx, int64_t *tmp) {
     for (int shift = 0; shift < 64 && span >> shift; shift += 8) {
         int64_t count[257] = {0};
         for (int64_t i = 0; i < n; i++)
-            count[(((uint64_t)key[src[i]] - (uint64_t)lo) >> shift & 255) + 1]++;
+            count[(((uint64_t)key[idx[i]] - (uint64_t)lo) >> shift & 255) + 1]++;
         for (int d = 0; d < 256; d++)
             count[d + 1] += count[d];
         for (int64_t i = 0; i < n; i++)
-            dst[count[((uint64_t)key[src[i]] - (uint64_t)lo) >> shift & 255]++] = src[i];
-        int64_t *swap = src;
-        src = dst, dst = swap;
+            tmp[count[((uint64_t)key[idx[i]] - (uint64_t)lo) >> shift & 255]++] = idx[i];
+        int64_t *swap = idx;
+        idx = tmp, tmp = swap;
     }
-    if (src != idx)
-        memcpy(idx, src, (size_t)n * sizeof *idx);
+    return idx;
 }
 
-/* The union of the G-orbits of m chosen k-subsets of the points 0..v-1
- * (reps, m rows of k 0-based points), G given by its order elements (els,
- * one row of the v images each).  Image e = g*m + i, of rep i under
- * element g, is sorted and keyed by its lex rank; an image equal to its
- * rep counts towards the rep's stabilizer, and order / stabilizer (0 for an
- * empty stabilizer) must equal sizes[i].  The distinct images, the first
- * in image order of each key, are written to out in lex order as 1-based
- * points of itemsize bytes; out holds m * order rows.
+/* The union of the G-orbits of m chosen k-subsets of the points 1..v, G
+ * given by its order elements (els, one row of the v 0-based images
+ * each).  The chosen subsets are the rows chosen[0..m-1] of reps, the
+ * (n, k) representatives of an OrbitSet in points of itemsize bytes, and
+ * their orbit sizes are sizes[chosen[i]]; the caller checks chosen against
+ * n.  The reps are gathered and checked once.  Image e = g*m + i, of
+ * chosen rep i under element g, is sorted and keyed by its lex rank; an
+ * image equal to its rep counts towards the rep's stabilizer, and order /
+ * stabilizer (0 for an empty stabilizer) must equal the orbit size.  The
+ * keys are radix sorted, and the distinct images, the first in image order
+ * of each key, are written to out in lex order as 1-based points of
+ * itemsize bytes; out holds m * order rows.
  * Returns the number of blocks written, or EXPAND_RANGE when a rep point
- * lies outside 0..v-1, EXPAND_SIZE when an orbit size differs,
+ * lies outside 1..v, EXPAND_SIZE when an orbit size differs,
  * EXPAND_DUPLICATE when the distinct images do not number the sum of the
  * sizes, EXPAND_NOMEM when out of memory. */
-int64_t kms_expand(int v, int k, int64_t order, const int64_t *els, int64_t m,
-                   const int32_t *reps, const int64_t *sizes, const int64_t *binom,
-                   void *out, int itemsize) {
-    int64_t n = order * m, total = 0, r;
-    for (int64_t j = 0; j < m * k; j++)
-        if (reps[j] < 0 || reps[j] >= v)
-            return EXPAND_RANGE;
-    if (!n) {
-        for (int64_t i = 0; i < m; i++)
-            if (sizes[i])
-                return EXPAND_SIZE;
-        return 0;
-    }
-    /* img (nk), key, idx, tmp (n each), stab (m) */
-    int32_t *img = malloc((size_t)n * k * sizeof *img);
-    int64_t *key = malloc((3 * (size_t)n + (size_t)m) * sizeof *key);
-    if (!img || !key) {
-        free(img), free(key);
+int64_t kms_expand(int v, int k, int64_t order, const int64_t *els, const void *reps,
+                   int itemsize, const int64_t *sizes, int64_t m, const int64_t *chosen,
+                   const int64_t *binom, void *out) {
+    int64_t n = order * m, total = 0, r = 0, lo = INT64_MAX, hi = INT64_MIN;
+    /* key, idx, tmp (n each); rep (mk), stab (m); img (nk); one byte more
+     * so that choosing no orbit allocates too */
+    int64_t *key = malloc((3 * (size_t)n + (size_t)m * k + (size_t)m) * sizeof *key
+                           + (size_t)n * k * sizeof(int32_t) + 1);
+    if (!key)
         return EXPAND_NOMEM;
-    }
-    int64_t *idx = key + n, *tmp = idx + n, *stab = tmp + n, lo = 0, hi = 0;
+    int64_t *idx = key + n, *tmp = idx + n, *rep = tmp + n, *stab = rep + m * k;
+    int32_t *img = (int32_t *)(stab + m);
+    for (int64_t i = 0; i < m; i++)
+        load_points((const char *)reps + (size_t)chosen[i] * k * itemsize, itemsize, k,
+                    rep + i * k);
+    for (int64_t j = 0; j < m * k && !r; j++)
+        if (rep[j] < 0 || rep[j] >= v)
+            r = EXPAND_RANGE;
     memset(stab, 0, (size_t)m * sizeof *stab);
-    for (int64_t g = 0, e = 0; g < order; g++) {
+    for (int64_t g = 0, e = 0; g < order && !r; g++) {
         const int64_t *el = els + g * v;
         for (int64_t i = 0; i < m; i++, e++) {
-            const int32_t *rep = reps + i * k;
+            const int64_t *s = rep + i * k;
             int32_t *row = img + e * k;
-            int64_t sum = 0;
+            /* insert each point into the sorted row[0..j-1] without
+             * branches: the new row[c] is max(row[c-1], min(row[c], x)) */
             for (int j = 0; j < k; j++) {
-                int32_t x = (int32_t)el[rep[j]];
-                int c = j;
-                for (; c > 0 && row[c - 1] > x; c--)
-                    row[c] = row[c - 1];
-                row[c] = x;
+                int32_t x = (int32_t)el[s[j]];
+                row[j] = x;
+                for (int c = j; c > 0; c--) {
+                    int32_t below = row[c] < x ? row[c] : x;
+                    row[c] = row[c - 1] > below ? row[c - 1] : below;
+                }
+                row[0] = row[0] < x ? row[0] : x;
             }
-            for (int c = 0; c < k; c++)
+            int64_t sum = 0;
+            int same = 1;
+            for (int c = 0; c < k; c++) {
                 sum += binom[c * v + row[c]];
-            int same = 0;
-            while (same < k && row[same] == rep[same])
-                same++;
-            stab[i] += same == k;
+                same &= row[c] == s[c];
+            }
+            stab[i] += same;
             key[e] = -sum;  /* the lex rank less C(v, k) - 1 */
             idx[e] = e;
-            lo = !e || key[e] < lo ? key[e] : lo;
-            hi = !e || key[e] > hi ? key[e] : hi;
+            lo = key[e] < lo ? key[e] : lo;
+            hi = key[e] > hi ? key[e] : hi;
         }
     }
-    r = 0;
     for (int64_t i = 0; i < m && !r; i++) {
-        if ((stab[i] ? order / stab[i] : 0) != sizes[i])
+        if ((stab[i] ? order / stab[i] : 0) != sizes[chosen[i]])
             r = EXPAND_SIZE;
-        total += sizes[i];
+        total += sizes[chosen[i]];
     }
     if (!r) {
-        radix_sort(n, key, lo, (uint64_t)hi - (uint64_t)lo, idx, tmp);
-        int64_t distinct = 1;
-        for (int64_t j = 1; j < n; j++)
-            distinct += key[idx[j]] != key[idx[j - 1]];
-        r = distinct == total ? total : EXPAND_DUPLICATE;
+        int64_t *s = radix_sort(n, key, lo, (uint64_t)hi - (uint64_t)lo, idx, tmp);
+        /* the first image of each key, as a row of out */
+#define STORE(T)                                                                 \
+    for (int64_t j = 0; j < n; j++)                                              \
+        if (!j || key[s[j]] != key[s[j - 1]]) {                                  \
+            const int32_t *row = img + s[j] * k;                                 \
+            for (int c = 0; c < k; c++)                                          \
+                ((T *)out)[r * k + c] = (T)(row[c] + 1);                         \
+            r++;                                                                 \
+        }
+        switch (itemsize) {
+        case 1: STORE(uint8_t); break;
+        case 2: STORE(uint16_t); break;
+        case 4: STORE(uint32_t); break;
+        default: STORE(uint64_t);
+        }
+#undef STORE
+        if (r != total)
+            r = EXPAND_DUPLICATE;
     }
-    for (int64_t j = 0, w = 0; r > 0 && j < n; j++) {
-        if (j && key[idx[j]] == key[idx[j - 1]])
-            continue;
-        for (int c = 0; c < k; c++)
-            put_point(out, itemsize, (size_t)(w * k + c), img[idx[j] * k + c] + 1);
-        w++;
-    }
-    free(img), free(key);
+    free(key);
     return r;
 }
 
 /* Count the t-subsets of the b blocks of a design on v points (k points
- * each, ascending, in 1..v) by lex rank in a table of n_sub = C(v, t) entries; pick
- * lists the n_pick = C(k, t) t-subsets of a block's k positions.  The
- * caller runs it only when b * n_pick == n_sub, so the table is no larger
- * than the subsets counted.  Returns 1 when every count is 1, 0 when not,
+ * each, ascending, in 1..v) in a table of n_sub = C(v, t) entries, indexed
+ * by the sum S of the lex rank; pick lists the n_pick = C(k, t) t-subsets
+ * of a block's k positions.  The caller runs it only when b * n_pick ==
+ * n_sub, so the table is no larger than the subsets counted.  Each block's
+ * points are read once, and the t * k binomials of its points once, and
+ * every pick sums t of them.  Returns 1 when every count is 1, 0 when not,
  * -1 when out of memory. */
 int kms_steiner_count(int v, int t, int64_t b, int k, const void *blocks, int itemsize,
                       int64_t n_pick, const int32_t *pick, const int64_t *binom,
@@ -773,21 +785,34 @@ int kms_steiner_count(int v, int t, int64_t b, int k, const void *blocks, int it
     if (!n_sub)
         return 1;
     uint8_t *seen = calloc((size_t)n_sub, 1);
-    if (!seen)
+    /* pts (bk); at (n_pick t): where w holds the binomial of each pick's
+     * point; w (tk): binom[c*v + x] of the block's point x at [c*k + q];
+     * one byte more so that t = k = 0 allocates too */
+    int64_t *pts = malloc(((size_t)b * k + (size_t)n_pick * t + (size_t)t * k) * sizeof *pts + 1);
+    if (!seen || !pts) {
+        free(seen), free(pts);
         return -1;
+    }
+    int64_t *at = pts + b * k, *w = at + n_pick * t;
+    load_points(blocks, itemsize, b * k, pts);
+    for (int64_t j = 0; j < n_pick * t; j++)
+        at[j] = j % t * k + pick[j];
     int r = 1;
     for (int64_t i = 0; i < b && r; i++) {
-        size_t row = (size_t)i * k;
-        for (int64_t p = 0; p < n_pick; p++) {
-            int64_t rank = n_sub - 1;
+        const int64_t *row = pts + i * k;
+        for (int c = 0; c < t; c++)
+            for (int q = 0; q < k; q++)
+                w[c * k + q] = binom[c * v + row[q]];
+        for (const int64_t *a = at, *end = at + n_pick * t; a < end; a += t) {
+            uint64_t sum = 0;
             for (int c = 0; c < t; c++)
-                rank -= binom[c * v + get_point(blocks, itemsize, row + pick[p * t + c]) - 1];
-            if (rank < 0 || rank >= n_sub || seen[rank]++) {
+                sum += (uint64_t)w[a[c]];
+            if (sum >= (uint64_t)n_sub || seen[sum]++) {
                 r = 0;
                 break;
             }
         }
     }
-    free(seen);
+    free(seen), free(pts);
     return r;
 }

@@ -503,15 +503,18 @@ def cmd_classify(cfg: JobConfig, jobs: int = 1) -> None:
     if stages["solve"]["counts"]["limit_hit"]:
         log.warning("the solve stopped at a cap: its solutions, and so the classes, "
                     "may be incomplete")
-    solutions = []
+    solutions = []  # (option ids, k-orbit indices)
     with open(cfg.out("solutions.txt"), "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                solutions.append(tuple(int(x) for x in line.split()))
+        for ln, line in enumerate(fh, start=1):
+            try:
+                if ids := tuple(int(x) for x in line.split()):
+                    solutions.append((ids, symbreak.decode_options(ids, len(kset), classes)))
+            except ValueError as exc:
+                raise ValidationError(f"{fh.name}:{ln}: {exc}") from None
     _check_count("solutions.txt", stages, "solve", "solutions", len(solutions))
     all_designs = []
-    for opt_ids in solutions:
-        d = designs_mod.expand(symbreak.decode_options(opt_ids, len(kset), classes), kset, cfg.G)
+    for opt_ids, chosen in solutions:
+        d = designs_mod.expand(chosen, kset, cfg.G)
         rep = designs_mod.verify_steiner(d, cfg.t)
         if not rep.ok:
             raise ValidationError(f"solution {opt_ids} is not a Steiner design: {rep.violations[:3]}")

@@ -9,15 +9,16 @@ numpy and never loads a kernel.
 The work done per design runs in one small C kernel, ``_refine.c``, built
 with gcc on its first use and loaded with ctypes by ``_native``:
 
-- ``expand`` passes the element table and the chosen representatives to
-  ``kms_expand``, which sorts and keys every image, counts each
-  stabilizer, deduplicates by sorting the keys and writes the blocks in
-  lex order;
+- ``expand`` passes the element table, the OrbitSet's own reps and
+  sizes and the chosen orbit indices to ``kms_expand``, which gathers and
+  checks the chosen reps, sorts and keys every image, counts each
+  stabilizer, radix sorts the keys and writes the distinct blocks in lex
+  order;
 - ``verify_steiner`` counts the t-subsets of the blocks in a table of
-  C(v, t) entries with ``kms_steiner_count`` when the blocks hold exactly
-  C(v, t) of them, the only case in which a design can be Steiner; any
-  other design, and one that fails, gets its report from a key sort in
-  numpy;
+  C(v, t) entries with ``kms_steiner_count``, which reads each block's
+  points and their binomials once, when the blocks hold exactly C(v, t)
+  of them, the only case in which a design can be Steiner; any other
+  design, and one that fails, gets its report from a key sort in numpy;
 - ``canonical_form`` runs the search ``kms_canon``.
 
 Isomorphism means relabeling of points; block order is irrelevant.  The
@@ -149,17 +150,15 @@ def expand(orbit_indices, k_orbits: OrbitSet, G: PermutationGroup) -> Design:
     two chosen orbits are ValueErrors.  The kernel ``kms_expand`` sorts,
     keys, counts and deduplicates the images.
     """
-    idx = np.array(sorted(orbit_indices), dtype=np.intp)
+    idx = np.array(sorted(orbit_indices), dtype=np.int64)
     if len(idx) and not 0 <= idx[0] <= idx[-1] < len(k_orbits):
         raise ValueError(f"orbit index outside 0..{len(k_orbits) - 1} in {idx.tolist()}")
-    v, k = k_orbits.v, k_orbits.k
-    reps0 = np.subtract(k_orbits.reps[idx], 1, dtype=np.int32)
-    sizes = k_orbits.sizes[idx]
-    els = G.element_table()
-    out = np.empty((len(els) * len(idx), k), dtype=np.min_scalar_type(v))
+    v, k, els = k_orbits.v, k_orbits.k, G.element_table()
+    out = np.empty((len(els) * len(idx), k), dtype=k_orbits.reps.dtype)
     b = _native.kernel("_refine.c").kms_expand(
-        v, k, len(els), els.ctypes.data, len(idx), reps0.ctypes.data, sizes.ctypes.data,
-        _binomials(v, k).ctypes.data, out.ctypes.data, out.itemsize,
+        v, k, len(els), els.ctypes.data, k_orbits.reps.ctypes.data, out.itemsize,
+        k_orbits.sizes.ctypes.data, len(idx), idx.ctypes.data, _binomial_table(v, k)[1],
+        out.ctypes.data,
     )
     if b < 0:
         raise {
@@ -177,12 +176,20 @@ class SteinerReport:
 
 
 @lru_cache(maxsize=16)
-def _picks(k: int, t: int) -> np.ndarray:
+def _binomial_table(v: int, k: int) -> tuple:
+    """``orbitgen._binomials(v, k)`` and its address: one cache entry holds
+    both, so the address lives exactly as long as the array."""
+    table = _binomials(v, k)
+    return table, table.ctypes.data
+
+
+@lru_cache(maxsize=16)
+def _picks(k: int, t: int) -> tuple:
     """The t-subsets of range(k) in lex order, as a read-only (C(k, t), t)
-    int32 array."""
+    int32 array, and its address."""
     pick = np.array(list(combinations(range(k), t)), dtype=np.int32).reshape(comb(k, t), t)
     pick.flags.writeable = False
-    return pick
+    return pick, pick.ctypes.data
 
 
 def verify_steiner(d: Design, t: int) -> SteinerReport:
@@ -196,12 +203,12 @@ def verify_steiner(d: Design, t: int) -> SteinerReport:
     lists the subsets covered a wrong number of times in lex order, then
     the uncovered ones in lex order, at most 10 in all.
     """
-    pick = _picks(d.k, t)
+    pick, pick_at = _picks(d.k, t)
     n_sub = comb(d.v, t)
     if d.b * len(pick) == n_sub:
         ok = _native.kernel("_refine.c").kms_steiner_count(
-            d.v, t, d.b, d.k, d.blocks.ctypes.data, d.blocks.itemsize, len(pick),
-            pick.ctypes.data, _binomials(d.v, t).ctypes.data, n_sub,
+            d.v, t, d.b, d.k, d.blocks.ctypes.data, d.blocks.itemsize, len(pick), pick_at,
+            _binomial_table(d.v, t)[1], n_sub,
         )
         if ok < 0:
             raise MemoryError("the Steiner check ran out of memory")

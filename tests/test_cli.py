@@ -467,6 +467,28 @@ def test_tampered_solution_artifacts_rejected(sts13_cfg, name, i, line):
     assert not os.path.exists(cfg.out("classes.txt"))
 
 
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        ("1 x", "invalid literal for int() with base 10: 'x'"),
+        ("1 99", "solution (1, 99) has an option outside 0..17"),
+    ],
+)
+def test_malformed_solution_line_names_the_file_and_line(sts13_cfg, caplog, line, message):
+    cfg = JobConfig.load(sts13_cfg)
+    run_stages(sts13_cfg, ["orbits", "km", "encode", "solve"])
+    with open(cfg.out("solutions.txt")) as fh:
+        lines = fh.read().splitlines()
+    lines.insert(1, "")  # blank lines count
+    lines[-1] = line
+    with open(cfg.out("solutions.txt"), "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    caplog.clear()
+    assert main(["classify", "--config", sts13_cfg]) == EXIT_VALIDATION
+    expect_one_error(caplog, f"{cfg.out('solutions.txt')}:{len(lines)}: {message}")
+    assert not os.path.exists(cfg.out("classes.txt"))
+
+
 # run.json texts that are not a run record, and entry fields set to values
 # a stage never writes (None: the field is removed)
 MALFORMED_RECORDS = ["{", "[]", '{"stages": []}', '{"stages": {"orbits": 5}}',

@@ -78,11 +78,12 @@ def test_expand_duplicate_blocks_rejected():
 
 
 def _orbit_set_unchecked(reps, sizes, G):
-    """An OrbitSet of 3-subsets of 1..7 whose arrays skip the constructor's
-    checks, to reach the guards that keep the kernel of expand within its
-    memory."""
+    """An OrbitSet of 3-subsets of the points of G whose arrays skip the
+    constructor's checks, to reach the guards that keep the kernel of expand
+    within its memory."""
+    v = G.degree
     ko = object.__new__(OrbitSet)
-    for name, value in (("v", 7), ("t", 2), ("reps", np.array(reps, dtype=np.uint8)),
+    for name, value in (("v", v), ("t", 2), ("reps", np.array(reps, np.min_scalar_type(v))),
                         ("sizes", np.array(sizes, dtype=np.int64)), ("group_id", G.fingerprint())):
         object.__setattr__(ko, name, value)
     return ko
@@ -104,9 +105,21 @@ EXPAND_GUARDED = [
 ]
 
 
-@pytest.mark.parametrize("reps,sizes,chosen,error,message", EXPAND_INDEX + EXPAND_GUARDED)
+# the same errors where points are uint16: each case holds a point above
+# 255 and runs at v = 257, where C257 moves every 3-subset in an orbit of 257
+EXPAND_UINT16 = [
+    ([(1, 2, 256)], [257], {0, 1}, ValueError, r"^orbit index outside 0..0 in \[0, 1\]$"),
+    ([(1, 2, 258)], [257], {0}, ValueError, r"^orbit representative outside 1..257$"),
+    ([(1, 2, 256)], [3], {0}, AssertionError, "^orbit size mismatch during expansion$"),
+    ([(1, 2, 256), (2, 3, 257)], [257, 257], {0, 1}, ValueError,
+     "^duplicate blocks across chosen orbits$"),
+]
+
+
+@pytest.mark.parametrize("reps,sizes,chosen,error,message",
+                         EXPAND_INDEX + EXPAND_GUARDED + EXPAND_UINT16)
 def test_expand_rejects(reps, sizes, chosen, error, message):
-    G = cyclic_group(7)
+    G = cyclic_group(257 if np.max(reps) > 255 else 7)
     with pytest.raises(error, match=message):
         expand(chosen, _orbit_set_unchecked(reps, sizes, G), G)
 
@@ -116,6 +129,39 @@ def test_orbit_set_refuses_what_the_expand_kernel_guards(reps, sizes):
     message = "^orbit 0 is not 3 ascending points of 1..7 with an orbit size of at least 1$"
     with pytest.raises(ValueError, match=message):
         OrbitSet(v=7, t=2, reps=reps, sizes=sizes, group_id="")
+
+
+def test_kernel_table_addresses_live_as_long_as_their_tables():
+    # the kernels read cached tables by address: the Fano plane (expand
+    # (v, k) = (7, 3), Steiner check (k, t) = (3, 2)) checked against the
+    # oracles after the caches overflowed, and after the binomial tables
+    # alone were evicted by numpy-path Steiner checks; an address that
+    # outlived its table would read freed memory
+    G = cyclic_group(7)
+    ko = good_k_orbit_reps(G, 7, 3, 2)
+    fano_orbit = [ko.reps.tolist().index([1, 2, 4])]
+
+    def check_fano():
+        d = expand(fano_orbit, ko, G)
+        assert designs_equal(d, expand_by_closure(fano_orbit, ko, G))
+        rep = verify_steiner(d, 2)
+        assert (rep.ok, rep.violations) == verify_steiner_dict(d, 2) == (True, [])
+
+    check_fano()
+    halves = []  # 1-designs of two blocks of k points on 2k, one orbit each
+    for k in range(4, 24):  # 20 shapes (2k, k) and (k, 1), 40 tables (2k, *)
+        parts = OrbitSet(2 * k, 1, [range(1, k + 1), range(k + 1, 2 * k + 1)], [1, 1], "")
+        trivial = PermutationGroup.trivial(2 * k)
+        halves.append(expand({0, 1}, parts, trivial))
+        assert designs_equal(halves[-1], expand_by_closure({0, 1}, parts, trivial))
+        assert verify_steiner(halves[-1], 1).ok and verify_steiner_dict(halves[-1], 1)[0]
+    check_fano()
+    for d in halves:  # b C(k, 2) < C(2k, 2): counted in numpy, through _binomials only
+        assert not verify_steiner(d, 2).ok and not verify_steiner_dict(d, 2)[0]
+    # refill freed buffers of the sizes of the Fano plane's binomial tables
+    junk = [np.full(n, -1, dtype=np.int64) for n in (14, 21) for _ in range(64)]
+    check_fano()
+    assert all((a == -1).all() for a in junk)
 
 
 def test_expand_empty_choice():
