@@ -24,6 +24,8 @@ already built from the same source is reused, whatever flags built it
 under a temporary name and published with ``os.replace``, so concurrent
 processes never load a half-written library.  Without gcc, ``load``
 raises ImportError.
+
+``intake`` is the one intake rule of the package's five integer array types.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ import shutil
 import subprocess
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 _I, _I64, _P = ctypes.c_int, ctypes.c_int64, ctypes.c_void_p
 
@@ -109,3 +113,24 @@ def load(source: Path) -> ctypes.CDLL:
             if os.path.exists(tmp):
                 os.unlink(tmp)
     return ctypes.CDLL(str(library))
+
+
+def intake(obj, fields: dict, values, message: str, check) -> None:
+    """Set the fields of ``obj`` from ``values``, array-likes.  One that is
+    ragged, or holds a value and is not of integer dtype (bool is not), is
+    refused with ValueError(message) before any cast.  ``check`` gets them
+    as arrays in their own dtypes, raises ValueError on what the type
+    refuses, so that no cast wraps, and returns one array per field (None:
+    the arrays as given); field ``name`` is set to its array cast to
+    ``fields[name]``, not copied if it already has that dtype and C order,
+    and made read-only."""
+    try:
+        arrays = [np.asarray(a) for a in values]
+    except ValueError:
+        raise ValueError(message) from None
+    if any(a.size and a.dtype.kind not in "iu" for a in arrays):
+        raise ValueError(message)
+    for (name, dtype), a in zip(fields.items(), check(*arrays) or arrays):
+        a = np.ascontiguousarray(a, dtype)
+        a.flags.writeable = False
+        object.__setattr__(obj, name, a)

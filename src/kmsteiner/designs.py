@@ -91,8 +91,9 @@ class Design:
     """A set of blocks on the points {1..v}.
 
     ``blocks`` is a read-only C-ordered (b, k) array in dtype
-    ``np.min_scalar_type(v)``, each row ascending and the rows in lex order.  The constructor takes
-    any sequence of blocks or a (b, k) array and raises ValueError when a
+    ``np.min_scalar_type(v)``, each row ascending and the rows in lex
+    order, taken by the rule of ``_native.intake`` from any sequence of
+    blocks or a (b, k) array.  The constructor raises ValueError when a
     point lies outside 1..v, a point repeats within a block, blocks differ
     in size or a block repeats.  Designs compare by identity; compare
     ``v`` and ``blocks`` to test equality.
@@ -100,24 +101,21 @@ class Design:
 
     v: int
     blocks: np.ndarray  # (b, k)
+    _refused = "blocks must be equal-size sequences of integer points"  # not a field
 
     def __post_init__(self):
-        message = "blocks must be equal-size sequences of integer points"
-        dtype = np.min_scalar_type(self.v)
-        rows = self.blocks
-        if not (isinstance(rows, np.ndarray) and rows.dtype == dtype):
-            try:
-                rows = np.array(rows, dtype=np.int64)
-            except ValueError:
-                raise ValueError(message) from None
+        _native.intake(self, {"blocks": np.min_scalar_type(self.v)}, (self.blocks,),
+                       self._refused, self._check)
+
+    def _check(self, rows: np.ndarray) -> tuple:
         if rows.ndim != 2:
             if rows.size:
-                raise ValueError(message)
+                raise ValueError(self._refused)
             rows = rows.reshape(0, 0)
         # rows strictly increasing, within each row and in lex order across
         # rows, in range, repeat no point and no block: nothing left to check
         if not _strictly_lex_ordered(rows, self.v):
-            rows = np.sort(rows.astype(np.int64), axis=1)
+            rows = np.sort(rows, axis=1)
             if rows.shape[1]:
                 rows = rows[np.lexsort(rows.T[::-1])]
             for bad, what in (
@@ -127,9 +125,7 @@ class Design:
             ):
                 if bad.any():
                     raise ValueError(f"block {tuple(rows[bad.argmax()].tolist())} {what}")
-        rows = rows.astype(dtype, order="C")  # the kernels read it row by row
-        rows.flags.writeable = False
-        object.__setattr__(self, "blocks", rows)
+        return (rows,)
 
     @property
     def k(self) -> int:
@@ -351,9 +347,7 @@ def _design_from_cert(cert: bytes, v: int, k: int) -> Design:
     return Design(v, np.frombuffer(cert, dtype=">u2").reshape(-1, k) + 1 if cert else ())
 
 
-def classify(
-    designs, node_budget: int = 10**7, known_autos=(), jobs: int = 1, progress=None
-) -> list:
+def classify(designs, known_autos=(), jobs: int = 1, progress=None) -> list:
     """Group designs by certificate; returns IsoClasses sorted by certificate.
 
     Canonization is pure, so jobs > 1 spreads it over worker processes,
@@ -369,7 +363,7 @@ def classify(
     for d in designs:
         if d.v != v or d.k != k:
             raise ValueError("designs must share (v, k)")
-    job = partial(canonical_form, node_budget=node_budget, known_autos=known_autos)
+    job = partial(canonical_form, known_autos=known_autos)
     workers = min(jobs, os.cpu_count() or 1, len(designs))
     pool = None
     if workers > 1:

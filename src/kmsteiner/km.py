@@ -19,6 +19,7 @@ from math import comb
 
 import numpy as np
 
+from . import _native
 from .orbitgen import OrbitSet, _pack_keys
 from .perm import PermutationGroup
 
@@ -40,10 +41,9 @@ class KMError(RuntimeError):
 class KMInstance:
     """The m x n matrix over m t-orbits and n good k-orbits: column j has
     the sorted row ids ``col_rows[col_indptr[j]:col_indptr[j + 1]]``, as
-    read-only int64 and int32 arrays; one that already has its dtype and C
-    order is kept, not copied.  Construction refuses a ``col_indptr`` that
-    is not n + 1 pointers rising from 0 to ``len(col_rows)``, and a row id
-    outside 0..m-1."""
+    read-only int64 and int32 arrays taken by the rule of ``_native.intake``.
+    Construction refuses a ``col_indptr`` that is not n + 1 pointers rising
+    from 0 to ``len(col_rows)``, and a row id outside 0..m-1."""
 
     t_orbits: OrbitSet
     k_orbits: OrbitSet
@@ -51,16 +51,16 @@ class KMInstance:
     col_rows: np.ndarray  # int32
 
     def __post_init__(self):
-        (m, n), ptr, rows = self.shape, np.asarray(self.col_indptr), np.asarray(self.col_rows)
+        _native.intake(self, {"col_indptr": np.int64, "col_rows": np.int32},
+                       (self.col_indptr, self.col_rows),
+                       "column pointers and row ids must be integers", self._check)
+
+    def _check(self, ptr: np.ndarray, rows: np.ndarray) -> None:
+        m, n = self.shape
         if len(ptr) != n + 1 or ptr[0] != 0 or ptr[-1] != len(rows) or np.any(ptr[1:] < ptr[:-1]):
             raise ValueError(f"column pointers not rising from 0 to {len(rows)} over {n} columns")
         if len(rows) and (rows.min() < 0 or rows.max() >= m):
             raise ValueError(f"a row id outside 0..{m - 1}")
-        # checked before the cast, so it cannot wrap
-        for name, arr, dtype in (("col_indptr", ptr, np.int64), ("col_rows", rows, np.int32)):
-            arr = np.ascontiguousarray(arr, dtype)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
 
     @property
     def shape(self) -> tuple:

@@ -72,12 +72,11 @@ class OrbitSet:
 
     ``reps[i]`` is the lex-minimal sorted representative of orbit i as
     1-based points, in dtype ``np.min_scalar_type(v)``; ``sizes[i]`` is the
-    orbit size, int64.  Both arrays are read-only; one that already has
-    its dtype and C order is kept, not copied.  ``t`` is the design's t, so
-    a set of t-orbits has k == t.  Construction takes integer arrays or
-    sequences and refuses any other input, a row that is not k >= 1
-    ascending points of 1..v, an orbit size below 1, a size count other
-    than the row count, and rows not in strict lex order.
+    orbit size, int64; both are taken by the rule of ``_native.intake``.
+    ``t`` is the design's t, so a set of t-orbits has k == t.
+    Construction refuses a row that is not k >= 1 ascending points of
+    1..v, an orbit size below 1, a size count other than the row count,
+    and rows not in strict lex order.
     """
 
     v: int
@@ -87,15 +86,16 @@ class OrbitSet:
     group_id: str
 
     def __post_init__(self):
-        v, reps, sizes = self.v, np.asarray(self.reps), np.asarray(self.sizes)
-        if reps.dtype.kind not in "iu" or sizes.dtype.kind not in "iu":
-            raise ValueError("orbit representatives and sizes must be integers")
+        _native.intake(self, {"reps": np.min_scalar_type(self.v), "sizes": np.int64},
+                       (self.reps, self.sizes),
+                       "orbit representatives and sizes must be integers", self._check)
+
+    def _check(self, reps: np.ndarray, sizes: np.ndarray) -> None:
         if reps.ndim != 2 or not reps.shape[1] or sizes.shape != reps.shape[:1]:
             raise ValueError(f"representatives of shape {reps.shape} and sizes of shape "
                              f"{sizes.shape}, expected (n, k) with k >= 1 and (n,)")
-        # checked in the input's own dtype, before a cast that could wrap;
         # the rows are searched for the first bad orbit only on failure
-        int64_max = np.iinfo(np.int64).max
+        v, int64_max = self.v, np.iinfo(np.int64).max
         if len(reps) and not (_strictly_lex_ordered(reps, v) and 1 <= sizes.min()
                               and sizes.max() <= int64_max):
             bad = (reps[:, 0] < 1) | (reps[:, -1] > v) | (reps[:, 1:] <= reps[:, :-1]).any(axis=1)
@@ -104,10 +104,6 @@ class OrbitSet:
                 raise ValueError(f"orbit {bad[0]} is not {reps.shape[1]} ascending points of "
                                  f"1..{v} with an orbit size of at least 1")
             raise ValueError("representatives not in strict lex order")
-        for name, arr in (("reps", np.ascontiguousarray(reps, np.min_scalar_type(v))),
-                          ("sizes", np.ascontiguousarray(sizes, np.int64))):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
 
     @property
     def k(self) -> int:

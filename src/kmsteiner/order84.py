@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as iproduct
 
-from .perm import Permutation, PermutationGroup, StabilizerChain
+from .perm import Permutation, PermutationGroup, StabilizerChain, _closure
 
 __all__ = [
     "SmallGroup",
@@ -123,22 +123,6 @@ class SmallGroup:
 
     def is_abelian(self) -> bool:
         return self.center_size() == self.n
-
-
-def _closure(seed, mul_fn, identity):
-    """Deterministic closure: BFS over right-multiplication by the seed."""
-    elements = [identity]
-    seen = {identity}
-    qi = 0
-    while qi < len(elements):
-        a = elements[qi]
-        qi += 1
-        for g in seed:
-            b = mul_fn(a, g)
-            if b not in seen:
-                seen.add(b)
-                elements.append(b)
-    return elements
 
 
 def order12_group(name: str) -> SmallGroup:

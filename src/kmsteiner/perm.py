@@ -65,17 +65,19 @@ class Permutation:
 
     @classmethod
     def from_images(cls, images: Sequence[int]) -> "Permutation":
-        """Build from a 1-based image list: images[i] is the image of point i+1."""
+        """Build from 1-based ints or numpy integers: images[i] is the image of point i+1."""
         v = len(images)
         seen = [False] * v
         img0 = []
         for x in images:
-            if not isinstance(x, int) or not 1 <= x <= v:
-                raise ValueError(f"point {x!r} out of range 1..{v}")
+            if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+                raise ValueError(f"image {x!r} is not an integer")
+            if not 1 <= x <= v:
+                raise ValueError(f"point {x} out of range 1..{v}")
             if seen[x - 1]:
                 raise ValueError(f"duplicate image {x}: not a bijection")
             seen[x - 1] = True
-            img0.append(x - 1)
+            img0.append(int(x) - 1)
         return cls(img0)
 
     # -- basic protocol -----------------------------------------------
@@ -402,30 +404,26 @@ def cyclic_group(v: int) -> PermutationGroup:
     return PermutationGroup([shift], v)
 
 
+def _closure(seed, mul_fn, identity):
+    """Deterministic closure: BFS over right-multiplication by the seed."""
+    elements, seen = [identity], {identity}
+    for a in elements:  # the list grows while it is walked: a BFS queue
+        for g in seed:
+            b = mul_fn(a, g)
+            if b not in seen:
+                seen.add(b)
+                elements.append(b)
+    return elements
+
+
 def _unit_group_generators(v: int) -> list[int]:
-    """Small generating set of the unit group mod v, chosen deterministically."""
-    units = [a for a in range(1, v) if gcd(a, v) == 1]
-    target = len(units)
-    have = {1}
+    """Generators of the unit group mod v: each unit not generated by those before it."""
     gens: list[int] = []
-    for a in units:
-        if a in have:
-            continue
-        gens.append(a)
-        # regenerate closure with the new generator
-        have = {1}
-        frontier = [1]
-        while frontier:
-            new = []
-            for x in frontier:
-                for g in gens:
-                    y = (x * g) % v
-                    if y not in have:
-                        have.add(y)
-                        new.append(y)
-            frontier = new
-        if len(have) == target:
-            break
+    have = {1}
+    for a in range(2, v):
+        if gcd(a, v) == 1 and a not in have:
+            gens.append(a)
+            have = set(_closure(gens, lambda x, y: x * y % v, 1))
     return gens
 
 

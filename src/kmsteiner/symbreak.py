@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _native
 from .km import KMInstance
 from .orbitgen import OrbitSet, _min_image_keys, _pack_keys
 from .perm import PermutationGroup, verify_normalizes
@@ -48,18 +49,21 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class NormalizerClasses:
-    """The N-classes of the good k-orbits, as read-only int64 arrays:
-    ``class_of[j]`` is the class of orbit j, and ``reps[c]``, derived from
-    it, the smallest orbit of class c.  Construction refuses a
-    ``class_of`` that is not 1-D, holds an id outside 0..len(class_of)-1
-    or does not number its classes 0, 1, ... in the order of their
-    smallest orbits."""
+    """The N-classes of the good k-orbits, as read-only int64 arrays taken by
+    the rule of ``_native.intake``: ``class_of[j]`` is the class of orbit j,
+    and ``reps[c]``, derived from it, the smallest orbit of class c.
+    Construction refuses a ``class_of`` that is not 1-D, holds an id
+    outside 0..len(class_of)-1 or does not number its classes 0, 1, ...
+    in the order of their smallest orbits."""
 
     class_of: np.ndarray
     reps: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        class_of = np.asarray(self.class_of, dtype=np.int64)
+        _native.intake(self, {"class_of": np.int64, "reps": np.int64}, (self.class_of,),
+                       "class ids must be integers", self._check)
+
+    def _check(self, class_of: np.ndarray) -> tuple:
         # numbered in the order of their smallest orbits, the ids raise the
         # largest id so far by one at the smallest orbit of each class and
         # nowhere else
@@ -67,10 +71,7 @@ class NormalizerClasses:
         if class_of.ndim != 1 or class_of.size and (class_of.min() < 0 or steps.max() > 1):
             raise ValueError("class ids are not a 1-D array numbering the classes 0, 1, ... "
                              "in the order of their smallest orbits")
-        reps = np.flatnonzero(steps).astype(np.int64)
-        for name, arr in (("class_of", class_of), ("reps", reps)):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        return class_of, np.flatnonzero(steps)
 
     @property
     def n_classes(self) -> int:
@@ -178,7 +179,7 @@ def encode(
         primary, [f"s{c}" for c in range(last)], prim_ptr, prim_rows,
         np.cumsum(np.r_[0, has_item, copy_lens]),
         np.r_[class_of[has_item], copy_items],
-        np.r_[has_item[has_item], copy_items == np.repeat(rep_class, copy_lens)],
+        np.r_[has_item[has_item], copy_items == np.repeat(rep_class, copy_lens)].astype(np.int64),
     )
     return Encoding(problem, classes)
 

@@ -51,6 +51,11 @@ __all__ = [
 ]
 
 
+# the problem's arrays and their stored dtypes
+_FIELDS = {"prim_indptr": np.int64, "prim_items": np.int32, "sec_indptr": np.int64,
+           "sec_items": np.int32, "sec_colors": np.int64}
+
+
 def _check_name(name: str) -> str:
     if not name or any(c.isspace() for c in name) or ":" in name or "|" in name:
         raise ValueError(f"bad item name {name!r}")
@@ -81,8 +86,9 @@ class XCCProblem:
     (primary item ids, ((secondary item id, color), ...)), and
     ``XCCProblem.from_arrays`` takes the CSR arrays of the module
     docstring.  Item ids may come in any order within an option; every
-    option must cover at least one primary item, may not repeat an item,
-    and all colors are non-negative integers.  The problem is immutable.
+    option must cover at least one primary item and may not repeat an
+    item, and every color lies in 0..2^63-1.  Both take their arrays by the
+    rule of ``_native.intake``.  The problem is immutable.
     """
 
     def __init__(self, primary, secondary=(), options=()):
@@ -116,7 +122,9 @@ class XCCProblem:
             self.secondary
         ):
             raise ValueError("duplicate item name")
-        prim_ptr, prim, sec_ptr, sec, colors = map(np.asarray, arrays)  # no copies yet
+        _native.intake(self, _FIELDS, arrays, "option arrays must be integers", self._check)
+
+    def _check(self, prim_ptr, prim, sec_ptr, sec, colors) -> tuple:
         n = len(prim_ptr) - 1
         for ptr, *data in ((prim_ptr, prim), (sec_ptr, sec, colors)):
             if (n < 0 or ptr.shape != (n + 1,) or ptr[0] != 0 or np.any(ptr[1:] < ptr[:-1])
@@ -128,20 +136,14 @@ class XCCProblem:
             raise ValueError("primary item id out of range")
         if sec.size and (sec.min() < 0 or sec.max() >= len(self.secondary)):
             raise ValueError("secondary item id out of range")
-        if np.any(colors < 0):
-            raise ValueError("colors must be non-negative")
-        # a copy only where the stored dtype or C order differs; the item
-        # ids are in range, so the cast to int32 cannot wrap
-        self.prim_indptr, self.sec_indptr, colors = (
-            np.ascontiguousarray(a, np.int64) for a in (prim_ptr, sec_ptr, colors))
-        prim, sec = (np.ascontiguousarray(a, np.int32) for a in (prim, sec))
-        (self.prim_items,) = _sort_within(self.prim_indptr, prim)
-        self.sec_items, self.sec_colors = _sort_within(self.sec_indptr, sec, colors)
-        for a in self._arrays():
-            a.setflags(write=False)
+        if colors.size and (colors.min() < 0 or colors.max() > np.iinfo(np.int64).max):
+            raise ValueError("colors must be non-negative and below 2^63")
+        # sorted before intake freezes them: an array that needs it is copied, not frozen
+        return (prim_ptr, *_sort_within(prim_ptr, prim), sec_ptr,
+                *_sort_within(sec_ptr, sec, colors))
 
     def _arrays(self) -> tuple:
-        return (self.prim_indptr, self.prim_items, self.sec_indptr, self.sec_items, self.sec_colors)
+        return tuple(getattr(self, name) for name in _FIELDS)
 
     @property
     def options(self) -> "_OptionView":
@@ -241,8 +243,7 @@ def solve(
     info = np.zeros(4, dtype=np.int64)  # nodes, depth, root branch, root branches
     chosen = np.zeros(len(problem.primary) + 1, dtype=np.int32)
     arrays = problem._arrays()
-    if [a.dtype for a in arrays] != [np.int64, np.int32, np.int64, np.int32, np.int64] or not all(
-            a.flags.c_contiguous for a in arrays):
+    if any(a.dtype != t or not a.flags.c_contiguous for a, t in zip(arrays, _FIELDS.values())):
         raise ValueError("problem arrays are not in the layout XCCProblem builds")
     addrs = [a.ctypes.data for a in arrays]
     state = lib.kms_xcc_new(len(problem.primary), len(problem.secondary), problem.n_options,

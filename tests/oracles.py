@@ -23,8 +23,8 @@ import numpy as np
 from kmsteiner.designs import BudgetExceeded, CanonicalForm, Design
 from kmsteiner.km import KMError
 from kmsteiner.orbitgen import _pack_keys
-from kmsteiner.order84 import _closure, _isomorphisms
-from kmsteiner.perm import Permutation, StabilizerChain
+from kmsteiner.order84 import _isomorphisms
+from kmsteiner.perm import Permutation, StabilizerChain, _closure
 from kmsteiner.xcc import Solution, SolveStats
 
 

@@ -380,11 +380,31 @@ def test_verify_steiner_reports_match_dict_oracle(monkeypatch):
         (((1, 3, 3), (2, 4, 5)), r"^block \(1, 3, 3\) repeats a point$"),
         (((4, 5, 6), (1, 2, 3), (6, 5, 4)), r"^block \(4, 5, 6\) repeats$"),
         (((3, 2, 1), (1, 2, 9)), r"^block \(1, 2, 9\) has a point outside 1..7$"),
+        # the intake rule: integers only, refused before a cast could truncate
+        (((1.5, 2, 3), (1, 4, 5)), "equal-size sequences of integer points"),
+        (np.array([[1.9, 2, 3]]), "equal-size sequences of integer points"),
+        ((("1", "2", "3"),), "equal-size sequences of integer points"),
+        (np.array([[1, 2, 1 << 64]], dtype=object), "equal-size sequences of integer points"),
+        (np.array([[True, True, True]]), "equal-size sequences of integer points"),
     ],
 )
 def test_design_constructor_rejects(blocks, message):
     with pytest.raises(ValueError, match=message):
         Design(7, blocks)
+
+
+def test_design_copies_unless_handed_over():
+    # an array in np.min_scalar_type(v) and C order, its rows in order, is
+    # handed over: kept and made read-only; any other is copied
+    rows = np.array([[1, 2, 3], [1, 4, 5]], dtype=np.uint8)
+    taken = Design(7, rows)
+    assert np.shares_memory(taken.blocks, rows) and not rows.flags.writeable
+    for other in (rows.astype(np.int64), rows.tolist(), np.asfortranarray(rows),
+                  np.repeat(rows, 2, axis=0)[::2], rows[::-1].copy()):
+        d = Design(7, other)
+        assert np.array_equal(d.blocks, taken.blocks) and d.blocks.dtype == np.uint8
+        if isinstance(other, np.ndarray):
+            assert not np.shares_memory(d.blocks, other) and other.flags.writeable
 
 
 def test_design_array_form():

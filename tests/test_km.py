@@ -208,6 +208,11 @@ def _set(a, index, value):
         (lambda p: _set(p, 1, p[2] + 1), None, "column pointers not rising"),
         (None, lambda r: _set(r, 0, -1), r"a row id outside 0\.\.5"),
         (None, lambda r: _set(r, 5, 6), r"a row id outside 0\.\.5"),
+        # the intake rule: integers only, refused before a cast could truncate
+        (None, lambda r: r + 0.5, "must be integers"),
+        (lambda p: p.astype(np.float64), None, "must be integers"),
+        (None, lambda r: _set(r.astype(object), 0, 1 << 64), "must be integers"),
+        (None, lambda r: r.astype(bool), "must be integers"),
     ],
 )
 def test_km_instance_refuses_inconsistent_arrays(indptr, rows, message):

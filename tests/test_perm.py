@@ -56,6 +56,19 @@ def test_cycle_string_round_trip():
     assert Permutation.identity(4).cycle_string() == "()"
 
 
+def test_from_images_takes_integers_of_any_integer_dtype():
+    p = Permutation.from_images([2, 3, 1])
+    for dtype in (np.int64, np.uint8, np.int16):
+        assert Permutation.from_images(np.array([2, 3, 1], dtype=dtype)) == p
+    assert Permutation.from_images(list(np.array([2, 3, 1]))).images == (2, 3, 1)
+    for images in ([2, True], [2.0, 1.0], np.array([2.0, 1.0]), ["2", "1"],
+                   np.array([False, True])):
+        with pytest.raises(ValueError, match="is not an integer"):
+            Permutation.from_images(images)
+    with pytest.raises(ValueError, match=r"point 4 out of range 1\.\.3"):
+        Permutation.from_images(np.array([4, 1, 2]))
+
+
 @given(st.permutations(list(range(1, 8))))
 def test_compose_inverse_is_identity(images):
     p = Permutation.from_images(images)
@@ -165,6 +178,14 @@ def test_orbit_sizes_divide_group_order():
     N = normalizer_of_cyclic(13)
     for S in [(1, 2, 3), (1, 5), (2, 4, 9)]:
         assert N.order() % len(orbit_of_subset(N, S)) == 0
+
+
+@pytest.mark.parametrize("v", [13, 19, 91])
+def test_normalizer_of_cyclic_generators_match_fixture(fixtures_dir, v):
+    # the generators themselves, not only the group they generate: the
+    # benchmark's seed relabeling conjugates them one by one
+    fixture = read_group_file(os.path.join(fixtures_dir, "normalizers", f"C{v}.grp"))
+    assert normalizer_of_cyclic(v).generators == fixture.generators
 
 
 def test_verify_normalizes():

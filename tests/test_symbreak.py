@@ -324,6 +324,20 @@ def test_classes_refuse_ids_out_of_order(class_of):
         NormalizerClasses(class_of)
 
 
+@pytest.mark.parametrize(
+    "class_of",
+    [
+        [0.0, 0.5, 1.0],  # would truncate to 0, 0, 1
+        np.array([0, 1 << 64], dtype=object),
+        [False, True],
+        ["0", "1"],
+    ],
+)
+def test_classes_refuse_non_integer_ids(class_of):
+    with pytest.raises(ValueError, match="class ids must be integers"):
+        NormalizerClasses(class_of)
+
+
 @pytest.mark.parametrize("v, k", [(13, 3), (19, 3), (37, 4)])
 def test_derived_reps_are_the_first_orbit_of_each_class(v, k):
     G, N, ko, _ = pipeline_parts(v, k)

@@ -102,6 +102,30 @@ def test_problem_validation():
         XCCProblem.from_arrays(["A"], [], [0, 2], [0])  # indptr beyond the items
     with pytest.raises(ValueError):
         XCCProblem.from_arrays(["A"], [], [0, 1], [1])  # item id out of range
+    # the intake rule: integers only, refused before a cast could truncate
+    # or wrap, and colors below 2^63 in both forms
+    for arrays in (
+        ([0, 1, 2], [0.7, 1.2], None, (), ()),
+        ([0, 1.5, 2], [0, 1], None, (), ()),
+        ([0, 1, 2], np.array([False, True]), None, (), ()),
+        ([0, 1, 2], np.array([0, 1 << 64], dtype=object), None, (), ()),
+        ([0, 1, 2], [0, 1], [0, 1, 1], [0], [1.5]),
+        ([0, 1, 2], [0, 1], [0, 1, 1], [0], np.array([1 << 63], dtype=np.uint64)),
+        ([0, 1, 2], [0, 1], [0, 1, 1], [0], np.array([1 << 64], dtype=object)),
+    ):
+        with pytest.raises(ValueError, match=r"must be integers|below 2\^63"):
+            XCCProblem.from_arrays(["A", "B"], ["X"], *arrays)
+    for options in (
+        [((0.7,), ()), ((1,), ())],
+        [((0,), ((0, 1.5),)), ((1,), ())],
+        [((0,), ((0, 1 << 63),)), ((1,), ())],
+        [((0,), ((0, 1 << 64),)), ((1,), ())],
+        [((True,), ())],
+    ):
+        with pytest.raises(ValueError, match=r"must be integers|below 2\^63"):
+            XCCProblem(["A", "B"], ["X"], options)
+    assert XCCProblem(["A"], ["X"], [((0,), ((0, (1 << 63) - 1),))]).sec_colors.tolist() == [
+        (1 << 63) - 1]
 
 
 def test_from_arrays_copies_unless_handed_over():
