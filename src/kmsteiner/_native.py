@@ -115,21 +115,29 @@ def load(source: Path) -> ctypes.CDLL:
     return ctypes.CDLL(str(library))
 
 
-def intake(obj, fields: dict, values, message: str, check) -> None:
-    """Set the fields of ``obj`` from ``values``, array-likes.  One that is
-    ragged, or holds a value and is not of integer dtype (bool is not), is
-    refused with ValueError(message) before any cast.  ``check`` gets them
-    as arrays in their own dtypes, raises ValueError on what the type
-    refuses, so that no cast wraps, and returns one array per field (None:
-    the arrays as given); field ``name`` is set to its array cast to
-    ``fields[name]``, not copied if it already has that dtype and C order,
-    and made read-only."""
+def integers(values, message: str) -> np.ndarray:
+    """``values`` as an array; ValueError(message) if it is ragged, holds a
+    value and is not of integer dtype, or holds a bool (numpy casts a bool
+    beside an integer to an integer)."""
     try:
-        arrays = [np.asarray(a) for a in values]
+        a = np.asarray(values)
     except ValueError:
         raise ValueError(message) from None
-    if any(a.size and a.dtype.kind not in "iu" for a in arrays):
+    if a.size and (a.dtype.kind not in "iu" or not isinstance(values, np.ndarray) and not
+                   {bool, np.bool_}.isdisjoint(map(type, np.asarray(values, dtype=object).flat))):
         raise ValueError(message)
+    return a
+
+
+def intake(obj, fields: dict, values, message: str, check) -> None:
+    """Set the fields of ``obj`` from ``values``, array-likes, each taken by
+    ``integers``, so that what it refuses is refused before any cast.
+    ``check`` gets them as arrays in their own dtypes, raises ValueError on
+    what the type refuses, so that no cast wraps, and returns one array per
+    field (None: the arrays as given); field ``name`` is set to its array
+    cast to ``fields[name]``, not copied if it already has that dtype and C
+    order, and made read-only."""
+    arrays = [integers(a, message) for a in values]
     for (name, dtype), a in zip(fields.items(), check(*arrays) or arrays):
         a = np.ascontiguousarray(a, dtype)
         a.flags.writeable = False

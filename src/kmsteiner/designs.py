@@ -141,12 +141,14 @@ def expand(orbit_indices, k_orbits: OrbitSet, G: PermutationGroup) -> Design:
 
     The orbit of a representative K is its images under every element of
     G, each image Stab(K)-fold, so |G| / #{g : K^g = K} must equal the
-    recorded orbit size (AssertionError if not).  An orbit index outside
-    0..len(k_orbits)-1, a representative point outside 1..v and a block in
-    two chosen orbits are ValueErrors.  The kernel ``kms_expand`` sorts,
-    keys, counts and deduplicates the images.
+    recorded orbit size (AssertionError if not).  An orbit index that is
+    not an integer (a bool is not) or lies outside 0..len(k_orbits)-1, a
+    representative point outside 1..v and a block in two chosen orbits
+    are ValueErrors.  The kernel ``kms_expand`` sorts, keys, counts and
+    deduplicates the images.
     """
-    idx = np.array(sorted(orbit_indices), dtype=np.int64)
+    idx = _native.integers(sorted(orbit_indices), "orbit indices must be integers")
+    idx = idx.astype(np.int64, copy=False)
     if len(idx) and not 0 <= idx[0] <= idx[-1] < len(k_orbits):
         raise ValueError(f"orbit index outside 0..{len(k_orbits) - 1} in {idx.tolist()}")
     v, k, els = k_orbits.v, k_orbits.k, G.element_table()

@@ -2,16 +2,17 @@
 
 Permutations are stored as immutable image tuples (0-based internally);
 all public interfaces speak 1-based points.  Groups carry a deterministic
-Schreier-Sims stabilizer chain used for order, membership and element
-enumeration, and a table of all their elements as one array.
+stabilizer chain, built by the incremental Schreier-Sims algorithm, for
+order and membership, and a table of all their elements as one array,
+the numpy product of the chain's transversals.
 """
 
 from __future__ import annotations
 
 import re
 import threading
-from math import gcd
-from typing import Iterator, Sequence
+from math import gcd, prod
+from typing import Sequence
 
 import numpy as np
 
@@ -186,17 +187,26 @@ def parse_permutation(text: str, v: int) -> Permutation:
 
 
 # ---------------------------------------------------------------------------
-# stabilizer chain (deterministic Schreier-Sims)
+# stabilizer chain (deterministic, incremental Schreier-Sims)
 
 
 class StabilizerChain:
-    """Schreier-Sims stabilizer chain with deterministic base selection.
+    """Schreier-Sims stabilizer chain, built incrementally (Sims 1970;
+    Knuth, Combinatorica 11, 1991).
 
-    Permutations are 0-based image tuples.  Base points are chosen as the
-    smallest point moved by the first residue that requires a new level,
-    transversals are built by BFS with generators in insertion order, so
-    two builds from the same generator list are identical.  ``add`` grows
-    the group by one permutation and says whether it grew.
+    Permutations are 0-based image tuples.  Level j has the base point
+    ``base[j]``, generators ``gens[j]`` that fix the earlier base points,
+    and ``trans[j]``, which maps each point p of the orbit of base[j] to
+    an element u_p taking base[j] to p.  A generator s that joins a level
+    is applied to every orbit point, and each new point to every
+    generator of the level, so a transversal only grows and each pair
+    (p, s) is seen once: s(p) = q is new, with u_q = u_p·s, or the
+    Schreier generator u_p·s·u_q⁻¹ is sifted once through the deeper
+    levels.  A residue that is not the identity joins every level whose
+    base points it fixes, deepest first; if it fixes them all, a new
+    level opens at the smallest point it moves.  The same generator list
+    gives the same chain.  ``add`` grows the group by one permutation and
+    says whether it grew.
     """
 
     def __init__(self, generators: Sequence[tuple], degree: int):
@@ -204,112 +214,60 @@ class StabilizerChain:
         self.base: list[int] = []
         self.gens: list[list[tuple]] = []
         self.trans: list[dict[int, tuple]] = []
-        ident = tuple(range(degree))
-        self._ident = ident
         for g in generators:
             self.add(g)
-
-    def _orbit_trans(self, level: int) -> dict[int, tuple]:
-        b = self.base[level]
-        t = {b: self._ident}
-        queue = [b]
-        qi = 0
-        gens = self.gens[level]
-        while qi < len(queue):
-            p = queue[qi]
-            qi += 1
-            up = t[p]
-            for s in gens:
-                q = s[p]
-                if q not in t:
-                    t[q] = _mul(up, s)
-                    queue.append(q)
-        return t
 
     def strip(self, g: tuple, level: int = 0) -> tuple:
         """Sift g; returns (residue, level reached)."""
         for j in range(level, len(self.base)):
-            p = g[self.base[j]]
-            t = self.trans[j]
-            if p not in t:
+            u = self.trans[j].get(g[self.base[j]])
+            if u is None:
                 return g, j
-            g = _mul(g, _inv(t[p]))
+            g = _mul(g, _inv(u))
         return g, len(self.base)
 
     def add(self, g: tuple) -> bool:
         """Add g to the group; False if g was already in it."""
-        h, j = self.strip(g, 0)
+        h, j = self.strip(tuple(g))
         if _is_identity(h):
             return False
-        if j == len(self.base):
-            self._new_level(h)
-        for m in range(0, j + 1):
-            self.gens[m].append(h)
-        for m in range(min(j, len(self.base) - 1), -1, -1):
-            self._close(m)
+        self._join(h, 0, j)
         return True
 
-    def _new_level(self, h: tuple) -> None:
-        b = next(i for i, x in enumerate(h) if x != i)
-        self.base.append(b)
-        self.gens.append([])
-        self.trans.append({})
+    def _join(self, h: tuple, top: int, j: int) -> None:
+        """h, which fixes base[:j], joins levels j down to top; j == len(base)
+        opens a new level at the smallest point h moves."""
+        if j == len(self.base):
+            b = next(i for i, x in enumerate(h) if x != i)
+            self.base.append(b)
+            self.gens.append([])
+            self.trans.append({b: tuple(range(self.degree))})
+        for m in range(j, top - 1, -1):
+            self.gens[m].append(h)
+            new = []  # the points h brings to the orbit, walked while it grows
+            for p in list(self.trans[m]):
+                self._visit(m, p, h, new)
+            for q in new:
+                for s in self.gens[m]:
+                    self._visit(m, q, s, new)
 
-    def _close(self, level: int) -> None:
-        """Restore the invariant that all Schreier generators of this level
-        sift to identity through the deeper chain."""
-        self.trans[level] = self._orbit_trans(level)
-        while True:
-            complete = True
-            t = self.trans[level]
-            for p in sorted(t):
-                up = t[p]
-                for s in self.gens[level]:
-                    sp = s[p]
-                    sg = _mul(_mul(up, s), _inv(t[sp]))
-                    if _is_identity(sg):
-                        continue
-                    h, j = self.strip(sg, level + 1)
-                    if _is_identity(h):
-                        continue
-                    complete = False
-                    if j == len(self.base):
-                        self._new_level(h)
-                    for m in range(level + 1, j + 1):
-                        self.gens[m].append(h)
-                    for m in range(min(j, len(self.base) - 1), level, -1):
-                        self._close(m)
-                    break
-                if not complete:
-                    break
-            if complete:
-                return
+    def _visit(self, m: int, p: int, s: tuple, new: list) -> None:
+        t = self.trans[m]
+        q, w = s[p], _mul(t[p], s)
+        u = t.get(q)
+        if u is None:
+            t[q] = w
+            new.append(q)
+        elif w != u:
+            h, j = self.strip(_mul(w, _inv(u)), m + 1)
+            if not _is_identity(h):
+                self._join(h, m + 1, j)
 
     def order(self) -> int:
-        n = 1
-        for t in self.trans:
-            n *= len(t)
-        return n
+        return prod(map(len, self.trans))
 
     def contains(self, g: tuple) -> bool:
-        h, j = self.strip(g, 0)
-        return _is_identity(h)
-
-    def elements(self) -> Iterator[tuple]:
-        """All group elements, deterministic order, exactly once each."""
-
-        # factor g = h * u_p with h in the stabilizer: enumerate outer level last
-        def rec(level: int) -> Iterator[tuple]:
-            if level == len(self.base):
-                yield self._ident
-                return
-            t = self.trans[level]
-            for p in sorted(t):
-                up = t[p]
-                for h in rec(level + 1):
-                    yield _mul(h, up)
-
-        return rec(0)
+        return _is_identity(self.strip(g)[0])
 
 
 # the largest group order that element_table enumerates
@@ -346,8 +304,7 @@ class PermutationGroup:
         if self._chain is None:
             with self._lock:
                 if self._chain is None:
-                    raw = [g.raw() for g in self.generators]
-                    self._chain = StabilizerChain(raw, self.degree)
+                    self._chain = StabilizerChain([g.raw() for g in self.generators], self.degree)
         return self._chain
 
     def order(self) -> int:
@@ -369,7 +326,13 @@ class PermutationGroup:
         if self._table is None:
             with self._lock:
                 if self._table is None:
-                    table = np.array(list(chain.elements()), dtype=np.int64)
+                    # each element is h·u_p once, u_p of a level and h of
+                    # the levels below it; deepest level first, row (p, h)
+                    # is u_p[h], p ascending, h in the deeper table's order
+                    table = np.arange(self.degree)[None]  # the identity
+                    for t in reversed(chain.trans):
+                        u = np.array([t[p] for p in sorted(t)], dtype=np.int64)
+                        table = u.take(table, axis=1).reshape(-1, self.degree)
                     table.flags.writeable = False
                     self._table = table
         return self._table

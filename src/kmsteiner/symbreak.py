@@ -82,10 +82,11 @@ def normalizer_classes(
 ) -> NormalizerClasses:
     """Partition good k-orbits into N-classes.
 
-    Applies each generator of N to each representative, finds the orbit
-    of the image by its lex-least image under G (``orbitgen._min_image_keys``,
-    which tries only the elements that can give it) and joins each orbit
-    with that orbit; a class is led by its smallest orbit index.  An image
+    Applies each generator of N outside G (one in G maps every G-orbit to
+    itself) to each representative, finds the orbit of the image by its
+    lex-least image under G (``orbitgen._min_image_keys``, which tries
+    only the elements that can give it) and joins each orbit with that
+    orbit; a class is led by its smallest orbit index.  An image
     orbit missing from the good set means N does not normalize G (or the
     orbit set is stale) and is a hard failure.
     """
@@ -96,8 +97,8 @@ def normalizer_classes(
     n = len(k_orbits)
     reps0 = k_orbits.reps - 1  # in the reps' own dtype
     rep_keys = _pack_keys(reps0, k_orbits.v)  # ascending since reps are in lex order
-    images = []  # per generator of N, the index of each orbit's image
-    for pi in N.generators:
+    images = []  # per generator of N outside G, the index of each orbit's image
+    for pi in [g for g in N.generators if g not in G]:
         table = np.array(pi.raw(), dtype=reps0.dtype)
         keys = _min_image_keys(np.sort(table[reps0], axis=1), G)
         # pi permutes the k-orbits, so the image keys sort to rep_keys

@@ -116,8 +116,15 @@ EXPAND_UINT16 = [
 ]
 
 
+# indices that are not integers, once truncated to orbit 0 and taken as orbit 1
+EXPAND_NOT_INTEGER = [
+    ([(1, 2, 3), (1, 2, 4)], [7, 7], [0.9], ValueError, "^orbit indices must be integers$"),
+    ([(1, 2, 3), (1, 2, 4)], [7, 7], [True], ValueError, "^orbit indices must be integers$"),
+]
+
+
 @pytest.mark.parametrize("reps,sizes,chosen,error,message",
-                         EXPAND_INDEX + EXPAND_GUARDED + EXPAND_UINT16)
+                         EXPAND_INDEX + EXPAND_GUARDED + EXPAND_UINT16 + EXPAND_NOT_INTEGER)
 def test_expand_rejects(reps, sizes, chosen, error, message):
     G = cyclic_group(257 if np.max(reps) > 255 else 7)
     with pytest.raises(error, match=message):
@@ -386,6 +393,7 @@ def test_verify_steiner_reports_match_dict_oracle(monkeypatch):
         ((("1", "2", "3"),), "equal-size sequences of integer points"),
         (np.array([[1, 2, 1 << 64]], dtype=object), "equal-size sequences of integer points"),
         (np.array([[True, True, True]]), "equal-size sequences of integer points"),
+        ([(1, 2, 4), (True, 3, 5)], "equal-size sequences of integer points"),
     ],
 )
 def test_design_constructor_rejects(blocks, message):

@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kmsteiner import perm
@@ -124,6 +124,44 @@ def test_stabilizer_chain_add_reports_growth():
     assert not chain.add((2, 3, 4, 0, 1))  # the square of the 5-cycle
     assert chain.add((1, 0, 2, 3, 4)) and chain.order() == 120
     assert not chain.add((0, 2, 1, 4, 3)) and chain.order() == 120
+
+
+@st.composite
+def generator_lists(draw):
+    """A degree 2 <= v <= 8 and 1..4 permutations, each moving a drawn subset
+    of the points: often intransitive, often with chains of several levels."""
+    v = draw(st.integers(2, 8))
+    gens = []
+    for _ in range(draw(st.integers(1, 4))):
+        support = draw(st.lists(st.integers(0, v - 1), min_size=max(2, v // 2), unique=True))
+        images = list(range(v))
+        for x, y in zip(support, draw(st.permutations(support))):
+            images[x] = y
+        gens.append(Permutation(images))
+    return v, gens
+
+
+@settings(max_examples=60, deadline=None)
+@given(generator_lists(), st.data())
+def test_chain_matches_closure(drawn, data):
+    v, gens = drawn
+    chain = StabilizerChain([], v)
+    els = {Permutation.identity(v)}
+    for i, g in enumerate(gens):
+        grown = closure_elements(gens[: i + 1])
+        assert chain.add(g.raw()) == (len(grown) > len(els))
+        els = grown
+        assert chain.order() == len(els)
+    again = StabilizerChain([g.raw() for g in gens], v)
+    assert (again.base, again.gens, again.trans) == (chain.base, chain.gens, chain.trans)
+    members = data.draw(st.lists(st.sampled_from(sorted(els, key=Permutation.raw)), max_size=5))
+    others = data.draw(st.lists(st.permutations(range(v)), max_size=5))
+    for p in members + [Permutation(q) for q in others]:
+        assert chain.contains(p.raw()) == (p in els)
+    table = PermutationGroup(gens, v).element_table()
+    assert table.flags.c_contiguous
+    rows = {Permutation(row) for row in table.tolist()}
+    assert len(rows) == len(table) and rows == els
 
 
 def test_orbit_of_subset_examples():

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from kmsteiner.designs import classify, expand, verify_steiner
+from kmsteiner import symbreak
 from kmsteiner.km import build_km
-from kmsteiner.orbitgen import OrbitSet, good_k_orbit_reps, t_orbit_reps
+from kmsteiner.orbitgen import OrbitSet, _min_image_keys, good_k_orbit_reps, t_orbit_reps
 from kmsteiner.perm import (
     PermutationGroup,
     cyclic_group,
@@ -97,15 +98,22 @@ def test_classes_match_bruteforce_partition():
 
 
 @pytest.mark.parametrize("name", ["G08", "G14", "C73"])
-def test_classes_match_all_elements_oracle(name, fixtures_dir):
+def test_classes_match_all_elements_oracle(name, fixtures_dir, monkeypatch):
     if name == "C73":
         G, N, ko, _ = pipeline_parts(73, 4)
     else:
         G = read_group_file(os.path.join(fixtures_dir, "groups", name + ".grp"))
         N = read_group_file(os.path.join(fixtures_dir, "normalizers", name + ".grp"))
         ko = good_k_orbit_reps(G, 91, 6, 2)
+    # a generator of N inside G maps every G-orbit to itself: no image pass
+    calls = []
+    monkeypatch.setattr(symbreak, "_min_image_keys",
+                        lambda subsets0, G: calls.append(len(subsets0)) or _min_image_keys(subsets0, G))
     cls = normalizer_classes(N, ko, G)
     assert (cls.class_of.tolist(), cls.reps.tolist()) == normalizer_classes_by_keys(N, ko, G)
+    # the fixture normalizers list G's generators first: 3 of 7 for G08, 3
+    # of 9 for G14, and the shift of normalizer_of_cyclic(73) lies in C73
+    assert len(calls) == {"G08": 4, "G14": 6, "C73": 3}[name]
 
 
 def test_missing_image_orbit_is_n_closure_violation():
@@ -331,6 +339,7 @@ def test_classes_refuse_ids_out_of_order(class_of):
         np.array([0, 1 << 64], dtype=object),
         [False, True],
         ["0", "1"],
+        [0, True],  # numpy takes the bool beside an int as 1
     ],
 )
 def test_classes_refuse_non_integer_ids(class_of):

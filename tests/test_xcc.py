@@ -121,6 +121,7 @@ def test_problem_validation():
         [((0,), ((0, 1 << 63),)), ((1,), ())],
         [((0,), ((0, 1 << 64),)), ((1,), ())],
         [((True,), ())],
+        [((True,), ()), ((1,), ())],  # numpy takes the bool beside an int as 1
     ):
         with pytest.raises(ValueError, match=r"must be integers|below 2\^63"):
             XCCProblem(["A", "B"], ["X"], options)
