@@ -4,7 +4,10 @@
 beside this module (``_orbits.c``, ``_refine.c``, ``_xcc.c``) with the
 prototypes of its functions declared.  The first call in a process
 builds or reuses the library and later calls return the same object, so
-a kernel is loaded on first use and never at import.
+a kernel is loaded on first use and never at import.  Callers pass numpy
+arrays, never addresses: an array argument names the dtypes the C code
+reads, and any other dtype, an array not C-ordered or a bare address
+raises ``ctypes.ArgumentError`` naming the function and the argument.
 
 The kernels and their entry points:
 
@@ -42,31 +45,50 @@ import numpy as np
 
 _I, _I64, _P = ctypes.c_int, ctypes.c_int64, ctypes.c_void_p
 
+# array arguments, as the dtypes the kernel reads: any unsigned one for the
+# points behind a void pointer, whose itemsize the kernel takes after them
+_A64, _A32, _A8 = ((np.dtype(t),) for t in (np.int64, np.int32, np.uint8))
+_AU = tuple(map(np.dtype, (np.uint8, np.uint16, np.uint32, np.uint64)))
+
 # kms_canon's callback, int (*)(const int32_t *perm)
-AUT_CALLBACK = ctypes.CFUNCTYPE(_I, _P)
+AUT_CALLBACK = ctypes.CFUNCTYPE(_I, ctypes.POINTER(ctypes.c_int32))
 
 
-# per kernel source: function -> (argument types, return type)
+# per kernel source: function -> (argument types, return type); _P is a State *
 _PROTOTYPES = {
     "_orbits.c": {
-        "kms_orbits_new": ((_I, _I, _I, _I, _P, _P), _P),
-        "kms_orbits_run": ((_P, _P, _P, _I64), _I),
+        "kms_orbits_new": ((_I, _I, _I, _I, _A64, _A64), _P),
+        "kms_orbits_run": ((_P, _A32, _A64, _I64), _I),
         "kms_orbits_free": ((_P,), None),
     },
     "_refine.c": {
-        "kms_refine": ((_I, _I, _P, _P, _P, _P, _I, _P), _I),
-        "kms_target_cell": ((_I, _P), _I),
-        "kms_individualize": ((_I, _I, _P, _P, _P, _P, _I, _I, _P), _I),
-        "kms_canon": ((_I, _I, _P, _P, _P, _I, _I64, AUT_CALLBACK, _P, _P, _P), _I),
-        "kms_expand": ((_I, _I, _I64, _P, _P, _I, _P, _I64, _P, _P, _P), _I64),
-        "kms_steiner_count": ((_I, _I, _I64, _I, _P, _I, _I64, _P, _P, _I64), _I),
+        "kms_refine": ((_I, _I, _A32, _A32, _A32, _A32, _I, _A32), _I),
+        "kms_target_cell": ((_I, _A32), _I),
+        "kms_individualize": ((_I, _I, _A32, _A32, _A32, _A32, _I, _I, _A32), _I),
+        "kms_canon": ((_I, _I, _A32, _A32, _A32, _I, _I64, AUT_CALLBACK, _A8, _A64, _A32), _I),
+        "kms_expand": ((_I, _I, _I64, _A64, _AU, _I, _A64, _I64, _A64, _A64, _AU), _I64),
+        "kms_steiner_count": ((_I, _I, _I64, _I, _AU, _I, _I64, _A32, _A64, _I64), _I),
     },
     "_xcc.c": {
-        "kms_xcc_new": ((_I, _I, _I64, _P, _P, _P, _P, _P, _I64, _P, _P), _P),
+        "kms_xcc_new": ((_I, _I, _I64, _A64, _A32, _A64, _A32, _A64, _I64, _A64, _A32), _P),
         "kms_xcc_run": ((_P,), _I),
         "kms_xcc_free": ((_P,), None),
     },
 }
+
+
+def _array_type(function: str, i: int, dtypes: tuple) -> type:
+    """The ctypes type of argument i of function: a C-ordered ndarray of one
+    of dtypes, passed by its address; anything else is a TypeError."""
+    def from_param(cls, a):
+        if type(a) is np.ndarray and a.dtype in dtypes and a.flags.c_contiguous:
+            return _P(a.ctypes.data)  # a bare int would pass as a C int
+        got = f"{a.dtype} array of strides {a.strides}" if isinstance(a, np.ndarray) else type(a)
+        raise TypeError(f"{function} argument {i + 1}: expected a C-ordered array of "
+                        f"{' or '.join(map(str, dtypes))}, got {got}")
+
+    return type(f"{function}_{i + 1}", (), {"from_param": classmethod(from_param)})
+
 
 _loaded: dict = {}  # source name -> library, filled on first use
 
@@ -78,7 +100,8 @@ def kernel(source: str) -> ctypes.CDLL:
         lib = load(Path(__file__).with_name(source))
         for name, (argtypes, restype) in _PROTOTYPES[source].items():
             f = getattr(lib, name)
-            f.argtypes, f.restype = argtypes, restype
+            f.restype, f.argtypes = restype, [_array_type(name, i, t) if type(t) is tuple
+                                              else t for i, t in enumerate(argtypes)]
         _loaded[source] = lib
     return lib
 
@@ -124,7 +147,8 @@ def integers(values, message: str) -> np.ndarray:
     except ValueError:
         raise ValueError(message) from None
     if a.size and (a.dtype.kind not in "iu" or not isinstance(values, np.ndarray) and not
-                   {bool, np.bool_}.isdisjoint(map(type, np.asarray(values, dtype=object).flat))):
+                   {bool, np.bool_}.isdisjoint(map(type, values if a.ndim == 1 else
+                                                   np.asarray(values, dtype=object).flat))):
         raise ValueError(message)
     return a
 

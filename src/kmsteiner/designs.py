@@ -13,7 +13,7 @@ with gcc on its first use and loaded with ctypes by ``_native``:
   sizes and the chosen orbit indices to ``kms_expand``, which gathers and
   checks the chosen reps, sorts and keys every image, counts each
   stabilizer, radix sorts the keys and writes the distinct blocks in lex
-  order;
+  order, which the ``Design`` keeps unchecked;
 - ``verify_steiner`` counts the t-subsets of the blocks in a table of
   C(v, t) entries with ``kms_steiner_count``, which reads each block's
   points and their binomials once, when the blocks hold exactly C(v, t)
@@ -53,7 +53,6 @@ C(v, k) >= 2^63, which has no 63-bit lex rank.
 
 from __future__ import annotations
 
-import ctypes
 import os
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -153,18 +152,18 @@ def expand(orbit_indices, k_orbits: OrbitSet, G: PermutationGroup) -> Design:
         raise ValueError(f"orbit index outside 0..{len(k_orbits) - 1} in {idx.tolist()}")
     v, k, els = k_orbits.v, k_orbits.k, G.element_table()
     out = np.empty((len(els) * len(idx), k), dtype=k_orbits.reps.dtype)
-    b = _native.kernel("_refine.c").kms_expand(
-        v, k, len(els), els.ctypes.data, k_orbits.reps.ctypes.data, out.itemsize,
-        k_orbits.sizes.ctypes.data, len(idx), idx.ctypes.data, _binomial_table(v, k)[1],
-        out.ctypes.data,
-    )
+    b = _native.kernel("_refine.c").kms_expand(v, k, len(els), els, k_orbits.reps, out.itemsize,
+                                               k_orbits.sizes, len(idx), idx, _binomials(v, k), out)
     if b < 0:
         raise {
             -1: AssertionError("orbit size mismatch during expansion"),
             -2: ValueError("duplicate blocks across chosen orbits"),
             -3: ValueError(f"orbit representative outside 1..{v}"),
         }.get(b, MemoryError("expansion ran out of memory"))
-    return Design(v, out[:b])
+    out.flags.writeable = False  # rows as Design stores them: kept without its checks
+    d = object.__new__(Design)
+    d.__dict__.update(v=v, blocks=out[:b])
+    return d
 
 
 @dataclass
@@ -174,20 +173,11 @@ class SteinerReport:
 
 
 @lru_cache(maxsize=16)
-def _binomial_table(v: int, k: int) -> tuple:
-    """``orbitgen._binomials(v, k)`` and its address: one cache entry holds
-    both, so the address lives exactly as long as the array."""
-    table = _binomials(v, k)
-    return table, table.ctypes.data
-
-
-@lru_cache(maxsize=16)
-def _picks(k: int, t: int) -> tuple:
-    """The t-subsets of range(k) in lex order, as a read-only (C(k, t), t)
-    int32 array, and its address."""
+def _picks(k: int, t: int) -> np.ndarray:
+    """The t-subsets of range(k) in lex order, as a read-only (C(k, t), t) int32 array."""
     pick = np.array(list(combinations(range(k), t)), dtype=np.int32).reshape(comb(k, t), t)
     pick.flags.writeable = False
-    return pick, pick.ctypes.data
+    return pick
 
 
 def verify_steiner(d: Design, t: int) -> SteinerReport:
@@ -201,13 +191,12 @@ def verify_steiner(d: Design, t: int) -> SteinerReport:
     lists the subsets covered a wrong number of times in lex order, then
     the uncovered ones in lex order, at most 10 in all.
     """
-    pick, pick_at = _picks(d.k, t)
+    pick = _picks(d.k, t)
     n_sub = comb(d.v, t)
     if d.b * len(pick) == n_sub:
         ok = _native.kernel("_refine.c").kms_steiner_count(
-            d.v, t, d.b, d.k, d.blocks.ctypes.data, d.blocks.itemsize, len(pick), pick_at,
-            _binomial_table(d.v, t)[1], n_sub,
-        )
+            d.v, t, d.b, d.k, d.blocks, d.blocks.itemsize, len(pick), pick, _binomials(d.v, t),
+            n_sub)
         if ok < 0:
             raise MemoryError("the Steiner check ran out of memory")
         if ok:
@@ -280,18 +269,17 @@ class _Canonizer:
             return None
         return np.r_[pt_perm, self.v + tgt]
 
-    def _on_aut(self, addr) -> int:
-        """The search's callback for a leaf automorphism at addr: one
-        already in the chain's group is a product of verified automorphisms;
-        any other is replayed on the block set and added to the chain.
-        Returns 0, or -1, keeping the exception for run, if anything raised."""
+    def _on_aut(self, perm) -> int:
+        """The search's callback for a leaf automorphism, its vertex images at
+        perm: one already in the chain's group is a product of verified
+        automorphisms; any other is replayed on the block set and added to the
+        chain.  Returns 0, or -1, keeping the exception for run, if anything raised."""
         try:
-            vp = np.ctypeslib.as_array((ctypes.c_int32 * self.n).from_address(addr))
-            pts = vp[: self.v]
-            g = tuple(pts.tolist())
+            g = tuple(perm[: self.v])
             if self.chain.contains(g):
                 return 0
-            replay = self._vertex_perm(pts)
+            vp = np.array(perm[: self.n])
+            replay = self._vertex_perm(vp[: self.v])
             if replay is None or not np.array_equal(replay, vp):
                 raise AssertionError("leaf map does not preserve the block set")
             self.chain.add(g)
@@ -301,22 +289,19 @@ class _Canonizer:
             return -1
 
     def run(self, node_budget: int) -> CanonicalForm:
-        kernel = _native.kernel("_refine.c")
         best = np.empty(2 * self.b * self.k, dtype=np.uint8)
-        nodes = ctypes.c_int64()
-        status = kernel.kms_canon(
-            self.n, self.v, self.indptr.ctypes.data, self.adj.ctypes.data,
-            self.seeds.ctypes.data, len(self.seeds), min(node_budget, (1 << 63) - 1),
-            _native.AUT_CALLBACK(self._on_aut), best.ctypes.data, ctypes.byref(nodes),
-            self.work.ctypes.data,
-        )
+        nodes = np.zeros(1, dtype=np.int64)
+        status = _native.kernel("_refine.c").kms_canon(
+            self.n, self.v, self.indptr, self.adj, self.seeds, len(self.seeds),
+            min(node_budget, (1 << 63) - 1), _native.AUT_CALLBACK(self._on_aut), best, nodes,
+            self.work)
         if self.error is not None:
             raise self.error
         if status == 1:
             raise BudgetExceeded(f"canonical labeling exceeded {node_budget} nodes")
         if status:
             raise MemoryError("canonical labeling ran out of memory")
-        return CanonicalForm(best.tobytes(), self.chain.order(), nodes.value)
+        return CanonicalForm(best.tobytes(), self.chain.order(), int(nodes[0]))
 
 
 def canonical_form(

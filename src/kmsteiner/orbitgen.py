@@ -237,7 +237,7 @@ def _orderly_reps(
     """
     if G.degree != v:
         raise ValueError("group degree does not match v")
-    img = G.element_table()  # img[g, x] = g(x), int64 and C-contiguous
+    img = G.element_table()  # img[g, x] = g(x)
     lib = _native.kernel("_orbits.c")
     info = np.zeros(3, dtype=np.int64)  # nodes, second point, rows written
     reps = np.empty((_REP_ROWS, size), dtype=np.int32)
@@ -245,13 +245,13 @@ def _orderly_reps(
     dtype = np.min_scalar_type(v)
     out_reps = [np.zeros((0, size), dtype=dtype)]
     out_sizes = [np.zeros(0, dtype=np.int64)]
-    state = lib.kms_orbits_new(v, size, t, len(img), img.ctypes.data, info.ctypes.data)
+    state = lib.kms_orbits_new(v, size, t, len(img), img, info)
     if not state:
         raise MemoryError("orbit kernel: out of memory")
     found = 0
     try:
         while True:
-            status = lib.kms_orbits_run(state, reps.ctypes.data, sizes.ctypes.data, _REP_ROWS)
+            status = lib.kms_orbits_run(state, reps, sizes, _REP_ROWS)
             nodes, second, rows = info.tolist()
             out_reps.append(reps[:rows].astype(dtype))
             out_sizes.append(sizes[:rows].copy())

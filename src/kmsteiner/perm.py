@@ -197,7 +197,8 @@ class StabilizerChain:
     Permutations are 0-based image tuples.  Level j has the base point
     ``base[j]``, generators ``gens[j]`` that fix the earlier base points,
     and ``trans[j]``, which maps each point p of the orbit of base[j] to
-    an element u_p taking base[j] to p.  A generator s that joins a level
+    an element u_p taking base[j] to p; ``_inverse[j]`` maps p to u_p⁻¹,
+    formed once, when p joins the orbit.  A generator s that joins a level
     is applied to every orbit point, and each new point to every
     generator of the level, so a transversal only grows and each pair
     (p, s) is seen once: s(p) = q is new, with u_q = u_p·s, or the
@@ -214,16 +215,17 @@ class StabilizerChain:
         self.base: list[int] = []
         self.gens: list[list[tuple]] = []
         self.trans: list[dict[int, tuple]] = []
+        self._inverse: list[dict[int, tuple]] = []
         for g in generators:
             self.add(g)
 
     def strip(self, g: tuple, level: int = 0) -> tuple:
         """Sift g; returns (residue, level reached)."""
         for j in range(level, len(self.base)):
-            u = self.trans[j].get(g[self.base[j]])
-            if u is None:
+            u_inv = self._inverse[j].get(g[self.base[j]])
+            if u_inv is None:
                 return g, j
-            g = _mul(g, _inv(u))
+            g = _mul(g, u_inv)
         return g, len(self.base)
 
     def add(self, g: tuple) -> bool:
@@ -242,6 +244,7 @@ class StabilizerChain:
             self.base.append(b)
             self.gens.append([])
             self.trans.append({b: tuple(range(self.degree))})
+            self._inverse.append(self.trans[-1].copy())
         for m in range(j, top - 1, -1):
             self.gens[m].append(h)
             new = []  # the points h brings to the orbit, walked while it grows
@@ -256,10 +259,10 @@ class StabilizerChain:
         q, w = s[p], _mul(t[p], s)
         u = t.get(q)
         if u is None:
-            t[q] = w
+            t[q], self._inverse[m][q] = w, _inv(w)
             new.append(q)
         elif w != u:
-            h, j = self.strip(_mul(w, _inv(u)), m + 1)
+            h, j = self.strip(_mul(w, self._inverse[m][q]), m + 1)
             if not _is_identity(h):
                 self._join(h, m + 1, j)
 

@@ -242,13 +242,9 @@ def solve(
     lib = _native.kernel("_xcc.c")
     info = np.zeros(4, dtype=np.int64)  # nodes, depth, root branch, root branches
     chosen = np.zeros(len(problem.primary) + 1, dtype=np.int32)
-    arrays = problem._arrays()
-    if any(a.dtype != t or not a.flags.c_contiguous for a, t in zip(arrays, _FIELDS.values())):
-        raise ValueError("problem arrays are not in the layout XCCProblem builds")
-    addrs = [a.ctypes.data for a in arrays]
     state = lib.kms_xcc_new(len(problem.primary), len(problem.secondary), problem.n_options,
-                            *addrs, -1 if node_cap is None else min(node_cap, 1 << 62),
-                            info.ctypes.data, chosen.ctypes.data)
+                            *problem._arrays(), -1 if node_cap is None else min(node_cap, 1 << 62),
+                            info, chosen)
     if not state:
         raise MemoryError("exact-cover kernel: out of memory")
     try:

@@ -2,6 +2,7 @@
 reference in `oracles`, the node counts of its search, and the kernel's
 build."""
 
+import ctypes
 import hashlib
 import re
 import shutil
@@ -72,14 +73,14 @@ def test_kernel_refines_like_reference(relabeled, rng):
     d, _ = relabeled
     cz = designs._Canonizer(d, ())  # its graph arrays feed both sides
     n, kernel = cz.n, _native.kernel("_refine.c")
-    graph = (n, d.v, cz.indptr.ctypes.data, cz.adj.ctypes.data)  # stop = v, as in the search
+    graph = (n, d.v, cz.indptr, cz.adj)  # stop = v, as in the search
     oracle = PythonCanonizer(d)
     ref, ts = oracle._root()
     part = Partition([list(range(d.v)), list(range(d.v, n))]).array()  # the root, unrefined
     queue = np.array([0, d.v], dtype=np.int32)
-    leaf = kernel.kms_refine(*graph, part.ctypes.data, queue.ctypes.data, 2, cz.work.ctypes.data)
+    leaf = kernel.kms_refine(*graph, part, queue, 2, cz.work)
     assert np.array_equal(part, ref.array()) and leaf == (ts < 0)
-    assert kernel.kms_target_cell(n, part.ctypes.data) == ref.target_cell()
+    assert kernel.kms_target_cell(n, part) == ref.target_cell()
     while ts >= 0:
         # any non-singleton cell, not only the target cell
         cells = [s for s in sorted(set(ref.start)) if ref.end[s] - s > 1]
@@ -87,12 +88,10 @@ def test_kernel_refines_like_reference(relabeled, rng):
         y = rng.choice(ref.cell_at(cs))
         ref, ts = oracle._individualize(ref, cs, y)
         child = np.empty_like(part)
-        kts = kernel.kms_individualize(
-            *graph, part.ctypes.data, child.ctypes.data, cs, y, cz.work.ctypes.data
-        )
+        kts = kernel.kms_individualize(*graph, part, child, cs, y, cz.work)
         part = child
         assert np.array_equal(part, ref.array()) and kts == ts
-        assert kernel.kms_target_cell(n, part.ctypes.data) == ref.target_cell()
+        assert kernel.kms_target_cell(n, part) == ref.target_cell()
     assert clean_work(cz)
 
 
@@ -425,17 +424,50 @@ def test_kernel_compiles_without_warnings(source, tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+# a C parameter type -> its prototype entry: every pointer but the opaque
+# State * is an array of the dtypes the kernel reads
+C_PARAMETER_TYPES = {
+    "int": ctypes.c_int, "int64_t": ctypes.c_int64, "State *": ctypes.c_void_p,
+    "kms_aut_cb": _native.AUT_CALLBACK, "int64_t *": (np.dtype(np.int64),),
+    "int32_t *": (np.dtype(np.int32),), "uint8_t *": (np.dtype(np.uint8),),
+    "void *": tuple(map(np.dtype, (np.uint8, np.uint16, np.uint32, np.uint64))),
+}
+
+
 @pytest.mark.parametrize("source", sorted(_native._PROTOTYPES))
 def test_prototypes_match_c_definitions(source):
-    # ctypes passes what the prototype says, so a C signature change must
-    # come with its prototype
+    # ctypes passes what the prototype says, and checks each array against
+    # the dtypes it names, so a C signature change must come with its
+    # prototype
     text = Path(_native.__file__).with_name(source).read_text()
     for name, (argtypes, _) in _native._PROTOTYPES[source].items():
         found = re.findall(rf"^[\w *]*\b{name}\(([^)]*)\)\s*{{", text, re.MULTILINE)
         assert len(found) == 1, f"{source}: no single definition of {name}"
         params = found[0].strip()
-        n_params = 0 if params in ("", "void") else len(params.split(","))
-        assert len(argtypes) == n_params, f"{source}: {name} takes {n_params} arguments"
+        params = [] if params in ("", "void") else params.split(",")
+        types = [re.fullmatch(r"\s*(?:const\s+)?(\w+)\s*(\*?)\s*\w+\s*", p) for p in params]
+        expected = [C_PARAMETER_TYPES[f"{m[1]} {m[2]}".strip()] for m in types]
+        assert list(argtypes) == expected, f"{source}: {name} takes {params}"
+
+
+@pytest.mark.parametrize("source", sorted(_native._PROTOTYPES))
+def test_array_arguments_refuse_wrong_arrays(source):
+    # a wrong dtype, a view that is not C-ordered and a bare address are
+    # refused before any kernel runs, naming the function and the argument
+    lib = _native.kernel(source)
+    for name, (argtypes, _) in _native._PROTOTYPES[source].items():
+        for i, dtypes in enumerate(argtypes):
+            if type(dtypes) is not tuple:
+                continue
+            arg = getattr(lib, name).argtypes[i]
+            good = np.zeros((3, 4), dtype=dtypes[-1])
+            address = good.__array_interface__["data"][0]
+            assert arg.from_param(good).value == address
+            wrong = [np.zeros(4, d) for d in (np.int32, np.int64, np.float64, ">u2")
+                     if np.dtype(d) not in dtypes]
+            for bad in [*wrong, good[:, ::2], good.T, good[::-1], address, good.tolist()]:
+                with pytest.raises(TypeError, match=rf"^{name} argument {i + 1}: expected"):
+                    arg.from_param(bad)
 
 
 def test_kernel_is_not_loaded_at_import(child_env):

@@ -139,11 +139,11 @@ def test_orbit_set_refuses_what_the_expand_kernel_guards(reps, sizes):
 
 
 def test_kernel_table_addresses_live_as_long_as_their_tables():
-    # the kernels read cached tables by address: the Fano plane (expand
-    # (v, k) = (7, 3), Steiner check (k, t) = (3, 2)) checked against the
-    # oracles after the caches overflowed, and after the binomial tables
-    # alone were evicted by numpy-path Steiner checks; an address that
-    # outlived its table would read freed memory
+    # the kernels read the cached binomial and pick tables: the Fano plane
+    # (expand (v, k) = (7, 3), Steiner check (k, t) = (3, 2)) checked
+    # against the oracles after the caches overflowed, and after the
+    # binomial tables alone were evicted by numpy-path Steiner checks; a
+    # kernel given a table that had been freed would read freed memory
     G = cyclic_group(7)
     ko = good_k_orbit_reps(G, 7, 3, 2)
     fano_orbit = [ko.reps.tolist().index([1, 2, 4])]

@@ -427,3 +427,22 @@ def test_kernel_is_not_loaded_before_the_first_orbit_search(child_env):
         "assert list(_native._loaded) == ['_orbits.c']\n"
     )
     subprocess.run([sys.executable, "-c", code], check=True, env=child_env)
+
+
+def test_orbit_kernel_refuses_an_element_table_not_c_ordered(child_env):
+    # read as if C-ordered, the reversed rows would run past the table's end
+    code = (
+        "import ctypes\n"
+        "from kmsteiner import orbitgen, perm\n"
+        "G = perm.cyclic_group(13)\n"
+        "table = G.element_table()[::-1]\n"
+        "G.element_table = lambda: table\n"
+        "try:\n"
+        "    orbitgen.good_k_orbit_reps(G, 13, 3, 2)\n"
+        "except ctypes.ArgumentError as exc:\n"
+        "    print(exc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=child_env, capture_output=True,
+                          text=True, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert "kms_orbits_new argument 5: expected a C-ordered array of int64" in proc.stdout

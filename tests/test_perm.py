@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 
@@ -126,6 +127,16 @@ def test_stabilizer_chain_add_reports_growth():
     assert not chain.add((0, 2, 1, 4, 3)) and chain.order() == 120
 
 
+def test_chain_sifts_members_without_inverting(monkeypatch):
+    # each transversal element's inverse is formed once, where its point
+    # joins the orbit, so sifting a member of the group inverts nothing
+    S5 = StabilizerChain([(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)], 5)
+    calls, inv = [], perm._inv
+    monkeypatch.setattr(perm, "_inv", lambda p: calls.append(p) or inv(p))
+    assert all(S5.contains(g) for g in itertools.permutations(range(5)))
+    assert not calls
+
+
 @st.composite
 def generator_lists(draw):
     """A degree 2 <= v <= 8 and 1..4 permutations, each moving a drawn subset
@@ -154,6 +165,10 @@ def test_chain_matches_closure(drawn, data):
         assert chain.order() == len(els)
     again = StabilizerChain([g.raw() for g in gens], v)
     assert (again.base, again.gens, again.trans) == (chain.base, chain.gens, chain.trans)
+    for trans, inv in zip(chain.trans, chain._inverse):
+        assert trans.keys() == inv.keys()
+        assert all(Permutation(u) * Permutation(inv[p]) == Permutation.identity(v)
+                   for p, u in trans.items())
     members = data.draw(st.lists(st.sampled_from(sorted(els, key=Permutation.raw)), max_size=5))
     others = data.draw(st.lists(st.permutations(range(v)), max_size=5))
     for p in members + [Permutation(q) for q in others]:
