@@ -140,16 +140,18 @@ def expand(orbit_indices, k_orbits: OrbitSet, G: PermutationGroup) -> Design:
 
     The orbit of a representative K is its images under every element of
     G, each image Stab(K)-fold, so |G| / #{g : K^g = K} must equal the
-    recorded orbit size (AssertionError if not).  An orbit index that is
-    not an integer (a bool is not) or lies outside 0..len(k_orbits)-1, a
-    representative point outside 1..v and a block in two chosen orbits
-    are ValueErrors.  The kernel ``kms_expand`` sorts, keys, counts and
+    recorded orbit size (AssertionError if not).  A group whose degree is
+    not v, an orbit index that is not an integer (a bool is not) or lies
+    outside 0..len(k_orbits)-1, a representative point outside 1..v and a
+    block in two chosen orbits are ValueErrors.  The kernel ``kms_expand`` sorts, keys, counts and
     deduplicates the images.
     """
     idx = _native.integers(sorted(orbit_indices), "orbit indices must be integers")
     idx = idx.astype(np.int64, copy=False)
     if len(idx) and not 0 <= idx[0] <= idx[-1] < len(k_orbits):
         raise ValueError(f"orbit index outside 0..{len(k_orbits) - 1} in {idx.tolist()}")
+    if G.degree != k_orbits.v:  # the kernel reads the element table in rows of v
+        raise ValueError("group degree does not match v")
     v, k, els = k_orbits.v, k_orbits.k, G.element_table()
     out = np.empty((len(els) * len(idx), k), dtype=k_orbits.reps.dtype)
     b = _native.kernel("_refine.c").kms_expand(v, k, len(els), els, k_orbits.reps, out.itemsize,

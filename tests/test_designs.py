@@ -20,7 +20,7 @@ from kmsteiner.designs import (
 )
 from kmsteiner.km import build_km
 from kmsteiner.orbitgen import OrbitSet, good_k_orbit_reps, t_orbit_reps
-from kmsteiner.perm import PermutationGroup, cyclic_group, normalizer_of_cyclic
+from kmsteiner.perm import Permutation, PermutationGroup, cyclic_group, normalizer_of_cyclic
 from kmsteiner.symbreak import decode_solution, encode, normalizer_classes
 from kmsteiner.xcc import solve
 
@@ -129,6 +129,18 @@ def test_expand_rejects(reps, sizes, chosen, error, message):
     G = cyclic_group(257 if np.max(reps) > 255 else 7)
     with pytest.raises(error, match=message):
         expand(chosen, _orbit_set_unchecked(reps, sizes, G), G)
+
+
+@pytest.mark.parametrize("gens", [[[1, 0, 2, 3, 4, 5, 6, 7], [0, 1, 2, 3, 4, 5, 7, 6]],
+                                  [[1, 0, 2, 3, 4, 5]]])
+def test_expand_rejects_a_group_whose_degree_is_not_v(gens):
+    # the kernel reads the element table in rows of v points: read in rows
+    # of 7, the table of <(1 2), (7 8)> on 8 points gives the orbit of
+    # {1, 2, 3} a recorded size of 4 and blocks that hold a point 8; a
+    # group on 6 points would have its table read past its end
+    G = PermutationGroup([Permutation(g) for g in gens])
+    with pytest.raises(ValueError, match="^group degree does not match v$"):
+        expand([0], OrbitSet(7, 2, [(1, 2, 3)], [4], ""), G)
 
 
 @pytest.mark.parametrize("reps,sizes", [case[:2] for case in EXPAND_GUARDED])
